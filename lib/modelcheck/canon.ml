@@ -9,18 +9,22 @@ open Lbsa_runtime
    of processes, optionally a compatible permutation of objects, and
    optionally a rewrite of object states (the hook for object encodings
    that mention process identities, e.g. PAC labels).  Groups here are
-   tiny — (n-1)! for n-DAC, (m!)^k * k! for the k*m partition protocol —
-   so [canonical] simply takes the [Config.compare]-least image over the
-   whole orbit.  Element comparisons are O(1) thanks to hash-consing, so
-   one canonicalization costs O(|G| * n) pointer work.
+   small — (n-1)! for n-DAC, (m!)^k * k! for the k*m partition protocol
+   — and [canonical] returns the [Config.compare]-least element of the
+   orbit without building it: the local states are ranked once per
+   call, so rejecting an automorphism costs a few int comparisons, and
+   only automorphisms that tie the best image on every local get their
+   objects built (renamed object states come from a per-group memo) and
+   their statuses compared in place.  The winner alone is built.
 
-   Soundness (why quotienting preserves verdicts) is argued in
-   DESIGN.md, "State-space reduction".  The constructors below only
-   build groups for protocols whose step machines are certified
-   equivariant: [exchangeable] requires a pid-independent delta over
-   pid-free object states, [dac] fixes the distinguished process 0 and
-   renames PAC labels, [kset_partition] permutes within groups and
-   whole groups together with their consensus objects. *)
+   Soundness (why quotienting preserves verdicts) and the search's
+   argument are in DESIGN.md, "State-space reduction".  The
+   constructors below only build groups for protocols whose step
+   machines are certified equivariant: [exchangeable] requires a
+   pid-independent delta over pid-free object states, [dac] fixes the
+   distinguished process 0 and renames PAC labels, [kset_partition]
+   permutes within groups and whole groups together with their
+   consensus objects. *)
 
 type auto = {
   proc : int array;  (* image process i carries old process proc.(i) *)
@@ -29,32 +33,192 @@ type auto = {
       (* rewrite of old object [index]'s state, applied during permute *)
 }
 
-type t = { order : int; autos : auto list }
-(* [autos] excludes the identity; [order] = |autos| + 1. *)
+(* The memo of renamed object states: (automorphism index, old object
+   index, state) -> [rename_obj index state].  Keyed by the state's
+   physical identity and structural [Value.hash], never by its intern
+   id.  Lock-striped so the explorer's worker domains can share it; the
+   stripe is picked from high hash bits because [Hashtbl] indexes by the
+   low ones. *)
+module Key = struct
+  type t = { auto : int; src : int; state : Value.t }
 
-let identity = { order = 1; autos = [] }
+  let equal a b = a.state == b.state && a.auto = b.auto && a.src = b.src
+
+  let hash k =
+    Value.hash_combine (Value.hash_fold k.auto k.state) k.src land max_int
+end
+
+module Memo = Hashtbl.Make (Key)
+
+type stripe = { lock : Mutex.t; tbl : Value.t Memo.t }
+
+let n_stripes = 16 (* power of two *)
+
+type t = {
+  autos : auto list;  (* excludes the identity *)
+  order : int;
+  id : auto;  (* the identity; its [proc] fixes the process count *)
+  objs : int option;  (* object count, when automorphisms permute objects *)
+  memo : stripe array option Atomic.t;  (* allocated on first use *)
+}
+
+let make autos =
+  let procs = match autos with [] -> 0 | a :: _ -> Array.length a.proc in
+  {
+    autos;
+    order = List.length autos + 1;
+    id = { proc = Array.init procs Fun.id; obj = None; rename_obj = None };
+    objs = List.find_map (fun a -> Option.map Array.length a.obj) autos;
+    memo = Atomic.make None;
+  }
+
+let identity = make []
 let is_identity g = g.autos = []
 let order g = g.order
+let autos g = g.autos
 
 let apply a config =
   Config.permute ?obj:a.obj ?rename_obj:a.rename_obj ~proc:a.proc config
 
-(* The lex-least image of [config] over its orbit.  Returns [config]
-   itself (physically) when it is already minimal, so callers can count
-   actual canonizations with [!=]. *)
-let canonical g config =
-  match g.autos with
-  | [] -> config
-  | autos ->
-    List.fold_left
-      (fun best a ->
-        let img = apply a config in
-        if Config.compare img best < 0 then img else best)
-      config autos
+let memo g =
+  match Atomic.get g.memo with
+  | Some m -> m
+  | None ->
+    let m =
+      Array.init n_stripes (fun _ ->
+          { lock = Mutex.create (); tbl = Memo.create 64 })
+    in
+    if Atomic.compare_and_set g.memo None (Some m) then m
+    else Option.get (Atomic.get g.memo)
 
-let orbit g config =
-  List.sort_uniq Config.compare
-    (config :: List.map (fun a -> apply a config) g.autos)
+(* [rename src state], memoised per automorphism [k].  The rename runs
+   outside the lock: two domains racing on one key compute the same
+   interned value, so either store is fine. *)
+let renamed g k rename src state =
+  let key = { Key.auto = k; src; state } in
+  let s = (memo g).((Key.hash key lsr 24) land (n_stripes - 1)) in
+  match Mutex.protect s.lock (fun () -> Memo.find_opt s.tbl key) with
+  | Some v -> v
+  | None ->
+    let v = rename src state in
+    Mutex.protect s.lock (fun () -> Memo.replace s.tbl key v);
+    v
+
+(* The object array of [a]'s image; [k] is [a]'s index in the group
+   (the memo key), [-1] for the identity. *)
+let image_objects g k a (config : Config.t) =
+  match a with
+  | { obj = None; rename_obj = None; _ } -> config.objects
+  | { obj; rename_obj; _ } ->
+    Array.init (Array.length config.objects) (fun o ->
+        let src = match obj with None -> o | Some m -> m.(o) in
+        let state = config.objects.(src) in
+        match rename_obj with
+        | None -> state
+        | Some f -> renamed g k f src state)
+
+(* Order-preserving ranks of the locals: [rank.(p) < rank.(q)] iff
+   [locals.(p)] precedes [locals.(q)], equal ranks iff equal values. *)
+let ranks locals =
+  let n = Array.length locals in
+  let idx = Array.init n Fun.id in
+  Array.stable_sort (fun p q -> Value.compare locals.(p) locals.(q)) idx;
+  let rank = Array.make n 0 in
+  for j = 1 to n - 1 do
+    let p = idx.(j) and q = idx.(j - 1) in
+    rank.(p) <- (if locals.(p) == locals.(q) then rank.(q) else j)
+  done;
+  rank
+
+let fits g (config : Config.t) =
+  if Array.length config.locals <> Array.length g.id.proc then
+    invalid_arg "Canon.canonical: process count does not fit the group";
+  match g.objs with
+  | Some m when m <> Array.length config.objects ->
+    invalid_arg "Canon.canonical: object count does not fit the group"
+  | _ -> ()
+
+(* The lex-least image of [config] over its orbit, found without
+   building the losing images.  [Config.compare] orders locals first,
+   then objects, then statuses, so a candidate is rejected (or wins
+   outright) at its first local whose rank differs from the best
+   image's; only a full tie on locals builds its objects, and only a
+   tie on those compares statuses.  Returns [config] itself
+   (physically) when no image is strictly smaller, so callers can count
+   actual canonizations with [!=]. *)
+let canonical g (config : Config.t) =
+  if is_identity g then config
+  else begin
+    fits g config;
+    let n = Array.length g.id.proc in
+    let locals = config.locals and status = config.status in
+    let rank = ranks locals in
+    (* the best image so far: its automorphism and index, its locals'
+       ranks and, once some tie needed them, its objects *)
+    let best = ref g.id and best_k = ref (-1) in
+    let best_rank = Array.copy rank in
+    let best_objs = ref (Some config.objects) in
+    List.iteri
+      (fun k a ->
+        let proc = a.proc in
+        let rec by_rank i =
+          if i = n then 0
+          else
+            let c = rank.(proc.(i)) - best_rank.(i) in
+            if c <> 0 then c else by_rank (i + 1)
+        in
+        let c = by_rank 0 in
+        if c < 0 then begin
+          best := a;
+          best_k := k;
+          best_objs := None;
+          for i = 0 to n - 1 do
+            best_rank.(i) <- rank.(proc.(i))
+          done
+        end
+        else if c = 0 then begin
+          let objs = image_objects g k a config in
+          let bobjs =
+            match !best_objs with
+            | Some o -> o
+            | None -> image_objects g !best_k !best config
+          in
+          let bproc = !best.proc in
+          let rec by_obj o =
+            if o = Array.length objs then 0
+            else
+              let c = Value.compare objs.(o) bobjs.(o) in
+              if c <> 0 then c else by_obj (o + 1)
+          in
+          let rec by_status i =
+            if i = n then 0
+            else
+              let c =
+                Config.compare_status status.(proc.(i)) status.(bproc.(i))
+              in
+              if c <> 0 then c else by_status (i + 1)
+          in
+          let c = by_obj 0 in
+          if c < 0 || (c = 0 && by_status 0 < 0) then begin
+            best := a;
+            best_k := k;
+            best_objs := Some objs
+          end
+          else best_objs := Some bobjs
+        end)
+      g.autos;
+    if !best_k < 0 then config
+    else
+      let proc = !best.proc in
+      {
+        Config.locals = Array.init n (fun i -> locals.(proc.(i)));
+        objects =
+          (match !best_objs with
+          | Some o -> o
+          | None -> image_objects g !best_k !best config);
+        status = Array.init n (fun i -> status.(proc.(i)));
+      }
+  end
 
 (* --- group constructors ------------------------------------------------ *)
 
@@ -95,7 +259,7 @@ let of_proc_arrays ?mk_rename ?mk_obj arrays =
             })
       arrays
   in
-  { order = List.length autos + 1; autos }
+  make autos
 
 let exchangeable ~n ?(fixed = []) () =
   if n < 0 then invalid_arg "Canon.exchangeable: n must be >= 0";
@@ -171,7 +335,7 @@ let kset_partition ~m ~k =
         else Some { proc; obj = Some sigma; rename_obj = None })
       arrays
   in
-  { order = List.length autos + 1; autos }
+  make autos
 
 (* --- poised / commit steps --------------------------------------------- *)
 

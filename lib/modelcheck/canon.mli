@@ -22,25 +22,32 @@ type auto = {
       (** rewrite of old object [index]'s state during the permute *)
 }
 
-type t = { order : int; autos : auto list }
-(** A group, extensionally: its non-identity automorphisms ([order] =
-    [List.length autos + 1]).  Groups here are tiny, so [canonical]
-    enumerates the whole orbit. *)
+type t
+(** A group, extensionally: its non-identity automorphisms, plus a memo
+    of renamed object states that the group owns (allocated on the first
+    [canonical] call that needs it, shared safely by the explorer's
+    worker domains). *)
 
 val identity : t
 val is_identity : t -> bool
 val order : t -> int
 
+val autos : t -> auto list
+(** The non-identity automorphisms ([order - 1] of them). *)
+
 val apply : auto -> Config.t -> Config.t
 
 val canonical : t -> Config.t -> Config.t
 (** The lex-least image of the configuration over its orbit.  Returns
-    the argument {e physically} when it is already minimal, so callers
-    can count canonizations with [(!=)].  O(|G| * n) pointer
-    comparisons thanks to hash-consed values. *)
-
-val orbit : t -> Config.t -> Config.t list
-(** The full orbit, sorted and deduplicated (for tests). *)
+    the argument {e physically} when no image is strictly smaller, so
+    callers can count canonizations with [(!=)].  Builds no losing
+    image: the locals are ranked once, each automorphism is rejected at
+    its first local ranked above the best image's ([O(|G| * n)] int
+    comparisons at worst), objects are built (through the memo) and
+    statuses compared only for automorphisms that tie the best on every
+    local, and the winner is built once.  Raises [Invalid_argument] when
+    the configuration's process count, or its object count for a group
+    that permutes objects, does not fit the group. *)
 
 val exchangeable : n:int -> ?fixed:int list -> unit -> t
 (** All permutations of [n] processes fixing the pids in [fixed].

@@ -16,7 +16,14 @@ type t = {
   status : status array;
 }
 
+val compare_status : status -> status -> int
+(** The status order [compare] uses: [Running < Decided _ < Aborted <
+    Crashed], decisions ordered by [Value.compare]. *)
+
 val compare : t -> t -> int
+(** Lexicographic: locals, then objects, then statuses (each array
+    length first). *)
+
 val equal : t -> t -> bool
 
 val hash : t -> int

@@ -59,7 +59,9 @@ module Budget = struct
     | Some tok when cancelled tok -> Some Cancelled
     | _ -> (
       match t.deadline with
-      | Some d when Unix.gettimeofday () > d -> Some Deadline
+      (* [>=]: a zero budget polled within the microsecond it was made
+         is already expired *)
+      | Some d when Unix.gettimeofday () >= d -> Some Deadline
       | _ -> None)
 end
 

@@ -7,12 +7,13 @@ open Lbsa
 
 (* --- protocol instances with their symmetry groups --------------------- *)
 
-let dac3 () =
-  let n = 3 in
-  ( Dac_from_pac.machine ~n,
-    Dac_from_pac.specs ~n,
-    [| Value.int 1; Value.int 0; Value.int 0 |],
-    Canon.dac ~n )
+let dac_inputs n =
+  Array.init n (fun pid -> Value.int (if pid = 0 then 1 else 0))
+
+let dac n =
+  (Dac_from_pac.machine ~n, Dac_from_pac.specs ~n, dac_inputs n, Canon.dac ~n)
+
+let dac3 () = dac 3
 
 let cons2 () =
   let machine, specs = Consensus_protocols.from_consensus_obj ~m:2 in
@@ -47,7 +48,35 @@ let test_group_orders () =
   List.iter
     (fun (a : Canon.auto) ->
       Alcotest.(check int) "p0 fixed" 0 a.Canon.proc.(0))
-    (Canon.dac ~n:4).Canon.autos
+    (Canon.autos (Canon.dac ~n:4))
+
+(* --- the enumeration oracle --------------------------------------------- *)
+
+(* The whole orbit of [c], built from [Canon.apply] alone (one
+   [Config.permute] per automorphism), sorted and deduplicated.  It
+   shares nothing with [Canon.canonical]'s search, so it can judge it. *)
+let orbit group c =
+  List.sort_uniq Config.compare
+    (c :: List.map (fun a -> Canon.apply a c) (Canon.autos group))
+
+(* The oracle's minimum alone: the first strictly smaller image wins. *)
+let orbit_min group c =
+  List.fold_left
+    (fun best a ->
+      let img = Canon.apply a c in
+      if Config.compare img best < 0 then img else best)
+    c (Canon.autos group)
+
+(* [canonical] is the oracle's least orbit element, and it is the
+   argument itself (physically) exactly when no image is strictly
+   smaller.  [None] when both hold, else what failed. *)
+let oracle_mismatch ?(full = true) group c =
+  let rep = Canon.canonical group c in
+  let least = if full then List.hd (orbit group c) else orbit_min group c in
+  if not (Config.equal rep least) then Some "not the orbit minimum"
+  else if (rep == c) <> (Config.compare least c = 0) then
+    Some "argument not returned physically iff already minimal"
+  else None
 
 (* [canonical] must send every member of an orbit to the same
    representative, that representative must be the [Config.compare]-least
@@ -62,12 +91,9 @@ let check_orbit_stability label group graph =
       if Config.compare rep c > 0 then
         Alcotest.failf "%s: canonical exceeds its argument at node %d" label
           id;
-      (match Canon.orbit group c with
-      | least :: _ ->
-        if not (Config.equal rep least) then
-          Alcotest.failf "%s: canonical is not the orbit minimum at node %d"
-            label id
-      | [] -> Alcotest.failf "%s: empty orbit at node %d" label id);
+      (match oracle_mismatch group c with
+      | None -> ()
+      | Some what -> Alcotest.failf "%s: node %d: canonical %s" label id what);
       List.iter
         (fun a ->
           let rep' = Canon.canonical group (Canon.apply a c) in
@@ -82,10 +108,28 @@ let check_orbit_stability label group graph =
           if Config.hash rep' <> Config.hash rep then
             Alcotest.failf "%s: node %d: orbit representatives hash apart"
               label id)
-        group.Canon.autos)
+        (Canon.autos group))
     graph
 
 let test_canonical_permutation_stable () =
+  (* Every node of each unreduced graph.  The larger three reach real
+     group orders: dac:5 (24, labels renamed, 4254 nodes), cons:4 under
+     the full symmetric group (24), and the 2x3 partition protocol (48,
+     objects permuted with their groups, 2197 nodes). *)
+  let cons4 () =
+    let machine, specs = Consensus_protocols.from_consensus_obj ~m:4 in
+    ( machine,
+      specs,
+      Array.map Value.int [| 0; 1; 1; 0 |],
+      Canon.exchangeable ~n:4 () )
+  in
+  let kset23 () =
+    let machine, specs = Kset_protocols.partition ~m:2 ~k:3 in
+    ( machine,
+      specs,
+      Kset_task.distinct_inputs 6,
+      Canon.kset_partition ~m:2 ~k:3 )
+  in
   List.iter
     (fun (label, (machine, specs, inputs, group)) ->
       let graph = Cgraph.build ~machine ~specs ~inputs () in
@@ -94,6 +138,9 @@ let test_canonical_permutation_stable () =
       ("dac:3", dac3 ());
       ("cons:2", cons2 ());
       ("kset 2,2", kset22 ());
+      ("dac:5", dac 5);
+      ("cons:4", cons4 ());
+      ("kset 2,3", kset23 ());
     ]
 
 let test_near_symmetric_orbits () =
@@ -131,6 +178,107 @@ let test_near_symmetric_orbits () =
   Alcotest.(check bool) "fixed-pid group keeps mirror images apart" false
     (Config.equal (Canon.canonical fixed c1) (Canon.canonical fixed c2))
 
+(* --- canonical against the oracle at real group sizes ------------------ *)
+
+let test_oracle_dac6_sample () =
+  (* dac:6 (order 120): a seeded sample of nodes against the oracle
+     minimum only, so the check stays within seconds. *)
+  let machine, specs, inputs, group = dac 6 in
+  let g = Cgraph.build ~machine ~specs ~inputs () in
+  let rng = Prng.create 13 in
+  let n = Cgraph.n_nodes g in
+  for _ = 1 to min 2000 n do
+    let id = Prng.int rng n in
+    match oracle_mismatch ~full:false group (Cgraph.node g id) with
+    | None -> ()
+    | Some what -> Alcotest.failf "dac:6: node %d: canonical %s" id what
+  done
+
+(* Random dac:n configurations, well-formed or not as protocol states
+   go: each component drawn from a small domain so that locals tie
+   often and the object/status tie-breaks get exercised. *)
+let random_dac_config =
+  let open QCheck.Gen in
+  let bit = map Value.int (int_bound 1) in
+  let local =
+    oneof
+      [
+        map (fun v -> Value.pair (Value.sym "proposing", v)) bit;
+        map (fun v -> Value.pair (Value.sym "deciding", v)) bit;
+        map (fun v -> Value.pair (Value.sym "halt", v)) bit;
+        return (Value.sym "abort");
+      ]
+  in
+  let status =
+    oneof
+      [
+        return Config.Running;
+        map (fun v -> Config.Decided v) bit;
+        return Config.Aborted;
+        return Config.Crashed;
+      ]
+  in
+  let opt g = oneof [ return Value.nil; g ] in
+  int_range 2 5 >>= fun n ->
+  let label = map Value.int (int_range 1 n) in
+  let pac =
+    map4
+      (fun upset v l value ->
+        Value.list
+          [
+            Value.bool upset;
+            Value.Assoc.of_bindings
+              (List.mapi (fun i x -> (Value.int (i + 1), x)) v);
+            l;
+            value;
+          ])
+      bool (list_repeat n (opt bit)) (opt label) (opt bit)
+  in
+  map3
+    (fun locals pac status ->
+      ( n,
+        {
+          Config.locals = Array.of_list locals;
+          objects = [| pac |];
+          status = Array.of_list status;
+        } ))
+    (list_repeat n local) pac (list_repeat n status)
+
+let prop_canonical_is_oracle_min =
+  QCheck.Test.make ~count:500
+    ~name:"canonical = oracle minimum (random dac configs)"
+    (QCheck.make
+       ~print:(fun (n, c) -> Fmt.str "dac:%d@.%a" n Config.pp c)
+       random_dac_config)
+    (fun (n, c) ->
+      match oracle_mismatch (Canon.dac ~n) c with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "canonical %s" what)
+
+let test_canonical_rejects_misfit () =
+  (* A configuration whose process count (or, for a group that permutes
+     objects, object count) does not fit the group is refused, never
+     silently canonized. *)
+  let machine, specs, inputs, _ = dac3 () in
+  let c = Config.initial ~machine ~specs ~inputs in
+  (match Canon.canonical (Canon.dac ~n:4) c with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "dac:4 group accepted a 3-process configuration");
+  (match Canon.canonical (Canon.exchangeable ~n:2 ()) c with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "2-process group accepted a 3-process configuration");
+  let kset = Canon.kset_partition ~m:2 ~k:2 in
+  let c =
+    {
+      Config.locals = Array.make 4 Value.unit_;
+      objects = [| Value.unit_ |];
+      status = Array.make 4 Config.Running;
+    }
+  in
+  match Canon.canonical kset c with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "kset 2,2 group accepted a 1-object configuration"
+
 (* --- reduced builds against the CMap oracle ---------------------------- *)
 
 let check_same_graph label (g1 : Cgraph.t) (g2 : Cgraph.t) =
@@ -167,6 +315,67 @@ let test_reduced_build_matches_cmap_oracle () =
       ("cons:2", cons2 (), None);
       ("kset 2,2", kset22 (), None);
     ]
+
+(* --- what must not move ------------------------------------------------- *)
+
+let test_dac7_pins () =
+  (* Theorem 4.1's 7-DAC instance under sym+sleep: graph size and
+     reduction counters are pinned, so a faster canonicalizer cannot
+     drift the quotient. *)
+  let machine, specs, inputs, canon = dac 7 in
+  let g =
+    Cgraph.build ~domains:1 ~reduce:(sym_sleep ~frozen:dac_frozen canon)
+      ~machine ~specs ~inputs ()
+  in
+  let r = (Cgraph.stats g).Cgraph.reduction in
+  Alcotest.(check (list int))
+    "states, edges, canonized, ample nodes, ample pruned"
+    [ 258; 1161; 955; 154; 175 ]
+    [
+      Cgraph.n_nodes g;
+      Cgraph.n_edges g;
+      r.Cgraph.canonized;
+      r.Cgraph.ample_nodes;
+      r.Cgraph.ample_pruned;
+    ]
+
+let test_domains_agree_under_memo () =
+  (* The renamed-object memo is shared by the explorer's worker domains:
+     the dac:6 sym+sleep graph must not depend on the domain count, and
+     four domains canonicalizing the same nodes through one fresh group
+     must agree with a sequential pass through another. *)
+  let n = 6 in
+  let machine = Dac_from_pac.machine ~n and specs = Dac_from_pac.specs ~n in
+  let build domains =
+    Cgraph.build ~domains
+      ~reduce:(sym_sleep ~frozen:dac_frozen (Canon.dac ~n))
+      ~machine ~specs ~inputs:(dac_inputs n) ()
+  in
+  check_same_graph "dac:6 sym+sleep, 4 vs 1 domains" (build 4) (build 1);
+  let g = Cgraph.build ~machine ~specs ~inputs:(dac_inputs n) () in
+  let nodes = Array.init (min 3000 (Cgraph.n_nodes g)) (Cgraph.node g) in
+  let seq =
+    let group = Canon.dac ~n in
+    Array.map (Canon.canonical group) nodes
+  in
+  let shared = Canon.dac ~n in
+  let workers =
+    List.init 4 (fun w ->
+        Domain.spawn (fun () ->
+            (* each worker walks the nodes from a different offset *)
+            let len = Array.length nodes in
+            Array.init len (fun j ->
+                let i = (j + (w * len / 4)) mod len in
+                (i, Canon.canonical shared nodes.(i)))))
+  in
+  List.iter
+    (fun d ->
+      Array.iter
+        (fun (i, rep) ->
+          if not (Config.equal rep seq.(i)) then
+            Alcotest.failf "dac:6 node %d: concurrent canonical differs" i)
+        (Domain.join d))
+    workers
 
 (* --- verdict agreement and the acceptance ratio ------------------------ *)
 
@@ -421,11 +630,19 @@ let () =
             test_canonical_permutation_stable;
           Alcotest.test_case "near-symmetric orbits" `Quick
             test_near_symmetric_orbits;
+          Alcotest.test_case "oracle: dac:6 sample" `Quick
+            test_oracle_dac6_sample;
+          QCheck_alcotest.to_alcotest prop_canonical_is_oracle_min;
+          Alcotest.test_case "misfit configuration rejected" `Quick
+            test_canonical_rejects_misfit;
         ] );
       ( "explorer",
         [
           Alcotest.test_case "reduced build matches CMap oracle" `Quick
             test_reduced_build_matches_cmap_oracle;
+          Alcotest.test_case "dac:7 sym+sleep pins" `Quick test_dac7_pins;
+          Alcotest.test_case "domain count agrees under the memo" `Quick
+            test_domains_agree_under_memo;
           Alcotest.test_case "dac:3 verdicts agree, ratio >= 3x" `Quick
             test_dac3_verdicts_agree_and_ratio;
           Alcotest.test_case "verdicts agree across modes" `Slow

@@ -60,6 +60,20 @@ let test_deadline_is_partial_verdict () =
     "suspension captured" true
     (v.Solvability.suspended <> None)
 
+let test_zero_deadline_expired_at_first_poll () =
+  (* A zero budget polled in the same clock tick it was made must
+     already be expired; with a strict comparison it was not, and the
+     supervised loops then ran one unit of work past a deadline of 0. *)
+  for i = 1 to 10_000 do
+    match Supervisor.Budget.stop (expired ()) with
+    | Some Supervisor.Deadline -> ()
+    | o ->
+      Alcotest.failf "zero budget %d polled as %s" i
+        (match o with
+        | None -> "not expired"
+        | Some o -> Fmt.str "%a" Supervisor.pp_outcome o)
+  done
+
 let test_cancellation_is_partial_verdict () =
   let machine, specs = Consensus_protocols.from_consensus_obj ~m:2 in
   let inputs = [| Value.int 0; Value.int 1 |] in
@@ -715,6 +729,8 @@ let () =
             test_truncation_is_partial_verdict;
           Alcotest.test_case "deadline yields a partial verdict" `Quick
             test_deadline_is_partial_verdict;
+          Alcotest.test_case "zero deadline is expired at its first poll"
+            `Quick test_zero_deadline_expired_at_first_poll;
           Alcotest.test_case "cancellation wins over the deadline" `Quick
             test_cancellation_is_partial_verdict;
           Alcotest.test_case "SIGINT routes into the token" `Quick

@@ -44,6 +44,12 @@ let scheduler_conv =
   in
   Arg.conv (parse, print)
 
+(* A size field of a task argument, as a cmdliner parse result. *)
+let int_ge arg lo v k =
+  match int_of_string_opt v with
+  | Some v when v >= lo -> Ok (k v)
+  | _ -> Error (`Msg (Fmt.str "%S: expected an integer >= %d" arg lo))
+
 let mk_scheduler ~n ~seed = function
   | `Rr -> Scheduler.round_robin ~n
   | `Random -> Scheduler.random ~seed
@@ -94,12 +100,6 @@ let check_domains_arg =
            (default) keeps the sequential sweep with an auto-parallel \
            explorer; 1 is fully sequential.  The verdict — including which \
            failing vector is reported — never depends on this.")
-
-(* With a fanned sweep (D > 1) each vector's exploration is pinned to one
-   domain to avoid oversubscription; with D unset the explorer keeps its
-   auto parallelism. *)
-let sweep_plan d =
-  if d <= 0 then (1, None) else (d, Some 1)
 
 (* --- out-of-core exploration ------------------------------------------ *)
 
@@ -166,25 +166,21 @@ let reduce_arg =
            state counts, node ids and failure details are not.  See \
            DESIGN.md, 'State-space reduction'.")
 
-let reduce_mode_name = function
-  | `None -> "none"
-  | `Sym -> "sym"
-  | `Sym_sleep -> "sym+sleep"
+(* --- the task table ------------------------------------------------------ *)
 
-(* The Graph.reduction for a requested mode.  [canon] is the certified
-   symmetry group of the protocol being checked — identity when none is
-   certified, in which case the mode still applies the sleep layer and
-   keeps its requested name so labels and checkpoints stay consistent. *)
-let mk_reduce ?frozen ~canon mode =
-  match mode with
-  | `None -> Cgraph.no_reduction
-  | `Sym -> { Cgraph.rname = "sym"; canon; sleep = false; frozen = None }
-  | `Sym_sleep -> { Cgraph.rname = "sym+sleep"; canon; sleep = true; frozen }
-
-(* dac's PAC object (index 0) is permanently inert once upset: its state
-   never changes again and every propose gets the same abort response —
-   exactly the certification the sleep layer's [frozen] hook wants. *)
-let dac_frozen obj st = obj = 0 && Pac.is_upset st
+(* check, solve, valence, explore and fingerprint resolve their task
+   through Serve_api, the daemon's own table, so a CLI answer and a
+   daemon answer cannot drift apart.  What the table refuses (a size out
+   of range, an input vector of the wrong arity, an unknown candidate, a
+   substrate of the other family) is a usage error: exit 3.  Only the
+   resolution [f] runs under the handler; the verification [k] does
+   not. *)
+let resolve ~cmd f k =
+  match f () with
+  | x -> k x
+  | exception Invalid_argument msg ->
+    Fmt.epr "lbsa %s: %s@." cmd msg;
+    3
 
 (* --- execution substrate ----------------------------------------------- *)
 
@@ -219,25 +215,22 @@ let live_arg =
    through the serve compute path: one code path for `check --live`, the
    vc/bcast tasks and the daemon, so CLI answers and cached daemon
    answers can never diverge. *)
-let local_verify ~err_tag ~budget ~task ~question ~max_states ~rmode
-    ~substrate =
+let local_verify ~budget ~task ~question ~max_states ~rmode ~substrate =
   let substrate =
-    match substrate with
-    | Some s -> s
-    | None -> Serve_api.default_substrate task
+    Option.value substrate ~default:(Serve_api.default_substrate task)
   in
-  let q =
-    Serve_api.Verify
-      {
-        task;
-        question;
-        inputs = Serve_api.default_inputs task;
-        max_states;
-        reduce = rmode;
-        substrate;
-      }
-  in
-  match Serve_api.compute ~budget q with
+  match
+    Serve_api.compute ~budget
+      (Serve_api.Verify
+         {
+           task;
+           question;
+           inputs = Serve_api.default_inputs task;
+           max_states;
+           reduce = rmode;
+           substrate;
+         })
+  with
   | { Serve_api.res; _ } ->
     Fmt.pr "%s@." (Serve_api.render res);
     (match res with
@@ -246,7 +239,7 @@ let local_verify ~err_tag ~budget ~task ~question ~max_states ~rmode
     | _ -> ());
     Serve_api.exit_code res
   | exception Invalid_argument msg ->
-    Fmt.epr "%s: %s@." err_tag msg;
+    Fmt.epr "lbsa check: %s@." msg;
     3
 
 (* --- supervision plumbing --------------------------------------------- *)
@@ -374,56 +367,6 @@ let report ?(stats = false) ?family verdict =
    end);
   Supervisor.exit_code ~ok:verdict.Solvability.ok verdict.Solvability.outcome
 
-let check_dac n max_states stats d rmode shards ~budget =
-  let machine = Dac_from_pac.machine ~n in
-  let specs = Dac_from_pac.specs ~n in
-  let reduce = mk_reduce ~frozen:dac_frozen ~canon:(Canon.dac ~n) rmode in
-  let sweep, inner = sweep_plan d in
-  let verdict, family =
-    Solvability.for_all_inputs_timed ~domains:sweep ~budget
-      (fun inputs ->
-        Solvability.check_dac ~max_states ?domains:inner ~budget ~reduce
-          ~shards ~machine ~specs ~inputs ())
-      (Dac.binary_inputs n)
-  in
-  report ~stats ~family verdict
-
-let check_consensus m max_states stats d rmode shards ~budget =
-  let machine, specs = Consensus_protocols.from_consensus_obj ~m in
-  let reduce = mk_reduce ~canon:(Canon.exchangeable ~n:m ()) rmode in
-  let sweep, inner = sweep_plan d in
-  let verdict, family =
-    Solvability.for_all_inputs_timed ~domains:sweep ~budget
-      (fun inputs ->
-        Solvability.check_consensus ~max_states ?domains:inner ~budget ~reduce
-          ~shards ~machine ~specs ~inputs ())
-      (Consensus_task.binary_inputs m)
-  in
-  report ~stats ~family verdict
-
-let check_kset m k max_states stats d rmode shards ~budget =
-  let machine, specs = Kset_protocols.partition ~m ~k in
-  let reduce = mk_reduce ~canon:(Canon.kset_partition ~m ~k) rmode in
-  (* A single input vector: [--domains] drives the explorer itself. *)
-  let domains = if d <= 0 then None else Some d in
-  report ~stats
-    (Solvability.check_kset ~max_states ?domains ~budget ~reduce ~shards
-       ~machine ~specs ~k
-       ~inputs:(Kset_task.distinct_inputs (m * k))
-       ())
-
-let candidates =
-  [
-    ("flp-write-read", `Consensus (Candidates.flp_write_read, 2));
-    ("flp-spin", `Consensus (Candidates.flp_spin, 2));
-    ("3dac-sa2-then-cons2", `Dac (Candidates.dac3_sa2_then_cons2, 3));
-    ("3dac-cons2-announce", `Dac (Candidates.dac3_cons2_announce, 3));
-    ( "3cons-from-22pac",
-      `Consensus (Candidates.consensus_m1_from_pac_nm ~n:2 ~m:2, 3) );
-    ( "pac-retry",
-      `Consensus (Candidates.consensus_from_pac_retry ~n:2 ~procs:2, 2) );
-  ]
-
 (* A witness search answers one of three things; only an exhaustive miss
    may be printed as a liveness-only failure — a truncated search saying
    "no witness" was the false negative this message replaces. *)
@@ -437,46 +380,22 @@ let report_witness = function
        explored prefix; raise --max-states for a definitive witness)@."
       Supervisor.pp_outcome o
 
-let check_candidate name max_states d rmode =
-  let sweep, inner = sweep_plan d in
-  (* No certified symmetry group for free-form candidates: [sym] is the
-     identity quotient here, but [sym+sleep] still prunes commit steps. *)
-  let reduce = mk_reduce ~canon:Canon.identity rmode in
-  match List.assoc_opt name candidates with
-  | None ->
-    Fmt.epr "unknown candidate %S; known: %s@." name
-      (String.concat ", " (List.map fst candidates));
-    3
-  | Some (`Consensus ((machine, specs), procs)) ->
-    Fmt.pr "candidate %s (consensus among %d) — expected to FAIL:@." name procs;
-    let v =
-      Solvability.for_all_inputs ~domains:sweep
-        (fun inputs ->
-          Solvability.check_consensus ~max_states ?domains:inner ~reduce
-            ~machine ~specs ~inputs ())
-        (Consensus_task.binary_inputs procs)
-    in
-    Fmt.pr "%a@." Solvability.pp_verdict v;
-    (if not v.Solvability.ok then
-       report_witness
-         (Solvability.consensus_witness ~max_states ~machine ~specs
-            ~inputs:v.Solvability.inputs ()));
-    if v.Solvability.ok then 1 else 0
-  | Some (`Dac ((machine, specs), procs)) ->
-    Fmt.pr "candidate %s (%d-DAC) — expected to FAIL:@." name procs;
-    let v =
-      Solvability.for_all_inputs ~domains:sweep
-        (fun inputs ->
-          Solvability.check_dac ~max_states ?domains:inner ~reduce ~machine
-            ~specs ~inputs ())
-        (Dac.binary_inputs procs)
-    in
-    Fmt.pr "%a@." Solvability.pp_verdict v;
-    (if not v.Solvability.ok then
-       report_witness
-         (Solvability.dac_witness ~max_states ~machine ~specs
-            ~inputs:v.Solvability.inputs ()));
-    if v.Solvability.ok then 1 else 0
+(* A candidate is expected to fail, so check candidate inverts 0/1: a
+   definitive failure exits 0 (with a witness when safety is what
+   broke), a pass exits 1.  A partial sweep confirms nothing: it exits 2
+   and skips the witness search. *)
+let report_candidate inst ~name ~max_states (v : Solvability.verdict) =
+  Fmt.pr "candidate %s (%s) — expected to FAIL:@.%a@." name
+    (match inst.Serve_api.flavor with
+    | Solvability.Dac -> Fmt.str "%d-DAC" inst.procs
+    | _ -> Fmt.str "consensus among %d" inst.procs)
+    Solvability.pp_verdict v;
+  if Supervisor.is_partial v.outcome then 2
+  else if v.ok then 1
+  else begin
+    report_witness (Serve_api.witness inst ~max_states ~inputs:v.inputs ());
+    0
+  end
 
 let check_cmd =
   let task =
@@ -499,10 +418,10 @@ let check_cmd =
       & opt string "flp-write-read"
       & info [ "name" ] ~docv:"NAME" ~doc:"Candidate name (for candidate).")
   in
-  let run task n m k name max_states stats domains rmode shards deadline chaos
+  let run task n m k name max_states stats d rmode shards deadline chaos
       substrate live =
     let budget = mk_budget ?deadline ~chaos () in
-    let api_task =
+    let task =
       match task with
       | `Dac -> Serve_api.Dac { n }
       | `Consensus -> Serve_api.Consensus { m }
@@ -511,30 +430,45 @@ let check_cmd =
       | `Vc -> Serve_api.Vc { n }
       | `Bcast -> Serve_api.Bcast { n }
     in
-    let mp = match task with `Vc | `Bcast -> true | _ -> false in
-    if live || mp then
+    if live || Serve_api.mp_task task then
       (* mp tasks without --live get the solvability question on the mp
          substrate (agreement/validity/wait-freedom); --live asks for a
          fair cycle instead, on any task. *)
-      local_verify ~err_tag:"lbsa check" ~budget ~task:api_task
+      local_verify ~budget ~task
         ~question:(if live then Serve_api.Live else Serve_api.Solve)
         ~max_states ~rmode ~substrate
     else
-      match substrate with
-      | Some s when s <> "shm" ->
-        Fmt.epr
-          "lbsa check: task %s is shared-memory; --substrate %s needs a \
-           message-passing task (vc, bcast)@."
-          (Serve_api.task_label api_task) s;
-        3
-      | _ -> (
-        match task with
-        | `Dac -> check_dac n max_states stats domains rmode shards ~budget
-        | `Consensus ->
-          check_consensus m max_states stats domains rmode shards ~budget
-        | `Kset -> check_kset m k max_states stats domains rmode shards ~budget
-        | `Candidate -> check_candidate name max_states domains rmode
-        | `Vc | `Bcast -> assert false)
+      resolve ~cmd:"check"
+        (fun () ->
+          let substrate, _ =
+            Serve_api.substrate task (Option.value substrate ~default:"shm")
+          in
+          (Serve_api.instance task, substrate))
+      @@ fun (inst, substrate) ->
+      let reduce = Serve_api.reduction inst rmode in
+      let check ?domains inputs =
+        Serve_api.check inst ~max_states ?domains ~budget ~substrate ~reduce
+          ~shards ~inputs ()
+      in
+      let verdict, family =
+        match Serve_api.family inst with
+        | [ inputs ] ->
+          (* One input vector: [--domains] drives its explorer. *)
+          (check ?domains:(if d <= 0 then None else Some d) inputs, None)
+        | vectors ->
+          (* A fanned sweep (D > 1) pins each vector's exploration to one
+             domain to avoid oversubscription; with D unset the explorer
+             keeps its auto parallelism. *)
+          let sweep, inner = if d <= 0 then (1, None) else (d, Some 1) in
+          let v, fs =
+            Solvability.for_all_inputs_timed ~domains:sweep ~budget
+              (check ?domains:inner) vectors
+          in
+          (v, Some fs)
+      in
+      match task with
+      | Serve_api.Candidate _ -> report_candidate inst ~name ~max_states verdict
+      | _ -> report ~stats ?family verdict
   in
   Cmd.v
     (Cmd.info "check"
@@ -561,70 +495,28 @@ let solve task n m k max_states stats rmode d shards spill_dir spill_threshold
   let budget = mk_budget ?deadline ~chaos () in
   let domains = if d <= 0 then None else Some d in
   let spill = mk_spill spill_dir spill_threshold in
-  let custom =
-    match inputs_csv with
-    | None -> Ok None
-    | Some s -> (
-      match
-        List.map
-          (fun x -> Value.int (int_of_string (String.trim x)))
-          (String.split_on_char ',' s)
-      with
-      | vs -> Ok (Some (Array.of_list vs))
-      | exception Failure _ ->
-        Error (Fmt.str "--inputs %S is not a comma-separated integer list" s))
+  let task, name =
+    match task with
+    | `Consensus -> (Serve_api.Consensus { m }, Fmt.str "consensus m=%d" m)
+    | `Kset -> (Serve_api.Kset { m; k }, Fmt.str "kset m=%d k=%d" m k)
+    | `Dac -> (Serve_api.Dac { n }, Fmt.str "dac n=%d" n)
   in
-  match custom with
-  | Error msg ->
-    Fmt.epr "%s@." msg;
+  match
+    Option.map
+      (fun s ->
+        List.map
+          (fun x -> int_of_string (String.trim x))
+          (String.split_on_char ',' s))
+      inputs_csv
+  with
+  | exception Failure _ ->
+    Fmt.epr "--inputs %S is not a comma-separated integer list@."
+      (Option.get inputs_csv);
     3
-  | Ok custom ->
-    let name, inputs, check =
-      match task with
-      | `Consensus ->
-        let machine, specs = Consensus_protocols.from_consensus_obj ~m in
-        let reduce = mk_reduce ~canon:(Canon.exchangeable ~n:m ()) rmode in
-        let inputs =
-          match custom with
-          | Some v -> v
-          | None -> Array.init m (fun pid -> Value.int (pid mod 2))
-        in
-        ( Fmt.str "consensus m=%d" m,
-          inputs,
-          fun resume ->
-            Solvability.check_consensus ~max_states ?domains ~budget ~reduce
-              ?resume ~shards ?spill ~machine ~specs ~inputs () )
-      | `Kset ->
-        let machine, specs = Kset_protocols.partition ~m ~k in
-        let reduce = mk_reduce ~canon:(Canon.kset_partition ~m ~k) rmode in
-        let inputs =
-          match custom with
-          | Some v -> v
-          | None -> Kset_task.distinct_inputs (m * k)
-        in
-        ( Fmt.str "kset m=%d k=%d" m k,
-          inputs,
-          fun resume ->
-            Solvability.check_kset ~max_states ?domains ~budget ~reduce
-              ?resume ~shards ?spill ~machine ~specs ~k ~inputs () )
-      | `Dac ->
-        let machine = Dac_from_pac.machine ~n in
-        let specs = Dac_from_pac.specs ~n in
-        let reduce =
-          mk_reduce ~frozen:dac_frozen ~canon:(Canon.dac ~n) rmode
-        in
-        let inputs =
-          match custom with
-          | Some v -> v
-          | None ->
-            Array.init n (fun pid -> Value.int (if pid = 0 then 1 else 0))
-        in
-        ( Fmt.str "dac n=%d" n,
-          inputs,
-          fun resume ->
-            Solvability.check_dac ~max_states ?domains ~budget ~reduce
-              ?resume ~shards ?spill ~machine ~specs ~inputs () )
-    in
+  | inputs ->
+    resolve ~cmd:"solve"
+      (fun () -> (Serve_api.instance task, Serve_api.input_vector ?inputs task))
+    @@ fun (inst, inputs) ->
     (* The label pins exactly what defines the graph — task, sizes,
        inputs, reduction mode.  Budget-side knobs (max_states, deadline,
        domains) stay out: a frozen prefix is valid under any of them, and
@@ -635,7 +527,8 @@ let solve task n m k max_states stats rmode d shards spill_dir spill_threshold
     let label =
       Fmt.str "solve %s inputs=%a reduce=%s" name
         Fmt.(array ~sep:(any ",") Value.pp)
-        inputs (reduce_mode_name rmode)
+        inputs
+        (Serve_api.reduce_name rmode)
     in
     (match Option.map (fun file -> Checkpoint.load ~file) resume_file with
     | exception Checkpoint.Version_mismatch msg ->
@@ -670,7 +563,12 @@ let solve task n m k max_states stats rmode d shards spill_dir spill_threshold
         (Checkpoint.label c) label;
       2
     | resume ->
-      let v = check (Option.map Checkpoint.thaw resume) in
+      let v =
+        Serve_api.check inst ~max_states ?domains ~budget
+          ~reduce:(Serve_api.reduction inst rmode)
+          ?resume:(Option.map Checkpoint.thaw resume)
+          ~shards ?spill ~inputs ()
+      in
       (match (ckpt_file, v.Solvability.suspended) with
       | Some file, Some s when Supervisor.is_partial v.Solvability.outcome ->
         Checkpoint.save ~file (Checkpoint.freeze ~label s);
@@ -725,41 +623,30 @@ let solve_cmd =
 
 (* --- valence ------------------------------------------------------------ *)
 
-let protocols_by_name ~n ~m =
-  [
-    ("cons", Consensus_protocols.from_consensus_obj ~m);
-    ("flp-write-read", Candidates.flp_write_read);
-    ("flp-spin", Candidates.flp_spin);
-    ("pac-retry", Candidates.consensus_from_pac_retry ~n ~procs:2);
-    ( "dac",
-      (Dac_from_pac.machine ~n, Dac_from_pac.specs ~n) );
-  ]
+(* cons and dac are sized by -m and -n; the others are candidate rows of
+   the task table (pac-retry's graph is the same for every -n). *)
+let valence_task ~n ~m = function
+  | "cons" -> Some (Serve_api.Consensus { m })
+  | "dac" -> Some (Serve_api.Dac { n })
+  | ("flp-write-read" | "flp-spin" | "pac-retry") as name ->
+    Some (Serve_api.Candidate { name })
+  | _ -> None
 
 let valence name n m max_states stats rmode shards spill_dir spill_threshold =
   let spill = mk_spill spill_dir spill_threshold in
-  match List.assoc_opt name (protocols_by_name ~n ~m) with
+  match valence_task ~n ~m name with
   | None ->
-    Fmt.epr "unknown protocol %S; known: %s@." name
-      (String.concat ", " (List.map fst (protocols_by_name ~n ~m)));
+    Fmt.epr
+      "unknown protocol %S; known: cons, flp-write-read, flp-spin, \
+       pac-retry, dac@."
+      name;
     3
-  | Some (machine, specs) ->
-    let procs =
-      match name with
-      | "cons" -> m
-      | "dac" -> n
-      | _ -> 2
-    in
-    let inputs =
-      if name = "dac" then
-        Array.init procs (fun pid -> Value.int (if pid = 0 then 1 else 0))
-      else Array.init procs (fun pid -> Value.int (pid mod 2))
-    in
-    let reduce =
-      match name with
-      | "dac" -> mk_reduce ~frozen:dac_frozen ~canon:(Canon.dac ~n) rmode
-      | "cons" -> mk_reduce ~canon:(Canon.exchangeable ~n:m ()) rmode
-      | _ -> mk_reduce ~canon:Canon.identity rmode
-    in
+  | Some task ->
+    resolve ~cmd:"valence"
+      (fun () -> (Serve_api.instance task, Serve_api.input_vector task))
+    @@ fun (inst, inputs) ->
+    let machine = inst.machine and specs = inst.specs in
+    let reduce = Serve_api.reduction inst rmode in
     let graph =
       Cgraph.build ~max_states ~reduce ~shards ?spill ~machine ~specs ~inputs
         ()
@@ -819,20 +706,15 @@ let valence_cmd =
 
 let explore_task_conv =
   let parse s =
-    let int_ge lo v k =
-      match int_of_string_opt v with
-      | Some v when v >= lo -> Ok (k v)
-      | _ -> Error (`Msg (Fmt.str "%S: expected an integer >= %d" s lo))
-    in
     match String.split_on_char ':' s with
-    | [ "dac"; n ] -> int_ge 2 n (fun n -> `Dac n)
-    | [ "cons"; m ] -> int_ge 1 m (fun m -> `Cons m)
+    | [ "dac"; n ] -> int_ge s 2 n (fun n -> `Task (Serve_api.Dac { n }))
+    | [ "cons"; m ] -> int_ge s 1 m (fun m -> `Task (Serve_api.Consensus { m }))
     | [ "kset"; m; k ] ->
-      Result.bind (int_ge 1 m Fun.id) (fun m ->
-          int_ge 1 k (fun k -> `Kset (m, k)))
+      Result.bind (int_ge s 1 m Fun.id) (fun m ->
+          int_ge s 1 k (fun k -> `Task (Serve_api.Kset { m; k })))
     | [ "of"; n; r ] ->
-      Result.bind (int_ge 2 n Fun.id) (fun n ->
-          int_ge 1 r (fun r -> `Of (n, r)))
+      Result.bind (int_ge s 2 n Fun.id) (fun n ->
+          int_ge s 1 r (fun r -> `Of (n, r)))
     | _ ->
       Error
         (`Msg
@@ -840,9 +722,7 @@ let explore_task_conv =
             (obstruction-free consensus, <rounds> commit-adopt rounds)")
   in
   let print ppf = function
-    | `Dac n -> Fmt.pf ppf "dac:%d" n
-    | `Cons m -> Fmt.pf ppf "cons:%d" m
-    | `Kset (m, k) -> Fmt.pf ppf "kset:%d:%d" m k
+    | `Task t -> Fmt.string ppf (Serve_api.task_label t)
     | `Of (n, r) -> Fmt.pf ppf "of:%d:%d" n r
   in
   Arg.conv (parse, print)
@@ -868,11 +748,12 @@ let peak_rss_kb () =
         in
         go ())
 
-(* The same structural fold as `lbsa fingerprint`, over any graph:
-   per-node [Config.hash] in id order, then each node's (pid, target)
-   out-steps.  Intern ids never enter, so the value is identical across
-   processes, shard counts, domain counts and spill settings. *)
-let graph_fingerprint graph =
+(* The structural graph fold `explore --fingerprint` and `fingerprint`
+   print: per-node [Config.hash] in id order, then each node's (pid,
+   target) out-steps, then [extra].  Intern ids never enter, so the
+   value is identical across processes, shard counts, domain counts and
+   spill settings. *)
+let graph_fingerprint ?(extra = []) graph =
   let h = ref 0x811c9dc5 in
   let comb k = h := Value.hash_combine !h k land max_int in
   for id = 0 to Cgraph.n_nodes graph - 1 do
@@ -881,6 +762,7 @@ let graph_fingerprint graph =
         comb pid;
         comb target)
   done;
+  List.iter comb extra;
   !h land 0xffffffff
 
 let explore task max_states rmode d shards spill_dir spill_threshold deadline
@@ -889,40 +771,33 @@ let explore task max_states rmode d shards spill_dir spill_threshold deadline
   let domains = if d <= 0 then None else Some d in
   let spill = mk_spill spill_dir spill_threshold in
   let label = Fmt.str "%a" (Arg.conv_printer explore_task_conv) task in
-  let machine, specs, inputs, canon, frozen =
+  let machine, specs, inputs, reduce =
     match task with
-    | `Dac n ->
-      ( Dac_from_pac.machine ~n,
-        Dac_from_pac.specs ~n,
-        Array.init n (fun pid -> Value.int (if pid = 0 then 1 else 0)),
-        Canon.dac ~n,
-        Some dac_frozen )
-    | `Cons m ->
-      let machine, specs = Consensus_protocols.from_consensus_obj ~m in
-      ( machine,
-        specs,
-        Array.init m (fun pid -> Value.int (pid mod 2)),
-        Canon.exchangeable ~n:m (),
-        None )
-    | `Kset (m, k) ->
-      let machine, specs = Kset_protocols.partition ~m ~k in
-      ( machine,
-        specs,
-        Kset_task.distinct_inputs (m * k),
-        Canon.kset_partition ~m ~k,
-        None )
+    | `Task t ->
+      let inst = Serve_api.instance t in
+      ( inst.machine,
+        inst.specs,
+        Serve_api.input_vector t,
+        Serve_api.reduction inst rmode )
     | `Of (n, r) ->
-      (* No certified symmetry group: [sym] degrades to the identity
-         quotient, like free-form candidates.  [`Spin] makes spun-out
-         states absorbing livelock leaves, so the bounded graph is
-         finite and the exploration can actually complete. *)
+      (* Obstruction-free consensus stays off the task table: no checker
+         is certified for it.  Nor is a symmetry group, so [sym] degrades
+         to the identity quotient, like free-form candidates.  [`Spin]
+         makes spun-out states absorbing livelock leaves, so the bounded
+         graph is finite and the exploration can actually complete. *)
       ( Obstruction_free.machine_spin ~n ~max_rounds:r,
         Obstruction_free.specs ~n ~max_rounds:r,
         Array.init n (fun pid -> Value.int (pid mod 2)),
-        Canon.identity,
-        None )
+        match rmode with
+        | `None -> Cgraph.no_reduction
+        | mode ->
+          {
+            Cgraph.rname = Serve_api.reduce_name mode;
+            canon = Canon.identity;
+            sleep = mode = `Sym_sleep;
+            frozen = None;
+          } )
   in
-  let reduce = mk_reduce ?frozen ~canon rmode in
   let graph =
     Cgraph.build ~max_states ?domains ~budget ~reduce ~shards ?spill ~machine
       ~specs ~inputs ()
@@ -939,7 +814,7 @@ let explore task max_states rmode d shards spill_dir spill_threshold deadline
   let fp = if want_fp then Some (graph_fingerprint graph) else None in
   if want_stats then Fmt.epr "%a@." Cgraph.pp_stats s;
   Fmt.pr "task=%s@." label;
-  Fmt.pr "reduce=%s@." (reduce_mode_name rmode);
+  Fmt.pr "reduce=%s@." (Serve_api.reduce_name rmode);
   Fmt.pr "states=%d@." s.Cgraph.states;
   Fmt.pr "edges=%d@." s.Cgraph.edges;
   Fmt.pr "levels=%d@." s.Cgraph.levels;
@@ -1404,67 +1279,50 @@ let inputs_arg =
    field is the serve cache's canonical digest for the equivalent
    solvability query ({!Serve_api.key}), tying the two fingerprint
    notions together. *)
-let fingerprint warmup n max_states mode question substrate inputs_opt =
+let fingerprint warmup n max_states mode question substrate inputs =
   for i = 1 to warmup do
     ignore (Value.list [ Value.int (1_000_000 + i); Value.sym "warmup" ])
   done;
-  let raw_inputs =
-    match inputs_opt with
-    | Some l -> l
-    | None -> List.init n (fun pid -> if pid = 0 then 1 else 0)
+  let task = Serve_api.Dac { n } in
+  (* The query comes first and the graph is built from the same task,
+     inputs, quota and mode, so [key=] addresses the explored graph. *)
+  resolve ~cmd:"fingerprint"
+    (fun () ->
+      let inputs =
+        Option.value inputs ~default:(Serve_api.default_inputs task)
+      in
+      ( Serve_api.Verify
+          { task; question; inputs; max_states; reduce = mode; substrate },
+        Serve_api.instance task,
+        Serve_api.input_vector ~inputs task ))
+  @@ fun (q, inst, inputs) ->
+  let graph =
+    Cgraph.build ~max_states ~reduce:(Serve_api.reduction inst mode)
+      ~machine:inst.machine ~specs:inst.specs ~inputs ()
   in
-  if List.length raw_inputs <> n then begin
-    Fmt.epr "lbsa fingerprint: dac:%d expects %d inputs, got %d@." n n
-      (List.length raw_inputs);
-    3
-  end
-  else begin
-    let machine = Dac_from_pac.machine ~n in
-    let specs = Dac_from_pac.specs ~n in
-    let inputs = Array.of_list (List.map Value.int raw_inputs) in
-    let reduce = mk_reduce ~frozen:dac_frozen ~canon:(Canon.dac ~n) mode in
-    let graph = Cgraph.build ~max_states ~reduce ~machine ~specs ~inputs () in
-    let h = ref 0x811c9dc5 in
-    let comb k = h := Value.hash_combine !h k land max_int in
-    for id = 0 to Cgraph.n_nodes graph - 1 do
-      comb (Config.hash (Cgraph.node graph id));
-      Cgraph.iter_out_edges graph id (fun e ->
-          comb e.Cgraph.pid;
-          comb e.Cgraph.target)
-    done;
-    String.iter (fun c -> comb (Char.code c)) (reduce_mode_name mode);
-    Array.iter (fun v -> comb (Value.hash v)) inputs;
-    comb max_states;
-    (* The question and substrate don't change the dac graph fold above
-       (the command always explores dac under shm), but they do change
-       which serve query the printed key addresses — and the key
-       separation is the point: a liveness answer and a safety answer,
-       or the same task under different fairness, must never share a
-       cache slot. *)
-    String.iter (fun c -> comb (Char.code c)) (Serve_api.question_label question);
-    String.iter (fun c -> comb (Char.code c)) substrate;
-    let q =
-      Serve_api.Verify
-        {
-          task = Serve_api.Dac { n };
-          question;
-          inputs = raw_inputs;
-          max_states;
-          reduce = mode;
-          substrate;
-        }
-    in
-    Fmt.pr
-      "states=%d edges=%d truncated=%b reduce=%s question=%s substrate=%s \
-       fingerprint=%08x key=%s@."
-      (Cgraph.n_nodes graph) (Cgraph.n_edges graph) graph.Cgraph.truncated
-      (reduce_mode_name mode)
-      (Serve_api.question_label question)
-      substrate
-      (!h land 0xffffffff)
-      (Serve_api.key q);
-    0
-  end
+  let chars s = List.init (String.length s) (fun i -> Char.code s.[i]) in
+  (* The question and substrate don't change the dac graph (the command
+     always explores dac under shm), but they do change which serve
+     query the printed key addresses — and the key separation is the
+     point: a liveness answer and a safety answer, or the same task
+     under different fairness, must never share a cache slot. *)
+  let fp =
+    graph_fingerprint graph
+      ~extra:
+        (chars (Serve_api.reduce_name mode)
+        @ List.map Value.hash (Array.to_list inputs)
+        @ [ max_states ]
+        @ chars (Serve_api.question_label question)
+        @ chars substrate)
+  in
+  Fmt.pr
+    "states=%d edges=%d truncated=%b reduce=%s question=%s substrate=%s \
+     fingerprint=%08x key=%s@."
+    (Cgraph.n_nodes graph) (Cgraph.n_edges graph) graph.Cgraph.truncated
+    (Serve_api.reduce_name mode)
+    (Serve_api.question_label question)
+    substrate fp (Serve_api.key q);
+  0
 
 let fingerprint_cmd =
   let warmup =
@@ -1608,22 +1466,17 @@ let serve_cmd =
 
 let task_conv =
   let parse s =
-    let int_ge lo v k =
-      match int_of_string_opt v with
-      | Some v when v >= lo -> Ok (k v)
-      | _ -> Error (`Msg (Fmt.str "%S: expected an integer >= %d" s lo))
-    in
     match String.split_on_char ':' s with
-    | [ "dac"; n ] -> int_ge 2 n (fun n -> Serve_api.Dac { n })
+    | [ "dac"; n ] -> int_ge s 2 n (fun n -> Serve_api.Dac { n })
     | [ "cons"; m ] | [ "consensus"; m ] ->
-      int_ge 1 m (fun m -> Serve_api.Consensus { m })
+      int_ge s 1 m (fun m -> Serve_api.Consensus { m })
     | [ "kset"; m; k ] ->
-      Result.bind (int_ge 1 m Fun.id) (fun m ->
-          int_ge 1 k (fun k -> Serve_api.Kset { m; k }))
+      Result.bind (int_ge s 1 m Fun.id) (fun m ->
+          int_ge s 1 k (fun k -> Serve_api.Kset { m; k }))
     | "cand" :: (_ :: _ as rest) | "candidate" :: (_ :: _ as rest) ->
       Ok (Serve_api.Candidate { name = String.concat ":" rest })
-    | [ "vc"; n ] -> int_ge 2 n (fun n -> Serve_api.Vc { n })
-    | [ "bcast"; n ] -> int_ge 1 n (fun n -> Serve_api.Bcast { n })
+    | [ "vc"; n ] -> int_ge s 2 n (fun n -> Serve_api.Vc { n })
+    | [ "bcast"; n ] -> int_ge s 1 n (fun n -> Serve_api.Bcast { n })
     | _ ->
       Error
         (`Msg
@@ -1668,15 +1521,14 @@ let query task fuzz_target question substrate inputs_opt max_states mode trials
     | Some _, Some _ -> fail "give either a TASK or --fuzz, not both"
     | None, None -> fail "nothing to ask: give a TASK, --fuzz, or --stats"
     | Some task, None ->
-      let inputs =
-        match inputs_opt with
-        | Some l -> l
-        | None -> Serve_api.default_inputs task
-      in
+      resolve ~cmd:"query"
+        (fun () ->
+          match inputs_opt with
+          | Some l -> l
+          | None -> Serve_api.default_inputs task)
+      @@ fun inputs ->
       let substrate =
-        match substrate with
-        | Some s -> s
-        | None -> Serve_api.default_substrate task
+        Option.value substrate ~default:(Serve_api.default_substrate task)
       in
       ask
         (Serve_api.Verify

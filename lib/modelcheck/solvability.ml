@@ -134,165 +134,144 @@ let solo_halts ?(cache = solo_cache ()) ?(substrate = Substrate.shm) ~machine
 
 (* --- task checkers --------------------------------------------------- *)
 
-(* Exhaustive consensus check: safety at every node, wait-freedom of
-   every process.  Liveness needs the complete graph; on a partial one
-   only the safety scan runs and the verdict is partial. *)
-let check_consensus ?(max_states = Graph.default_max_states) ?domains ?budget
-    ?substrate ?reduce ?resume ?shards ?spill ~machine ~specs ~inputs () =
-  let graph =
-    Graph.build ~max_states ?domains ?budget ?substrate ?reduce ?resume ?shards
-      ?spill ~machine ~specs ~inputs ()
-  in
-  let states = Graph.n_nodes graph in
-  let stats = Graph.stats graph in
-  let violation =
-    Graph.find_map_node graph (fun _ config ->
-        match Lbsa_protocols.Consensus_task.check_safety ~inputs config with
-        | Ok () -> None
-        | Error v ->
-          Some (Fmt.str "%a" Lbsa_protocols.Consensus_task.pp_violation v))
-  in
-  match violation with
-  | Some msg -> fail ~stats ~inputs ~states msg
-  | None ->
-    if graph.truncated then partial ~graph ~stats ~inputs ~states ()
-    else
-      let n = Array.length inputs in
-      let rec check_pid pid =
-        if pid >= n then pass ~stats ~inputs ~states ()
-        else
-          match cycle_with_step_of graph pid with
-          | Some node ->
-            fail ~stats ~inputs ~states
-              (Fmt.str "process %d can take infinitely many steps (cycle at node %d)"
-                 pid node)
-          | None -> check_pid (pid + 1)
-      in
-      check_pid 0
+(* Every checker takes the same steps: build the graph, scan safety at
+   every node (a violation is definitive even on a cut-short graph),
+   and only on a complete graph check liveness.  A task fixes the
+   safety judge and the liveness condition:
+   - [Consensus]: agreement, validity and no aborts; wait-freedom of
+     every process;
+   - [Kset k]: at most k distinct valid decisions; no cycle at all;
+   - [Dac]: Section 4's four n-DAC properties with the paper's weak
+     termination — agreement, validity and p-only aborts at every node;
+     nontriviality (no abort along p-solo runs from the initial
+     configuration, exactly the runs where no q stepped); termination
+     (a), p running solo halts from every node; termination (b), every
+     q != p running solo decides from every node. *)
+type task = Consensus | Kset of int | Dac
 
-(* Exhaustive k-set agreement check. *)
-let check_kset ?(max_states = Graph.default_max_states) ?domains ?budget
-    ?substrate ?reduce ?resume ?shards ?spill ~machine ~specs ~k ~inputs () =
-  let graph =
-    Graph.build ~max_states ?domains ?budget ?substrate ?reduce ?resume ?shards
-      ?spill ~machine ~specs ~inputs ()
-  in
-  let states = Graph.n_nodes graph in
-  let stats = Graph.stats graph in
-  let violation =
-    Graph.find_map_node graph (fun _ config ->
-        match Lbsa_protocols.Kset_task.check_safety ~k ~inputs config with
-        | Ok () -> None
-        | Error v -> Some (Fmt.str "%a" Lbsa_protocols.Kset_task.pp_violation v))
-  in
-  match violation with
-  | Some msg -> fail ~stats ~inputs ~states msg
-  | None ->
-    if graph.truncated then partial ~graph ~stats ~inputs ~states ()
-    else (
-      match any_cycle graph with
-      | Some node ->
-        fail ~stats ~inputs ~states (Fmt.str "livelock (cycle at node %d)" node)
-      | None -> pass ~stats ~inputs ~states ())
+let ( <|> ) a b = match a with None -> b () | Some _ -> a
 
-(* Exhaustive n-DAC check (Section 4's four properties, with the paper's
-   weak termination):
-   - safety (agreement, validity, p-only aborts) at every node;
-   - Nontriviality: no abort along p-solo runs from the initial
-     configuration (those are exactly the runs where no q stepped);
-   - Termination (a): from every reachable node, p running solo halts
-     (decides or aborts);
-   - Termination (b): from every reachable node, every q != p running
-     solo decides. *)
-let check_dac ?(max_states = Graph.default_max_states) ?domains ?budget
-    ?(substrate = Substrate.shm) ?reduce ?resume ?shards ?spill ~machine ~specs
-    ~inputs () =
+let of_result pp = function Ok () -> None | Error v -> Some (Fmt.str "%a" pp v)
+
+(* The safety judge: a violation description, or None. *)
+let safety task ~inputs config =
+  let open Lbsa_protocols in
+  match task with
+  | Consensus ->
+    of_result Consensus_task.pp_violation
+      (Consensus_task.check_safety ~inputs config)
+  | Kset k ->
+    of_result Kset_task.pp_violation (Kset_task.check_safety ~k ~inputs config)
+  | Dac ->
+    of_result Dac.pp_violation (Dac.check_agreement config)
+    <|> (fun () ->
+          of_result Dac.pp_violation (Dac.check_validity ~inputs config))
+    <|> fun () -> of_result Dac.pp_violation (Dac.check_aborts config)
+
+(* Nontriviality and termination (a)/(b) of n-DAC.  Both explore solo
+   runs off-graph, so they are only meaningful on a complete reachable
+   set. *)
+let dac_progress ~substrate ~machine ~specs (graph : Graph.t) =
   let p = Lbsa_protocols.Dac.distinguished in
+  let nontriviality () =
+    let exception Abort_found in
+    let rec p_solo config =
+      if config.Config.status.(p) = Config.Aborted then raise Abort_found
+      else if Config.is_running config p then
+        List.iter
+          (fun (c', _) -> p_solo c')
+          (substrate.Substrate.step_branches ~machine ~specs config p)
+    in
+    match p_solo (Graph.node graph graph.initial) with
+    | () -> None
+    | exception Abort_found -> Some "nontriviality: p aborted in a p-solo run"
+  in
+  let termination () =
+    let cache_a = solo_cache () in
+    let caches_b = Hashtbl.create 8 in
+    let accept_a = function
+      | Config.Decided _ | Config.Aborted -> true
+      | Config.Running | Config.Crashed -> false
+    in
+    let accept_b = function
+      | Config.Decided _ -> true
+      | Config.Running | Config.Aborted | Config.Crashed -> false
+    in
+    Graph.find_map_node graph (fun id config ->
+        (if
+           Config.is_running config p
+           && not
+                (solo_halts ~cache:cache_a ~substrate ~machine ~specs ~pid:p
+                   ~accept:accept_a config)
+         then Some (Fmt.str "node %d: termination (a) fails for p" id)
+         else None)
+        <|> fun () ->
+        List.find_map
+          (fun q ->
+            if q = p then None
+            else
+              let cache =
+                match Hashtbl.find_opt caches_b q with
+                | Some c -> c
+                | None ->
+                  let c = solo_cache () in
+                  Hashtbl.replace caches_b q c;
+                  c
+              in
+              if
+                not
+                  (solo_halts ~cache ~substrate ~machine ~specs ~pid:q
+                     ~accept:accept_b config)
+              then Some (Fmt.str "node %d: termination (b) fails for q%d" id q)
+              else None)
+          (Config.running config))
+  in
+  nontriviality () <|> termination
+
+(* The liveness condition, checked on a complete graph only. *)
+let liveness task ~substrate ~machine ~specs ~inputs graph =
+  match task with
+  | Consensus ->
+    List.find_map
+      (fun pid ->
+        Option.map
+          (Fmt.str
+             "process %d can take infinitely many steps (cycle at node %d)" pid)
+          (cycle_with_step_of graph pid))
+      (List.init (Array.length inputs) Fun.id)
+  | Kset _ ->
+    Option.map (Fmt.str "livelock (cycle at node %d)") (any_cycle graph)
+  | Dac -> dac_progress ~substrate ~machine ~specs graph
+
+let check ?(max_states = Graph.default_max_states) ?domains ?budget
+    ?(substrate = Substrate.shm) ?reduce ?resume ?shards ?spill ~task ~machine
+    ~specs ~inputs () =
   let graph =
     Graph.build ~max_states ?domains ?budget ~substrate ?reduce ?resume ?shards
       ?spill ~machine ~specs ~inputs ()
   in
   let states = Graph.n_nodes graph in
   let stats = Graph.stats graph in
-  let ( <|> ) a b = match a with None -> b () | Some _ -> a in
-    (* Safety at every node, stopping at the first violation. *)
-    let safety () =
-      Graph.find_map_node graph (fun id config ->
-          let of_result = function
-            | Ok () -> None
-            | Error v ->
-              Some (Fmt.str "node %d: %a" id Lbsa_protocols.Dac.pp_violation v)
-          in
-          of_result (Lbsa_protocols.Dac.check_agreement config)
-          <|> (fun () ->
-                of_result (Lbsa_protocols.Dac.check_validity ~inputs config))
-          <|> fun () -> of_result (Lbsa_protocols.Dac.check_aborts config))
-    in
-    (* Nontriviality: explore p-solo subgraph from the initial config. *)
-    let nontriviality () =
-      let exception Abort_found in
-      let rec p_solo config =
-        if config.Config.status.(p) = Config.Aborted then raise Abort_found
-        else if Config.is_running config p then
-          List.iter
-            (fun (c', _) -> p_solo c')
-            (substrate.Substrate.step_branches ~machine ~specs config p)
-      in
-      match p_solo (Graph.node graph graph.initial) with
-      | () -> None
-      | exception Abort_found -> Some "nontriviality: p aborted in a p-solo run"
-    in
-    (* Termination (a) and (b) from every node. *)
-    let termination () =
-      let cache_a = solo_cache () in
-      let caches_b = Hashtbl.create 8 in
-      let accept_a = function
-        | Config.Decided _ | Config.Aborted -> true
-        | Config.Running | Config.Crashed -> false
-      in
-      let accept_b = function
-        | Config.Decided _ -> true
-        | Config.Running | Config.Aborted | Config.Crashed -> false
-      in
-      Graph.find_map_node graph (fun id config ->
-          (if
-             Config.is_running config p
-             && not
-                  (solo_halts ~cache:cache_a ~substrate ~machine ~specs ~pid:p
-                     ~accept:accept_a config)
-           then Some (Fmt.str "node %d: termination (a) fails for p" id)
-           else None)
-          <|> fun () ->
-          List.find_map
-            (fun q ->
-              if q = p then None
-              else
-                let cache =
-                  match Hashtbl.find_opt caches_b q with
-                  | Some c -> c
-                  | None ->
-                    let c = solo_cache () in
-                    Hashtbl.replace caches_b q c;
-                    c
-                in
-                if
-                  not
-                    (solo_halts ~cache ~substrate ~machine ~specs ~pid:q
-                       ~accept:accept_b config)
-                then Some (Fmt.str "node %d: termination (b) fails for q%d" id q)
-                else None)
-            (Config.running config))
-    in
-    match safety () with
+  let violation id config =
+    match (task, safety task ~inputs config) with
+    | Dac, Some msg -> Some (Fmt.str "node %d: %s" id msg)
+    | _, v -> v
+  in
+  match Graph.find_map_node graph violation with
+  | Some msg -> fail ~stats ~inputs ~states msg
+  | None when graph.truncated -> partial ~graph ~stats ~inputs ~states ()
+  | None -> (
+    match liveness task ~substrate ~machine ~specs ~inputs graph with
     | Some msg -> fail ~stats ~inputs ~states msg
-    | None ->
-      (* Nontriviality and termination explore solo runs off-graph;
-         they are only meaningful on a complete reachable set. *)
-      if graph.truncated then partial ~graph ~stats ~inputs ~states ()
-      else (
-        match nontriviality () <|> termination with
-        | Some msg -> fail ~stats ~inputs ~states msg
-        | None -> pass ~stats ~inputs ~states ())
+    | None -> pass ~stats ~inputs ~states ())
+
+let check_consensus = check ~task:Consensus
+let check_dac = check ~task:Dac
+
+let check_kset ?max_states ?domains ?budget ?substrate ?reduce ?resume ?shards
+    ?spill ~machine ~specs ~k =
+  check ?max_states ?domains ?budget ?substrate ?reduce ?resume ?shards ?spill
+    ~task:(Kset k) ~machine ~specs
 
 (* --- counterexample witnesses ----------------------------------------- *)
 
@@ -345,26 +324,12 @@ let find_safety_witness ?(max_states = Graph.default_max_states) ~machine ~specs
     let path = Option.get (Graph.shortest_path graph ~target:id) in
     Witness { schedule = Graph.schedule_of_path path; violation; config }
 
-let consensus_witness ?max_states ~machine ~specs ~inputs () =
-  let judge config =
-    match Lbsa_protocols.Consensus_task.check_safety ~inputs config with
-    | Ok () -> None
-    | Error v -> Some (Fmt.str "%a" Lbsa_protocols.Consensus_task.pp_violation v)
-  in
-  find_safety_witness ?max_states ~machine ~specs ~inputs ~judge ()
+let witness ?max_states ~task ~machine ~specs ~inputs () =
+  find_safety_witness ?max_states ~machine ~specs ~inputs
+    ~judge:(safety task ~inputs) ()
 
-let dac_witness ?max_states ~machine ~specs ~inputs () =
-  let judge config =
-    let ( <|> ) a b = if a = None then b else a in
-    let of_result = function
-      | Ok () -> None
-      | Error v -> Some (Fmt.str "%a" Lbsa_protocols.Dac.pp_violation v)
-    in
-    of_result (Lbsa_protocols.Dac.check_agreement config)
-    <|> of_result (Lbsa_protocols.Dac.check_validity ~inputs config)
-    <|> of_result (Lbsa_protocols.Dac.check_aborts config)
-  in
-  find_safety_witness ?max_states ~machine ~specs ~inputs ~judge ()
+let consensus_witness = witness ~task:Consensus
+let dac_witness = witness ~task:Dac
 
 (* Check a task over a whole family of input vectors; returns the first
    failing verdict or the last passing one.  [domains] > 1 fans the

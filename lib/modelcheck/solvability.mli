@@ -50,6 +50,49 @@ val solo_halts :
     status satisfying [accept]? Explores every nondeterministic branch;
     detects solo cycles. *)
 
+(** {2 Task checkers} *)
+
+(** The tasks a checker decides.  Each fixes a safety judge, applied at
+    every reachable configuration, and a liveness condition, checked on
+    a complete graph only. *)
+type task =
+  | Consensus
+      (** agreement + validity + no aborts; wait-freedom of every
+          process *)
+  | Kset of int  (** at most [k] distinct valid decisions; no cycle *)
+  | Dac
+      (** the four n-DAC properties of Section 4, with the paper's weak
+          termination: (a) p-solo runs halt p from every reachable node;
+          (b) q-solo runs decide from every reachable node; nontriviality
+          via exhaustive p-solo exploration from the initial
+          configuration *)
+
+val check :
+  ?max_states:int ->
+  ?domains:int ->
+  ?budget:Supervisor.Budget.t ->
+  ?substrate:Substrate.t ->
+  ?reduce:Graph.reduction ->
+  ?resume:Graph.suspended ->
+  ?shards:int ->
+  ?spill:Graph.spill ->
+  task:task ->
+  machine:Machine.t ->
+  specs:Obj_spec.t array ->
+  inputs:Value.t array ->
+  unit ->
+  verdict
+(** Build the graph, scan safety at every node, then check liveness.
+    [max_states] defaults to [Graph.default_max_states];
+    [domains], [budget], [substrate], [reduce], [resume], [shards] and
+    [spill] are forwarded to {!Graph.build}.  A sound [reduce] (see {!Canon})
+    changes the explored graph but not the verdict's [ok]/[outcome];
+    node ids and failure messages may differ; [shards] and [spill]
+    change neither the graph nor the verdict (the liveness searches are
+    segment-fault-free on an out-of-core graph).  Never raises on
+    truncation: a cut-short exploration yields a partial verdict
+    (safety checked on the explored prefix, liveness skipped). *)
+
 val check_consensus :
   ?max_states:int ->
   ?domains:int ->
@@ -64,16 +107,7 @@ val check_consensus :
   inputs:Value.t array ->
   unit ->
   verdict
-(** Agreement + validity + no-abort at every node, wait-freedom of every
-    process.  [max_states] defaults to [Graph.default_max_states];
-    [domains], [budget], [substrate], [reduce], [resume], [shards] and
-    [spill] are forwarded to {!Graph.build}.  A sound [reduce] (see {!Canon})
-    changes the explored graph but not the verdict's [ok]/[outcome];
-    node ids and failure messages may differ; [shards] and [spill]
-    change neither the graph nor the verdict (the liveness searches are
-    segment-fault-free on an out-of-core graph).  Never raises on
-    truncation: a cut-short exploration yields a partial verdict
-    (safety checked on the explored prefix, liveness skipped). *)
+(** [check ~task:Consensus]. *)
 
 val check_kset :
   ?max_states:int ->
@@ -90,6 +124,7 @@ val check_kset :
   inputs:Value.t array ->
   unit ->
   verdict
+(** [check ~task:(Kset k)]. *)
 
 val check_dac :
   ?max_states:int ->
@@ -105,10 +140,7 @@ val check_dac :
   inputs:Value.t array ->
   unit ->
   verdict
-(** The four n-DAC properties of Section 4, with the paper's weak
-    termination: (a) p-solo runs halt p from every reachable node;
-    (b) q-solo runs decide from every reachable node; nontriviality via
-    exhaustive p-solo exploration from the initial configuration. *)
+(** [check ~task:Dac]. *)
 
 (** {2 Counterexample witnesses} *)
 
@@ -147,6 +179,16 @@ val find_safety_witness :
     must replay concretely, which a symmetry-quotiented graph does not
     guarantee. *)
 
+val witness :
+  ?max_states:int ->
+  task:task ->
+  machine:Machine.t ->
+  specs:Obj_spec.t array ->
+  inputs:Value.t array ->
+  unit ->
+  witness_search
+(** {!find_safety_witness} with the task's safety judge. *)
+
 val consensus_witness :
   ?max_states:int ->
   machine:Machine.t ->
@@ -154,6 +196,7 @@ val consensus_witness :
   inputs:Value.t array ->
   unit ->
   witness_search
+(** [witness ~task:Consensus]. *)
 
 val dac_witness :
   ?max_states:int ->
@@ -162,6 +205,7 @@ val dac_witness :
   inputs:Value.t array ->
   unit ->
   witness_search
+(** [witness ~task:Dac]. *)
 
 (** {2 Input-family sweeps} *)
 

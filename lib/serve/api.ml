@@ -6,9 +6,9 @@ open Lbsa_modelcheck
 
 (* The service API: one pure-data query language shared by every
    front-end (the unix-socket daemon today, HTTP/batch backends later),
-   a canonical cross-process-stable cache key per query, and the cold
-   compute path that answers a query by running the verification
-   pipeline.
+   a canonical cross-process-stable cache key per query, the task table
+   that turns a task into a protocol and a verdict (for the CLI too),
+   and the cold compute path that answers a query through it.
 
    Everything in a query and a result is plain data — ints, strings,
    bools — never a [Value.t] or a [Config.t]: intern ids and pointer
@@ -95,12 +95,6 @@ let reduce_name = function
   | `Sym -> "sym"
   | `Sym_sleep -> "sym+sleep"
 
-let reduce_of_name = function
-  | "none" -> Some `None
-  | "sym" -> Some `Sym
-  | "sym+sleep" -> Some `Sym_sleep
-  | _ -> None
-
 let task_label = function
   | Dac { n } -> Fmt.str "dac:%d" n
   | Consensus { m } -> Fmt.str "cons:%d" m
@@ -113,21 +107,6 @@ let question_label = function
   | Solve -> "solve"
   | Valence -> "valence"
   | Live -> "live"
-
-(* Substrate names as plain query data; the record is rebuilt on the
-   computing side.  "mp+byz:f" carries its Byzantine budget because the
-   network object's delivery guard depends on it — same graph-changing
-   status as the reduction mode. *)
-let substrate_of_name = function
-  | "shm" -> Some (Substrate.shm, 0)
-  | "mp" -> Some (Substrate.mp (), 0)
-  | name -> (
-    match String.split_on_char ':' name with
-    | [ "mp+byz"; f ] -> (
-      match int_of_string_opt f with
-      | Some f when f >= 0 -> Some (Substrate.mp ~byz:f (), f)
-      | _ -> None)
-    | _ -> None)
 
 let mp_task = function Vc _ | Bcast _ -> true | _ -> false
 
@@ -158,121 +137,171 @@ let canonical = function
 
 let key q = Fnv.to_hex (Fnv.string (canonical q))
 
-(* --- task instances ----------------------------------------------------- *)
+(* --- the task table ------------------------------------------------------- *)
 
-type flavor = Check_dac | Check_consensus | Check_kset of int
+(* The one place a task becomes a protocol and a verdict: the daemon's
+   [compute] and the CLI's check/solve/valence/explore/fingerprint all
+   resolve tasks here, so the two front-ends cannot drift apart. *)
 
 type instance = {
   machine : Machine.t;
   specs : Obj_spec.t array;
   procs : int;
-  flavor : flavor;
+  flavor : Solvability.task;
   canon : Canon.t;
   frozen : (int -> Value.t -> bool) option;
 }
 
 (* dac's PAC object (index 0) is permanently inert once upset — the
-   certification the sleep layer's [frozen] hook wants (same rule as the
-   CLI's check/solve commands). *)
+   certification the sleep layer's [frozen] hook wants. *)
 let dac_frozen obj st = obj = 0 && Lbsa_objects.Pac.is_upset st
 
-let candidate_names =
+(* The failing candidates: (flavor, processes, protocol). *)
+let candidates =
+  let cons = Solvability.Consensus and dac = Solvability.Dac in
   [
-    "flp-write-read"; "flp-spin"; "3dac-sa2-then-cons2";
-    "3dac-cons2-announce"; "3cons-from-22pac"; "pac-retry";
+    ("flp-write-read", (cons, 2, fun () -> Candidates.flp_write_read));
+    ("flp-spin", (cons, 2, fun () -> Candidates.flp_spin));
+    ("3dac-sa2-then-cons2", (dac, 3, fun () -> Candidates.dac3_sa2_then_cons2));
+    ("3dac-cons2-announce", (dac, 3, fun () -> Candidates.dac3_cons2_announce));
+    ( "3cons-from-22pac",
+      (cons, 3, fun () -> Candidates.consensus_m1_from_pac_nm ~n:2 ~m:2) );
+    ( "pac-retry",
+      (cons, 2, fun () -> Candidates.consensus_from_pac_retry ~n:2 ~procs:2) );
   ]
 
 let candidate name =
-  match name with
-  | "flp-write-read" -> (Check_consensus, Candidates.flp_write_read, 2)
-  | "flp-spin" -> (Check_consensus, Candidates.flp_spin, 2)
-  | "3dac-sa2-then-cons2" -> (Check_dac, Candidates.dac3_sa2_then_cons2, 3)
-  | "3dac-cons2-announce" -> (Check_dac, Candidates.dac3_cons2_announce, 3)
-  | "3cons-from-22pac" ->
-    (Check_consensus, Candidates.consensus_m1_from_pac_nm ~n:2 ~m:2, 3)
-  | "pac-retry" ->
-    (Check_consensus, Candidates.consensus_from_pac_retry ~n:2 ~procs:2, 2)
-  | _ ->
+  match List.assoc_opt name candidates with
+  | Some c -> c
+  | None ->
     invalid_arg
       (Fmt.str "unknown candidate %S; known: %s" name
-         (String.concat ", " candidate_names))
+         (String.concat ", " (List.map fst candidates)))
 
-let instance ?(byz = 0) = function
+(* The process count; refuses the sizes a task's protocol is not
+   defined for before any constructor sees them. *)
+let procs task =
+  let at_least what v lo =
+    if v < lo then
+      invalid_arg (Fmt.str "task %s needs %s >= %d" (task_label task) what lo)
+  in
+  match task with
+  | Dac { n } | Vc { n } ->
+    at_least "n" n 2;
+    n
+  | Bcast { n } ->
+    at_least "n" n 1;
+    n
+  | Consensus { m } ->
+    at_least "m" m 1;
+    m
+  | Kset { m; k } ->
+    at_least "m" m 1;
+    at_least "k" k 1;
+    m * k
+  | Candidate { name } ->
+    let _, procs, _ = candidate name in
+    procs
+
+let instance ?(byz = 0) task =
+  let procs = procs task in
+  (* No certified symmetry group and no frozen objects: [sym] is the
+     identity quotient, [sym+sleep] still prunes commit steps. *)
+  let plain flavor (machine, specs) =
+    { machine; specs; procs; flavor; canon = Canon.identity; frozen = None }
+  in
+  match task with
   | Dac { n } ->
     {
-      machine = Dac_from_pac.machine ~n;
-      specs = Dac_from_pac.specs ~n;
-      procs = n;
-      flavor = Check_dac;
+      (plain Dac (Dac_from_pac.machine ~n, Dac_from_pac.specs ~n)) with
       canon = Canon.dac ~n;
       frozen = Some dac_frozen;
     }
   | Consensus { m } ->
-    let machine, specs = Consensus_protocols.from_consensus_obj ~m in
     {
-      machine;
-      specs;
-      procs = m;
-      flavor = Check_consensus;
+      (plain Consensus (Consensus_protocols.from_consensus_obj ~m)) with
       canon = Canon.exchangeable ~n:m ();
-      frozen = None;
     }
   | Kset { m; k } ->
-    let machine, specs = Kset_protocols.partition ~m ~k in
     {
-      machine;
-      specs;
-      procs = m * k;
-      flavor = Check_kset k;
+      (plain (Kset k) (Kset_protocols.partition ~m ~k)) with
       canon = Canon.kset_partition ~m ~k;
-      frozen = None;
     }
   | Candidate { name } ->
-    let flavor, (machine, specs), procs = candidate name in
-    (* No certified symmetry group for free-form candidates: [sym] is
-       the identity quotient, [sym+sleep] still prunes commit steps. *)
-    { machine; specs; procs; flavor; canon = Canon.identity; frozen = None }
+    let flavor, _, protocol = candidate name in
+    plain flavor (protocol ())
+  (* Message-passing tasks: the leader breaks exchangeability, and the
+     network object is built from the substrate's byz budget. *)
   | Vc { n } ->
-    (* Message-passing tasks: no certified symmetry group (the leader
-       breaks exchangeability), no frozen objects — both reductions are
-       identity quotients, so verdicts agree across --reduce modes by
-       construction. *)
-    {
-      machine = View_change.machine ~n;
-      specs = View_change.specs ~byz ~n ();
-      procs = n;
-      flavor = Check_consensus;
-      canon = Canon.identity;
-      frozen = None;
-    }
+    plain Consensus (View_change.machine ~n, View_change.specs ~byz ~n ())
   | Bcast { n } ->
-    {
-      machine = View_change.bcast_machine ~n;
-      specs = View_change.bcast_specs ~byz ~n ();
-      procs = n;
-      flavor = Check_consensus;
-      canon = Canon.identity;
-      frozen = None;
-    }
+    plain Consensus
+      (View_change.bcast_machine ~n, View_change.bcast_specs ~byz ~n ())
 
-let default_inputs = function
-  | Dac { n } -> List.init n (fun pid -> if pid = 0 then 1 else 0)
-  | Consensus { m } -> List.init m (fun pid -> pid mod 2)
-  | Kset { m; k } -> List.init (m * k) Fun.id
-  | Candidate { name } ->
-    let _, _, procs = candidate name in
-    List.init procs (fun pid -> pid mod 2)
-  | Vc { n } | Bcast { n } ->
+let default_inputs task =
+  let procs = procs task in
+  match task with
+  | Dac _ -> List.init procs (fun pid -> if pid = 0 then 1 else 0)
+  | Kset _ -> List.init procs Fun.id
+  | Consensus _ | Candidate _ -> List.init procs (fun pid -> pid mod 2)
+  | Vc _ | Bcast _ ->
     (* input-free protocols; the vector only fixes the arity *)
-    List.init n (fun _ -> 0)
+    List.init procs (fun _ -> 0)
 
-let reduction_for inst (mode : reduce_mode) : Graph.reduction =
+let input_vector ?inputs task =
+  let inputs = match inputs with Some l -> l | None -> default_inputs task in
+  let procs = procs task in
+  if List.length inputs <> procs then
+    invalid_arg
+      (Fmt.str "task %s expects %d inputs, got %d" (task_label task) procs
+         (List.length inputs));
+  Array.of_list (List.map Value.int inputs)
+
+let family inst =
+  match inst.flavor with
+  | Kset _ -> [ Kset_task.distinct_inputs inst.procs ]
+  | Consensus | Dac -> Consensus_task.binary_inputs inst.procs
+
+let reduction inst (mode : reduce_mode) : Graph.reduction =
   match mode with
   | `None -> Graph.no_reduction
   | `Sym -> { Graph.rname = "sym"; canon = inst.canon; sleep = false; frozen = None }
   | `Sym_sleep ->
     { Graph.rname = "sym+sleep"; canon = inst.canon; sleep = true;
       frozen = inst.frozen }
+
+(* "mp+byz:f" carries its Byzantine budget because the network object's
+   delivery guard depends on it — same graph-changing status as the
+   reduction mode.  The substrate is not a free knob: message-passing
+   tasks need the network-fairness constraints, shared-memory tasks mean
+   nothing under them. *)
+let substrate task name =
+  let unknown () =
+    invalid_arg
+      (Fmt.str "unknown substrate %S (try shm, mp, mp+byz:<f>)" name)
+  in
+  let sub, byz =
+    match String.split_on_char ':' name with
+    | [ "shm" ] -> (Substrate.shm, 0)
+    | [ "mp" ] -> (Substrate.mp (), 0)
+    | [ "mp+byz"; f ] -> (
+      match int_of_string_opt f with
+      | Some f when f >= 0 -> (Substrate.mp ~byz:f (), f)
+      | _ -> unknown ())
+    | _ -> unknown ()
+  in
+  if mp_task task <> (sub.Substrate.sname <> "shm") then
+    invalid_arg
+      (Fmt.str "task %s is %s; use --substrate %s" (task_label task)
+         (if mp_task task then "message-passing" else "shared-memory")
+         (default_substrate task));
+  (sub, byz)
+
+let check inst =
+  Solvability.check ~task:inst.flavor ~machine:inst.machine ~specs:inst.specs
+
+let witness inst =
+  Solvability.witness ~task:inst.flavor ~machine:inst.machine ~specs:inst.specs
 
 (* --- cold compute ------------------------------------------------------- *)
 
@@ -296,46 +325,16 @@ let cacheable_outcome = function
 let compute ?(budget = Supervisor.Budget.unlimited) ?(start = 0) q : computed =
   match q with
   | Verify v -> (
-    let substrate, byz =
-      match substrate_of_name v.substrate with
-      | Some s -> s
-      | None ->
-        invalid_arg
-          (Fmt.str "unknown substrate %S (try shm, mp, mp+byz:<f>)" v.substrate)
-    in
-    (* The substrate is not a free knob: message-passing tasks need the
-       network-fairness constraints (and build their network object from
-       the substrate's byz budget), shared-memory tasks mean nothing
-       under them. *)
-    if mp_task v.task && substrate.Substrate.sname = "shm" then
-      invalid_arg
-        (Fmt.str "task %s is message-passing; use --substrate mp"
-           (task_label v.task));
-    if (not (mp_task v.task)) && substrate.Substrate.sname <> "shm" then
-      invalid_arg
-        (Fmt.str "task %s is shared-memory; use --substrate shm"
-           (task_label v.task));
+    let substrate, byz = substrate v.task v.substrate in
     let inst = instance ~byz v.task in
-    if List.length v.inputs <> inst.procs then
-      invalid_arg
-        (Fmt.str "task %s expects %d inputs, got %d" (task_label v.task)
-           inst.procs (List.length v.inputs));
-    let inputs = Array.of_list (List.map Value.int v.inputs) in
-    let reduce = reduction_for inst v.reduce in
+    let inputs = input_vector ~inputs:v.inputs v.task in
+    let reduce = reduction inst v.reduce in
     let machine = inst.machine and specs = inst.specs in
     match v.question with
     | Solve ->
       let verdict =
-        match inst.flavor with
-        | Check_dac ->
-          Solvability.check_dac ~max_states:v.max_states ~domains:1 ~budget
-            ~substrate ~reduce ~machine ~specs ~inputs ()
-        | Check_consensus ->
-          Solvability.check_consensus ~max_states:v.max_states ~domains:1
-            ~budget ~substrate ~reduce ~machine ~specs ~inputs ()
-        | Check_kset k ->
-          Solvability.check_kset ~max_states:v.max_states ~domains:1 ~budget
-            ~substrate ~reduce ~machine ~specs ~k ~inputs ()
+        check inst ~max_states:v.max_states ~domains:1 ~budget ~substrate
+          ~reduce ~inputs ()
       in
       {
         res =

@@ -1,5 +1,6 @@
 (** The verification-service API: a pure-data query language, a
-    canonical content-address per query, and the cold compute path.
+    canonical content-address per query, the task table, and the cold
+    compute path.
 
     Every front-end — the unix-socket daemon in {!Daemon}, the CLI's
     [lbsa query], later HTTP or batch-file backends — speaks this module
@@ -14,7 +15,9 @@
     preimage (the original [lbsa fingerprint] omitted them; two
     semantically different queries could share a key). *)
 
+open Lbsa_spec
 open Lbsa_runtime
+open Lbsa_modelcheck
 
 type reduce_mode = [ `None | `Sym | `Sym_sleep ]
 
@@ -108,22 +111,82 @@ val key : query -> string
     every read; the digest routes, the preimage decides. *)
 
 val reduce_name : reduce_mode -> string
-val reduce_of_name : string -> reduce_mode option
 val task_label : task -> string
 val question_label : question -> string
-val candidate_names : string list
-val default_inputs : task -> int list
-
-val substrate_of_name : string -> (Substrate.t * int) option
-(** The substrate record plus its Byzantine budget ("shm" and "mp"
-    carry 0); [None] on unknown syntax. *)
 
 val mp_task : task -> bool
 (** Whether the task runs on the message-passing substrate ({!Vc},
-    {!Bcast}).  [compute] rejects mp tasks under "shm" and vice versa. *)
+    {!Bcast}). *)
 
 val default_substrate : task -> string
 (** "mp" for message-passing tasks, "shm" otherwise. *)
+
+(** {2 The task table}
+
+    The one place a task becomes a protocol and a verdict.  {!compute}
+    and the CLI's [check], [solve], [valence], [explore] and
+    [fingerprint] all resolve tasks here.  Every function below raises
+    [Invalid_argument] with a one-line reason on a task it cannot
+    resolve: an out-of-range size ("task dac:1 needs n >= 2"), an
+    unknown candidate, a wrong-arity input vector or a substrate of the
+    other family. *)
+
+type instance = {
+  machine : Machine.t;
+  specs : Obj_spec.t array;
+  procs : int;
+  flavor : Solvability.task;  (** the checker that decides the task *)
+  canon : Canon.t;
+      (** certified symmetry group; [Canon.identity] when none is *)
+  frozen : (int -> Value.t -> bool) option;
+      (** objects certified permanently inert, for [sym+sleep] *)
+}
+
+val instance : ?byz:int -> task -> instance
+(** The task's protocol.  [byz] is the Byzantine budget of an mp
+    substrate (see {!substrate}); shared-memory tasks ignore it. *)
+
+val default_inputs : task -> int list
+(** The task's canonical input vector. *)
+
+val input_vector : ?inputs:int list -> task -> Value.t array
+(** [inputs] (default {!default_inputs}), checked against the task's
+    arity ("task dac:3 expects 3 inputs, got 2"). *)
+
+val family : instance -> Value.t array list
+(** The input vectors [check] sweeps: every binary vector for consensus
+    and DAC, the one distinct-inputs vector for k-set agreement. *)
+
+val reduction : instance -> reduce_mode -> Graph.reduction
+(** The explorer reduction a mode implies for this protocol. *)
+
+val substrate : task -> string -> Substrate.t * int
+(** The named substrate ("shm", "mp", "mp+byz:<f>") and its Byzantine
+    budget.  Refuses an unknown name, and a substrate of the other
+    family: message-passing tasks run on mp, all others on shm. *)
+
+val check :
+  instance ->
+  ?max_states:int ->
+  ?domains:int ->
+  ?budget:Supervisor.Budget.t ->
+  ?substrate:Substrate.t ->
+  ?reduce:Graph.reduction ->
+  ?resume:Graph.suspended ->
+  ?shards:int ->
+  ?spill:Graph.spill ->
+  inputs:Value.t array ->
+  unit ->
+  Solvability.verdict
+(** {!Solvability.check} with the instance's protocol and checker. *)
+
+val witness :
+  instance ->
+  ?max_states:int ->
+  inputs:Value.t array ->
+  unit ->
+  Solvability.witness_search
+(** {!Solvability.witness} with the instance's protocol and checker. *)
 
 (** {2 Cold compute} *)
 
@@ -143,8 +206,8 @@ val compute : ?budget:Supervisor.Budget.t -> ?start:int -> query -> computed
     cancellation token ({!Supervisor.Budget}); [start] (fuzz only)
     resumes from a completed-trial prefix.  The explorer and fuzz
     fan-out are pinned to one domain — the service's worker pool is the
-    parallelism layer.  Raises [Invalid_argument] on an unknown task,
-    candidate or fuzz target, or an input vector of the wrong arity. *)
+    parallelism layer.  Raises [Invalid_argument] on any task the task
+    table refuses, or an unknown fuzz target. *)
 
 (** {2 Rendering} *)
 

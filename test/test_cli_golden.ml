@@ -1,0 +1,643 @@
+(* Golden CLI outputs: stdout and exit code of every verification
+   subcommand (check, solve, valence, explore, fingerprint) over each
+   task and reduction mode, pinned byte for byte.  The CLI and the
+   daemon resolve tasks through one table (Api), so a change to that
+   table shows up here as a changed line.  explore's measurement lines
+   (wall_s=, states_per_sec=, peak_rss_kb=) vary from run to run and
+   are dropped before comparing. *)
+
+let exe =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat ".." (Filename.concat "bin" "lbsa_cli.exe"))
+
+let volatile line =
+  List.exists
+    (fun prefix -> String.starts_with ~prefix line)
+    [ "wall_s="; "states_per_sec="; "peak_rss_kb=" ]
+
+(* Run the CLI on space-separated [args]: (stdout without the volatile
+   lines, stderr, exit code). *)
+let run args =
+  let out = Filename.temp_file "lbsa-golden" ".out" in
+  let err = Filename.temp_file "lbsa-golden" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove out;
+      Sys.remove err)
+    (fun () ->
+      let argv =
+        String.concat " "
+          (List.map Filename.quote (String.split_on_char ' ' args))
+      in
+      let rc =
+        Sys.command
+          (Fmt.str "%s %s > %s 2> %s" (Filename.quote exe) argv
+             (Filename.quote out) (Filename.quote err))
+      in
+      let read f = In_channel.with_open_bin f In_channel.input_all in
+      let stdout =
+        String.concat "\n"
+          (List.filter
+             (fun l -> not (volatile l))
+             (String.split_on_char '\n' (read out)))
+      in
+      (stdout, read err, rc))
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let check_run ~args ~rc ~stdout =
+  let out, err, code = run args in
+  Alcotest.(check string) (args ^ ": stdout") stdout out;
+  Alcotest.(check int) (Fmt.str "%s: exit code (stderr: %s)" args err) rc code
+
+(* (arguments, exit code, stdout) *)
+let golden =
+  [
+    ( "check dac -n 3 --reduce none",
+      0,
+      {|OK (inputs=1,1,1, 158 states)
+|} );
+    ( "check dac -n 3 --reduce sym",
+      0,
+      {|OK (inputs=1,1,1, 92 states)
+|} );
+    ( "check dac -n 3 --reduce sym+sleep",
+      0,
+      {|OK (inputs=1,1,1, 40 states)
+|} );
+    ( "check consensus -m 2 --reduce none",
+      0,
+      {|OK (inputs=1,1, 9 states)
+|} );
+    ( "check consensus -m 2 --reduce sym",
+      0,
+      {|OK (inputs=1,1, 6 states)
+|} );
+    ( "check consensus -m 2 --reduce sym+sleep",
+      0,
+      {|OK (inputs=1,1, 3 states)
+|} );
+    ( "check consensus -m 3 --reduce none",
+      0,
+      {|OK (inputs=1,1,1, 27 states)
+|} );
+    ( "check consensus -m 3 --reduce sym",
+      0,
+      {|OK (inputs=1,1,1, 10 states)
+|} );
+    ( "check consensus -m 3 --reduce sym+sleep",
+      0,
+      {|OK (inputs=1,1,1, 4 states)
+|} );
+    ( "check kset -m 2 -k 2 --reduce none",
+      0,
+      {|OK (inputs=0,1,2,3, 169 states)
+|} );
+    ( "check kset -m 2 -k 2 --reduce sym",
+      0,
+      {|OK (inputs=0,1,2,3, 121 states)
+|} );
+    ( "check kset -m 2 -k 2 --reduce sym+sleep",
+      0,
+      {|OK (inputs=0,1,2,3, 25 states)
+|} );
+    ( "check candidate --name flp-write-read",
+      0,
+      {|candidate flp-write-read (consensus among 2) — expected to FAIL:
+FAIL (inputs=1,0, 22 states): disagreement: 1 vs 0
+witness:
+violation: disagreement: 1 vs 0
+schedule: 0 0 0 1 1 1
+configuration:
+p0: (halt, 1) [decided 1]
+p1: (halt, 0) [decided 0]
+obj0: 1
+obj1: 0
+
+|} );
+    ( "check candidate --name flp-spin",
+      0,
+      {|candidate flp-spin (consensus among 2) — expected to FAIL:
+FAIL (inputs=0,0, 12 states): process 0 can take infinitely many steps (cycle at node 1)
+(liveness failure: no safety witness configuration)
+|} );
+    ( "check candidate --name 3dac-sa2-then-cons2",
+      0,
+      {|candidate 3dac-sa2-then-cons2 (3-DAC) — expected to FAIL:
+FAIL (inputs=1,0,0, 226 states): node 196: disagreement: 1 vs 0
+witness:
+violation: disagreement: 1 vs 0
+schedule: 0 0 0 1 1 2 2 2
+configuration:
+p0: (halt, 1) [decided 1]
+p1: (halt, 1) [running]
+p2: (halt, 0) [decided 0]
+obj0: [0; 1]
+obj1: (1, 2)
+
+|} );
+    ( "check candidate --name 3dac-cons2-announce",
+      0,
+      {|candidate 3dac-cons2-announce (3-DAC) — expected to FAIL:
+FAIL (inputs=0,0,0, 84 states): node 5: termination (b) fails for q2
+(liveness failure: no safety witness configuration)
+|} );
+    ( "check candidate --name 3cons-from-22pac",
+      0,
+      {|candidate 3cons-from-22pac (consensus among 3) — expected to FAIL:
+FAIL (inputs=0,0,0, 84 states): process 0 can take infinitely many steps (cycle at node 19)
+(liveness failure: no safety witness configuration)
+|} );
+    ( "check candidate --name pac-retry",
+      0,
+      {|candidate pac-retry (consensus among 2) — expected to FAIL:
+FAIL (inputs=0,0, 23 states): process 0 can take infinitely many steps (cycle at node 0)
+(liveness failure: no safety witness configuration)
+|} );
+    ( "check vc -n 2",
+      1,
+      {|FAIL (inputs=0,0, 26 states): process 0 can take infinitely many steps (cycle at node 1)
+|} );
+    ( "check vc -n 2 --live",
+      1,
+      {|LIVELOCK (26 configurations, 1 fair SCC of 26): lasso prefix=5 cycle=2
+livelock lasso (head node 18):
+prefix (5 steps):
+   0  p0: obj0.send(e0) -> 1
+   1  p0: obj0.recv(0, [e0], false) -> (e0, 1)
+   2  p1: obj0.recv(1, [e0], true) -> timeout
+   3  p1: obj0.send(e1) -> 1
+   4  p1: obj0.recv(1, [e1], false) -> (e1, 1)
+cycle (2 steps):
+   0  p0: obj0.recv(0, [e0], false) -> ⊥
+   1  p1: obj0.recv(1, [e1], false) -> ⊥
+|} );
+    ( "check bcast -n 2 --live",
+      0,
+      {|LIVE (21 configurations, 21 SCCs, no fair cycle)
+|} );
+    ( "check consensus -m 2 --live",
+      0,
+      {|LIVE (13 configurations, 13 SCCs, no fair cycle)
+|} );
+    ( "check consensus -m 2 --max-states 1",
+      2,
+      {|PARTIAL [truncated] (inputs=0,0, 1 states): exploration stopped (truncated); safety holds on the 1 explored states
+|} );
+    ( "solve dac -n 3 --reduce none",
+      0,
+      {|OK (inputs=1,0,0, 190 states)
+|} );
+    ( "solve dac -n 3 --reduce sym",
+      0,
+      {|OK (inputs=1,0,0, 110 states)
+|} );
+    ( "solve dac -n 3 --reduce sym+sleep",
+      0,
+      {|OK (inputs=1,0,0, 44 states)
+|} );
+    ( "solve consensus -m 3 --reduce none",
+      0,
+      {|OK (inputs=0,1,0, 43 states)
+|} );
+    ( "solve consensus -m 3 --reduce sym",
+      0,
+      {|OK (inputs=0,1,0, 22 states)
+|} );
+    ( "solve consensus -m 3 --reduce sym+sleep",
+      0,
+      {|OK (inputs=0,1,0, 8 states)
+|} );
+    ( "solve kset -m 2 -k 2 --reduce none",
+      0,
+      {|OK (inputs=0,1,2,3, 169 states)
+|} );
+    ( "solve kset -m 2 -k 2 --reduce sym",
+      0,
+      {|OK (inputs=0,1,2,3, 121 states)
+|} );
+    ( "solve kset -m 2 -k 2 --reduce sym+sleep",
+      0,
+      {|OK (inputs=0,1,2,3, 25 states)
+|} );
+    ( "solve dac -n 3 --inputs 0,1,1",
+      0,
+      {|OK (inputs=0,1,1, 190 states)
+|} );
+    ( "valence --protocol cons --reduce none",
+      0,
+      {|protocol cons, inputs 0 1: 13 configurations (16 edges)
+valence: 1 bivalent, 12 univalent, 0 undecided
+initial: bivalent
+critical configurations: 1
+  node 0: common poised object = 2-consensus
+bivalent dead-end at node 0
+|} );
+    ( "valence --protocol cons --reduce sym",
+      0,
+      {|protocol cons, inputs 0 1: 11 configurations (14 edges)
+valence: 1 bivalent, 10 univalent, 0 undecided
+initial: bivalent
+critical configurations: 1
+  node 0: common poised object = 2-consensus
+bivalent dead-end at node 0
+|} );
+    ( "valence --protocol cons --reduce sym+sleep",
+      0,
+      {|protocol cons, inputs 0 1: 5 configurations (4 edges)
+valence: 1 bivalent, 4 univalent, 0 undecided
+initial: bivalent
+critical configurations: 1
+  node 0: common poised object = 2-consensus
+bivalent dead-end at node 0
+|} );
+    ( "valence --protocol dac --reduce none",
+      0,
+      {|protocol dac, inputs 1 0 0: 190 configurations (418 edges)
+valence: 11 bivalent, 179 univalent, 0 undecided
+initial: bivalent
+critical configurations: 4
+  node 1: common poised object = 3-PAC
+  node 7: common poised object = 3-PAC
+  node 10: common poised object = 3-PAC
+bivalent dead-end at node 1
+|} );
+    ( "valence --protocol dac --reduce sym",
+      0,
+      {|protocol dac, inputs 1 0 0: 110 configurations (240 edges)
+valence: 7 bivalent, 103 univalent, 0 undecided
+initial: bivalent
+critical configurations: 3
+  node 1: common poised object = 3-PAC
+  node 5: common poised object = 3-PAC
+  node 18: common poised object = 3-PAC
+bivalent dead-end at node 1
+|} );
+    ( "valence --protocol dac --reduce sym+sleep",
+      0,
+      {|protocol dac, inputs 1 0 0: 44 configurations (81 edges)
+valence: 7 bivalent, 37 univalent, 0 undecided
+initial: bivalent
+critical configurations: 3
+  node 1: common poised object = 3-PAC
+  node 5: common poised object = 3-PAC
+  node 16: common poised object = 3-PAC
+bivalent dead-end at node 1
+|} );
+    ( "valence --protocol flp-write-read --reduce none",
+      0,
+      {|protocol flp-write-read, inputs 0 1: 22 configurations (31 edges)
+valence: 10 bivalent, 12 univalent, 0 undecided
+initial: bivalent
+critical configurations: 0
+bivalent dead-end at node 21
+|} );
+    ( "valence --protocol flp-write-read --reduce sym",
+      0,
+      {|protocol flp-write-read, inputs 0 1: 22 configurations (31 edges)
+valence: 10 bivalent, 12 univalent, 0 undecided
+initial: bivalent
+critical configurations: 0
+bivalent dead-end at node 21
+|} );
+    ( "valence --protocol flp-write-read --reduce sym+sleep",
+      0,
+      {|protocol flp-write-read, inputs 0 1: 11 configurations (13 edges)
+valence: 5 bivalent, 6 univalent, 0 undecided
+initial: bivalent
+critical configurations: 0
+bivalent dead-end at node 10
+|} );
+    ( "valence --protocol flp-spin --reduce none",
+      0,
+      {|protocol flp-spin, inputs 0 1: 12 configurations (18 edges)
+valence: 0 bivalent, 12 univalent, 0 undecided
+initial: 0-valent
+critical configurations: 0
+no bivalent configurations
+|} );
+    ( "valence --protocol flp-spin --reduce sym",
+      0,
+      {|protocol flp-spin, inputs 0 1: 12 configurations (18 edges)
+valence: 0 bivalent, 12 univalent, 0 undecided
+initial: 0-valent
+critical configurations: 0
+no bivalent configurations
+|} );
+    ( "valence --protocol flp-spin --reduce sym+sleep",
+      0,
+      {|protocol flp-spin, inputs 0 1: 7 configurations (10 edges)
+valence: 0 bivalent, 7 univalent, 0 undecided
+initial: 0-valent
+critical configurations: 0
+no bivalent configurations
+|} );
+    ( "valence --protocol pac-retry --reduce none",
+      0,
+      {|protocol pac-retry, inputs 0 1: 27 configurations (40 edges)
+valence: 7 bivalent, 20 univalent, 0 undecided
+initial: bivalent
+critical configurations: 0
+bivalence maintainable: adversary avoids decisions forever
+|} );
+    ( "valence --protocol pac-retry --reduce sym",
+      0,
+      {|protocol pac-retry, inputs 0 1: 27 configurations (40 edges)
+valence: 7 bivalent, 20 univalent, 0 undecided
+initial: bivalent
+critical configurations: 0
+bivalence maintainable: adversary avoids decisions forever
+|} );
+    ( "valence --protocol pac-retry --reduce sym+sleep",
+      0,
+      {|protocol pac-retry, inputs 0 1: 15 configurations (20 edges)
+valence: 7 bivalent, 8 univalent, 0 undecided
+initial: bivalent
+critical configurations: 0
+bivalence maintainable: adversary avoids decisions forever
+|} );
+    ( "explore dac:3 --fingerprint --domains 1",
+      0,
+      {|task=dac:3
+reduce=none
+states=190
+edges=418
+levels=10
+truncated=false
+outcome=done
+domains=1
+shards=1
+steals=0
+dedup_rate=0.5478
+spill_segments=0
+spill_bytes=0
+seg_faults=0
+frozen_keys=0
+key_faults=0
+fingerprint=d0e8ae5f
+|} );
+    ( "explore dac:4 --fingerprint --domains 1",
+      0,
+      {|task=dac:4
+reduce=none
+states=918
+edges=2732
+levels=13
+truncated=false
+outcome=done
+domains=1
+shards=1
+steals=0
+dedup_rate=0.6643
+spill_segments=0
+spill_bytes=0
+seg_faults=0
+frozen_keys=0
+key_faults=0
+fingerprint=f018ebca
+|} );
+    ( "explore cons:3 --fingerprint --domains 1",
+      0,
+      {|task=cons:3
+reduce=none
+states=43
+edges=82
+levels=7
+truncated=false
+outcome=done
+domains=1
+shards=1
+steals=0
+dedup_rate=0.4878
+spill_segments=0
+spill_bytes=0
+seg_faults=0
+frozen_keys=0
+key_faults=0
+fingerprint=d5ac81bb
+|} );
+    ( "explore kset:2:2 --fingerprint --domains 1",
+      0,
+      {|task=kset:2:2
+reduce=none
+states=169
+edges=416
+levels=9
+truncated=false
+outcome=done
+domains=1
+shards=1
+steals=0
+dedup_rate=0.5962
+spill_segments=0
+spill_bytes=0
+seg_faults=0
+frozen_keys=0
+key_faults=0
+fingerprint=1a2a0306
+|} );
+    ( "explore of:2:2 --fingerprint --domains 1",
+      0,
+      {|task=of:2:2
+reduce=none
+states=921
+edges=1704
+levels=27
+truncated=false
+outcome=done
+domains=1
+shards=1
+steals=0
+dedup_rate=0.4601
+spill_segments=0
+spill_bytes=0
+seg_faults=0
+frozen_keys=0
+key_faults=0
+fingerprint=ba849ddf
+|} );
+    ( "explore of:3:1 --fingerprint --domains 1",
+      0,
+      {|task=of:3:1
+reduce=none
+states=5349
+edges=15562
+levels=27
+truncated=false
+outcome=done
+domains=1
+shards=1
+steals=0
+dedup_rate=0.6563
+spill_segments=0
+spill_bytes=0
+seg_faults=0
+frozen_keys=0
+key_faults=0
+fingerprint=b084b3ea
+|} );
+    ( "fingerprint -n 3",
+      0,
+      {|states=190 edges=418 truncated=false reduce=none question=solve substrate=shm fingerprint=6b728d95 key=05069e4553440337
+|} );
+    ( "fingerprint -n 4 --reduce sym",
+      0,
+      {|states=244 edges=718 truncated=false reduce=sym question=solve substrate=shm fingerprint=8ad83bf5 key=297a0c4188fcd85a
+|} );
+    ( "fingerprint -n 3 --inputs 0,0,0 --reduce sym+sleep",
+      0,
+      {|states=40 edges=78 truncated=false reduce=sym+sleep question=solve substrate=shm fingerprint=31632f1b key=3c70f04364765194
+|} );
+    ( "fingerprint -n 3 --question live --substrate mp",
+      0,
+      {|states=190 edges=418 truncated=false reduce=none question=live substrate=mp fingerprint=474cce69 key=1964fb588cd641c1
+|} );
+  ]
+
+let golden_stdout args =
+  match List.find_opt (fun (a, _, _) -> a = args) golden with
+  | Some (_, _, stdout) -> stdout
+  | None -> Alcotest.failf "no golden entry for %S" args
+
+(* Malformed sizes and input vectors: refused with exit 3 and a reason
+   on stderr — never a verdict on stdout, never an uncaught exception. *)
+let refusals =
+  [
+    ("solve dac -n 3 --inputs 1,0", "task dac:3 expects 3 inputs, got 2");
+    ("solve consensus -m 2 --inputs 0,1,1", "task cons:2 expects 2 inputs, got 3");
+    ( "solve consensus -m 2 --inputs 1,0,0,0",
+      "task cons:2 expects 2 inputs, got 4" );
+    ("solve kset -m 2 -k 2 --inputs 0,1", "task kset:2:2 expects 4 inputs, got 2");
+    ("fingerprint -n 3 --inputs 0,0", "task dac:3 expects 3 inputs, got 2");
+    ("check dac -n 1", "task dac:1 needs n >= 2");
+    ("check dac -n 1 --live", "task dac:1 needs n >= 2");
+    ("check consensus -m 0", "task cons:0 needs m >= 1");
+    ("check kset -m 0 -k 2", "task kset:0:2 needs m >= 1");
+    ("check kset -m 2 -k 0", "task kset:2:0 needs k >= 1");
+    ("check vc -n 1", "task vc:1 needs n >= 2");
+    ("solve consensus -m 0", "task cons:0 needs m >= 1");
+    ("solve dac -n 1", "task dac:1 needs n >= 2");
+    ("fingerprint -n 1", "task dac:1 needs n >= 2");
+    ("valence --protocol dac -n 1", "task dac:1 needs n >= 2");
+    ("valence --protocol cons -m 0", "task cons:0 needs m >= 1");
+    ("check dac -n 3 --substrate mp", "task dac:3 is shared-memory");
+    ("check vc -n 2 --substrate shm", "task vc:2 is message-passing");
+    ("query cand:nope --socket no-such.sock", "unknown candidate \"nope\"");
+  ]
+
+let test_refusal (args, reason) () =
+  let out, err, rc = run args in
+  Alcotest.(check int) (args ^ ": exit code") 3 rc;
+  Alcotest.(check string) (args ^ ": no verdict on stdout") "" out;
+  if not (contains ~sub:reason err) then
+    Alcotest.failf "%s: stderr %S does not say %S" args err reason
+
+(* valence builds only the protocol it is asked for, so a size another
+   protocol cannot take does not matter; pac-retry is the cand:pac-retry
+   row, whose graph does not depend on -n. *)
+let test_valence_sizes () =
+  List.iter
+    (fun (args, same_as) ->
+      check_run ~args ~rc:0 ~stdout:(golden_stdout same_as))
+    [
+      ("valence --protocol cons -n 1", "valence --protocol cons --reduce none");
+      ( "valence --protocol pac-retry -n 1",
+        "valence --protocol pac-retry --reduce none" );
+      ( "valence --protocol pac-retry -n 5",
+        "valence --protocol pac-retry --reduce none" );
+    ]
+
+(* check candidate inverts 0/1 (the candidate is expected to fail), but a
+   partial sweep confirms nothing: it exits 2 and skips the witness
+   search.  Candidates run under the same budget as every other check. *)
+let test_candidate_truncated () =
+  check_run ~args:"check candidate --name flp-write-read --max-states 3" ~rc:2
+    ~stdout:
+      {|candidate flp-write-read (consensus among 2) — expected to FAIL:
+PARTIAL [truncated] (inputs=0,0, 3 states): exploration stopped (truncated); safety holds on the 3 explored states
+|}
+
+let test_candidate_deadline () =
+  check_run ~args:"check candidate --name flp-write-read --deadline 0" ~rc:2
+    ~stdout:
+      {|candidate flp-write-read (consensus among 2) — expected to FAIL:
+PARTIAL [deadline expired] (inputs=0,0, 0 states): input-family sweep stopped (deadline expired) before all 4 vectors
+|}
+
+let test_candidate_shards () =
+  check_run ~args:"check candidate --name 3dac-sa2-then-cons2 --shards 4"
+    ~rc:0
+    ~stdout:(golden_stdout "check candidate --name 3dac-sa2-then-cons2")
+
+let lines s = String.split_on_char '\n' s
+
+let has_line ~prefix ?(suffix = "") s =
+  List.exists
+    (fun l ->
+      String.starts_with ~prefix l && String.ends_with ~suffix l)
+    (lines s)
+
+(* kset's family is one vector: --stats prints no family: line, and
+   --domains drives that vector's explorer.  The binary families print
+   the sweep line, fanned over --domains. *)
+let test_stats_family_lines () =
+  let out, _, rc = run "check kset -m 2 -k 2 --stats --domains 2" in
+  Alcotest.(check int) "kset exit code" 0 rc;
+  Alcotest.(check bool) "kset prints no family: line" false
+    (has_line ~prefix:"family:" out);
+  Alcotest.(check bool) "kset explorer runs on 2 domains" true
+    (has_line ~prefix:"wall:" ~suffix:"2 domains)" out);
+  let out, _, rc = run "check consensus -m 2 --stats --domains 2" in
+  Alcotest.(check int) "consensus exit code" 0 rc;
+  Alcotest.(check bool) "consensus sweep fans over 2 domains" true
+    (has_line ~prefix:"family: 4 vectors, 44 states total" ~suffix:"2 domains)"
+       out);
+  Alcotest.(check bool) "consensus vectors explore on 1 domain" true
+    (has_line ~prefix:"wall:" ~suffix:"1 domain)" out)
+
+let () =
+  if not (Sys.file_exists exe) then
+    failwith (Fmt.str "CLI executable not found at %s" exe);
+  let group cmd =
+    ( cmd,
+      List.filter_map
+        (fun (args, rc, stdout) ->
+          if String.starts_with ~prefix:(cmd ^ " ") args then
+            Some
+              (Alcotest.test_case args `Quick (fun () ->
+                   check_run ~args ~rc ~stdout))
+          else None)
+        golden )
+  in
+  Alcotest.run "cli_golden"
+    (List.map group [ "check"; "solve"; "valence"; "explore"; "fingerprint" ]
+    @ [
+        ( "refusals",
+          List.map
+            (fun ((args, _) as r) ->
+              Alcotest.test_case args `Quick (test_refusal r))
+            refusals
+          @ [
+              Alcotest.test_case "valence builds only its protocol" `Quick
+                test_valence_sizes;
+            ] );
+        ( "candidate policy",
+          [
+            Alcotest.test_case "truncated sweep exits 2, no witness" `Quick
+              test_candidate_truncated;
+            Alcotest.test_case "deadline honoured" `Quick
+              test_candidate_deadline;
+            Alcotest.test_case "shards honoured" `Quick test_candidate_shards;
+          ] );
+        ( "stats",
+          [
+            Alcotest.test_case "family line and domains" `Quick
+              test_stats_family_lines;
+          ] );
+      ])

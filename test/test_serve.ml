@@ -695,6 +695,53 @@ let test_fuzz_prefix_resume () =
           "stored prefix was resumed" true
           (stats.Serve_wire.st_prefix_resumed > 0))
 
+(* --- the task table ------------------------------------------------------ *)
+
+(* The table refuses what it cannot resolve with a one-line reason that
+   both front-ends print verbatim: the daemon as an error answer, the
+   CLI on stderr with exit 3. *)
+let test_task_table_refusals () =
+  let refuses reason f =
+    match f () with
+    | () -> Alcotest.failf "accepted; expected %S" reason
+    | exception Invalid_argument msg ->
+      Alcotest.(check string) reason reason msg
+  in
+  let instance t () = ignore (Serve_api.instance t) in
+  refuses "task dac:1 needs n >= 2" (instance (Serve_api.Dac { n = 1 }));
+  refuses "task cons:0 needs m >= 1" (instance (Serve_api.Consensus { m = 0 }));
+  refuses "task kset:2:0 needs k >= 1"
+    (instance (Serve_api.Kset { m = 2; k = 0 }));
+  refuses "task vc:1 needs n >= 2" (instance (Serve_api.Vc { n = 1 }));
+  refuses "task bcast:0 needs n >= 1" (instance (Serve_api.Bcast { n = 0 }));
+  refuses "task dac:3 expects 3 inputs, got 2" (fun () ->
+      ignore
+        (Serve_api.input_vector ~inputs:[ 1; 0 ] (Serve_api.Dac { n = 3 })));
+  refuses "task dac:3 is shared-memory; use --substrate shm" (fun () ->
+      ignore (Serve_api.substrate (Serve_api.Dac { n = 3 }) "mp"));
+  refuses "task vc:2 is message-passing; use --substrate mp" (fun () ->
+      ignore (Serve_api.substrate (Serve_api.Vc { n = 2 }) "shm"));
+  refuses "unknown substrate \"mp+byz:-1\" (try shm, mp, mp+byz:<f>)"
+    (fun () ->
+      ignore (Serve_api.substrate (Serve_api.Vc { n = 2 }) "mp+byz:-1"))
+
+(* The family check sweeps: every binary vector for consensus and DAC
+   (candidates included), the one distinct-inputs vector for k-set. *)
+let test_task_table_families () =
+  let family t = Serve_api.family (Serve_api.instance t) in
+  Alcotest.(check int) "dac:3" 8
+    (List.length (family (Serve_api.Dac { n = 3 })));
+  Alcotest.(check int) "cons:2" 4
+    (List.length (family (Serve_api.Consensus { m = 2 })));
+  Alcotest.(check int) "3dac candidate" 8
+    (List.length
+       (family (Serve_api.Candidate { name = "3dac-sa2-then-cons2" })));
+  match family (Serve_api.Kset { m = 2; k = 2 }) with
+  | [ v ] ->
+    Alcotest.(check (list string)) "kset:2:2 vector" [ "0"; "1"; "2"; "3" ]
+      (List.map (Fmt.str "%a" Value.pp) (Array.to_list v))
+  | f -> Alcotest.failf "kset:2:2 family has %d vectors" (List.length f)
+
 (* --- wire-level behaviour ------------------------------------------------ *)
 
 let test_ping_stats_and_bad_query () =
@@ -735,6 +782,15 @@ let test_ping_stats_and_bad_query () =
                  with
                 | Error _ -> ()
                 | Ok _ -> Alcotest.fail "wrong input arity accepted");
+                (match
+                   Serve_client.query c
+                     (verify ~inputs:[ 1 ] (Serve_api.Dac { n = 1 }))
+                 with
+                | Error msg ->
+                  Alcotest.(check bool)
+                    "names the size bound" true
+                    (contains_sub ~sub:"task dac:1 needs n >= 2" msg)
+                | Ok _ -> Alcotest.fail "out-of-range size accepted");
                 match Serve_client.stats c with
                 | Ok s ->
                   Alcotest.(check int)
@@ -882,6 +938,11 @@ let () =
           Alcotest.test_case "canonical golden pin" `Quick test_canonical_golden;
           Alcotest.test_case "parameters separate keys" `Quick
             test_key_separation;
+        ] );
+      ( "task table",
+        [
+          Alcotest.test_case "refusals" `Quick test_task_table_refusals;
+          Alcotest.test_case "input families" `Quick test_task_table_families;
         ] );
       ( "store",
         [

@@ -1017,6 +1017,9 @@ let fuzz impl_names spec_names trials procs ops faults seed no_shrink domains
     match
       Option.map (fun file -> Fuzz_engine.load_checkpoint ~file) resume_file
     with
+    | exception Fuzz_engine.Corrupt msg ->
+      Fmt.epr "cannot resume: corrupt checkpoint: %s@." msg;
+      2
     | exception Failure msg ->
       Fmt.epr "cannot resume: %s@." msg;
       3

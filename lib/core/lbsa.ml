@@ -43,7 +43,6 @@ module Classic = Lbsa_objects.Classic
 module Registry = Lbsa_objects.Registry
 
 module Supervisor = Lbsa_runtime.Supervisor
-module Crashdrive = Lbsa_runtime.Crashdrive
 module Machine = Lbsa_runtime.Machine
 module Config = Lbsa_runtime.Config
 module Scheduler = Lbsa_runtime.Scheduler

@@ -349,17 +349,24 @@ let fuzz_spec ?domains ?shrink ?shrink_budget ?start ?budget ?(procs = 3)
    concerns.  Resuming replays nothing and re-randomizes nothing. *)
 type checkpoint = { ckpt_seed : int; ckpt_done : (string * int) list }
 
-let checkpoint_magic = "LBSA-FUZZ-CHECKPOINT/1\n"
+(* The payload is one checksummed {!Segstore.Segio} section committed
+   through {!Lbsa_util.Rio}, like the model checker's checkpoints: a
+   damaged file must be refused, never resumed from a wrong count and
+   never unmarshalled.  Files of another version are refused as
+   foreign. *)
+let checkpoint_magic = "LBSA-FUZZ-CHECKPOINT/2\n"
+let checkpoint_tag = "FUZZCKPT"
+
+module Segio = Lbsa_modelcheck.Segstore.Segio
+
+exception Corrupt of string
 
 let save_checkpoint ~file (c : checkpoint) =
-  let tmp = file ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc checkpoint_magic;
-      Marshal.to_channel oc c []);
-  Sys.rename tmp file
+  Lbsa_util.Rio.with_atomic_file ~site:"fuzz.checkpoint" ~path:file (fun w ->
+      let sink = Lbsa_util.Rio.write_string w in
+      sink checkpoint_magic;
+      Segio.write_section_sink sink ~tag:checkpoint_tag
+        (Marshal.to_string c []))
 
 let load_checkpoint ~file : checkpoint =
   let ic =
@@ -376,9 +383,22 @@ let load_checkpoint ~file : checkpoint =
       if not (String.equal header checkpoint_magic) then
         failwith
           (Fmt.str
-             "Engine.load_checkpoint: %s is not a version-1 fuzz checkpoint"
+             "Engine.load_checkpoint: %s is not a version-2 fuzz checkpoint"
              file);
-      (Marshal.from_channel ic : checkpoint))
+      let defect msg =
+        raise (Corrupt (Fmt.str "Engine.load_checkpoint: %s: %s" file msg))
+      in
+      match Segio.read_section ic with
+      | Some (tag, payload)
+        when String.equal tag checkpoint_tag
+             && pos_in ic = in_channel_length ic -> (
+        (* the checksum passed, so these are the bytes that were saved *)
+        try (Marshal.from_string payload 0 : checkpoint)
+        with Failure msg | Invalid_argument msg ->
+          defect ("undecodable payload: " ^ msg))
+      | Some _ -> defect "unexpected section or trailing bytes"
+      | None -> defect "truncated (no payload)"
+      | exception (Failure msg | Sys_error msg) -> defect msg)
 
 let checkpoint_of_reports ~seed reports =
   { ckpt_seed = seed; ckpt_done = List.map (fun r -> (r.rtarget, r.completed)) reports }

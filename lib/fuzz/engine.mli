@@ -143,10 +143,20 @@ type checkpoint = { ckpt_seed : int; ckpt_done : (string * int) list }
 
 val checkpoint_of_reports : seed:int -> report list -> checkpoint
 val resume_start : checkpoint -> name:string -> int
+
+exception Corrupt of string
+(** The file carries the fuzz-checkpoint magic but its body fails
+    validation (truncation, framing, checksum, trailing bytes).  CLIs
+    refuse it with exit code 2, like a corrupt {!Checkpoint}. *)
+
 val save_checkpoint : file:string -> checkpoint -> unit
+(** Atomic, durable write through {!Lbsa_util.Rio.with_atomic_file}:
+    the versioned magic line, then one checksummed
+    {!Lbsa_modelcheck.Segstore.Segio} section. *)
 
 val load_checkpoint : file:string -> checkpoint
-(** Raises [Failure] on a missing or foreign file. *)
+(** Raises [Failure] on a missing or foreign file (including a version-1
+    fuzz checkpoint) and {!Corrupt} on a damaged one. *)
 
 val pp_kind : Format.formatter -> kind -> unit
 val pp_failure : Format.formatter -> failure -> unit

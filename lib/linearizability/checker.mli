@@ -51,6 +51,7 @@ val check :
     call overlapping a completed call of the same process, or when
     completed + pending calls exceed {!max_calls}.  [memo] (default
     true) enables memoization of visited (linearized-set, state-set)
-    pairs; disabling it exists for the ablation benchmark only. *)
+    pairs; [memo:false] is the plain exhaustive search, kept as the
+    reference the property tests compare the memoized search against. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -803,16 +803,16 @@ let suspended_of_parts ~nodes ~expanded ~edges ~offsets ~dedup_hits ~n_succs
 
 (* The seed explorer: single-threaded FIFO BFS deduping through a
    persistent [Map.Make(Config)].  Kept as the differential-testing
-   oracle and the benchmark baseline; [build] must produce the identical
-   graph.
+   oracle the tests hold [build] to: it must produce the identical
+   graph.  It stays in this module because it shares [build]'s
+   reduction step and reads the graph's internals.
 
    The comparator reproduces the seed's comparison path verbatim — in
    particular WITHOUT the physical-equality and intern-id fast paths
-   [Value.compare] has since gained — so benchmarking [build] against
-   [build_cmap] measures the new engine against the explorer the seed
-   shipped, not a baseline retroactively sped up by this refactor.  It
-   reads through the hash-consed records to their structural [node]s
-   and walks whole trees. *)
+   [Value.compare] has since gained — so the oracle does not share the
+   engine's dedup shortcuts: a bug in those fast paths cannot make both
+   sides agree on a wrong graph.  It reads through the hash-consed
+   records to their structural [node]s and walks whole trees. *)
 module Seed_ord = struct
   type t = Config.t
 

@@ -247,10 +247,11 @@ val build_cmap :
   unit ->
   t
 (** The seed explorer: sequential BFS deduping through a
-    [Map.Make(Config)].  Kept as differential-testing oracle and
-    benchmark baseline; produces a graph identical to {!build} —
-    including under a nontrivial [reduce], which goes through the same
-    shared reduction step. *)
+    [Map.Make(Config)] with the seed's structural comparator, none of
+    [Value.compare]'s intern fast paths.  Kept as the differential-testing
+    oracle for {!build}: it produces an identical graph — including
+    under a nontrivial [reduce], which goes through the same shared
+    reduction step. *)
 
 val n_nodes : t -> int
 val n_edges : t -> int

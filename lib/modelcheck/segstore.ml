@@ -15,7 +15,12 @@ module Segio = struct
       Buffer.add_char buf (Char.chr ((n lsr (i * 8)) land 0xff))
     done
 
+  (* Eight bytes hold one more bit than an OCaml int, so the top bit
+     would be shifted out unread; [put_be] never sets it, and a set one
+     is a flipped byte that would otherwise pass every check. *)
   let get_be s off =
+    if Char.code s.[off] land 0x80 <> 0 then
+      failwith "Segio.read_section: header field out of range";
     let n = ref 0 in
     for i = 0 to 7 do
       n := (!n lsl 8) lor Char.code s.[off + i]

@@ -153,6 +153,51 @@ let test_corrupt_checkpoint_refused () =
         "stderr names the corruption" true
         (contains_sub ~sub:"corrupt" r.Crashdrive.err))
 
+(* The CLI face of the fuzz-checkpoint refusal: every byte flip and
+   every truncation of a saved campaign checkpoint makes `fuzz --resume`
+   exit 2 (corrupt), or 3 (not a fuzz checkpoint) when the damage hits
+   the magic line — never 0, never a crash. *)
+let test_fuzz_checkpoint_damage_refused () =
+  require_exe ();
+  let args =
+    [ "fuzz"; "--impl"; "pacnm:2:2"; "--trials"; "500"; "--seed"; "7" ]
+  in
+  let ck = fresh_path ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists ck then Sys.remove ck)
+    (fun () ->
+      let partial =
+        Crashdrive.run ~exe
+          ~args:(args @ [ "--deadline"; "0"; "--checkpoint"; ck ])
+          ()
+      in
+      Alcotest.(check (option int))
+        "deadline-0 exits 2" (Some 2)
+        (Crashdrive.exited partial);
+      let saved = read_file ck in
+      let magic_len = String.index saved '\n' + 1 in
+      let resume what bytes ~expect =
+        write_file ck bytes;
+        let r = Crashdrive.run ~exe ~args:(args @ [ "--resume"; ck ]) () in
+        Alcotest.(check (option int)) what (Some expect) (Crashdrive.exited r)
+      in
+      resume "clean checkpoint resumes" saved ~expect:0;
+      String.iteri
+        (fun i c ->
+          let b = Bytes.of_string saved in
+          Bytes.set b i (Char.chr (Char.code c lxor 0xff));
+          resume
+            (Fmt.str "byte %d flipped" i)
+            (Bytes.to_string b)
+            ~expect:(if i < magic_len then 3 else 2))
+        saved;
+      for n = 0 to String.length saved - 1 do
+        resume
+          (Fmt.str "truncated to %d bytes" n)
+          (String.sub saved 0 n)
+          ~expect:(if n < magic_len then 3 else 2)
+      done)
+
 (* --- daemon: kill mid-store-commit, restart, re-answer ------------------- *)
 
 let cli_query ~socket ~extra =
@@ -594,6 +639,8 @@ let () =
             test_kill_mid_checkpoint;
           tc "corrupt checkpoint refused with exit 2"
             test_corrupt_checkpoint_refused;
+          tc "damaged fuzz checkpoint refused, never resumed"
+            test_fuzz_checkpoint_damage_refused;
         ] );
       ( "daemon",
         [

@@ -347,6 +347,45 @@ let test_fuzz_checkpoint_roundtrip () =
       Alcotest.(check bool) "same (absent) failure" true
         (full.Fuzz_engine.failure = None && resumed.Fuzz_engine.failure = None))
 
+(* Every single-bit flip and every truncation of a saved fuzz checkpoint
+   is refused with a typed error: [Failure] (not a fuzz checkpoint) when
+   the damage hits the magic line, [Corrupt] past it.  Never a resume
+   from a damaged count, never an unmarshal crash. *)
+let test_fuzz_checkpoint_refuses_damage () =
+  let file = Filename.temp_file "lbsa-fuzz" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+    (fun () ->
+      Fuzz_engine.save_checkpoint ~file
+        { Fuzz_engine.ckpt_seed = 7; ckpt_done = [ ("impl pacnm:2:2", 63) ] };
+      let saved = In_channel.with_open_bin file In_channel.input_all in
+      let magic_len = String.index saved '\n' + 1 in
+      let refused what ~damaged_at bytes =
+        Out_channel.with_open_bin file (fun oc ->
+            Out_channel.output_string oc bytes);
+        match Fuzz_engine.load_checkpoint ~file with
+        | _ -> Alcotest.failf "%s: damaged checkpoint loaded" what
+        | exception Failure _ when damaged_at < magic_len -> ()
+        | exception Fuzz_engine.Corrupt _ when damaged_at >= magic_len -> ()
+        | exception e ->
+          Alcotest.failf "%s: unexpected %s" what (Printexc.to_string e)
+      in
+      String.iteri
+        (fun i c ->
+          for bit = 0 to 7 do
+            let b = Bytes.of_string saved in
+            Bytes.set b i (Char.chr (Char.code c lxor (1 lsl bit)));
+            refused
+              (Fmt.str "byte %d bit %d flipped" i bit)
+              ~damaged_at:i (Bytes.to_string b)
+          done)
+        saved;
+      for n = 0 to String.length saved - 1 do
+        refused
+          (Fmt.str "truncated to %d bytes" n)
+          ~damaged_at:n (String.sub saved 0 n)
+      done)
+
 let test_shrink_budget_zero_reports_no_shrink () =
   (* Regression: a 0-budget descent returns the original case, which
      used to be reported as [shrunk = Some original] — a "shrunk to N
@@ -765,6 +804,8 @@ let () =
             test_fan_budget_stops_and_resumes;
           Alcotest.test_case "fuzz checkpoint roundtrip" `Quick
             test_fuzz_checkpoint_roundtrip;
+          Alcotest.test_case "fuzz checkpoint refuses damaged bytes" `Quick
+            test_fuzz_checkpoint_refuses_damage;
           Alcotest.test_case "shrink budget 0 reports no shrink" `Quick
             test_shrink_budget_zero_reports_no_shrink;
           Alcotest.test_case "campaign_supervised stops cleanly" `Quick

@@ -99,7 +99,8 @@ let check_domains_arg =
            D domains, exploring each vector's graph on a single domain.  0 \
            (default) keeps the sequential sweep with an auto-parallel \
            explorer; 1 is fully sequential.  The verdict — including which \
-           failing vector is reported — never depends on this.")
+           failing vector is reported, and which unchecked vector a \
+           deadline-stopped sweep names — never depends on this.")
 
 (* --- out-of-core exploration ------------------------------------------ *)
 
@@ -261,9 +262,11 @@ let chaos_arg =
     & info [ "chaos-seed" ] ~docv:"SEED"
         ~doc:
           "Supervisor self-test: deterministically inject artificial worker \
-           failures (first attempt of a shard fails per a pure \
-           (seed, worker) plan; the supervised retry succeeds).  Verdicts \
-           must be identical with or without this flag.")
+           failures (the first attempt of a shard fails per a pure \
+           (seed, key) plan; the supervised retry succeeds).  The key is \
+           the worker number of an explorer worker, the index of a swept \
+           input vector, or the index of a fuzz trial.  Verdicts must be \
+           identical with or without this flag.")
 
 let arm_chaos = function
   | None -> ()

@@ -8,9 +8,9 @@ open Lbsa_linearizability
    feed the recorded concurrent history — pending calls included — to
    the Wing-Gong oracle; spec campaigns round-trip the positive and
    negative history generators through the checker.  Trials fan out
-   across domains with one pure PRNG substream per trial, so the first
-   failing trial index (and hence the report) is identical for every
-   domain count. *)
+   across domains through [Supervisor.first_hit] with one pure PRNG
+   substream per trial, so the first failing trial index (and hence the
+   report) is identical for every domain count. *)
 
 module Prng = Lbsa_util.Prng
 
@@ -34,16 +34,14 @@ type report = {
   rtarget : string;
   trials : int;
   completed : int;
-      (* trials [0, completed) all ran: the contiguous prefix that a
-         resumed campaign can skip.  Equals [trials] on a full run. *)
+      (* trials [0, completed) all ran clean: the contiguous prefix that
+         a resumed campaign can skip.  The failing trial on a failing
+         run, [trials] on a clean full run. *)
   failure : failure option;
   outcome : Supervisor.outcome;  (* Done unless the campaign was cut short *)
   domains_used : int;
   wall_s : float;
 }
-
-let default_domains =
-  lazy (max 1 (min 8 (Domain.recommended_domain_count ())))
 
 (* --- evaluation -------------------------------------------------------- *)
 
@@ -58,14 +56,14 @@ let same_kind a b =
   | Crash _, Crash _ -> true
   | _ -> false
 
-(* Checker sessions are not thread-safe and [fan] runs trials on several
-   domains, so campaigns hold one session per domain in domain-local
-   storage.  Value interning itself is global and domain-safe now (the
-   hash-consed [Value] core), so what a session shares across a domain's
-   trials is only the spec-transition and state-set memos.  [session]
-   below is a thunk fetching the calling domain's session; outcomes
-   never depend on session state, so determinism across domain counts is
-   untouched. *)
+(* Checker sessions are not thread-safe and [Supervisor.first_hit] runs
+   trials on several domains, so campaigns hold one session per domain
+   in domain-local storage.  Value interning itself is global and
+   domain-safe now (the hash-consed [Value] core), so what a session
+   shares across a domain's trials is only the spec-transition and
+   state-set memos.  [session] below is a thunk fetching the calling
+   domain's session; outcomes never depend on session state, so
+   determinism across domain counts is untouched. *)
 let dls_sessions spec =
   let key = Domain.DLS.new_key (fun () -> Checker.session spec) in
   fun () -> Domain.DLS.get key
@@ -109,123 +107,6 @@ let eval_spec_case ?session ~(spec : Obj_spec.t) (case : Fuzz_case.t) : eval =
         | exception e ->
           Bad (Crash ("Gen.corrupt: " ^ Printexc.to_string e), h, [])
         | Some _ | None -> Ok_run))
-
-(* --- deterministic multi-domain fan-out -------------------------------- *)
-
-(* Contiguous chunks, one per domain, each scanned in ascending trial
-   order; a CAS-min on the best (lowest) failing index lets domains stop
-   early without ever racing past a smaller candidate.  The owner of the
-   global minimum always reaches it (everything before it passes), so
-   the result is the same as a sequential scan.
-
-   Supervision: each chunk body runs under [Supervisor.run_shard] (one
-   exception — or injected chaos fault — is caught in its own domain
-   and the chunk retried; trials are pure functions of their substream,
-   so a retry rescans to the same result), and the budget is polled
-   before every trial.  [completed] is the contiguous prefix of trials
-   known to have run, the resume point for a checkpointed campaign. *)
-type 'a fan_result = {
-  hit : (int * 'a) option;
-  fan_domains : int;
-  fan_completed : int;
-  fan_outcome : Supervisor.outcome;
-}
-
-let fan ?domains ?(start = 0) ?(budget = Supervisor.Budget.unlimited) ~trials
-    ~(run : int -> 'a option) () : 'a fan_result =
-  let domains =
-    match domains with
-    | Some d ->
-      if d < 1 then invalid_arg "Engine.fan: domains must be >= 1" else d
-    | None -> Lazy.force default_domains
-  in
-  if start < 0 || start > trials then
-    invalid_arg "Engine.fan: start out of range";
-  let span = trials - start in
-  let d = max 1 (min domains span) in
-  if span = 0 then
-    { hit = None; fan_domains = 1; fan_completed = trials; fan_outcome = Done }
-  else begin
-    let best = Atomic.make max_int in
-    let found = Array.make d None in
-    let reached = Array.make d start in
-    let stop_reason = Array.make d None in
-    let chunk = (span + d - 1) / d in
-    let lo_of k = start + (k * chunk) in
-    let hi_of k = min trials (lo_of k + chunk) in
-    let work k () =
-      let lo = lo_of k and hi = hi_of k in
-      (* Reset per attempt so a retried chunk rescans deterministically. *)
-      found.(k) <- None;
-      stop_reason.(k) <- None;
-      let i = ref lo in
-      let running = ref true in
-      while !running && !i < hi && !i < Atomic.get best do
-        match Supervisor.Budget.stop budget with
-        | Some o ->
-          stop_reason.(k) <- Some o;
-          running := false
-        | None ->
-          (match run !i with
-          | Some f ->
-            found.(k) <- Some (!i, f);
-            let rec cas_min () =
-              let b = Atomic.get best in
-              if !i < b && not (Atomic.compare_and_set best b !i) then
-                cas_min ()
-            in
-            cas_min ();
-            i := hi  (* later trials in this chunk cannot beat our own find *)
-          | None -> ());
-          incr i
-      done;
-      reached.(k) <- min !i hi
-    in
-    let shard k =
-      match Supervisor.run_shard ~worker:k (work k) with
-      | Ok () -> None
-      | Error (exn, attempts) ->
-        Some (Supervisor.Worker_failed { worker = k; exn; attempts })
-    in
-    let failures =
-      if d = 1 then [ shard 0 ]
-      else begin
-        let spawned =
-          List.init (d - 1) (fun k -> Domain.spawn (fun () -> shard (k + 1)))
-        in
-        let first = shard 0 in
-        first :: List.map Domain.join spawned
-      end
-    in
-    let hit =
-      Array.fold_left
-        (fun acc x ->
-          match (acc, x) with
-          | Some (i, _), Some (j, _) when j < i -> x
-          | None, x -> x
-          | acc, _ -> acc)
-        None found
-    in
-    (* Contiguous completed prefix: chunk k extends it only if every
-       chunk before it finished its whole range. *)
-    let fan_completed =
-      let rec go k =
-        if k >= d then trials
-        else if reached.(k) >= hi_of k then go (k + 1)
-        else reached.(k)
-      in
-      go 0
-    in
-    let fan_outcome =
-      match List.find_map Fun.id failures with
-      | Some o -> o
-      | None -> (
-        match Array.find_opt Option.is_some stop_reason with
-        | Some (Some o) -> o
-        | _ -> Done)
-    in
-    { hit; fan_domains = d; fan_completed; fan_outcome }
-  end
 
 (* --- shrinking --------------------------------------------------------- *)
 
@@ -281,7 +162,7 @@ let campaign ?domains ?(shrink = true) ?shrink_budget ?(start = 0) ?budget
     | Ok_run -> None
     | Bad (kind, history, pending) -> Some (kind, case, history, pending)
   in
-  let r = fan ?domains ~start ?budget ~trials ~run () in
+  let r = Supervisor.first_hit ?domains ?budget ~lo:start ~hi:trials run in
   let failure =
     Option.map
       (fun (trial, (kind, case, history, pending)) ->
@@ -311,10 +192,10 @@ let campaign ?domains ?(shrink = true) ?shrink_budget ?(start = 0) ?budget
   {
     rtarget = name;
     trials;
-    completed = r.fan_completed;
+    completed = r.completed;
     failure;
-    outcome = r.fan_outcome;
-    domains_used = r.fan_domains;
+    outcome = r.outcome;
+    domains_used = r.domains_used;
     wall_s = Unix.gettimeofday () -. t0;
   }
 

@@ -1,7 +1,10 @@
 (** The fuzzing engine: random-case campaigns against implementations
     (harness + linearizability oracle, crash faults included via pending
     calls) and against specifications (generator round-trips), with
-    deterministic multi-domain fan-out and counterexample shrinking. *)
+    counterexample shrinking.  A campaign's trials fan out across
+    domains through {!Lbsa_runtime.Supervisor.first_hit}: trial [i]
+    draws from [Prng.of_substream ~seed ~index:i], so the reported
+    failure is the same for every domain count. *)
 
 open Lbsa_spec
 open Lbsa_linearizability
@@ -29,8 +32,9 @@ type report = {
   rtarget : string;
   trials : int;
   completed : int;
-      (** trials [0, completed) all ran — the contiguous prefix a
-          resumed campaign skips; equals [trials] on a full run *)
+      (** every trial below [completed] ran clean — the contiguous
+          prefix a resumed campaign skips.  The failing trial on a
+          failing run, [trials] on a clean full run. *)
   failure : failure option;
   outcome : Lbsa_runtime.Supervisor.outcome;
       (** [Done] unless the campaign was cut short by its budget or an
@@ -57,31 +61,6 @@ val eval_impl_case :
 val eval_spec_case :
   ?session:(unit -> Checker.session) -> spec:Obj_spec.t -> Fuzz_case.t -> eval
 (** [session], when given, must produce sessions for [spec]. *)
-
-type 'a fan_result = {
-  hit : (int * 'a) option;  (** lowest failing trial, if any *)
-  fan_domains : int;
-  fan_completed : int;
-      (** contiguous prefix of trials known to have run *)
-  fan_outcome : Lbsa_runtime.Supervisor.outcome;
-}
-
-val fan :
-  ?domains:int ->
-  ?start:int ->
-  ?budget:Lbsa_runtime.Supervisor.Budget.t ->
-  trials:int ->
-  run:(int -> 'a option) ->
-  unit ->
-  'a fan_result
-(** Scan trial indices [start, trials) for the lowest failing one,
-    fanning contiguous chunks across domains with a CAS-min cutoff.  The
-    result (and every per-trial PRNG, when [run] derives it with
-    {!Lbsa_util.Prng.of_substream}) is identical for every domain count.
-    Chunk bodies run under {!Lbsa_runtime.Supervisor.run_shard} — a
-    worker exception is isolated and the chunk retried, surfacing as
-    [Worker_failed] only when retries are exhausted — and [budget] is
-    polled before every trial. *)
 
 val default_shrink_budget : int
 (** 400 candidate evaluations. *)

@@ -280,13 +280,6 @@ let successors ?(substrate = Substrate.shm) ~reduce ~machine ~specs config =
     done;
     (!acc, !canonized, !flushed)
 
-(* [recommended_domain_count] probes the machine; do it once, not per
-   build (builds of tiny graphs run at ~1M states/s, where even a few
-   microseconds of setup shows up). *)
-let default_domains =
-  let d = lazy (max 1 (min 8 (Domain.recommended_domain_count ()))) in
-  fun () -> Lazy.force d
-
 (* Below this frontier size the spawn/join overhead outweighs the work. *)
 let parallel_threshold = 256
 
@@ -313,8 +306,8 @@ type deque = { mutable dq_lo : int; mutable dq_hi : int; dq_lock : Mutex.t }
    pure function of [frontier.(i)], every index is written exactly once,
    and the caller's merge reads [out] sequentially in frontier order —
    so the produced graph is bit-identical for any domain count and any
-   steal interleaving, exactly as with static chunking.  [Domain.join]
-   publishes the writes.
+   steal interleaving, exactly as with static chunking.  Joining the
+   workers ([Supervisor.spawn_join]) publishes the writes.
 
    Termination: an atomic [remaining] counts unprocessed indices, and a
    worker whose own span and every victim's span are empty spins until
@@ -443,11 +436,7 @@ let expand ~domains ~substrate ~reduce ~machine ~specs frontier n =
       | Ok () -> ());
       r
     in
-    let spawned =
-      List.init (d - 1) (fun k -> Domain.spawn (fun () -> shard (k + 1)))
-    in
-    let first = shard 0 in
-    let results = first :: List.map Domain.join spawned in
+    let results = Supervisor.spawn_join d shard in
     let worst = ref None in
     List.iteri
       (fun k r ->
@@ -479,7 +468,7 @@ let build ?(max_states = default_max_states) ?domains
     match domains with
     | Some d when d >= 1 -> d
     | Some d -> invalid_arg (Fmt.str "Graph.build: domains %d < 1" d)
-    | None -> default_domains ()
+    | None -> Supervisor.default_domains ()
   in
   let t0 = Unix.gettimeofday () in
   let nodes = Dyn.create () in

@@ -190,15 +190,14 @@ val build :
     the exploration quantifies over; its name is recorded in suspended
     explorations, and [build ~resume] refuses a substrate mismatch just
     like a reduction-mode mismatch.
-    [domains] defaults to [Domain.recommended_domain_count ()] capped at
-    8; the produced graph does not depend on it.  [budget] and the
+    [domains] defaults to {!Supervisor.default_domains}; the produced
+    graph does not depend on it.  [budget] and the
     [max_states] quota are polled at each level boundary; when either
     fires the build returns a partial graph with [stop] set and
     [suspended] holding the frozen frontier (a level's successors are
     registered in full, so a quota-stopped graph may hold slightly more
     than [max_states] nodes — never a node with a partial edge list).
-    Worker
-    exceptions are isolated and retried per chunk
+    Worker exceptions are isolated and retried per worker
     ({!Supervisor.run_shard}); an exhausted chunk abandons its whole
     level, keeping the surviving prefix deterministic.  [reduce]
     (default {!no_reduction}) quotients and prunes the exploration; the

@@ -331,16 +331,6 @@ let witness ?max_states ~task ~machine ~specs ~inputs () =
 let consensus_witness = witness ~task:Consensus
 let dac_witness = witness ~task:Dac
 
-(* Check a task over a whole family of input vectors; returns the first
-   failing verdict or the last passing one.  [domains] > 1 fans the
-   vectors out across that many domains in contiguous chunks — each
-   vector builds an independent graph — with the winning (lowest) failing
-   index agreed by CAS-min, so the verdict is identical for any domain
-   count (the same trick as the fuzzer's [Engine.fan]; this library sits
-   below the fuzzer, so the fan is reimplemented here).  When fanning
-   out, the per-vector check should itself run with [~domains:1] to avoid
-   oversubscription. *)
-
 type family_stats = {
   vectors : int;
   fan_domains : int;
@@ -355,133 +345,57 @@ let pp_family_stats ppf s =
     s.vectors s.total_states s.wall_s s.vectors_per_sec s.fan_domains
     (if s.fan_domains = 1 then "" else "s")
 
-let for_all_inputs_timed ?(domains = 1)
-    ?(budget = Supervisor.Budget.unlimited) check inputs_list =
+(* The sweep is one [Supervisor.first_hit] over the vector indices: a
+   failing verdict is a hit, and the partial verdicts for an exhausted
+   vector or a budget stop name the vector at [completed] — the first
+   one not checked — so they too are the same for every domain count. *)
+let for_all_inputs_timed ?(domains = 1) ?budget check inputs_list =
   if inputs_list = [] then invalid_arg "Solvability.for_all_inputs: no inputs";
-  if domains < 1 then
-    invalid_arg "Solvability.for_all_inputs: domains must be >= 1";
   let vectors = Array.of_list inputs_list in
   let n = Array.length vectors in
-  let d = min domains n in
   let t0 = Unix.gettimeofday () in
   let states = Atomic.make 0 in
-  let checked v =
-    ignore (Atomic.fetch_and_add states v.states);
-    v
+  let last = Atomic.make None in
+  let scan =
+    Supervisor.first_hit ~domains ?budget ~lo:0 ~hi:n (fun i ->
+        let v = check vectors.(i) in
+        ignore (Atomic.fetch_and_add states v.states);
+        if not v.ok then Some v
+        else begin
+          if i = n - 1 then Atomic.set last (Some v);
+          None
+        end)
   in
-  (* One supervised vector: an exception raised while checking vector
-     [i] — in whichever domain owns it — is captured and retried by
-     [run_shard]; exhausted retries become a failing [Worker_failed]
-     verdict for that vector, which then competes in the ordinary
-     CAS-min.  Nothing escapes through [Domain.join], and the first
-     failing index is the same for any domain count. *)
-  let shard i =
-    match Supervisor.run_shard ~worker:i (fun () -> check vectors.(i)) with
-    | Ok v -> checked v
-    | Error (exn, attempts) ->
-      {
-        ok = false;
-        outcome = Supervisor.Worker_failed { worker = i; exn; attempts };
-        inputs = vectors.(i);
-        states = 0;
-        failure =
-          Some
-            (Fmt.str "checker raised after %d attempt%s: %s" attempts
-               (if attempts = 1 then "" else "s")
-               exn);
-        stats = None;
-        suspended = None;
-      }
-  in
-  let interrupted o i =
+  let unchecked outcome failure =
     {
       ok = false;
-      outcome = o;
-      inputs = vectors.(min i (n - 1));
+      outcome;
+      inputs = vectors.(scan.completed);
       states = 0;
-      failure =
-        Some
-          (Fmt.str "input-family sweep stopped (%a) before all %d vectors"
-             Supervisor.pp_outcome o n);
+      failure = Some failure;
       stats = None;
       suspended = None;
     }
   in
   let verdict =
-    if d = 1 then begin
-      let rec go last i =
-        if i >= n then Option.get last
-        else
-          match Supervisor.Budget.stop budget with
-          | Some o -> interrupted o i
-          | None ->
-            let v = shard i in
-            if v.ok then go (Some v) (i + 1) else v
-      in
-      go None 0
-    end
-    else begin
-      let best = Atomic.make max_int in
-      let found = Array.make d None in
-      let last = Atomic.make None in
-      let stopped = Atomic.make None in
-      let chunk = (n + d - 1) / d in
-      let work k =
-        let lo = k * chunk and hi = min n ((k + 1) * chunk) in
-        let i = ref lo in
-        let running = ref true in
-        while !running && !i < hi && !i < Atomic.get best do
-          match Supervisor.Budget.stop budget with
-          | Some o ->
-            if Atomic.get stopped = None then Atomic.set stopped (Some o);
-            running := false
-          | None ->
-            let v = shard !i in
-            (if not v.ok then begin
-               found.(k) <- Some (!i, v);
-               let rec cas_min () =
-                 let b = Atomic.get best in
-                 if !i < b && not (Atomic.compare_and_set best b !i) then
-                   cas_min ()
-               in
-               cas_min ();
-               i := hi (* later vectors in this chunk cannot beat this find *)
-             end
-             else if !i = n - 1 then Atomic.set last (Some v));
-            incr i
-        done
-      in
-      let spawned =
-        List.init (d - 1) (fun k -> Domain.spawn (fun () -> work (k + 1)))
-      in
-      work 0;
-      List.iter Domain.join spawned;
-      let first_fail =
-        Array.fold_left
-          (fun acc x ->
-            match (acc, x) with
-            | Some (i, _), Some (j, _) when j < i -> x
-            | None, x -> x
-            | acc, _ -> acc)
-          None found
-      in
-      match first_fail with
-      | Some (_, v) -> v
-      | None -> (
-        match Atomic.get stopped with
-        | Some o -> interrupted o n
-        | None ->
-          (* No chunk failed or stopped early, so every chunk ran to
-             completion and the owner of the last vector recorded its
-             (passing) verdict. *)
-          Option.get (Atomic.get last))
-    end
+    match (scan.hit, scan.outcome) with
+    | Some (_, v), _ -> v
+    | None, Supervisor.Done -> Option.get (Atomic.get last)
+    | None, (Supervisor.Worker_failed { exn; attempts; _ } as o) ->
+      unchecked o
+        (Fmt.str "checker raised after %d attempt%s: %s" attempts
+           (if attempts = 1 then "" else "s")
+           exn)
+    | None, o ->
+      unchecked o
+        (Fmt.str "input-family sweep stopped (%a) before all %d vectors"
+           Supervisor.pp_outcome o n)
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   ( verdict,
     {
       vectors = n;
-      fan_domains = d;
+      fan_domains = scan.domains_used;
       total_states = Atomic.get states;
       wall_s;
       vectors_per_sec = (if wall_s > 0. then float_of_int n /. wall_s else 0.);

@@ -226,18 +226,18 @@ val for_all_inputs :
   Value.t array list ->
   verdict
 (** First failing verdict over a family of input vectors, or the last
-    passing one.  [domains] (default 1) fans vectors out across that many
-    domains; the verdict — including which failing vector wins — is
-    identical for any domain count (lowest failing index, agreed by
-    CAS-min).  When [domains > 1], run the per-vector check itself with
-    [~domains:1] to avoid oversubscribing cores.
+    passing one.  The vectors are scanned by
+    {!Supervisor.first_hit} on [domains] domains (default 1); when
+    [domains > 1], run the per-vector check itself with [~domains:1] to
+    avoid oversubscribing cores.  The verdict — including which failing
+    vector wins — is that of a sequential sweep, for any domain count.
 
-    An exception escaping the per-vector check is captured in its own
-    domain and retried ({!Supervisor.run_shard}); if it keeps failing,
-    that vector gets a failing [Worker_failed] verdict that competes in
-    the usual lowest-index race — completed work is never lost and
-    nothing propagates through [Domain.join].  [budget] is polled before
-    each vector; when it fires the sweep returns a partial verdict. *)
+    An exception escaping the per-vector check is retried in its own
+    domain ({!Supervisor.run_shard}); if it keeps failing, the sweep
+    returns a [Worker_failed] verdict for that vector, unless a lower
+    vector fails.  [budget] is polled before each vector; when it fires,
+    the sweep returns a partial verdict naming the first vector not
+    checked, unless a checked vector failed. *)
 
 val for_all_inputs_timed :
   ?domains:int ->

@@ -1,8 +1,9 @@
 module Prng = Lbsa_util.Prng
 
 (* Supervision for the verification pipeline: budgets, cancellation,
-   worker fault isolation, deterministic chaos.  See the .mli for the
-   determinism contract each piece maintains. *)
+   worker fault isolation, deterministic chaos, and the domain plumbing
+   every parallel stage shares.  See the .mli for the determinism
+   contract each piece maintains. *)
 
 (* --- cancellation tokens ----------------------------------------------- *)
 
@@ -114,3 +115,91 @@ let run_shard ?(attempts = 3) ?(backoff_s = 0.001) ~worker f =
       end
   in
   go 0
+
+(* --- domains ------------------------------------------------------------- *)
+
+(* Probe the machine once, not per call (builds of tiny graphs run at
+   ~1M states/s, where even a few microseconds of setup shows up). *)
+let default_domains =
+  let d = lazy (max 1 (min 8 (Domain.recommended_domain_count ()))) in
+  fun () -> Lazy.force d
+
+let spawn_join d work =
+  let spawned =
+    List.init (d - 1) (fun k -> Domain.spawn (fun () -> work (k + 1)))
+  in
+  let first = work 0 in
+  first :: List.map Domain.join spawned
+
+(* --- ordered first-hit scan --------------------------------------------- *)
+
+type 'a scan = {
+  hit : (int * 'a) option;
+  completed : int;
+  outcome : outcome;
+  domains_used : int;
+}
+
+(* Why a worker stopped: at most one event per worker, at its last
+   claimed index. *)
+type 'a event = Hit of 'a | Exhausted of outcome | Stopped of outcome
+
+(* Indices are claimed in ascending order from one counter, so every
+   index below a worker's claim was claimed before it.  [best] is the
+   lowest index that hit or exhausted its retries; an index is skipped
+   only at or above it.  Hence the lowest such event is always run, and
+   every index below it runs to [None] unless the budget stopped it:
+   without a budget stop the result is that of a sequential scan.  A
+   budget stop does not lower [best] (it is a property of the clock,
+   not of the index), so a hit found above it is still reported. *)
+let first_hit ?domains ?(budget = Budget.unlimited) ~lo ~hi f =
+  let domains =
+    match domains with
+    | None -> default_domains ()
+    | Some d when d >= 1 -> d
+    | Some _ -> invalid_arg "Supervisor.first_hit: domains must be >= 1"
+  in
+  if lo < 0 || lo > hi then
+    invalid_arg "Supervisor.first_hit: need 0 <= lo <= hi";
+  let d = max 1 (min domains (hi - lo)) in
+  let next = Atomic.make lo in
+  let best = Atomic.make hi in
+  let rec lower i =
+    let b = Atomic.get best in
+    if i < b && not (Atomic.compare_and_set best b i) then lower i
+  in
+  let rec claim () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i >= Atomic.get best then None
+    else
+      match Budget.stop budget with
+      | Some o -> Some (i, Stopped o)
+      | None -> (
+        match run_shard ~worker:i (fun () -> f i) with
+        | Ok None -> claim ()
+        | Ok (Some x) ->
+          lower i;
+          Some (i, Hit x)
+        | Error (exn, attempts) ->
+          lower i;
+          Some (i, Exhausted (Worker_failed { worker = i; exn; attempts })))
+  in
+  let events =
+    List.sort
+      (fun (i, _) (j, _) -> Int.compare i j)
+      (List.filter_map Fun.id (spawn_join d (fun _ -> claim ())))
+  in
+  let completed, outcome =
+    match events with
+    | [] -> (hi, Done)
+    | (i, Hit _) :: _ -> (i, Done)
+    | (i, (Exhausted o | Stopped o)) :: _ -> (i, o)
+  in
+  let hit =
+    match
+      List.find_opt (function _, Stopped _ -> false | _ -> true) events
+    with
+    | Some (i, Hit x) -> Some (i, x)
+    | _ -> None
+  in
+  { hit; completed; outcome; domains_used = d }

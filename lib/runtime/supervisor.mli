@@ -1,8 +1,9 @@
 (** Resilient-verification supervision: wall-clock budgets, cooperative
     cancellation, domain-worker fault isolation with bounded-backoff
     retry, a structured outcome taxonomy shared by every pipeline stage,
-    and a deterministic chaos mode that injects artificial worker
-    failures to exercise the supervisor itself.
+    a deterministic chaos mode that injects artificial worker failures
+    to exercise the supervisor itself, and the one ordered first-hit
+    scan that fans fuzz trials and input-vector sweeps across domains.
 
     Everything here preserves the pipeline's determinism discipline: a
     retried shard recomputes a pure function into the same slots, and
@@ -101,3 +102,59 @@ val run_shard :
     pure or idempotent (re-writing the same disjoint slots), so a retry
     cannot change the result — that is what keeps verdicts independent
     of the domain count even when workers fail. *)
+
+(** {2 Domains} *)
+
+val default_domains : unit -> int
+(** The domain count of a caller that names none: the machine's
+    recommended count, capped at 8, probed once per process. *)
+
+val spawn_join : int -> (int -> 'a) -> 'a list
+(** [spawn_join d work] runs [work 0] in the calling domain and
+    [work 1], …, [work (d - 1)] on [d - 1] spawned domains, and returns
+    the results in worker order once every domain has been joined
+    ([d = 1] spawns nothing).  Joining publishes the workers' writes.
+    [work] must not raise (run its body under {!run_shard}): an
+    exception would leave the later domains unjoined. *)
+
+(** {2 Ordered first-hit scan} *)
+
+type 'a scan = {
+  hit : (int * 'a) option;
+      (** the lowest index whose body returned [Some], if no index below
+          it exhausted its retries (after a budget stop: the lowest of
+          the indices that ran) *)
+  completed : int;
+      (** the lowest index that hit, exhausted its retries or met a
+          budget stop; [hi] if there was none.  Every index from [lo]
+          below [completed] ran and returned [None]: the prefix a
+          resumed scan may skip. *)
+  outcome : outcome;
+      (** what happened at [completed]: [Done] for a hit or a full scan,
+          [Worker_failed {worker = completed; _}] for exhausted
+          retries, the budget's outcome for a stop *)
+  domains_used : int;
+}
+
+val first_hit :
+  ?domains:int ->
+  ?budget:Budget.t ->
+  lo:int ->
+  hi:int ->
+  (int -> 'a option) ->
+  'a scan
+(** Scan the indices from [lo] below [hi] for the lowest one whose
+    body returns [Some], on [domains] domains (default
+    {!default_domains}; never more than [hi - lo]).  Workers claim indices in ascending order
+    from one shared counter; each index runs under
+    [run_shard ~worker:index], and [budget] is polled before each one.
+    A hit and an index whose retries ran out are both events: they
+    compete in one CAS-min, and no index at or above the lowest event
+    is claimed.
+
+    The body must be a pure function of its index (a retry, or another
+    domain count, must give the same answer).  Then, unless the budget
+    stops the scan, [hit], [completed] and [outcome] are those of a
+    sequential scan, for every domain count, armed with {!Chaos} or not.
+    A hit found above a budget stop is still reported — a failure that
+    was found is real — and [completed] then sits at the stop. *)

@@ -88,8 +88,9 @@ let node_equal a b =
    moment); holding the stripe lock across the whole probe+insert keeps
    the table trivially linearizable.  Values escape to other domains
    either through a later [intern] of an equal node (ordered by this
-   mutex) or through [Domain.spawn]/[join] edges in the explorer — both
-   provide the needed happens-before, and all fields are immutable. *)
+   mutex) or through the spawn/join edges of the explorer's worker
+   domains — both provide the needed happens-before, and all fields are
+   immutable. *)
 
 let n_stripes = 64 (* power of two *)
 

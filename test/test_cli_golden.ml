@@ -570,6 +570,26 @@ let test_candidate_deadline () =
 PARTIAL [deadline expired] (inputs=0,0, 0 states): input-family sweep stopped (deadline expired) before all 4 vectors
 |}
 
+(* A budget stop in an input-family sweep names the first vector it did
+   not check, whatever --domains fans the sweep over (0 keeps the
+   sequential sweep). *)
+let test_partial_sweep_domains () =
+  List.iter
+    (fun (task, stdout) ->
+      List.iter
+        (fun d ->
+          check_run ~args:(Fmt.str "check %s --deadline 0 --domains %d" task d)
+            ~rc:2 ~stdout)
+        [ 0; 1; 2; 3; 4 ])
+    [
+      ( "consensus -m 2",
+        {|PARTIAL [deadline expired] (inputs=0,0, 0 states): input-family sweep stopped (deadline expired) before all 4 vectors
+|} );
+      ( "dac -n 3",
+        {|PARTIAL [deadline expired] (inputs=0,0,0, 0 states): input-family sweep stopped (deadline expired) before all 8 vectors
+|} );
+    ]
+
 let test_candidate_shards () =
   check_run ~args:"check candidate --name 3dac-sa2-then-cons2 --shards 4"
     ~rc:0
@@ -639,5 +659,10 @@ let () =
           [
             Alcotest.test_case "family line and domains" `Quick
               test_stats_family_lines;
+          ] );
+        ( "partial sweep",
+          [
+            Alcotest.test_case "same vector for any --domains" `Quick
+              test_partial_sweep_domains;
           ] );
       ])

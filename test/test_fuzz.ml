@@ -28,13 +28,13 @@ let test_fan_deterministic_across_domains () =
   let expect = Some (37, 37 * 37) in
   List.iter
     (fun domains ->
-      let r = Fuzz_engine.fan ~domains ~trials:200 ~run () in
+      let r = Supervisor.first_hit ~domains ~lo:0 ~hi:200 run in
       Alcotest.(check (option (pair int int)))
-        (Fmt.str "domains=%d" domains) expect r.Fuzz_engine.hit)
+        (Fmt.str "domains=%d" domains) expect r.Supervisor.hit)
     [ 1; 2; 3; 8 ];
-  let r = Fuzz_engine.fan ~domains:4 ~trials:30 ~run:(fun _ -> None) () in
-  Alcotest.(check (option (pair int int))) "no failure" None r.Fuzz_engine.hit;
-  Alcotest.(check int) "all trials completed" 30 r.Fuzz_engine.fan_completed
+  let r = Supervisor.first_hit ~domains:4 ~lo:0 ~hi:30 (fun _ -> None) in
+  Alcotest.(check (option (pair int int))) "no failure" None r.Supervisor.hit;
+  Alcotest.(check int) "all trials completed" 30 r.Supervisor.completed
 
 let test_spec_sweep_clean () =
   (* Bounded version of `lbsa fuzz`'s spec campaign: every registry

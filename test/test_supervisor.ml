@@ -228,6 +228,103 @@ let test_chaos_preserves_graph_and_verdict () =
         reference.Solvability.outcome v.Solvability.outcome)
     [ 1; 2; 4 ]
 
+(* A fuzz campaign's failing trial, completed prefix and outcome are the
+   same for every domain count, and chaos (which keys the first attempt
+   of each trial by its index) changes none of them. *)
+let test_chaos_preserves_fuzz_campaigns () =
+  let impl = Fuzz_targets.impl_target "mutant-pac:2" in
+  let spec = Fuzz_targets.spec_target "pac:2" in
+  let summary (r : Fuzz_engine.report) =
+    ( Option.map (fun f -> f.Fuzz_engine.trial) r.Fuzz_engine.failure,
+      r.Fuzz_engine.completed,
+      r.Fuzz_engine.outcome )
+  in
+  List.iter
+    (fun (name, failing_trial, campaign) ->
+      let trial, completed, outcome = summary (campaign 1) in
+      Alcotest.(check (option int)) (name ^ ": failing trial") failing_trial
+        trial;
+      List.iter
+        (fun (armed, d) ->
+          let label =
+            Fmt.str "%s, domains=%d%s" name d (if armed then ", chaos" else "")
+          in
+          let trial', completed', outcome' =
+            summary
+              (if armed then with_chaos 31 (fun () -> campaign d)
+               else campaign d)
+          in
+          Alcotest.(check (option int)) (label ^ ": failing trial") trial trial';
+          Alcotest.(check int) (label ^ ": completed") completed completed';
+          expect_outcome (label ^ ": outcome") outcome outcome')
+        [ (false, 2); (false, 4); (true, 1); (true, 2); (true, 4) ])
+    [
+      ( "impl mutant-pac:2",
+        Some 10,
+        fun d ->
+          Fuzz_engine.fuzz_impl ~domains:d ~shrink:false ~trials:200 ~seed:42
+            impl );
+      ( "spec pac:2",
+        None,
+        fun d -> Fuzz_engine.fuzz_spec ~domains:d ~trials:60 ~seed:42 spec );
+    ]
+
+(* Without a budget stop, [first_hit] answers as a sequential scan does:
+   the lowest index that hits or keeps raising decides [hit], [completed]
+   and [outcome], for every domain count, armed or not.  An index that
+   exhausts its retries hides every hit above it. *)
+let test_first_hit_is_a_sequential_scan () =
+  let hi = 60 in
+  List.iter
+    (fun (raises, hits) ->
+      let body i =
+        if List.mem i raises then failwith (Fmt.str "index %d" i)
+        else if List.mem i hits then Some (i * 7)
+        else None
+      in
+      let first = List.fold_left min hi (raises @ hits) in
+      let want_hit, want_outcome =
+        if first = hi then (None, Supervisor.Done)
+        else if List.mem first raises then
+          ( None,
+            Supervisor.Worker_failed
+              {
+                worker = first;
+                exn = Printexc.to_string (Failure (Fmt.str "index %d" first));
+                attempts = 3;
+              } )
+        else (Some (first, first * 7), Supervisor.Done)
+      in
+      List.iter
+        (fun d ->
+          List.iter
+            (fun armed ->
+              let label =
+                Fmt.str "raises %a, hits %a, domains=%d%s"
+                  Fmt.(Dump.list int) raises
+                  Fmt.(Dump.list int) hits
+                  d
+                  (if armed then ", chaos" else "")
+              in
+              let scan () = Supervisor.first_hit ~domains:d ~lo:0 ~hi body in
+              let r = if armed then with_chaos 17 scan else scan () in
+              Alcotest.(check (option (pair int int)))
+                (label ^ ": hit") want_hit r.Supervisor.hit;
+              Alcotest.(check int)
+                (label ^ ": completed") first r.Supervisor.completed;
+              expect_outcome (label ^ ": outcome") want_outcome
+                r.Supervisor.outcome)
+            [ false; true ])
+        [ 1; 2; 3; 4; 8 ])
+    [
+      ([], []);
+      ([], [ 37 ]);
+      ([], [ 5; 6; 51 ]);
+      ([ 13 ], [ 20 ]);
+      ([ 13 ], [ 9; 40 ]);
+      ([ 2; 30 ], []);
+    ]
+
 (* --- checkpoint / resume ----------------------------------------------- *)
 
 let roundtrip_through_disk ~label s =
@@ -303,19 +400,19 @@ let test_checkpoint_rejects_foreign_files () =
 let test_fan_budget_stops_and_resumes () =
   let run i = if i = 25 then Some (i * 3) else None in
   let stopped =
-    Fuzz_engine.fan ~domains:2 ~budget:(expired ()) ~trials:40 ~run ()
+    Supervisor.first_hit ~domains:2 ~budget:(expired ()) ~lo:0 ~hi:40 run
   in
-  Alcotest.(check (option (pair int int))) "no hit" None stopped.Fuzz_engine.hit;
-  Alcotest.(check int) "nothing completed" 0 stopped.Fuzz_engine.fan_completed;
+  Alcotest.(check (option (pair int int))) "no hit" None stopped.Supervisor.hit;
+  Alcotest.(check int) "nothing completed" 0 stopped.Supervisor.completed;
   expect_outcome "deadline surfaces" Supervisor.Deadline
-    stopped.Fuzz_engine.fan_outcome;
+    stopped.Supervisor.outcome;
   (* Resume from an arbitrary completed prefix: same hit, any domains. *)
   List.iter
     (fun d ->
-      let r = Fuzz_engine.fan ~domains:d ~start:10 ~trials:40 ~run () in
+      let r = Supervisor.first_hit ~domains:d ~lo:10 ~hi:40 run in
       Alcotest.(check (option (pair int int)))
         (Fmt.str "resumed, domains=%d" d)
-        (Some (25, 75)) r.Fuzz_engine.hit)
+        (Some (25, 75)) r.Supervisor.hit)
     [ 1; 2; 4 ]
 
 let test_fuzz_checkpoint_roundtrip () =
@@ -385,6 +482,42 @@ let test_fuzz_checkpoint_refuses_damage () =
           (Fmt.str "truncated to %d bytes" n)
           ~damaged_at:n (String.sub saved 0 n)
       done)
+
+(* A failure found before a checkpoint is found again after it: the
+   failing campaign's completed prefix stops at the failing trial, so
+   the resumed campaign runs that trial again. *)
+let test_resume_keeps_found_failure () =
+  let t = Fuzz_targets.impl_target "mutant-pac:2" in
+  let trial (r : Fuzz_engine.report) =
+    Option.map (fun f -> f.Fuzz_engine.trial) r.Fuzz_engine.failure
+  in
+  List.iter
+    (fun d ->
+      let campaign ?start () =
+        Fuzz_engine.fuzz_impl ~domains:d ~shrink:false ?start ~trials:200
+          ~seed:42 t
+      in
+      let first = campaign () in
+      Alcotest.(check (option int)) "mutant caught" (Some 10) (trial first);
+      Alcotest.(check int)
+        (Fmt.str "domains=%d: completed stops at the failing trial" d)
+        10 first.Fuzz_engine.completed;
+      let file = Filename.temp_file "lbsa-fuzz" ".ckpt" in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+        (fun () ->
+          Fuzz_engine.save_checkpoint ~file
+            (Fuzz_engine.checkpoint_of_reports ~seed:42 [ first ]);
+          let start =
+            Fuzz_engine.resume_start
+              (Fuzz_engine.load_checkpoint ~file)
+              ~name:first.Fuzz_engine.rtarget
+          in
+          Alcotest.(check (option int))
+            (Fmt.str "domains=%d: the resumed campaign reports it again" d)
+            (trial first)
+            (trial (campaign ~start ()))))
+    [ 1; 2; 3; 4 ]
 
 let test_shrink_budget_zero_reports_no_shrink () =
   (* Regression: a 0-budget descent returns the original case, which
@@ -788,6 +921,10 @@ let () =
         [
           Alcotest.test_case "injected failures never change results" `Quick
             test_chaos_preserves_graph_and_verdict;
+          Alcotest.test_case "injected failures never change fuzz campaigns"
+            `Quick test_chaos_preserves_fuzz_campaigns;
+          Alcotest.test_case "first_hit is a sequential scan" `Quick
+            test_first_hit_is_a_sequential_scan;
         ] );
       ( "checkpoint",
         [
@@ -806,6 +943,8 @@ let () =
             test_fuzz_checkpoint_roundtrip;
           Alcotest.test_case "fuzz checkpoint refuses damaged bytes" `Quick
             test_fuzz_checkpoint_refuses_damage;
+          Alcotest.test_case "resume keeps a failure already found" `Quick
+            test_resume_keeps_found_failure;
           Alcotest.test_case "shrink budget 0 reports no shrink" `Quick
             test_shrink_budget_zero_reports_no_shrink;
           Alcotest.test_case "campaign_supervised stops cleanly" `Quick

@@ -2,6 +2,8 @@
     Agreement" reproduction, re-exported under one roof.
 
     Layering (bottom-up):
+    - {!Codec}, {!Rio}: the byte codec and the I/O shim of everything
+      persisted or sent;
     - {!Value}, {!Op}, {!Obj_spec}, {!Shistory}: sequential
       specifications of linearizable shared objects;
     - the object zoo: {!Register}, {!Consensus_obj}, {!Sa2}, {!Nk_sa},
@@ -15,7 +17,7 @@
       {!Consensus_protocols}, {!Kset_task}, {!Kset_protocols},
       {!Candidates};
     - the model checker: {!Cgraph}, {!Canon}, {!Valence}, {!Bivalency},
-      {!Solvability};
+      {!Solvability}, {!Checkpoint}, {!Segstore}, {!Config_codec};
     - the conformance fuzzer: {!Fuzz_case}, {!Fuzz_targets},
       {!Fuzz_engine}, {!Fuzz_mutant};
     - the hierarchy toolkit: {!Power}, {!Level}, {!Separation};
@@ -25,6 +27,7 @@
 module Prng = Lbsa_util.Prng
 module Listx = Lbsa_util.Listx
 module Rio = Lbsa_util.Rio
+module Codec = Lbsa_util.Codec
 
 module Value = Lbsa_spec.Value
 module Op = Lbsa_spec.Op
@@ -79,7 +82,7 @@ module Cgraph = Lbsa_modelcheck.Graph
 module Checkpoint = Lbsa_modelcheck.Checkpoint
 module Ctbl = Lbsa_modelcheck.Ctbl
 module Ctbl_sharded = Lbsa_modelcheck.Ctbl_sharded
-module Mirror = Lbsa_modelcheck.Mirror
+module Config_codec = Lbsa_modelcheck.Config_codec
 module Segstore = Lbsa_modelcheck.Segstore
 module Valence = Lbsa_modelcheck.Valence
 module Bivalency = Lbsa_modelcheck.Bivalency

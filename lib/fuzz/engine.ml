@@ -230,15 +230,19 @@ let fuzz_spec ?domains ?shrink ?shrink_budget ?start ?budget ?(procs = 3)
    concerns.  Resuming replays nothing and re-randomizes nothing. *)
 type checkpoint = { ckpt_seed : int; ckpt_done : (string * int) list }
 
-(* The payload is one checksummed {!Segstore.Segio} section committed
+(* The payload is one checksummed {!Lbsa_util.Codec} section committed
    through {!Lbsa_util.Rio}, like the model checker's checkpoints: a
-   damaged file must be refused, never resumed from a wrong count and
-   never unmarshalled.  Files of another version are refused as
-   foreign. *)
-let checkpoint_magic = "LBSA-FUZZ-CHECKPOINT/2\n"
+   damaged file must be refused, never resumed from a wrong count.
+   Files of another version are refused as foreign. *)
+let checkpoint_magic = "LBSA-FUZZ-CHECKPOINT/3\n"
 let checkpoint_tag = "FUZZCKPT"
 
-module Segio = Lbsa_modelcheck.Segstore.Segio
+module Codec = Lbsa_util.Codec
+
+let checkpoint_codec =
+  let c = Codec.(pair int (list (pair string int))) in
+  { Codec.put = (fun b k -> c.put b (k.ckpt_seed, k.ckpt_done));
+    get = (fun cur -> let ckpt_seed, ckpt_done = c.get cur in { ckpt_seed; ckpt_done }) }
 
 exception Corrupt of string
 
@@ -246,8 +250,8 @@ let save_checkpoint ~file (c : checkpoint) =
   Lbsa_util.Rio.with_atomic_file ~site:"fuzz.checkpoint" ~path:file (fun w ->
       let sink = Lbsa_util.Rio.write_string w in
       sink checkpoint_magic;
-      Segio.write_section_sink sink ~tag:checkpoint_tag
-        (Marshal.to_string c []))
+      Codec.write_section sink ~tag:checkpoint_tag
+        (Codec.encode checkpoint_codec c))
 
 let load_checkpoint ~file : checkpoint =
   let ic =
@@ -258,28 +262,21 @@ let load_checkpoint ~file : checkpoint =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let header =
-        try really_input_string ic (String.length checkpoint_magic)
-        with End_of_file -> ""
+        In_channel.really_input_string ic (String.length checkpoint_magic)
       in
-      if not (String.equal header checkpoint_magic) then
+      if header <> Some checkpoint_magic then
         failwith
           (Fmt.str
-             "Engine.load_checkpoint: %s is not a version-2 fuzz checkpoint"
+             "Engine.load_checkpoint: %s is not a version-3 fuzz checkpoint"
              file);
       let defect msg =
         raise (Corrupt (Fmt.str "Engine.load_checkpoint: %s: %s" file msg))
       in
-      match Segio.read_section ic with
-      | Some (tag, payload)
-        when String.equal tag checkpoint_tag
-             && pos_in ic = in_channel_length ic -> (
-        (* the checksum passed, so these are the bytes that were saved *)
-        try (Marshal.from_string payload 0 : checkpoint)
-        with Failure msg | Invalid_argument msg ->
-          defect ("undecodable payload: " ^ msg))
-      | Some _ -> defect "unexpected section or trailing bytes"
-      | None -> defect "truncated (no payload)"
-      | exception (Failure msg | Sys_error msg) -> defect msg)
+      try
+        let payload = Codec.input_section ic ~tag:checkpoint_tag in
+        if pos_in ic <> in_channel_length ic then defect "trailing bytes";
+        Codec.decode checkpoint_codec payload
+      with Codec.Malformed msg | Sys_error msg -> defect msg)
 
 let checkpoint_of_reports ~seed reports =
   { ckpt_seed = seed; ckpt_done = List.map (fun r -> (r.rtarget, r.completed)) reports }

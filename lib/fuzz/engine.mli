@@ -123,19 +123,22 @@ type checkpoint = { ckpt_seed : int; ckpt_done : (string * int) list }
 val checkpoint_of_reports : seed:int -> report list -> checkpoint
 val resume_start : checkpoint -> name:string -> int
 
+val checkpoint_codec : checkpoint Lbsa_util.Codec.t
+
 exception Corrupt of string
 (** The file carries the fuzz-checkpoint magic but its body fails
-    validation (truncation, framing, checksum, trailing bytes).  CLIs
-    refuse it with exit code 2, like a corrupt {!Checkpoint}. *)
+    validation (truncation, framing, checksum, an undecodable payload,
+    trailing bytes).  CLIs refuse it with exit code 2, like a corrupt
+    {!Lbsa_modelcheck.Checkpoint}. *)
 
 val save_checkpoint : file:string -> checkpoint -> unit
 (** Atomic, durable write through {!Lbsa_util.Rio.with_atomic_file}:
-    the versioned magic line, then one checksummed
-    {!Lbsa_modelcheck.Segstore.Segio} section. *)
+    the magic line [LBSA-FUZZ-CHECKPOINT/3], then one
+    {!Lbsa_util.Codec} section holding {!checkpoint_codec}'s bytes. *)
 
 val load_checkpoint : file:string -> checkpoint
-(** Raises [Failure] on a missing or foreign file (including a version-1
-    fuzz checkpoint) and {!Corrupt} on a damaged one. *)
+(** Raises [Failure] on a missing or foreign file (including a fuzz
+    checkpoint of an older version) and {!Corrupt} on a damaged one. *)
 
 val pp_kind : Format.formatter -> kind -> unit
 val pp_failure : Format.formatter -> failure -> unit

@@ -1,162 +1,74 @@
-(* Checkpoint persistence.  See the .mli for why this stores the
-   structural Mirror forms instead of marshalling [Config.t] directly:
-   intern ids and pointer identity must not cross a process boundary,
-   so freezing strips them and thawing re-interns through the smart
-   constructors.
+open Lbsa_util
 
-   Version 3 replaced the single whole-file Marshal blob with the
-   framed section discipline of the out-of-core segment store
-   ({!Segstore.Segio}): one checksummed CKMETA section, then the node
-   and edge arrays streamed in bounded CKNODES/CKEDGES chunks.  Each
-   section is independently checksummed, a corrupt chunk fails loudly
-   at its own offset, and writing a multi-gigabyte checkpoint never
-   needs a second whole-graph copy in one Marshal buffer. *)
+(* Checkpoint persistence; see the .mli for the file layout.  Chunked
+   sections make a corrupt chunk fail at its own offset, and writing a
+   large checkpoint never builds a second whole-graph copy. *)
 
-type meta = {
-  m_label : string;
-  m_expanded : int;
-  m_offsets : int array;
-  m_dedup_hits : int;
-  m_n_succs : int;
-  m_frontier_sizes : int array;
-  m_reduction : string;
-  m_substrate : string;
-  m_canonized : int;
-  m_ample_nodes : int;
-  m_ample_pruned : int;
-  m_n_nodes : int;
-  m_n_edges : int;
-}
-
-type t = {
-  label : string;
-  nodes : Mirror.pconfig array;
-  expanded : int;
-  edges : Mirror.pedge array;
-  offsets : int array;
-  dedup_hits : int;
-  n_succs : int;
-  frontier_sizes : int array;
-  reduction : string;  (* reduction mode the exploration ran under *)
-  substrate : string;  (* substrate the exploration ran under *)
-  canonized : int;
-  ample_nodes : int;
-  ample_pruned : int;
-}
+type t = { label : string; suspended : Graph.suspended }
 
 let label t = t.label
-let reduction t = t.reduction
-let substrate t = t.substrate
+let reduction t = t.suspended.Graph.s_reduction
+let substrate t = t.suspended.Graph.s_substrate
+let freeze ~label suspended = { label; suspended }
+let thaw t = t.suspended
 
-(* --- freeze / thaw ------------------------------------------------------- *)
-
-let freeze_edge (e : Graph.edge) =
-  Mirror.freeze_step ~pid:e.Graph.pid ~event:e.Graph.event
-    ~target:e.Graph.target
-
-let thaw_edge e : Graph.edge =
-  let pid, event, target = Mirror.thaw_step e in
-  { Graph.pid; event; target }
-
-let freeze ~label (s : Graph.suspended) =
-  {
-    label;
-    nodes = Array.map Mirror.freeze_config s.Graph.s_nodes;
-    expanded = s.Graph.s_expanded;
-    edges = Array.map freeze_edge s.Graph.s_edges;
-    offsets = Array.copy s.Graph.s_offsets;
-    dedup_hits = s.Graph.s_dedup_hits;
-    n_succs = s.Graph.s_n_succs;
-    frontier_sizes = Array.copy s.Graph.s_frontier_sizes;
-    reduction = s.Graph.s_reduction;
-    substrate = s.Graph.s_substrate;
-    canonized = s.Graph.s_canonized;
-    ample_nodes = s.Graph.s_ample_nodes;
-    ample_pruned = s.Graph.s_ample_pruned;
-  }
-
-let thaw t : Graph.suspended =
-  Graph.suspended_of_parts
-    ~nodes:(Array.map Mirror.thaw_config t.nodes)
-    ~expanded:t.expanded
-    ~edges:(Array.map thaw_edge t.edges)
-    ~offsets:(Array.copy t.offsets) ~dedup_hits:t.dedup_hits
-    ~n_succs:t.n_succs
-    ~frontier_sizes:(Array.copy t.frontier_sizes)
-    ~reduction:t.reduction ~substrate:t.substrate ~canonized:t.canonized
-    ~ample_nodes:t.ample_nodes ~ample_pruned:t.ample_pruned
-
-(* --- persistence -------------------------------------------------------- *)
-
-(* A magic line guards against feeding arbitrary files to [Marshal];
-   the version is part of it, so a format change invalidates old
-   checkpoints loudly instead of deserializing garbage.  Version 2
-   added the reduction mode and counters; version 3 moved to the
-   framed-section format above.  Version-2 files are refused, not
-   migrated: a checkpoint is a resumable scratch artifact, and the
-   exploration it froze is cheaper to redo than a silent cross-version
-   misread would be to debug.  Version 4 records the execution
-   substrate the exploration ran under, so a resume cannot silently
-   replay a shared-memory prefix under a message-passing step relation
-   (or vice versa); version-3 files are refused like any older
-   format. *)
-let magic = "LBSA-CHECKPOINT/4\n"
+(* The version is part of the magic line, so a format change refuses
+   old checkpoints loudly instead of misreading them.  Old versions are
+   refused, not migrated: a checkpoint is a resumable scratch artifact,
+   and the exploration it froze is cheaper to redo than a silent
+   cross-version misread would be to debug.  Version 4 recorded the
+   substrate; version 5 replaced [Marshal] payloads with the typed
+   codec. *)
+let version = 5
+let magic = Fmt.str "LBSA-CHECKPOINT/%d\n" version
 let magic_family = "LBSA-CHECKPOINT/"
 
 exception Version_mismatch of string
 
 exception Corrupt of string
-(* The file carries the checkpoint magic but its body fails validation
-   (truncation, checksum, chunk order, undecodable section) or keeps
-   hitting I/O errors.  Distinct from the [Failure] of
-   not-a-checkpoint-at-all: a corrupt checkpoint is a damaged scratch
-   artifact — CLIs refuse it with the partial exit code 2 (re-run the
-   exploration), not the usage code. *)
 
 (* Array chunk size for the streamed node/edge sections. *)
 let chunk_len = 65_536
 
-(* The save streams through a {!Lbsa_util.Rio} atomic commit: tmp file,
-   fsync, rename, directory fsync.  Without the fsyncs, tmp+rename only
+let nodes_codec = Codec.(pair int Config_codec.configs)
+let edges_codec = Codec.(pair int Config_codec.steps)
+let step (e : Graph.edge) = (e.Graph.pid, e.Graph.event, e.Graph.target)
+
+(* CKMETA: the label and the two mode names, then the offsets, the
+   frontier sizes and the scalars of the suspended exploration, ending
+   with the node and edge counts the chunks must add up to. *)
+let meta_codec = Codec.(pair (array string) (array (array int)))
+
+let meta { label; suspended = s } =
+  ( [| label; s.Graph.s_reduction; s.Graph.s_substrate |],
+    [| s.Graph.s_offsets; s.Graph.s_frontier_sizes;
+       [| s.Graph.s_expanded; s.Graph.s_dedup_hits; s.Graph.s_n_succs;
+          s.Graph.s_canonized; s.Graph.s_ample_nodes; s.Graph.s_ample_pruned;
+          Array.length s.Graph.s_nodes; Array.length s.Graph.s_edges |] |] )
+
+(* The save streams through a {!Rio} atomic commit: tmp file, fsync,
+   rename, directory fsync.  Without the fsyncs, tmp+rename only
    protects against a *process* crash — a power loss shortly after
    rename could still leave the new name pointing at unwritten data.
    The crash points Rio exposes under LBSA_IO_CRASH=checkpoint.save:<n>
    are what the kill-mid-checkpoint harness drives. *)
 let save ~file t =
-  Lbsa_util.Rio.with_atomic_file ~site:"checkpoint.save" ~path:file (fun w ->
-      let sink = Lbsa_util.Rio.write_string w in
+  Rio.with_atomic_file ~site:"checkpoint.save" ~path:file (fun w ->
+      let sink = Rio.write_string w in
       sink magic;
-      let meta =
-        {
-          m_label = t.label;
-          m_expanded = t.expanded;
-          m_offsets = t.offsets;
-          m_dedup_hits = t.dedup_hits;
-          m_n_succs = t.n_succs;
-          m_frontier_sizes = t.frontier_sizes;
-          m_reduction = t.reduction;
-          m_substrate = t.substrate;
-          m_canonized = t.canonized;
-          m_ample_nodes = t.ample_nodes;
-          m_ample_pruned = t.ample_pruned;
-          m_n_nodes = Array.length t.nodes;
-          m_n_edges = Array.length t.edges;
-        }
-      in
-      Segstore.Segio.write_section_sink sink ~tag:"CKMETA"
-        (Marshal.to_string meta []);
-      let stream tag arr =
+      Codec.write_section sink ~tag:"CKMETA" (Codec.encode meta_codec (meta t));
+      let stream tag codec arr f =
         let n = Array.length arr in
         let lo = ref 0 in
         while !lo < n do
           let len = min chunk_len (n - !lo) in
-          Segstore.Segio.write_section_sink sink ~tag
-            (Marshal.to_string (!lo, Array.sub arr !lo len) []);
+          Codec.write_section sink ~tag
+            (Codec.encode codec (!lo, Array.init len (fun i -> f arr.(!lo + i))));
           lo := !lo + len
         done
       in
-      stream "CKNODES" t.nodes;
-      stream "CKEDGES" t.edges)
+      stream "CKNODES" nodes_codec t.suspended.Graph.s_nodes Fun.id;
+      stream "CKEDGES" edges_codec t.suspended.Graph.s_edges step)
 
 let load ~file =
   let ic =
@@ -167,94 +79,65 @@ let load ~file =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let header =
-        try really_input_string ic (String.length magic)
-        with End_of_file -> ""
+        Option.value ~default:"" (In_channel.really_input_string ic (String.length magic))
       in
       if not (String.equal header magic) then
-        if
-          String.length header >= String.length magic_family
-          && String.equal
-               (String.sub header 0 (String.length magic_family))
-               magic_family
-        then
+        if String.starts_with ~prefix:magic_family header then
           raise
             (Version_mismatch
                (Fmt.str
                   "Checkpoint.load: %s is a %s checkpoint; this build reads \
-                   version 4 only (re-run the exploration to produce a new \
+                   version %d only (re-run the exploration to produce a new \
                    checkpoint)"
-                  file
-                  (String.trim header)))
+                  file (String.trim header) version))
         else
           failwith
-            (Fmt.str "Checkpoint.load: %s is not a version-4 checkpoint file"
-               file);
+            (Fmt.str "Checkpoint.load: %s is not a version-%d checkpoint file"
+               file version);
       (* Magic validated: any defect from here on is a *corrupt
          checkpoint*, reported with the typed [Corrupt] so CLIs can
-         refuse it cleanly (exit 2) instead of dying on an untyped
-         [Failure] from Segio or [Marshal]. *)
+         refuse it cleanly (exit 2). *)
       let defect msg =
         raise (Corrupt (Fmt.str "Checkpoint.load: %s: %s" file msg))
       in
-      (try Lbsa_util.Rio.inject_read_fault ~site:"checkpoint.load"
-       with Unix.Unix_error (e, _, _) -> defect (Unix.error_message e));
-      let read_section ic =
-        match Segstore.Segio.read_section ic with
-        | s -> s
-        | exception Failure msg -> defect msg
-        | exception (Sys_error msg) -> defect msg
-        | exception Unix.Unix_error (e, _, _) ->
-          defect (Unix.error_message e)
-      in
-      let unmarshal : type a. string -> a = fun payload ->
-        try Marshal.from_string payload 0
-        with Failure msg | Invalid_argument msg ->
-          defect (Fmt.str "undecodable section: %s" msg)
-      in
-      let meta =
-        match read_section ic with
-        | Some ("CKMETA", payload) -> (unmarshal payload : meta)
-        | Some (tag, _) -> defect (Fmt.str "expected CKMETA, got %s" tag)
-        | None -> defect "truncated (no CKMETA)"
-      in
-      if meta.m_n_nodes < 0 || meta.m_n_edges < 0 then defect "negative counts";
-      let nodes =
-        Array.make meta.m_n_nodes
-          { Mirror.plocals = [||]; pobjects = [||]; pstatus = [||] }
-      in
-      let edges =
-        Array.make meta.m_n_edges
-          { Mirror.ppid = 0; pev = Mirror.PAbort { epid = 0 }; ptarget = 0 }
-      in
-      let fill (type a) tag (arr : a array) total =
-        let got = ref 0 in
-        while !got < total do
-          match read_section ic with
-          | Some (tag', payload) when String.equal tag' tag ->
-            let lo, chunk = (unmarshal payload : int * a array) in
-            if lo <> !got || lo + Array.length chunk > total then
+      (* Chunks arrive in order and add up to exactly [total] elements. *)
+      let chunks tag codec total =
+        let rec go acc got =
+          if got >= total then Array.concat (List.rev acc)
+          else
+            let lo, chunk = Codec.decode codec (Codec.input_section ic ~tag) in
+            if lo <> got || Array.length chunk = 0 then
               defect (Fmt.str "%s chunk out of order" tag);
-            Array.blit chunk 0 arr lo (Array.length chunk);
-            got := !got + Array.length chunk
-          | Some (tag', _) ->
-            defect (Fmt.str "expected %s, got %s" tag tag')
-          | None -> defect (Fmt.str "truncated in %s" tag)
-        done
+            go (chunk :: acc) (got + Array.length chunk)
+        in
+        let arr = go [] 0 in
+        if Array.length arr <> total then
+          defect (Fmt.str "%s chunks overrun the count" tag);
+        arr
       in
-      fill "CKNODES" nodes meta.m_n_nodes;
-      fill "CKEDGES" edges meta.m_n_edges;
-      {
-        label = meta.m_label;
-        nodes;
-        expanded = meta.m_expanded;
-        edges;
-        offsets = meta.m_offsets;
-        dedup_hits = meta.m_dedup_hits;
-        n_succs = meta.m_n_succs;
-        frontier_sizes = meta.m_frontier_sizes;
-        reduction = meta.m_reduction;
-        substrate = meta.m_substrate;
-        canonized = meta.m_canonized;
-        ample_nodes = meta.m_ample_nodes;
-        ample_pruned = meta.m_ample_pruned;
-      })
+      match
+        Rio.inject_read_fault ~site:"checkpoint.load";
+        match Codec.decode meta_codec (Codec.input_section ic ~tag:"CKMETA") with
+        | ( [| label; reduction; substrate |],
+            [| offsets; frontier_sizes;
+               [| expanded; dedup_hits; n_succs; canonized; ample_nodes;
+                  ample_pruned; n_nodes; n_edges |] |] ) ->
+          let nodes = chunks "CKNODES" nodes_codec n_nodes in
+          let edges =
+            Array.map
+              (fun (pid, event, target) -> { Graph.pid; event; target })
+              (chunks "CKEDGES" edges_codec n_edges)
+          in
+          if pos_in ic <> in_channel_length ic then defect "trailing bytes";
+          { label;
+            suspended =
+              Graph.suspended_of_parts ~nodes ~expanded ~edges ~offsets
+                ~dedup_hits ~n_succs ~frontier_sizes ~reduction ~substrate
+                ~canonized ~ample_nodes ~ample_pruned }
+        | _ -> defect "CKMETA: wrong field count"
+      with
+      | t -> t
+      | exception (Codec.Malformed msg | Invalid_argument msg | Sys_error msg)
+        ->
+        defect msg
+      | exception Unix.Unix_error (e, _, _) -> defect (Unix.error_message e))

@@ -1,17 +1,17 @@
-(** Durable checkpoints for long explorations: freeze a suspended
-    {!Graph.build} (frontier, dedup contents, edge prefix) to a purely
-    structural form, write it to disk, and thaw it back for
-    [Graph.build ~resume].
+(** Durable checkpoints for long explorations: a suspended
+    {!Graph.build} (frontier, dedup contents, edge prefix) and a label,
+    written to disk and read back for [Graph.build ~resume].
 
-    The structural detour exists because of the hash-consed value core:
-    intern ids are allocation-order-dependent and pointer identity does
-    not survive [Marshal].  A checkpoint therefore stores a mirror ADT
-    with no ids and no sharing, and [thaw] re-interns every value
-    through the [Value] smart constructors — the loaded configurations
-    are physically canonical in the loading process, whatever junk that
-    process interned first.  (The id-never-orders invariant of the value
-    core is exactly what makes this safe: nothing in the graph depends
-    on the ids a run happened to assign.) *)
+    The file is the magic line [LBSA-CHECKPOINT/5], then
+    {!Lbsa_util.Codec} sections: one CKMETA section (the label, the
+    scalars of the exploration and the node and edge counts), then the
+    nodes and the edges in CKNODES/CKEDGES chunks of at most 65,536
+    elements.  Each chunk is encoded by {!Config_codec}, so it carries
+    its own value dictionary, and loading re-interns every value through
+    the [Value] smart constructors: the loaded configurations are
+    physically canonical in the loading process, whatever that process
+    interned first, and two saves of one exploration are byte-identical
+    in any process. *)
 
 type t
 
@@ -26,10 +26,10 @@ exception Version_mismatch of string
 exception Corrupt of string
 (** The file carries the current checkpoint magic but its body fails
     validation — truncation, a framing or checksum defect, a chunk out
-    of order, an undecodable section — or keeps hitting I/O errors.  A
-    corrupt checkpoint is a damaged scratch artifact: CLIs refuse it
-    with exit code 2 (re-run the exploration), never resume from it,
-    and never crash in [Marshal] on it. *)
+    of order, an undecodable section, trailing bytes — or keeps hitting
+    I/O errors.  A corrupt checkpoint is a damaged scratch artifact:
+    CLIs refuse it with exit code 2 (re-run the exploration), never
+    resume from it, and never crash on it. *)
 
 val label : t -> string
 (** Free-form run parameters recorded at freeze time (protocol, sizes,
@@ -49,15 +49,16 @@ val substrate : t -> string
     different graph, and [Graph.build ~resume] rejects the mismatch. *)
 
 val freeze : label:string -> Graph.suspended -> t
+(** Pairs the exploration with its label; nothing is copied. *)
+
 val thaw : t -> Graph.suspended
 
 val save : file:string -> t -> unit
 (** Atomic, durable write through {!Lbsa_util.Rio.with_atomic_file}:
-    versioned magic header, then framed checksummed sections (shared
-    with {!Segstore.Segio}) — one CKMETA section and the node/edge
-    arrays streamed in bounded chunks — committed tmp + fsync + rename
-    + directory fsync.  A crash at any point leaves either the previous
-    [file] or the new one, never a torn mix.  Overwrites [file]. *)
+    the magic line and the sections above, committed tmp + fsync +
+    rename + directory fsync.  A crash at any point leaves either the
+    previous [file] or the new one, never a torn mix.  Overwrites
+    [file]. *)
 
 val load : file:string -> t
 (** Raises [Failure] on a missing or non-checkpoint file,

@@ -111,8 +111,8 @@ type stats = {
    [s_expanded] is the unexpanded frontier.  Because the explorer is
    level-synchronous and completed levels are identical for any domain
    count, a suspended prefix — and therefore a resumed build — is too.
-   Checkpoint files store a structural mirror of this (see
-   {!Checkpoint}); values are re-interned on load. *)
+   Checkpoint files encode it with {!Config_codec}; values are
+   re-interned on load. *)
 type suspended = {
   s_nodes : Config.t array;  (* every discovered configuration, id order *)
   s_expanded : int;
@@ -582,16 +582,13 @@ let build ?(max_states = default_max_states) ?domains
         let hi = min cut_to (!lo + seg_len) in
         let elo = offsets.Dyn.arr.(!lo) in
         let ehi = offsets.Dyn.arr.(hi) in
-        let configs =
-          Array.init (hi - !lo) (fun i ->
-              Mirror.freeze_config nodes.Dyn.arr.(!lo + i - !n_base))
-        in
-        let pedges =
+        let configs = Array.sub nodes.Dyn.arr (!lo - !n_base) (hi - !lo) in
+        let steps =
           Array.init (ehi - elo) (fun i ->
               let e = edges.Dyn.arr.(elo + i - !e_base) in
-              Mirror.freeze_step ~pid:e.pid ~event:e.event ~target:e.target)
+              (e.pid, e.event, e.target))
         in
-        Segstore.write_segment st ~lo:!lo ~hi ~elo ~ehi ~configs ~edges:pedges;
+        Segstore.write_segment st ~lo:!lo ~hi ~elo ~ehi ~configs ~steps;
         e_cut := ehi;
         lo := hi
       done;

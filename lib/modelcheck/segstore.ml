@@ -1,74 +1,15 @@
+open Lbsa_util
 open Lbsa_runtime
 
 (* Disk-spilled CSR segments.  See the .mli for the format and the
-   re-interning contract; the short version is that segments hold
-   Mirror forms, never Config.t, and every fault-in goes back through
-   the Value smart constructors. *)
+   re-interning contract. *)
 
-(* --- framed section IO --------------------------------------------------- *)
+let magic = "LBSA-SEG/2\n"
 
-module Segio = struct
-  let tag_len = 8
-
-  let put_be buf n =
-    for i = 7 downto 0 do
-      Buffer.add_char buf (Char.chr ((n lsr (i * 8)) land 0xff))
-    done
-
-  (* Eight bytes hold one more bit than an OCaml int, so the top bit
-     would be shifted out unread; [put_be] never sets it, and a set one
-     is a flipped byte that would otherwise pass every check. *)
-  let get_be s off =
-    if Char.code s.[off] land 0x80 <> 0 then
-      failwith "Segio.read_section: header field out of range";
-    let n = ref 0 in
-    for i = 0 to 7 do
-      n := (!n lsl 8) lor Char.code s.[off + i]
-    done;
-    !n
-
-  (* Sink-based writer so sections can stream through an [out_channel]
-     or a {!Lbsa_util.Rio} atomic-commit writer alike. *)
-  let write_section_sink sink ~tag payload =
-    if String.length tag > tag_len then invalid_arg "Segio.write_section: tag";
-    sink tag;
-    sink (String.make (tag_len - String.length tag) ' ');
-    let hdr = Buffer.create 16 in
-    put_be hdr (String.length payload);
-    put_be hdr (Lbsa_util.Fnv.string payload);
-    sink (Buffer.contents hdr);
-    sink payload
-
-  let write_section oc ~tag payload =
-    write_section_sink (output_string oc) ~tag payload
-
-  let read_section ic =
-    match really_input_string ic tag_len with
-    | exception End_of_file -> None
-    | tag -> (
-      let hdr =
-        try really_input_string ic 16
-        with End_of_file -> failwith "Segio.read_section: truncated header"
-      in
-      let len = get_be hdr 0 in
-      let sum = get_be hdr 8 in
-      if len < 0 then failwith "Segio.read_section: negative length";
-      (* a corrupt length field must fail as a framing defect, not as an
-         attempt to allocate a flipped-bit-sized string: no section can
-         be longer than what is left of the file *)
-      if len > in_channel_length ic - pos_in ic then
-        failwith "Segio.read_section: length field exceeds file size";
-      match really_input_string ic len with
-      | exception End_of_file -> failwith "Segio.read_section: truncated payload"
-      | payload ->
-        if Lbsa_util.Fnv.string payload <> sum then
-          failwith "Segio.read_section: checksum mismatch";
-        Some (String.trim tag, payload))
-end
-
-(* --- the store ----------------------------------------------------------- *)
-
-let magic = "LBSA-SEG/1\n"
+(* Each section holds its first index and its slice; [lo, hi) and
+   [elo, ehi) are checked against the segment table on fault-in. *)
+let nodes_codec = Codec.(pair int Config_codec.configs)
+let steps_codec = Codec.(pair int Config_codec.steps)
 
 exception Corrupt of string
 (* A spilled segment that fails validation on fault-in (bad magic,
@@ -76,7 +17,7 @@ exception Corrupt of string
    I/O errors after a retry.  Segments are a cache of data this run
    already computed and dropped from RAM, so there is nothing to
    recompute from — the typed refusal propagates to the supervisor /
-   CLI boundary (a clean partial exit), never an unmarshal crash. *)
+   CLI boundary (a clean partial exit), never a crash. *)
 
 type seg = { lo : int; hi : int; elo : int; ehi : int; file : string }
 
@@ -141,20 +82,18 @@ let create ~dir =
     clock = 0;
   }
 
-let write_segment t ~lo ~hi ~elo ~ehi ~configs ~edges =
+let write_segment t ~lo ~hi ~elo ~ehi ~configs ~steps =
   if lo <> spilled_upto t then invalid_arg "Segstore.write_segment: gap";
-  if hi - lo <> Array.length configs || ehi - elo <> Array.length edges then
+  if hi - lo <> Array.length configs || ehi - elo <> Array.length steps then
     invalid_arg "Segstore.write_segment: range/payload mismatch";
   let file = Filename.concat t.sdir (Printf.sprintf "seg-%012d.seg" lo) in
-  Lbsa_util.Rio.with_atomic_file ~site:"segstore.write" ~path:file (fun w ->
-      let sink = Lbsa_util.Rio.write_string w in
+  Rio.with_atomic_file ~site:"segstore.write" ~path:file (fun w ->
+      let sink = Rio.write_string w in
       sink magic;
-      Segio.write_section_sink sink ~tag:"SEGMETA"
-        (Marshal.to_string (lo, hi, elo, ehi) []);
-      Segio.write_section_sink sink ~tag:"SEGNODES"
-        (Marshal.to_string configs []);
-      Segio.write_section_sink sink ~tag:"SEGEDGES"
-        (Marshal.to_string edges []));
+      Codec.write_section sink ~tag:"SEGNODES"
+        (Codec.encode nodes_codec (lo, configs));
+      Codec.write_section sink ~tag:"SEGEDGES"
+        (Codec.encode steps_codec (elo, steps)));
   t.bytes <- t.bytes + (try (Unix.stat file).Unix.st_size with Unix.Unix_error _ -> 0);
   t.segs <- Array.append t.segs [| { lo; hi; elo; ehi; file } |]
 
@@ -163,54 +102,40 @@ let write_segment t ~lo ~hi ~elo ~ehi ~configs ~edges =
    [Unix_error] for a device-level failure (possibly transient). *)
 let read_seg_file t idx =
   let s = t.segs.(idx) in
-  Lbsa_util.Rio.inject_read_fault ~site:"segstore.read";
+  Rio.inject_read_fault ~site:"segstore.read";
   let corrupt fmt = Fmt.kstr (fun m -> raise (Corrupt m)) fmt in
   let ic = open_in_bin s.file in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let header =
-        try really_input_string ic (String.length magic)
-        with End_of_file -> ""
+        Option.value ~default:"" (In_channel.really_input_string ic (String.length magic))
       in
       if not (String.equal header magic) then
         corrupt "Segstore: %s is not a segment file" s.file;
-      let expect tag =
-        match Segio.read_section ic with
-        | Some (t', payload) when String.equal t' tag -> payload
-        | Some (t', _) ->
-          corrupt "Segstore: %s: expected %s, got %s" s.file tag t'
-        | None -> corrupt "Segstore: %s: truncated" s.file
-        | exception Failure msg -> corrupt "Segstore: %s: %s" s.file msg
+      let section tag codec ~first ~len =
+        let first', slice = Codec.decode codec (Codec.input_section ic ~tag) in
+        if first' <> first || Array.length slice <> len then
+          corrupt "Segstore: %s: %s range mismatch" s.file tag;
+        slice
       in
-      let unmarshal : type a. string -> a = fun payload ->
-        (* the checksum already validated these bytes, but a format skew
-           from another build would still explode here — keep it typed *)
-        try Marshal.from_string payload 0
-        with Failure msg | Invalid_argument msg ->
-          corrupt "Segstore: %s: undecodable section: %s" s.file msg
-      in
-      let lo', hi', elo', ehi' =
-        (unmarshal (expect "SEGMETA") : int * int * int * int)
-      in
-      if lo' <> s.lo || hi' <> s.hi || elo' <> s.elo || ehi' <> s.ehi then
-        corrupt "Segstore: %s: range mismatch" s.file;
-      let pconfigs = (unmarshal (expect "SEGNODES") : Mirror.pconfig array) in
-      let pedges = (unmarshal (expect "SEGEDGES") : Mirror.pedge array) in
-      if Array.length pconfigs <> s.hi - s.lo
-         || Array.length pedges <> s.ehi - s.elo
-      then corrupt "Segstore: %s: payload/range mismatch" s.file;
-      {
-        l_seg = idx;
-        l_configs = Array.map Mirror.thaw_config pconfigs;
-        l_steps = Array.map Mirror.thaw_step pedges;
-      })
+      try
+        let l_configs =
+          section "SEGNODES" nodes_codec ~first:s.lo ~len:(s.hi - s.lo)
+        in
+        let l_steps =
+          section "SEGEDGES" steps_codec ~first:s.elo ~len:(s.ehi - s.elo)
+        in
+        if pos_in ic <> in_channel_length ic then
+          corrupt "Segstore: %s: trailing bytes" s.file;
+        { l_seg = idx; l_configs; l_steps }
+      with Codec.Malformed msg -> corrupt "Segstore: %s: %s" s.file msg)
 
 (* Fault-in with the recompute-or-refuse policy: a device error gets
    one backed-off retry (transient EIO, injected or real); a validation
    defect or a second device failure is counted and refused with the
-   typed [Corrupt] — never an unmarshal crash, never silently wrong
-   data (the per-section checksums decide). *)
+   typed [Corrupt] — never a crash, never silently wrong data (the
+   per-section checksums decide). *)
 let load_seg t idx =
   let refuse msg =
     t.n_corrupt <- t.n_corrupt + 1;
@@ -220,17 +145,15 @@ let load_seg t idx =
     match read_seg_file t idx with
     | l -> l
     | exception Corrupt msg -> refuse msg
-    | exception (Sys_error _ | Unix.Unix_error _ | End_of_file) -> (
-      Lbsa_util.Rio.sleep_backoff ~site:"segstore.read" ~attempt:0;
+    | exception (Sys_error _ | Unix.Unix_error _) -> (
+      Rio.sleep_backoff ~site:"segstore.read" ~attempt:0;
       match read_seg_file t idx with
       | l -> l
       | exception Corrupt msg -> refuse msg
       | exception Sys_error msg -> refuse (Fmt.str "Segstore: %s" msg)
       | exception Unix.Unix_error (e, _, _) ->
         refuse
-          (Fmt.str "Segstore: %s: %s" t.segs.(idx).file (Unix.error_message e))
-      | exception End_of_file ->
-        refuse (Fmt.str "Segstore: %s: truncated" t.segs.(idx).file))
+          (Fmt.str "Segstore: %s: %s" t.segs.(idx).file (Unix.error_message e)))
   in
   t.n_faults <- t.n_faults + 1;
   l

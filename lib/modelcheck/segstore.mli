@@ -5,11 +5,12 @@
     A segment covers a half-open id range [lo, hi) of the expanded
     prefix together with its edge-index range [elo, ehi); segments are
     written in increasing id order and never overlap, so lookup is a
-    binary search.  Files carry the same magic + per-section checksum
-    discipline as checkpoints (see {!Segio}); payloads are the
-    structural {!Mirror} forms, and fault-in re-interns every value
-    through the [Value] smart constructors, so the id-never-orders
-    invariant survives a round trip through disk exactly as it does for
+    binary search.  A segment file is the magic line [LBSA-SEG/2], then
+    two {!Lbsa_util.Codec} sections: SEGNODES holds [lo] and the
+    configurations, SEGEDGES holds [elo] and the steps, both encoded by
+    {!Config_codec}.  Fault-in re-interns every value through the
+    [Value] smart constructors, so the id-never-orders invariant
+    survives a round trip through disk exactly as it does for
     checkpoints.
 
     Spilled segments are scratch, not durable state: {!create} clears
@@ -19,29 +20,12 @@
 
 open Lbsa_runtime
 
-(** Framed section IO shared with the version-3 checkpoint format: each
-    section is an 8-byte tag, a big-endian payload length, a big-endian
-    FNV-1a payload checksum, then the payload.  [read_section] raises
-    [Failure] on any framing or checksum defect and returns [None] at a
-    clean end of file. *)
-module Segio : sig
-  val write_section : out_channel -> tag:string -> string -> unit
-  (** [tag] is at most 8 bytes; it is padded to exactly 8 on disk. *)
-
-  val write_section_sink : (string -> unit) -> tag:string -> string -> unit
-  (** Same framing through an arbitrary sink — used to stream sections
-      into a {!Lbsa_util.Rio} atomic-commit writer. *)
-
-  val read_section : in_channel -> (string * string) option
-  (** Returns the trimmed tag and the payload. *)
-end
-
 exception Corrupt of string
 (** A segment failed validation on fault-in (magic, framing, checksum,
     undecodable payload, or repeated I/O errors).  Spilled segments are
     a cache of data already evicted from RAM, so the store refuses with
     this typed error — callers surface it as a clean partial outcome —
-    instead of crashing in [Marshal] or returning wrong data. *)
+    instead of crashing or returning wrong data. *)
 
 type t
 
@@ -57,11 +41,11 @@ val write_segment :
   hi:int ->
   elo:int ->
   ehi:int ->
-  configs:Mirror.pconfig array ->
-  edges:Mirror.pedge array ->
+  configs:Config.t array ->
+  steps:(int * Config.event * int) array ->
   unit
 (** Spills ids [lo, hi) (configs, in id order) and their out-edge slice
-    [elo, ehi) (edges, in CSR order).  Ranges must extend the store:
+    [elo, ehi) (steps, in CSR order).  Ranges must extend the store:
     [lo] equals the previous segment's [hi] (or 0). *)
 
 val node : t -> int -> Config.t

@@ -12,9 +12,9 @@ open Lbsa_modelcheck
 
    Everything in a query and a result is plain data — ints, strings,
    bools — never a [Value.t] or a [Config.t]: intern ids and pointer
-   identity must not cross a process boundary (the checkpoint layer
-   learned this first), and plain data keeps the wire protocol and the
-   store trivially marshalable. *)
+   identity must not cross a process boundary.  The encoders below are
+   the only way a query or a result becomes bytes, for the wire and
+   for the store alike. *)
 
 type reduce_mode = [ `None | `Sym | `Sym_sleep ]
 
@@ -136,6 +136,135 @@ let canonical = function
       f.target f.trials f.procs f.ops f.seed
 
 let key q = Fnv.to_hex (Fnv.string (canonical q))
+
+(* --- encoders ----------------------------------------------------------- *)
+
+(* The payloads the wire and the store carry.  Each field is written in
+   declaration order and read back, in the same order, into the same
+   constructor. *)
+
+let ints = Codec.(list int)
+let opt_string = Codec.(option string)
+
+let task_codec =
+  let open Codec in
+  variant
+    ~put:(fun b -> function
+      | Dac { n } -> tag b 0; int.put b n
+      | Consensus { m } -> tag b 1; int.put b m
+      | Kset { m; k } -> tag b 2; int.put b m; int.put b k
+      | Candidate { name } -> tag b 3; string.put b name
+      | Vc { n } -> tag b 4; int.put b n
+      | Bcast { n } -> tag b 5; int.put b n)
+    ~get:(fun c -> function
+      | 0 -> Dac { n = int.get c }
+      | 1 -> Consensus { m = int.get c }
+      | 2 -> let m = int.get c in Kset { m; k = int.get c }
+      | 3 -> Candidate { name = string.get c }
+      | 4 -> Vc { n = int.get c }
+      | 5 -> Bcast { n = int.get c }
+      | k -> bad_tag k)
+
+let question_codec = Codec.enum [ Solve; Valence; Live ]
+let reduce_codec : reduce_mode Codec.t = Codec.enum [ `None; `Sym; `Sym_sleep ]
+
+let query_codec =
+  let open Codec in
+  variant
+    ~put:(fun b -> function
+      | Verify v ->
+        tag b 0;
+        task_codec.put b v.task;
+        question_codec.put b v.question;
+        ints.put b v.inputs;
+        int.put b v.max_states;
+        reduce_codec.put b v.reduce;
+        string.put b v.substrate
+      | Fuzz f ->
+        tag b 1;
+        string.put b f.target;
+        List.iter (int.put b) [ f.trials; f.procs; f.ops; f.seed ])
+    ~get:(fun c -> function
+      | 0 ->
+        let task = task_codec.get c in
+        let question = question_codec.get c in
+        let inputs = ints.get c in
+        let max_states = int.get c in
+        let reduce = reduce_codec.get c in
+        Verify { task; question; inputs; max_states; reduce; substrate = string.get c }
+      | 1 ->
+        let target = string.get c in
+        let trials = int.get c in
+        let procs = int.get c in
+        let ops = int.get c in
+        Fuzz { target; trials; procs; ops; seed = int.get c }
+      | k -> bad_tag k)
+
+let result_codec =
+  let open Codec in
+  variant
+    ~put:(fun b -> function
+      | Verdict v ->
+        tag b 0;
+        bool.put b v.v_ok; string.put b v.v_outcome; bool.put b v.v_partial;
+        ints.put b v.v_inputs; int.put b v.v_states; opt_string.put b v.v_failure
+      | Valences l ->
+        tag b 1;
+        int.put b l.l_nodes; int.put b l.l_edges;
+        bool.put b l.l_truncated; bool.put b l.l_partial;
+        List.iter (int.put b) [ l.l_bivalent; l.l_univalent; l.l_undecided ];
+        string.put b l.l_initial
+      | Fuzz_report f ->
+        tag b 2;
+        string.put b f.f_target; int.put b f.f_trials; int.put b f.f_completed;
+        bool.put b f.f_partial; opt_string.put b f.f_failure;
+        int.put b f.f_resumed_from
+      | Liveness_report lv ->
+        tag b 3;
+        bool.put b lv.lv_live;
+        List.iter (int.put b) [ lv.lv_nodes; lv.lv_sccs; lv.lv_fair ];
+        bool.put b lv.lv_truncated; bool.put b lv.lv_partial;
+        int.put b lv.lv_prefix; int.put b lv.lv_cycle;
+        opt_string.put b lv.lv_witness)
+    ~get:(fun c -> function
+      | 0 ->
+        let v_ok = bool.get c in
+        let v_outcome = string.get c in
+        let v_partial = bool.get c in
+        let v_inputs = ints.get c in
+        let v_states = int.get c in
+        Verdict
+          { v_ok; v_outcome; v_partial; v_inputs; v_states; v_failure = opt_string.get c }
+      | 1 ->
+        let l_nodes = int.get c in
+        let l_edges = int.get c in
+        let l_truncated = bool.get c in
+        let l_partial = bool.get c in
+        let l_bivalent = int.get c in
+        let l_univalent = int.get c in
+        let l_undecided = int.get c in
+        Valences { l_nodes; l_edges; l_truncated; l_partial; l_bivalent; l_univalent;
+                   l_undecided; l_initial = string.get c }
+      | 2 ->
+        let f_target = string.get c in
+        let f_trials = int.get c in
+        let f_completed = int.get c in
+        let f_partial = bool.get c in
+        let f_failure = opt_string.get c in
+        Fuzz_report { f_target; f_trials; f_completed; f_partial; f_failure;
+                      f_resumed_from = int.get c }
+      | 3 ->
+        let lv_live = bool.get c in
+        let lv_nodes = int.get c in
+        let lv_sccs = int.get c in
+        let lv_fair = int.get c in
+        let lv_truncated = bool.get c in
+        let lv_partial = bool.get c in
+        let lv_prefix = int.get c in
+        let lv_cycle = int.get c in
+        Liveness_report { lv_live; lv_nodes; lv_sccs; lv_fair; lv_truncated; lv_partial;
+                          lv_prefix; lv_cycle; lv_witness = opt_string.get c }
+      | k -> bad_tag k)
 
 (* --- the task table ------------------------------------------------------- *)
 

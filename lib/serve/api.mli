@@ -110,6 +110,11 @@ val key : query -> string
     Consumers must verify the stored preimage against [canonical q] on
     every read; the digest routes, the preimage decides. *)
 
+(** {2 Encoders}: the payloads of {!Wire} frames and store entries. *)
+
+val query_codec : query Lbsa_util.Codec.t
+val result_codec : result Lbsa_util.Codec.t
+
 val reduce_name : reduce_mode -> string
 val task_label : task -> string
 val question_label : question -> string

@@ -26,19 +26,21 @@ type config = {
   log : bool;
 }
 
-(* What a store entry holds: a finished, cacheable answer, or the
-   completed-trial prefix of a deadline-cut fuzz campaign.  The store's
-   checksum guarantees these bytes are exactly what [encode_entry]
-   wrote, so the marshal round-trip is safe; [decode_entry] still
-   refuses garbage defensively. *)
+(* What a store entry's data holds: a finished, cacheable answer, or
+   the completed-trial prefix of a deadline-cut fuzz campaign. *)
 type entry = Final of Api.result | Prefix of int
 
-let encode_entry (e : entry) = Marshal.to_string e []
+let entry_codec =
+  let open Lbsa_util.Codec in
+  variant
+    ~put:(fun b -> function
+      | Final r -> tag b 0; Api.result_codec.put b r
+      | Prefix n -> tag b 1; int.put b n)
+    ~get:(fun c -> function
+      | 0 -> Final (Api.result_codec.get c)
+      | 1 -> Prefix (int.get c)
+      | k -> bad_tag k)
 
-let decode_entry s : entry option =
-  match (Marshal.from_string s 0 : entry) with
-  | e -> Some e
-  | exception _ -> None
 
 type job = {
   j_canonical : string;
@@ -257,22 +259,22 @@ let lookup st ~canonical ~key =
     else if found <> None then st.consec_corrupt <- 0;
     (match found with
     | Some data ->
-      (match decode_entry data with
-      | Some (Final r) ->
+      (match Lbsa_util.Codec.decode entry_codec data with
+      | Final r ->
         Hashtbl.replace st.memo canonical r;
         st.stats <-
           { st.stats with
             Wire.st_hits_store = st.stats.Wire.st_hits_store + 1 };
         `Hit r
-      | Some (Prefix n) when n > 0 ->
+      | Prefix n when n > 0 ->
         st.stats <-
           { st.stats with
             Wire.st_prefix_resumed = st.stats.Wire.st_prefix_resumed + 1 };
         `Resume n
-      | Some (Prefix _) -> `Miss
-      | None ->
-        (* checksummed bytes that still fail to decode: a format skew
-           from an older build — treat exactly like corruption *)
+      | Prefix _ -> `Miss
+      | exception Lbsa_util.Codec.Malformed _ ->
+        (* checksummed bytes of the current store version that still
+           fail to decode: treat exactly like corruption *)
         st.stats <-
           { st.stats with Wire.st_corrupt = st.stats.Wire.st_corrupt + 1 };
         (try Sys.remove (Store.path st.store ~key) with Sys_error _ -> ());
@@ -335,14 +337,14 @@ let handle_completion st { c_job = job; c_result } =
       Hashtbl.replace st.memo job.j_canonical res;
       ignore
         (store_put st ~key:job.j_key ~canonical:job.j_canonical
-           ~data:(encode_entry (Final res)))
+           ~data:(Lbsa_util.Codec.encode entry_codec (Final res)))
     end
     else begin
       (match fuzz_prefix with
       | Some n when n > job.j_start ->
         if
           store_put st ~key:job.j_key ~canonical:job.j_canonical
-            ~data:(encode_entry (Prefix n))
+            ~data:(Lbsa_util.Codec.encode entry_codec (Prefix n))
         then
           st.stats <-
             { st.stats with
@@ -463,6 +465,7 @@ let run cfg =
           else begin
             match Wire.recv_request fd with
             | req -> handle_request st fd req
+            (* a malformed frame ([Failure]) costs only its connection *)
             | exception (Wire.Closed | Unix.Unix_error _ | Failure _) ->
               close_client st fd
           end)

@@ -38,6 +38,12 @@ type config = {
   log : bool;  (** chatter on stderr *)
 }
 
+type entry = Final of Api.result | Prefix of int
+(** The data of a store entry: a cacheable answer, or the completed
+    prefix of a deadline-cut fuzz campaign. *)
+
+val entry_codec : entry Lbsa_util.Codec.t
+
 val run : config -> Wire.stats
 (** Serve until a [Shutdown] request has been received and the queue has
     drained; returns the final counters.  Raises [Failure] if another

@@ -3,19 +3,19 @@ open Lbsa_util
 (* The persistent memo store: one file per entry in a flat directory,
    addressed by the query key's hex digest.
 
-   Entry layout:
-
-     LBSA-STORE/1\n
-     <16 hex chars: FNV-1a of the body>\n
-     <body: 4-byte BE canonical length, canonical preimage, data>
+   Entry layout: the magic line "LBSA-STORE/2\n", then one {!Codec}
+   section tagged ENTRY whose payload is the pair (canonical preimage,
+   data).
 
    The failure policy is "degrade to recomputation, never a wrong
    answer": any deviation — missing magic, short file, checksum
-   mismatch, a stored preimage that is not the requested one (a digest
-   collision or a hand-renamed file) — makes [get] count the entry
-   corrupt, delete it, and report a miss.  Writes go through a
-   tmp-then-rename so a crash mid-write leaves either the old entry or
-   none, and a concurrent reader never sees a torn file. *)
+   mismatch, trailing bytes, a stored preimage that is not the
+   requested one (a digest collision or a hand-renamed file) — makes
+   [get] count the entry corrupt, delete it, and report a miss.  An
+   entry of a retired version is deleted and reported as a plain miss:
+   it is not damaged, only older.  Writes go through a tmp-then-rename
+   so a crash mid-write leaves either the old entry or none, and a
+   concurrent reader never sees a torn file. *)
 
 type t = {
   dir : string;
@@ -26,7 +26,9 @@ type t = {
   mutable gets : int;
 }
 
-let magic = "LBSA-STORE/1\n"
+let magic = "LBSA-STORE/2\n"
+let retired = [ "LBSA-STORE/1\n" ]
+let entry_codec = Codec.(pair string string)
 
 (* Entries are verdict+stats summaries, a few hundred bytes each; the
    cap is pure armour.  Half the wire layer's 16 MB frame cap: anything
@@ -52,37 +54,26 @@ let io_error_count t = t.io_errors
 
 let path t ~key = Filename.concat t.dir (key ^ ".lbsa")
 
-let body ~canonical ~data =
-  let clen = String.length canonical in
-  let b = Buffer.create (4 + clen + String.length data) in
-  Buffer.add_int32_be b (Int32.of_int clen);
-  Buffer.add_string b canonical;
-  Buffer.add_string b data;
-  Buffer.contents b
-
 (* Entry commits run the full Rio durability discipline (write tmp,
    fsync file, rename, fsync directory): a power loss at any point
    leaves the old entry or none, never a zero-length "committed"
    file. *)
-let put_unchecked t ~key ~canonical ~data =
-  let file = path t ~key in
-  let body = body ~canonical ~data in
-  Rio.with_atomic_file ~site:"store.put" ~path:file (fun w ->
+let put_unchecked t ~key payload =
+  Rio.with_atomic_file ~site:"store.put" ~path:(path t ~key) (fun w ->
       Rio.write_string w magic;
-      Rio.write_string w (Fnv.to_hex (Fnv.string body));
-      Rio.write_string w "\n";
-      Rio.write_string w body);
+      Codec.write_section (Rio.write_string w) ~tag:"ENTRY" payload);
   t.puts <- t.puts + 1
 
 let put t ~key ~canonical ~data =
-  if 4 + String.length canonical + String.length data > max_payload then begin
+  let payload = Codec.encode entry_codec (canonical, data) in
+  if String.length payload > max_payload then begin
     (* refuse, don't write: the entry would be unservable (see
        [max_payload]); the daemon just recomputes this answer *)
     t.oversized <- t.oversized + 1;
     Ok ()
   end
   else
-    match put_unchecked t ~key ~canonical ~data with
+    match put_unchecked t ~key payload with
     | () -> Ok ()
     | exception Unix.Unix_error (e, _, _) ->
       t.io_errors <- t.io_errors + 1;
@@ -95,7 +86,7 @@ let put t ~key ~canonical ~data =
    the daemon's degraded mode re-probes with this before re-arming. *)
 let probe t =
   let key = ".probe" in
-  match put_unchecked t ~key ~canonical:"probe" ~data:"" with
+  match put_unchecked t ~key (Codec.encode entry_codec ("probe", "")) with
   | () ->
     t.puts <- t.puts - 1;
     (try Sys.remove (path t ~key) with Sys_error _ -> ());
@@ -107,30 +98,22 @@ let discard t file =
   t.corrupt <- t.corrupt + 1;
   try Sys.remove file with Sys_error _ -> ()
 
-(* Read and validate one entry; [None] on any defect. *)
+(* Read and validate one entry.  The section cap is [max_payload], so a
+   file whose header claims more is refused before its body is read. *)
 let read_entry ~canonical file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let hlen = String.length magic + 17 in
-      if len < hlen + 4 then None
-      else begin
-        let header = really_input_string ic (String.length magic) in
-        let sum = really_input_string ic 17 in
-        if header <> magic || sum.[16] <> '\n' then None
-        else begin
-          let body = really_input_string ic (len - hlen) in
-          if Fnv.to_hex (Fnv.string body) <> String.sub sum 0 16 then None
-          else
-            let clen = Int32.to_int (String.get_int32_be body 0) in
-            if clen < 0 || 4 + clen > String.length body then None
-            else if String.sub body 4 clen <> canonical then None
-            else Some (String.sub body (4 + clen)
-                         (String.length body - 4 - clen))
-        end
-      end)
+  In_channel.with_open_bin file (fun ic ->
+      let header = In_channel.really_input_string ic (String.length magic) in
+      if List.exists (fun r -> header = Some r) retired then `Retired
+      else if header <> Some magic then `Corrupt
+      else
+        try
+          match Codec.read_section ~read:(really_input ic) ~limit:max_payload with
+          | "ENTRY", payload when pos_in ic = in_channel_length ic -> (
+            match Codec.decode entry_codec payload with
+            | canonical', data when canonical' = canonical -> `Entry data
+            | _ -> `Corrupt)
+          | _ -> `Corrupt
+        with Codec.Malformed _ | End_of_file -> `Corrupt)
 
 (* Failure classification on read: a validation defect (bad magic,
    checksum, preimage) means the *entry* is bad — discard it and
@@ -153,8 +136,11 @@ let get t ~key ~canonical =
         Rio.sleep_backoff ~site:"store.get" ~attempt:0;
         attempt ()
     with
-    | Some data -> Some data
-    | None ->
+    | `Entry data -> Some data
+    | `Retired ->
+      (try Sys.remove file with Sys_error _ -> ());
+      None
+    | `Corrupt ->
       discard t file;
       None
     | exception (Sys_error _ | End_of_file) ->

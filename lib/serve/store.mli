@@ -1,12 +1,16 @@
-(** The persistent content-addressed memo store: one checksummed file
-    per entry, named by the query key's hex digest, holding the full
-    canonical preimage next to the payload.
+(** The persistent content-addressed memo store: one file per entry,
+    named by the query key's hex digest, holding the full canonical
+    preimage next to the payload.  An entry is the magic line
+    [LBSA-STORE/2], then one {!Lbsa_util.Codec} section whose payload
+    is the pair (canonical, data).
 
     Correctness policy: a corrupt, truncated, tampered or colliding
     entry is detected on read, counted, deleted and reported as a miss —
-    the service recomputes; it never serves a wrong answer.  The store
-    itself is payload-agnostic (bytes in, bytes out); {!Daemon} layers
-    its entry encoding on top. *)
+    the service recomputes; it never serves a wrong answer.  An entry of
+    the retired version [LBSA-STORE/1] is deleted and reported as a
+    plain miss, without counting as corrupt.  The store itself is
+    payload-agnostic (bytes in, bytes out); {!Daemon} layers its entry
+    encoding on top. *)
 
 type t
 
@@ -17,8 +21,9 @@ val open_ : dir:string -> t
 val dir : t -> string
 
 val max_payload : int
-(** The largest [canonical]+[data] body {!put} will persist (8 MB, half
-    the wire layer's frame cap).  Entries are verdict+stats summaries a
+(** The largest entry payload ([canonical] and [data] with their
+    lengths) {!put} will persist and {!get} will read (8 MB, half the
+    wire layer's frame cap).  Entries are verdict+stats summaries a
     few hundred bytes long, so the cap is pure armour: a payload that
     somehow embedded graph bulk (a 10^7-state exploration answer) would
     otherwise be persisted only to die as a frame error on every later
@@ -42,8 +47,10 @@ val probe : t -> (unit, string) result
 
 val get : t -> key:string -> canonical:string -> string option
 (** The payload stored for [key], provided the entry validates (magic,
-    checksum) and its stored preimage equals [canonical].  A validation
-    defect deletes the entry, bumps {!corrupt_count} and yields [None];
+    size cap, checksum, no trailing bytes) and its stored preimage
+    equals [canonical].  A validation defect deletes the entry, bumps
+    {!corrupt_count} and yields [None]; a retired-version entry is
+    deleted and yields [None] without counting;
     a device-level read error ([Unix_error], retried once with backoff)
     keeps the entry, bumps {!io_error_count} and yields [None]. *)
 

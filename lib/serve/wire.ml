@@ -1,12 +1,8 @@
-(* The wire protocol: length-prefixed marshalled frames over a local
-   stream socket.
+open Lbsa_util
 
-   Frame layout: 4 magic bytes ("LBS1"), 4-byte big-endian payload
-   length, then the payload ([Marshal] of a {!request} or {!response}).
-   Marshalling is safe here because both ends are the same binary
-   family speaking plain data (ints, strings, options — never values
-   with intern ids), the magic guards against a stray client, and the
-   length cap bounds allocation before any unmarshalling happens. *)
+(* The wire protocol: one {!Codec} section per message over a local
+   stream socket, tagged by direction, its payload written by the typed
+   encoders below.  See the .mli for the refusal contract. *)
 
 type stats = {
   st_queries : int;
@@ -41,52 +37,109 @@ type response =
   | Shutting_down
   | Error of string
 
-let magic = "LBS1"
+(* The counters as one int array and one float array. *)
+let stats_codec =
+  let open Codec in
+  let ints = array int and floats = array float in
+  { put = (fun b s ->
+      ints.put b
+        [| s.st_queries; s.st_hits_mem; s.st_hits_store; s.st_misses;
+           s.st_computed; s.st_joined; s.st_queue_peak; s.st_workers;
+           s.st_corrupt; s.st_degraded; s.st_prefix_stored;
+           s.st_prefix_resumed; s.st_hot_count; s.st_cold_count |];
+      floats.put b [| s.st_hot_us_total; s.st_cold_us_total; s.st_uptime_s |]);
+    get = (fun c ->
+      let i = ints.get c in
+      match (i, floats.get c) with
+      | ( [| st_queries; st_hits_mem; st_hits_store; st_misses; st_computed;
+             st_joined; st_queue_peak; st_workers; st_corrupt; st_degraded;
+             st_prefix_stored; st_prefix_resumed; st_hot_count; st_cold_count |],
+          [| st_hot_us_total; st_cold_us_total; st_uptime_s |] ) ->
+        { st_queries; st_hits_mem; st_hits_store; st_misses; st_computed;
+          st_joined; st_queue_peak; st_workers; st_corrupt; st_degraded;
+          st_prefix_stored; st_prefix_resumed; st_hot_us_total; st_hot_count;
+          st_cold_us_total; st_cold_count; st_uptime_s }
+      | _ -> malformed "stats: wrong field count") }
+
+let request_codec =
+  let open Codec in
+  let deadline = option float in
+  variant
+    ~put:(fun b -> function
+      | Query { q; deadline_s } ->
+        tag b 0;
+        Api.query_codec.put b q;
+        deadline.put b deadline_s
+      | Stats -> tag b 1
+      | Ping -> tag b 2
+      | Shutdown -> tag b 3)
+    ~get:(fun c -> function
+      | 0 ->
+        let q = Api.query_codec.get c in
+        Query { q; deadline_s = deadline.get c }
+      | 1 -> Stats
+      | 2 -> Ping
+      | 3 -> Shutdown
+      | k -> bad_tag k)
+
+let response_codec =
+  let open Codec in
+  variant
+    ~put:(fun b -> function
+      | Result { r; cached; wall_us } ->
+        tag b 0;
+        Api.result_codec.put b r;
+        bool.put b cached;
+        float.put b wall_us
+      | Stats_r s -> tag b 1; stats_codec.put b s
+      | Pong -> tag b 2
+      | Shutting_down -> tag b 3
+      | Error msg -> tag b 4; string.put b msg)
+    ~get:(fun c -> function
+      | 0 ->
+        let r = Api.result_codec.get c in
+        let cached = bool.get c in
+        Result { r; cached; wall_us = float.get c }
+      | 1 -> Stats_r (stats_codec.get c)
+      | 2 -> Pong
+      | 3 -> Shutting_down
+      | 4 -> Error (string.get c)
+      | k -> bad_tag k)
+
 let max_frame = 16 * 1024 * 1024
 
 exception Closed
 
-(* Both loops go through {!Lbsa_util.Rio}: EINTR/EAGAIN are retried
-   (a signal must not kill a healthy connection) and short transfers
-   are completed there; the only end-of-stream signal is a clean
-   [End_of_file], which maps to [Closed] — a peer that died or
-   half-closed its socket mid-frame, never an infinite loop.  Hard I/O
-   errors propagate as [Unix_error] for the caller's
-   close-this-connection path. *)
-
+(* {!Rio} retries EINTR/EAGAIN and completes short transfers; a clean
+   end of stream (a peer that died or half-closed mid-frame) is
+   [Closed], and hard I/O errors propagate as [Unix_error]. *)
 let really_read fd buf off len =
-  try Lbsa_util.Rio.really_read ~site:"wire.read" fd buf off len
+  try Rio.really_read ~site:"wire.read" fd buf off len
   with End_of_file -> raise Closed
 
-let really_write fd buf off len =
-  Lbsa_util.Rio.really_write ~site:"wire.write" fd buf off len
+let send fd ~tag codec msg =
+  let payload = Codec.encode codec msg in
+  if String.length payload > max_frame then
+    invalid_arg "Wire.send: frame too large";
+  let frame = Buffer.create (Codec.header_len + String.length payload) in
+  Codec.write_section (Buffer.add_string frame) ~tag payload;
+  Rio.really_write ~site:"wire.write" fd (Buffer.to_bytes frame) 0
+    (Buffer.length frame)
 
-let send fd msg =
-  let payload = Marshal.to_bytes msg [] in
-  let len = Bytes.length payload in
-  if len > max_frame then invalid_arg "Wire.send: frame too large";
-  let frame = Bytes.create (8 + len) in
-  Bytes.blit_string magic 0 frame 0 4;
-  Bytes.set_int32_be frame 4 (Int32.of_int len);
-  Bytes.blit payload 0 frame 8 len;
-  really_write fd frame 0 (8 + len)
+(* The cap is checked before the payload is allocated, and any defect
+   (a foreign tag, a bad checksum, an undecodable payload) is a
+   [Failure]: the daemon closes that connection and keeps serving. *)
+let recv fd ~tag codec =
+  try
+    match Codec.read_section ~read:(really_read fd) ~limit:max_frame with
+    | tag', payload when String.equal tag' tag -> Codec.decode codec payload
+    | tag', _ -> Codec.malformed "expected %s, got %S" tag tag'
+  with Codec.Malformed m -> failwith ("Wire.recv: " ^ m)
 
-let recv fd =
-  let header = Bytes.create 8 in
-  really_read fd header 0 8;
-  if Bytes.sub_string header 0 4 <> magic then
-    failwith "Wire.recv: bad frame magic (not an lbsa-serve peer?)";
-  let len = Int32.to_int (Bytes.get_int32_be header 4) in
-  if len < 0 || len > max_frame then
-    failwith (Printf.sprintf "Wire.recv: implausible frame length %d" len);
-  let payload = Bytes.create len in
-  really_read fd payload 0 len;
-  Marshal.from_bytes payload 0
-
-let send_request fd (r : request) = send fd r
-let recv_request fd : request = recv fd
-let send_response fd (r : response) = send fd r
-let recv_response fd : response = recv fd
+let send_request fd r = send fd ~tag:"REQUEST" request_codec r
+let recv_request fd = recv fd ~tag:"REQUEST" request_codec
+let send_response fd r = send fd ~tag:"RESPONSE" response_codec r
+let recv_response fd = recv fd ~tag:"RESPONSE" response_codec
 
 let zero_stats ~workers =
   {

@@ -1,8 +1,15 @@
-(** The daemon's wire protocol: length-prefixed marshalled frames over a
-    local stream socket (4 magic bytes, 4-byte big-endian length,
-    marshalled plain-data payload).  Trusted-local-peer protocol: the
-    magic and the frame-length cap reject stray clients, nothing more —
-    do not expose the socket beyond the machine boundary. *)
+(** The daemon's wire protocol over a local stream socket: each message
+    is one {!Lbsa_util.Codec} section, tagged [REQUEST] from client to
+    daemon and [RESPONSE] back, its payload written by
+    {!request_codec} or {!response_codec}.
+
+    A length above the 16 MB frame cap is refused before anything is
+    allocated; a foreign tag, a checksum mismatch or an undecodable
+    payload is a [Failure] from [recv_*], and the daemon answers it by
+    closing that one connection.  A peer that stalls mid-frame still
+    blocks the daemon's read loop, so keep the socket on the machine. *)
+
+open Lbsa_util
 
 (** Cumulative daemon counters, as served by a [Stats] request. *)
 type stats = {
@@ -40,11 +47,17 @@ type response =
   | Shutting_down
   | Error of string
 
+val stats_codec : stats Codec.t
+val request_codec : request Codec.t
+val response_codec : response Codec.t
+
 exception Closed
 (** The peer closed the connection mid-frame. *)
 
 val send_request : Unix.file_descr -> request -> unit
 val recv_request : Unix.file_descr -> request
+(** Raises {!Closed}, [Failure] on a malformed frame, or [Unix_error]. *)
+
 val send_response : Unix.file_descr -> response -> unit
 val recv_response : Unix.file_descr -> response
 

@@ -8,8 +8,8 @@
    cost retries, refusals or recomputation, but they must never change
    an answer.  A killed process leaves either the previous artifact or
    the new one — never a torn mix — and every failure a caller can see
-   is typed (a [Result], [Corrupt], [Closed]), never an unmarshal crash
-   or a wrong byte. *)
+   is typed (a [Result], [Corrupt], [Closed]), never a crash or a wrong
+   byte. *)
 
 open Lbsa
 
@@ -316,7 +316,7 @@ let test_wire_eintr_absorbed () =
         "interruptions were absorbed, not avoided" true
         (c.Rio.c_retries >= 6))
 
-(* --- segment store: flipped byte refused, never unmarshalled ------------- *)
+(* --- segment store: flipped byte refused, never decoded ------------------ *)
 
 let test_segstore_flipped_byte () =
   let machine, specs = Consensus_protocols.from_consensus_obj ~m:2 in
@@ -324,15 +324,13 @@ let test_segstore_flipped_byte () =
   let g = Cgraph.build ~machine ~specs ~inputs () in
   let n = min 4 (Cgraph.n_nodes g) in
   let configs = Array.init n (fun id -> Cgraph.node g id) in
-  let pconfigs = Array.map Mirror.freeze_config configs in
-  let edges =
+  let steps =
     Array.of_list
       (List.concat_map
          (fun id ->
            List.map
              (fun (e : Cgraph.edge) ->
-               Mirror.freeze_step ~pid:e.Cgraph.pid ~event:e.Cgraph.event
-                 ~target:e.Cgraph.target)
+               (e.Cgraph.pid, e.Cgraph.event, e.Cgraph.target))
              (Cgraph.out_edges g id))
          (List.init n Fun.id))
   in
@@ -350,8 +348,8 @@ let test_segstore_flipped_byte () =
     ~finally:(fun () -> rm_rf dir0)
     (fun () ->
       let t0 = Segstore.create ~dir:dir0 in
-      Segstore.write_segment t0 ~lo:0 ~hi:n ~elo:0 ~ehi:(Array.length edges)
-        ~configs:pconfigs ~edges;
+      Segstore.write_segment t0 ~lo:0 ~hi:n ~elo:0 ~ehi:(Array.length steps)
+        ~configs ~steps;
       Alcotest.(check bool)
         "pristine fault-in round-trips" true
         (Config.equal configs.(0) (Segstore.node t0 0)));
@@ -362,15 +360,15 @@ let test_segstore_flipped_byte () =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let t = Segstore.create ~dir in
-      Segstore.write_segment t ~lo:0 ~hi:n ~elo:0 ~ehi:(Array.length edges)
-        ~configs:pconfigs ~edges;
+      Segstore.write_segment t ~lo:0 ~hi:n ~elo:0 ~ehi:(Array.length steps)
+        ~configs ~steps;
       let seg_file = seg_file_of dir in
       let bytes = Bytes.of_string (read_file seg_file) in
       let i = Bytes.length bytes - 7 in
       Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor 0x10));
       write_file seg_file (Bytes.to_string bytes);
       (match Segstore.node t 0 with
-      | _ -> Alcotest.fail "flipped byte unmarshalled as a node"
+      | _ -> Alcotest.fail "flipped byte decoded as a node"
       | exception Segstore.Corrupt msg ->
         Alcotest.(check bool)
           "refusal names the defect" true
@@ -469,6 +467,133 @@ let test_daemon_degrades_and_recovers () =
       ignore stats;
       ignore (Domain.join d))
 
+(* --- daemon: hostile frames ---------------------------------------------- *)
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let section ~tag payload =
+  let b = Buffer.create 64 in
+  Codec.write_section (Buffer.add_string b) ~tag payload;
+  Buffer.contents b
+
+(* Send raw bytes on a connection of their own, half-close it, and wait
+   for the daemon to hang up: whatever the frame, the daemon must drop
+   only that connection.  A hang-up with unread bytes arrives as a
+   reset. *)
+let send_raw ~socket bytes =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let buf = Bytes.create 256 in
+      let rec drain () =
+        match Unix.read fd buf 0 256 with
+        | 0 -> ()
+        | _ -> drain ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+      in
+      drain ())
+
+(* A real `lbsa serve` child gets one hostile frame per connection, and
+   after each one still answers a fresh client correctly.  Frame (a) is
+   the old wire format carrying a well-formed marshalled value of the
+   wrong shape: at the commit before the typed codec it killed the
+   daemon with SIGSEGV. *)
+let test_daemon_survives_hostile_frames () =
+  require_exe ();
+  let dir = fresh_dir () in
+  let socket = fresh_path ".sock" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let daemon =
+        Crashdrive.spawn ~exe
+          ~args:[ "serve"; "--socket"; socket; "--store"; dir; "--quiet" ]
+          ()
+      in
+      let exited = ref false in
+      Fun.protect ~finally:(fun () ->
+          if not !exited then begin
+            (try Unix.kill (Crashdrive.pid daemon) Sys.sigkill
+             with Unix.Unix_error _ -> ());
+            ignore (Crashdrive.wait daemon)
+          end)
+      @@ fun () ->
+      let client () =
+        match Serve_client.connect ~wait_s:10. ~socket () with
+        | Ok c -> c
+        | Error msg -> Alcotest.failf "daemon unreachable: %s" msg
+      in
+      Serve_client.close (client ());
+      let marshalled = Marshal.to_string (1, 2) [] in
+      let ping = section ~tag:"REQUEST" (Codec.encode Serve_wire.request_codec Serve_wire.Ping) in
+      let pong =
+        let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> List.iter Unix.close [ a; b ])
+          (fun () ->
+            Serve_wire.send_response a Serve_wire.Pong;
+            Unix.shutdown a Unix.SHUTDOWN_SEND;
+            In_channel.input_all (Unix.in_channel_of_descr b))
+      in
+      let huge =
+        let h = Bytes.make Codec.header_len ' ' in
+        Bytes.blit_string "REQUEST" 0 h 0 7;
+        Bytes.set_int64_be h 8 (Int64.shift_left 1L 40);
+        Bytes.to_string h
+      in
+      let bad_sum =
+        let b = Bytes.of_string ping in
+        Bytes.set b 20 (Char.chr (Char.code (Bytes.get b 20) lxor 1));
+        Bytes.to_string b
+      in
+      let rng = Random.State.make [| 17 |] in
+      let frames =
+        [
+          ( "(a) marshalled pair in an LBS1 frame",
+            of_hex "4c425331000000178495a6be00000003000000010000000300000003a04142" );
+          ("(b) marshalled pair in a checksummed section", section ~tag:"REQUEST" marshalled);
+          ("(c) 40 random bytes", String.init 40 (fun _ -> Char.chr (Random.State.int rng 256)));
+          ("(d) an encoded Pong sent as a request", pong);
+          ("(e) a length field of 2^40", huge);
+          ("(f) a bad checksum", bad_sum);
+        ]
+      in
+      Alcotest.(check string)
+        "frame (a) carries the same marshalled pair" marshalled
+        (String.sub (snd (List.hd frames)) 8 23);
+      let q = verify_q (Serve_api.Dac { n = 3 }) in
+      List.iter
+        (fun (what, frame) ->
+          send_raw ~socket frame;
+          let c = client () in
+          Fun.protect
+            ~finally:(fun () -> Serve_client.close c)
+            (fun () ->
+              match Serve_client.query c q with
+              | Ok (r, _, _) ->
+                Alcotest.(check string)
+                  (what ^ ": daemon still answers") "OK (inputs=1,0,0, 190 states)"
+                  (Serve_api.render r)
+              | Error msg -> Alcotest.failf "%s: query failed: %s" what msg))
+        frames;
+      let c = client () in
+      (match Serve_client.shutdown c with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "shutdown: %s" msg);
+      Serve_client.close c;
+      let o = Crashdrive.wait daemon in
+      exited := true;
+      Alcotest.(check (option int))
+        (Fmt.str "daemon exits 0 (err=%S)" o.Crashdrive.err)
+        (Some 0) (Crashdrive.exited o);
+      Alcotest.(check bool) "socket removed" false (Sys.file_exists socket))
+
 (* --- seeded fault-plan sweep --------------------------------------------- *)
 
 (* Twenty seeds, every resilient-I/O component, injection rate 25%:
@@ -488,15 +613,13 @@ let test_fault_plan_sweep () =
   let g = Cgraph.build ~machine ~specs ~inputs () in
   let nseg = min 4 (Cgraph.n_nodes g) in
   let seg_configs = Array.init nseg (fun id -> Cgraph.node g id) in
-  let seg_pconfigs = Array.map Mirror.freeze_config seg_configs in
-  let seg_edges =
+  let seg_steps =
     Array.of_list
       (List.concat_map
          (fun id ->
            List.map
              (fun (e : Cgraph.edge) ->
-               Mirror.freeze_step ~pid:e.Cgraph.pid ~event:e.Cgraph.event
-                 ~target:e.Cgraph.target)
+               (e.Cgraph.pid, e.Cgraph.event, e.Cgraph.target))
              (Cgraph.out_edges g id))
          (List.init nseg Fun.id))
   in
@@ -562,8 +685,8 @@ let test_fault_plan_sweep () =
             match
               let t = Segstore.create ~dir:sdir in
               Segstore.write_segment t ~lo:0 ~hi:nseg ~elo:0
-                ~ehi:(Array.length seg_edges) ~configs:seg_pconfigs
-                ~edges:seg_edges;
+                ~ehi:(Array.length seg_steps) ~configs:seg_configs
+                ~steps:seg_steps;
               t
             with
             | exception Unix.Unix_error _ -> incr refused
@@ -648,6 +771,8 @@ let () =
             test_daemon_killed_mid_put;
           tc "store failure degrades to compute-only, then recovers"
             test_daemon_degrades_and_recovers;
+          tc "hostile frames never kill the daemon"
+            test_daemon_survives_hostile_frames;
         ] );
       ( "wire",
         [

@@ -237,10 +237,10 @@ let test_store_payload_flip () =
 let test_store_checksum_flip () =
   check_detects "checksum byte flip" (fun file ->
       let s = Bytes.of_string (read_file file) in
-      (* the checksum line sits right after the magic; flip a hex digit
-         to another valid hex digit *)
-      let i = String.length "LBSA-STORE/1\n" in
-      Bytes.set s i (if Bytes.get s i = '0' then '1' else '0');
+      (* the section's checksum field follows the magic line, the 8-byte
+         tag and the 8-byte length *)
+      let i = String.length "LBSA-STORE/2\n" + 16 in
+      Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor 0x01));
       write_file file (Bytes.to_string s))
 
 let test_store_garbage () =
@@ -326,8 +326,9 @@ let test_truncated_explore_roundtrips_as_summary () =
     "truncated answers are cacheable (max_states is in the key)" true
     computed.Serve_api.cacheable;
   Alcotest.(check bool)
-    "the marshalled answer is a summary, not a graph" true
-    (String.length (Marshal.to_string computed.Serve_api.res []) < 4096);
+    "the encoded answer is a summary, not a graph" true
+    (String.length (Codec.encode Serve_api.result_codec computed.Serve_api.res)
+     < 4096);
   let dir = fresh_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
@@ -352,6 +353,353 @@ let test_truncated_explore_roundtrips_as_summary () =
       Alcotest.(check bool)
         "persisted entry is summary-sized" true
         ((Unix.stat file).Unix.st_size < 4096))
+
+(* A file far above [max_payload] whose header claims its real length is
+   refused from the header alone: counted corrupt, removed, and its body
+   never read into memory. *)
+let test_store_size_cap_on_read () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let s = Serve_store.open_ ~dir in
+      let key = "feedface00000002" and canonical = "a huge question" in
+      let file = Serve_store.path s ~key in
+      let size = 64 * 1024 * 1024 in
+      let magic = "LBSA-STORE/2\n" in
+      let h = Bytes.make Codec.header_len ' ' in
+      Bytes.blit_string "ENTRY" 0 h 0 5;
+      Bytes.set_int64_be h 8
+        (Int64.of_int (size - String.length magic - Codec.header_len));
+      write_file file (magic ^ Bytes.to_string h);
+      Unix.truncate file size;
+      let before = Gc.allocated_bytes () in
+      let got = Serve_store.get s ~key ~canonical in
+      let allocated = Gc.allocated_bytes () -. before in
+      Alcotest.(check (option string)) "refused" None got;
+      Alcotest.(check int) "counted corrupt" 1 (Serve_store.corrupt_count s);
+      Alcotest.(check bool) "removed" false (Sys.file_exists file);
+      if allocated >= 1e6 then
+        Alcotest.failf "get allocated %.0f bytes for a refused entry" allocated)
+
+(* The entry layout of the previous store version: magic, hex checksum
+   line, then a 4-byte big-endian preimage length, the preimage and the
+   marshalled entry. *)
+let write_store_v1 file ~canonical ~data =
+  let b = Buffer.create 256 in
+  Buffer.add_int32_be b (Int32.of_int (String.length canonical));
+  Buffer.add_string b canonical;
+  Buffer.add_string b data;
+  let body = Buffer.contents b in
+  write_file file
+    ("LBSA-STORE/1\n" ^ Lbsa_util.Fnv.to_hex (Lbsa_util.Fnv.string body) ^ "\n" ^ body)
+
+(* A store written by the previous version is an upgrade, not damage:
+   each old entry is dropped and recomputed as a plain miss (no corrupt
+   count, so no corruption storm), and the rewritten entries serve the
+   next daemon. *)
+let test_store_v1_upgrade () =
+  let queries =
+    [
+      verify (Serve_api.Dac { n = 2 });
+      verify (Serve_api.Dac { n = 3 });
+      verify ~reduce:`Sym (Serve_api.Dac { n = 3 });
+      verify (Serve_api.Consensus { m = 2 });
+      verify ~question:Serve_api.Valence (Serve_api.Dac { n = 2 });
+      verify ~question:Serve_api.Valence (Serve_api.Consensus { m = 2 });
+      verify (Serve_api.Kset { m = 2; k = 2 });
+    ]
+  in
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let s = Serve_store.open_ ~dir in
+      let answers =
+        List.map
+          (fun q ->
+            let r = (Serve_api.compute q).Serve_api.res in
+            write_store_v1
+              (Serve_store.path s ~key:(Serve_api.key q))
+              ~canonical:(Serve_api.canonical q)
+              ~data:(Marshal.to_string (Serve_daemon.Final r) []);
+            Serve_api.render r)
+          queries
+      in
+      let ask_all () =
+        with_daemon ~dir (fun ~socket ->
+            let c = connect ~socket in
+            Fun.protect
+              ~finally:(fun () -> Serve_client.close c)
+              (fun () ->
+                List.map
+                  (fun q ->
+                    let r, cached = ask c q in
+                    (Serve_api.render r, cached))
+                  queries))
+      in
+      let first, stats = ask_all () in
+      Alcotest.(check (list string)) "answers" answers (List.map fst first);
+      Alcotest.(check string)
+        "old entries are plain misses" "corrupt=0 degraded=0 computed=7"
+        (Fmt.str "corrupt=%d degraded=%d computed=%d" stats.Serve_wire.st_corrupt
+           stats.Serve_wire.st_degraded stats.Serve_wire.st_computed);
+      let again, stats2 = ask_all () in
+      Alcotest.(check (list string)) "answers after restart" answers
+        (List.map fst again);
+      Alcotest.(check bool)
+        "all answered from the store" true
+        (List.for_all snd again && stats2.Serve_wire.st_hits_store = 7))
+
+(* --- codecs ------------------------------------------------------------- *)
+
+(* Every encoder round-trips, and every decoder turns arbitrary bytes
+   into a value or [Codec.Malformed], nothing else.  A mismatch between
+   an encoder and its decoder (a field written as a list and read as
+   two ints) fails the first property directly. *)
+
+let gen_str = QCheck.Gen.(string_size (int_bound 10))
+let gen_ints = QCheck.Gen.(list_size (int_bound 5) int)
+
+let gen_query =
+  let open QCheck.Gen in
+  let gen_task =
+    oneof
+      [
+        map (fun n -> Serve_api.Dac { n }) int;
+        map (fun m -> Serve_api.Consensus { m }) int;
+        map2 (fun m k -> Serve_api.Kset { m; k }) int int;
+        map (fun name -> Serve_api.Candidate { name }) gen_str;
+        map (fun n -> Serve_api.Vc { n }) int;
+        map (fun n -> Serve_api.Bcast { n }) int;
+      ]
+  in
+  oneof
+    [
+      (let* task = gen_task in
+       let* question = oneofl Serve_api.[ Solve; Valence; Live ] in
+       let* inputs = gen_ints in
+       let* max_states = int in
+       let* reduce = oneofl [ `None; `Sym; `Sym_sleep ] in
+       let+ substrate = gen_str in
+       Serve_api.Verify { task; question; inputs; max_states; reduce; substrate });
+      (let* target = gen_str in
+       let* trials = int in
+       let* procs = int in
+       let* ops = int in
+       let+ seed = int in
+       Serve_api.Fuzz { target; trials; procs; ops; seed });
+    ]
+
+let gen_result =
+  let open QCheck.Gen in
+  let ostr = opt gen_str in
+  oneof
+    [
+      (let* v_ok = bool in
+       let* v_outcome = gen_str in
+       let* v_partial = bool in
+       let* v_inputs = gen_ints in
+       let* v_states = int in
+       let+ v_failure = ostr in
+       Serve_api.Verdict
+         { v_ok; v_outcome; v_partial; v_inputs; v_states; v_failure });
+      (let* l_nodes = int in
+       let* l_edges = int in
+       let* l_truncated = bool in
+       let* l_partial = bool in
+       let* l_bivalent = int in
+       let* l_univalent = int in
+       let* l_undecided = int in
+       let+ l_initial = gen_str in
+       Serve_api.Valences
+         { l_nodes; l_edges; l_truncated; l_partial; l_bivalent; l_univalent;
+           l_undecided; l_initial });
+      (let* f_target = gen_str in
+       let* f_trials = int in
+       let* f_completed = int in
+       let* f_partial = bool in
+       let* f_failure = ostr in
+       let+ f_resumed_from = int in
+       Serve_api.Fuzz_report
+         { f_target; f_trials; f_completed; f_partial; f_failure;
+           f_resumed_from });
+      (let* lv_live = bool in
+       let* lv_nodes = int in
+       let* lv_sccs = int in
+       let* lv_fair = int in
+       let* lv_truncated = bool in
+       let* lv_partial = bool in
+       let* lv_prefix = int in
+       let* lv_cycle = int in
+       let+ lv_witness = ostr in
+       Serve_api.Liveness_report
+         { lv_live; lv_nodes; lv_sccs; lv_fair; lv_truncated; lv_partial;
+           lv_prefix; lv_cycle; lv_witness });
+    ]
+
+let gen_stats =
+  let open QCheck.Gen in
+  let* i = array_size (return 14) int in
+  let+ f = array_size (return 3) float in
+  {
+    Serve_wire.st_queries = i.(0); st_hits_mem = i.(1); st_hits_store = i.(2);
+    st_misses = i.(3); st_computed = i.(4); st_joined = i.(5);
+    st_queue_peak = i.(6); st_workers = i.(7); st_corrupt = i.(8);
+    st_degraded = i.(9); st_prefix_stored = i.(10); st_prefix_resumed = i.(11);
+    st_hot_us_total = f.(0); st_hot_count = i.(12); st_cold_us_total = f.(1);
+    st_cold_count = i.(13); st_uptime_s = f.(2);
+  }
+
+let gen_request =
+  let open QCheck.Gen in
+  oneof
+    [
+      (let* q = gen_query in
+       let+ deadline_s = opt float in
+       Serve_wire.Query { q; deadline_s });
+      oneofl Serve_wire.[ Stats; Ping; Shutdown ];
+    ]
+
+let gen_response =
+  let open QCheck.Gen in
+  oneof
+    [
+      (let* r = gen_result in
+       let* cached = bool in
+       let+ wall_us = float in
+       Serve_wire.Result { r; cached; wall_us });
+      map (fun s -> Serve_wire.Stats_r s) gen_stats;
+      oneofl Serve_wire.[ Pong; Shutting_down ];
+      map (fun m -> Serve_wire.Error m) gen_str;
+    ]
+
+let gen_entry =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun r -> Serve_daemon.Final r) gen_result;
+        map (fun n -> Serve_daemon.Prefix n) int;
+      ])
+
+let gen_fuzz_checkpoint =
+  QCheck.Gen.(
+    map2
+      (fun ckpt_seed ckpt_done -> { Fuzz_engine.ckpt_seed; ckpt_done })
+      int
+      (list_size (int_bound 4) (pair gen_str int)))
+
+(* [compare], not [=]: a NaN float must round-trip too. *)
+let prop_roundtrip name codec gen =
+  QCheck.Test.make ~count:300 ~name:(name ^ " round-trips") (QCheck.make gen)
+    (fun x -> compare (Codec.decode codec (Codec.encode codec x)) x = 0)
+
+let prop_garbage name codec =
+  QCheck.Test.make ~count:2_000
+    ~name:(name ^ " decodes random bytes or refuses them")
+    (QCheck.make
+       ~print:(fun s -> Fmt.str "%S" s)
+       QCheck.Gen.(
+         string_size
+           ~gen:(oneof [ char; map Char.chr (int_bound 4) ])
+           (int_bound 64)))
+    (fun s ->
+      match Codec.decode codec s with
+      | _ -> true
+      | exception Codec.Malformed _ -> true)
+
+let prop_store_roundtrip =
+  QCheck.Test.make ~count:100 ~name:"store entries round-trip"
+    QCheck.(pair (make gen_str) (make gen_str))
+    (fun (canonical, data) ->
+      let dir = fresh_dir () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let s = Serve_store.open_ ~dir in
+          put_ok s ~key:"0123456789abcdef" ~canonical ~data;
+          Serve_store.get s ~key:"0123456789abcdef" ~canonical = Some data))
+
+(* The configurations and steps of dac:3's graph, in random windows:
+   decoded configurations are [Config.equal] to the originals, and every
+   decoded value is the original interned value. *)
+let prop_config_codec =
+  let g =
+    lazy
+      (Cgraph.build ~machine:(Dac_from_pac.machine ~n:3)
+         ~specs:(Dac_from_pac.specs ~n:3)
+         ~inputs:[| Value.int 1; Value.int 0; Value.int 0 |]
+         ())
+  in
+  let same_values a b = List.length a = List.length b && List.for_all2 ( == ) a b in
+  let same_status a b =
+    match (a, b) with
+    | Config.Decided x, Config.Decided y -> x == y
+    | _ -> a = b
+  in
+  let same_event a b =
+    match (a, b) with
+    | ( Config.Op_event { pid; obj; op; response },
+        Config.Op_event { pid = pid'; obj = obj'; op = op'; response = r' } ) ->
+      pid = pid' && obj = obj' && Op.equal op op' && response == r'
+      && same_values op.Op.args op'.Op.args
+    | Config.Decide_event { pid; value }, Config.Decide_event { pid = p'; value = v' } ->
+      pid = p' && value == v'
+    | Config.Abort_event { pid }, Config.Abort_event { pid = p' } -> pid = p'
+    | _ -> false
+  in
+  QCheck.Test.make ~count:50 ~name:"dac:3 configurations and steps round-trip"
+    QCheck.(pair small_nat small_nat)
+    (fun (a, b) ->
+      let g = Lazy.force g in
+      let n = Cgraph.n_nodes g in
+      let lo = min (a mod n) (b mod n) and hi = max (a mod n) (b mod n) + 1 in
+      let cs = Array.init (hi - lo) (fun i -> Cgraph.node g (lo + i)) in
+      let cs' =
+        Codec.decode Config_codec.configs (Codec.encode Config_codec.configs cs)
+      in
+      let steps =
+        Array.of_list
+          (List.concat_map
+             (fun id ->
+               List.map
+                 (fun (e : Cgraph.edge) ->
+                   (e.Cgraph.pid, e.Cgraph.event, e.Cgraph.target))
+                 (Cgraph.out_edges g id))
+             (List.init (hi - lo) (( + ) lo)))
+      in
+      let steps' =
+        Codec.decode Config_codec.steps (Codec.encode Config_codec.steps steps)
+      in
+      Array.for_all2
+        (fun (c : Config.t) (c' : Config.t) ->
+          Config.equal c c'
+          && same_values (Array.to_list c.locals) (Array.to_list c'.locals)
+          && same_values (Array.to_list c.objects) (Array.to_list c'.objects)
+          && Array.for_all2 same_status c.status c'.status)
+        cs cs'
+      && Array.for_all2
+           (fun (p, e, t) (p', e', t') -> p = p' && t = t' && same_event e e')
+           steps steps')
+
+let codec_tests =
+  let both name codec gen = [ prop_roundtrip name codec gen; prop_garbage name codec ] in
+  List.concat
+    [
+      both "Api.query" Serve_api.query_codec gen_query;
+      both "Api.result" Serve_api.result_codec gen_result;
+      both "Wire.stats" Serve_wire.stats_codec gen_stats;
+      both "Wire.request" Serve_wire.request_codec gen_request;
+      both "Wire.response" Serve_wire.response_codec gen_response;
+      both "daemon store entry" Serve_daemon.entry_codec gen_entry;
+      both "fuzz checkpoint" Fuzz_engine.checkpoint_codec gen_fuzz_checkpoint;
+      [
+        prop_garbage "Config_codec.configs" Config_codec.configs;
+        prop_garbage "Config_codec.steps" Config_codec.steps;
+        prop_config_codec;
+        prop_store_roundtrip;
+      ];
+    ]
 
 (* --- cache-identity property over the task registry --------------------- *)
 
@@ -960,7 +1308,12 @@ let () =
             test_store_oversized_refused;
           Alcotest.test_case "truncated explore round-trips as a summary"
             `Quick test_truncated_explore_roundtrips_as_summary;
+          Alcotest.test_case "size cap enforced on read" `Quick
+            test_store_size_cap_on_read;
+          Alcotest.test_case "LBSA-STORE/1 entries upgrade as plain misses"
+            `Quick test_store_v1_upgrade;
         ] );
+      ("codecs", List.map QCheck_alcotest.to_alcotest codec_tests);
       ( "cache identity",
         [
           Alcotest.test_case "registry x reduce x question matrix" `Slow

@@ -444,44 +444,212 @@ let test_fuzz_checkpoint_roundtrip () =
       Alcotest.(check bool) "same (absent) failure" true
         (full.Fuzz_engine.failure = None && resumed.Fuzz_engine.failure = None))
 
-(* Every single-bit flip and every truncation of a saved fuzz checkpoint
-   is refused with a typed error: [Failure] (not a fuzz checkpoint) when
-   the damage hits the magic line, [Corrupt] past it.  Never a resume
-   from a damaged count, never an unmarshal crash. *)
-let test_fuzz_checkpoint_refuses_damage () =
-  let file = Filename.temp_file "lbsa-fuzz" ".ckpt" in
+(* --- one damage sweep over every format ----------------------------- *)
+
+(* Every byte that leaves the process goes through one codec, so every
+   format gets the same sweep: each single-bit flip of each byte, and
+   each truncation, of a pristine artifact must end in that format's
+   typed refusal — never a decoded value, never another exception. *)
+
+exception Refused
+
+type artifact = {
+  pristine : string;
+  magic_len : int;  (** damage before this offset may be refused as foreign *)
+  load : string -> unit;
+      (** installs the bytes and reads them back: returns iff they
+          decoded, raises the format's typed refusal otherwise *)
+  refusal : foreign:bool -> exn -> bool;
+}
+
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+let write_file f s = Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s)
+
+let sweep a =
+  let check what ~at bytes =
+    match a.load bytes with
+    | () -> Alcotest.failf "%s: damaged artifact decoded" what
+    | exception e when a.refusal ~foreign:(at < a.magic_len) e -> ()
+    | exception e ->
+      Alcotest.failf "%s: unexpected %s" what (Printexc.to_string e)
+  in
+  String.iteri
+    (fun i c ->
+      for bit = 0 to 7 do
+        let b = Bytes.of_string a.pristine in
+        Bytes.set b i (Char.chr (Char.code c lxor (1 lsl bit)));
+        check (Fmt.str "byte %d bit %d flipped" i bit) ~at:i (Bytes.to_string b)
+      done)
+    a.pristine;
+  for n = 0 to String.length a.pristine - 1 do
+    check (Fmt.str "truncated to %d bytes" n) ~at:n (String.sub a.pristine 0 n)
+  done
+
+let magic_len s = String.index s '\n' + 1
+
+let with_temp suffix f =
+  let file = Filename.temp_file "lbsa-damage" suffix in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
-    (fun () ->
-      Fuzz_engine.save_checkpoint ~file
-        { Fuzz_engine.ckpt_seed = 7; ckpt_done = [ ("impl pacnm:2:2", 63) ] };
-      let saved = In_channel.with_open_bin file In_channel.input_all in
-      let magic_len = String.index saved '\n' + 1 in
-      let refused what ~damaged_at bytes =
-        Out_channel.with_open_bin file (fun oc ->
-            Out_channel.output_string oc bytes);
-        match Fuzz_engine.load_checkpoint ~file with
-        | _ -> Alcotest.failf "%s: damaged checkpoint loaded" what
-        | exception Failure _ when damaged_at < magic_len -> ()
-        | exception Fuzz_engine.Corrupt _ when damaged_at >= magic_len -> ()
-        | exception e ->
-          Alcotest.failf "%s: unexpected %s" what (Printexc.to_string e)
-      in
-      String.iteri
-        (fun i c ->
-          for bit = 0 to 7 do
-            let b = Bytes.of_string saved in
-            Bytes.set b i (Char.chr (Char.code c lxor (1 lsl bit)));
-            refused
-              (Fmt.str "byte %d bit %d flipped" i bit)
-              ~damaged_at:i (Bytes.to_string b)
-          done)
-        saved;
-      for n = 0 to String.length saved - 1 do
-        refused
-          (Fmt.str "truncated to %d bytes" n)
-          ~damaged_at:n (String.sub saved 0 n)
-      done)
+    (fun () -> f file)
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "lbsa-damage" ".d" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* A frame sent over a socketpair whose sender shuts down after
+   writing, so a length that claims more bytes meets end of stream. *)
+let wire_frame () =
+  let recv bytes =
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> List.iter Unix.close [ a; b ])
+      (fun () ->
+        ignore (Unix.write_substring a bytes 0 (String.length bytes));
+        Unix.shutdown a Unix.SHUTDOWN_SEND;
+        Serve_wire.recv_request b)
+  in
+  let q =
+    Serve_api.Verify
+      { task = Serve_api.Dac { n = 3 }; question = Serve_api.Solve;
+        inputs = [ 1; 0; 0 ]; max_states = 5_000; reduce = `Sym;
+        substrate = "shm" }
+  in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let pristine =
+    Fun.protect
+      ~finally:(fun () -> List.iter Unix.close [ a; b ])
+      (fun () ->
+        Serve_wire.send_request a
+          (Serve_wire.Query { q; deadline_s = Some 2.5 });
+        Unix.shutdown a Unix.SHUTDOWN_SEND;
+        In_channel.input_all (Unix.in_channel_of_descr b))
+  in
+  (match recv pristine with
+  | Serve_wire.Query { q = q'; _ } when q' = q -> ()
+  | _ -> Alcotest.fail "pristine frame did not decode");
+  {
+    pristine;
+    magic_len = 0;
+    load = (fun bytes -> ignore (recv bytes));
+    refusal =
+      (fun ~foreign:_ -> function
+        | Failure _ | Serve_wire.Closed -> true | _ -> false);
+  }
+
+let store_entry dir =
+  let s = Serve_store.open_ ~dir in
+  let key = "00000000deadbeef" and canonical = "the canonical question" in
+  (match Serve_store.put s ~key ~canonical ~data:"the stored answer" with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "Store.put: %s" msg);
+  let file = Serve_store.path s ~key in
+  {
+    pristine = read_file file;
+    magic_len = 0;
+    load =
+      (fun bytes ->
+        write_file file bytes;
+        let before = Serve_store.corrupt_count s in
+        match Serve_store.get s ~key ~canonical with
+        | Some _ -> ()
+        | None when Serve_store.corrupt_count s = before + 1 -> raise Refused
+        | None -> failwith "a miss that was not counted corrupt");
+    refusal = (fun ~foreign:_ e -> e = Refused);
+  }
+
+let checkpoint file =
+  let machine, specs, inputs = dac_instance 3 in
+  let partial = Cgraph.build ~budget:(expired ()) ~machine ~specs ~inputs () in
+  Checkpoint.save ~file
+    (Checkpoint.freeze ~label:"dac:3 deadline 0"
+       (Option.get partial.Cgraph.suspended));
+  let pristine = read_file file in
+  {
+    pristine;
+    magic_len = magic_len pristine;
+    load =
+      (fun bytes ->
+        write_file file bytes;
+        ignore (Checkpoint.load ~file));
+    refusal =
+      (fun ~foreign -> function
+        | Checkpoint.Corrupt _ -> true
+        | Failure _ | Checkpoint.Version_mismatch _ -> foreign
+        | _ -> false);
+  }
+
+let segment dir =
+  let machine, specs = Consensus_protocols.from_consensus_obj ~m:2 in
+  let g = Cgraph.build ~machine ~specs ~inputs:[| Value.int 0; Value.int 1 |] () in
+  let n = min 4 (Cgraph.n_nodes g) in
+  let steps =
+    Array.of_list
+      (List.concat_map
+         (fun id ->
+           List.map
+             (fun (e : Cgraph.edge) -> (e.Cgraph.pid, e.Cgraph.event, e.Cgraph.target))
+             (Cgraph.out_edges g id))
+         (List.init n Fun.id))
+  in
+  let t = Segstore.create ~dir in
+  Segstore.write_segment t ~lo:0 ~hi:n ~elo:0 ~ehi:(Array.length steps)
+    ~configs:(Array.init n (Cgraph.node g)) ~steps;
+  let file =
+    match Array.to_list (Sys.readdir dir) with
+    | [ f ] -> Filename.concat dir f
+    | l -> Alcotest.failf "expected one segment file, got %d" (List.length l)
+  in
+  {
+    pristine = read_file file;
+    magic_len = 0;
+    load =
+      (fun bytes ->
+        write_file file bytes;
+        ignore (Segstore.node t 0));
+    refusal = (fun ~foreign:_ -> function Segstore.Corrupt _ -> true | _ -> false);
+  }
+
+let fuzz_checkpoint file =
+  Fuzz_engine.save_checkpoint ~file
+    { Fuzz_engine.ckpt_seed = 7; ckpt_done = [ ("impl pacnm:2:2", 63) ] };
+  let pristine = read_file file in
+  {
+    pristine;
+    magic_len = magic_len pristine;
+    load =
+      (fun bytes ->
+        write_file file bytes;
+        ignore (Fuzz_engine.load_checkpoint ~file));
+    refusal =
+      (fun ~foreign -> function
+        | Fuzz_engine.Corrupt _ -> true
+        | Failure _ -> foreign
+        | _ -> false);
+  }
+
+let damage_sweep =
+  [
+    ("wire frame refuses damaged bytes", fun () -> sweep (wire_frame ()));
+    ( "store entry refuses damaged bytes",
+      fun () -> with_temp_dir (fun dir -> sweep (store_entry dir)) );
+    ( "checkpoint refuses damaged bytes",
+      fun () -> with_temp ".ckpt" (fun file -> sweep (checkpoint file)) );
+    ( "spilled segment refuses damaged bytes",
+      fun () -> with_temp_dir (fun dir -> sweep (segment dir)) );
+    ( "fuzz checkpoint refuses damaged bytes",
+      fun () -> with_temp ".ckpt" (fun file -> sweep (fuzz_checkpoint file)) );
+  ]
 
 (* A failure found before a checkpoint is found again after it: the
    failing campaign's completed prefix stops at the failing trial, so
@@ -836,10 +1004,10 @@ let test_spill_build_equivalence () =
       Alcotest.(check bool)
         "spill dir fully cleaned" false (Sys.file_exists dir))
 
-(* Interrupting a spilled build, checkpointing it (format 3), and
-   resuming yields the uninterrupted graph: the suspended state is
-   materialized out of the segments, frozen through the Mirror forms,
-   and re-interned on load. *)
+(* Interrupting a spilled build, checkpointing it, and resuming yields
+   the uninterrupted graph: the suspended state is materialized out of
+   the segments, encoded with its value dictionaries, and re-interned
+   on load. *)
 let test_spill_checkpoint_resume () =
   let machine, specs, inputs = dac_instance 3 in
   let full = Cgraph.build ~machine ~specs ~inputs () in
@@ -872,25 +1040,63 @@ let test_spill_checkpoint_resume () =
       in
       same_graph "resume into a spilled sharded build" full resumed_spilled)
 
-(* The version-3 compatibility rule: a coherent checkpoint from an
-   older format version raises [Version_mismatch] (CLIs exit 2), never
-   [Failure] and never a misread. *)
-let test_checkpoint_v2_refused () =
+(* The compatibility rule: a coherent checkpoint from an older format
+   version raises [Version_mismatch], never [Failure] and never a
+   misread, and the CLI refuses it with exit 2.  Version 4 is the last
+   format whose payloads were marshalled. *)
+let test_checkpoint_old_versions_refused () =
   let file = Filename.temp_file "lbsa-ckpt" ".bin" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
     (fun () ->
-      let oc = open_out_bin file in
-      output_string oc "LBSA-CHECKPOINT/2\nwhatever the old format held";
-      close_out oc;
-      match Checkpoint.load ~file with
-      | exception Checkpoint.Version_mismatch msg ->
-        Alcotest.(check bool)
-          "names the found version" true
-          (contains_sub ~sub:"LBSA-CHECKPOINT/2" msg)
-      | exception Failure msg ->
-        Alcotest.failf "old version reported as plain failure: %s" msg
-      | _ -> Alcotest.fail "version-2 checkpoint accepted")
+      List.iter
+        (fun v ->
+          let header = Fmt.str "LBSA-CHECKPOINT/%d" v in
+          write_file file (header ^ "\nwhatever the old format held");
+          match Checkpoint.load ~file with
+          | exception Checkpoint.Version_mismatch msg ->
+            Alcotest.(check bool)
+              "names the found version" true (contains_sub ~sub:header msg)
+          | exception Failure msg ->
+            Alcotest.failf "old version reported as plain failure: %s" msg
+          | _ -> Alcotest.failf "version-%d checkpoint accepted" v)
+        [ 2; 4 ];
+      let exe =
+        Filename.concat
+          (Filename.dirname Sys.executable_name)
+          (Filename.concat ".." (Filename.concat "bin" "lbsa_cli.exe"))
+      in
+      Alcotest.(check int)
+        "the CLI refuses a version-4 checkpoint with exit 2" 2
+        (Sys.command
+           (Fmt.str "%s solve dac -n 3 --resume %s > /dev/null 2>&1"
+              (Filename.quote exe) (Filename.quote file))))
+
+(* Checkpoint bytes depend only on the exploration: two saves agree
+   byte for byte even when 1,000 unrelated values were interned in
+   between (shifting every later intern id), and so does a save of the
+   loaded, re-interned copy. *)
+let prop_checkpoint_bytes_stable =
+  let machine, specs, inputs = dac_instance 3 in
+  QCheck.Test.make ~count:10 ~name:"two saves of one exploration are byte-identical"
+    QCheck.(pair (int_range 1 150) small_nat)
+    (fun (max_states, salt) ->
+      let partial = Cgraph.build ~max_states ~machine ~specs ~inputs () in
+      match partial.Cgraph.suspended with
+      | None -> true
+      | Some s ->
+        with_temp ".ckpt" (fun file ->
+            let save s =
+              Checkpoint.save ~file (Checkpoint.freeze ~label:"stable" s);
+              read_file file
+            in
+            let first = save s in
+            for i = 1 to 1_000 do
+              ignore (Value.pair (Value.int (7_000_000 + (salt * 1_000) + i), Value.sym "junk"))
+            done;
+            let second = save s in
+            let reloaded = save (Checkpoint.thaw (Checkpoint.load ~file)) in
+            first = second && first = reloaded))
 
 let () =
   Alcotest.run "supervisor"
@@ -941,8 +1147,6 @@ let () =
             test_fan_budget_stops_and_resumes;
           Alcotest.test_case "fuzz checkpoint roundtrip" `Quick
             test_fuzz_checkpoint_roundtrip;
-          Alcotest.test_case "fuzz checkpoint refuses damaged bytes" `Quick
-            test_fuzz_checkpoint_refuses_damage;
           Alcotest.test_case "resume keeps a failure already found" `Quick
             test_resume_keeps_found_failure;
           Alcotest.test_case "shrink budget 0 reports no shrink" `Quick
@@ -950,6 +1154,10 @@ let () =
           Alcotest.test_case "campaign_supervised stops cleanly" `Quick
             test_campaign_supervised_stops;
         ] );
+      ( "damage sweep",
+        List.map
+          (fun (name, f) -> Alcotest.test_case name `Quick f)
+          damage_sweep );
       ( "cli",
         [
           Alcotest.test_case "interrupt/resume is byte-identical" `Quick
@@ -974,7 +1182,8 @@ let () =
             test_spill_build_equivalence;
           Alcotest.test_case "spill + checkpoint + resume" `Quick
             test_spill_checkpoint_resume;
-          Alcotest.test_case "version-2 checkpoint refused" `Quick
-            test_checkpoint_v2_refused;
+          Alcotest.test_case "version-2 and version-4 checkpoints refused"
+            `Quick test_checkpoint_old_versions_refused;
+          QCheck_alcotest.to_alcotest prop_checkpoint_bytes_stable;
         ] );
     ]

@@ -48,6 +48,10 @@ type reduction = {
 let no_reduction =
   { rname = "none"; canon = Canon.identity; sleep = false; frozen = None }
 
+(* No pruning and the identity group: every step of every running
+   process is an edge, between the very configurations it connects. *)
+let keeps_every_step reduce = (not reduce.sleep) && Canon.is_identity reduce.canon
+
 type reduction_stats = {
   rmode : string;
   group_order : int;
@@ -258,7 +262,7 @@ let successors ?(substrate = Substrate.shm) ~reduce ~machine ~specs config =
   let flushed = ref 0 in
   let branches_of pid =
     let bs = substrate.Substrate.step_branches ~machine ~specs config pid in
-    if (not reduce.sleep) && Canon.is_identity reduce.canon then bs
+    if keeps_every_step reduce then bs
     else
       List.map
         (fun ((c' : Config.t), event) ->
@@ -1039,18 +1043,17 @@ let out_edges t id =
 
 (* Packed-topology readers: pid and target straight out of the resident
    [targets] array — no segment faults, no allocation. *)
+let step_pid t i = t.targets.(i) land ((1 lsl pid_bits) - 1)
+let step_target t i = t.targets.(i) lsr pid_bits
+
 let iter_out_steps t id f =
   for i = t.offsets.(id) to t.offsets.(id + 1) - 1 do
-    let v = t.targets.(i) in
-    f (v land ((1 lsl pid_bits) - 1)) (v lsr pid_bits)
+    f (step_pid t i) (step_target t i)
   done
 
 let exists_out_step t id p =
   let rec go i =
-    i < t.offsets.(id + 1)
-    &&
-    let v = t.targets.(i) in
-    p (v land ((1 lsl pid_bits) - 1)) (v lsr pid_bits) || go (i + 1)
+    i < t.offsets.(id + 1) && (p (step_pid t i) (step_target t i) || go (i + 1))
   in
   go t.offsets.(id)
 

@@ -42,6 +42,10 @@ type reduction = {
 val no_reduction : reduction
 (** ["none"]: identity group, no pruning — the exact seed graph. *)
 
+val keeps_every_step : reduction -> bool
+(** No sleep pruning and the identity group: the graph has an edge for
+    every step of every running process ({!no_reduction} does). *)
+
 (** Reduction telemetry, part of {!stats}. *)
 type reduction_stats = {
   rmode : string;
@@ -281,6 +285,11 @@ val iter_out_steps : t -> int -> (int -> int -> unit) -> unit
     topology-only passes. *)
 
 val exists_out_step : t -> int -> (int -> int -> bool) -> bool
+
+val step_pid : t -> int -> int
+val step_target : t -> int -> int
+(** The pid and target of the edge at a flat CSR index, read from the
+    packed targets array (no segment faults). *)
 
 val iter_nodes : (int -> Config.t -> unit) -> t -> unit
 

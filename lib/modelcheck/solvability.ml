@@ -73,12 +73,12 @@ let partial ~(graph : Graph.t) ~stats ~inputs ~states () =
 (* --- liveness primitives -------------------------------------------- *)
 
 (* Does some reachable cycle contain a step of [pid]?  Using the SCC
-   condensation: yes iff some SCC contains an edge of [pid] internal to
-   it (including self-loops).  Both searches are pure topology, so they
-   read the packed targets array ([Graph.exists_out_step]) and never
-   fault segments on an out-of-core graph. *)
-let cycle_with_step_of (graph : Graph.t) pid =
-  let comp, _ = Graph.scc graph in
+   condensation [comp] ([Graph.scc], computed once for every process):
+   yes iff some SCC contains an edge of [pid] internal to it (including
+   self-loops).  Both searches are pure topology, so they read the
+   packed targets array ([Graph.exists_out_step]) and never fault
+   segments on an out-of-core graph. *)
+let cycle_with_step_of (graph : Graph.t) ~comp pid =
   Graph.find_id graph (fun u ->
       Graph.exists_out_step graph u (fun pid' target ->
           pid' = pid && comp.(u) = comp.(target)))
@@ -92,45 +92,144 @@ let any_cycle (graph : Graph.t) =
       sizes.(comp.(u)) > 1
       || Graph.exists_out_step graph u (fun _pid target -> target = u))
 
-(* Solo termination of [pid] from [config]: explore the pid-solo subgraph
-   (all nondeterministic branches), requiring that every run halts pid in
-   a status satisfying [accept].  Memoized across calls via [cache]:
-   true = all solo runs from this config are fine. *)
-type solo_cache = (Config.t, bool) Hashtbl.t
+(* Solo termination of [pid] from [config], off the graph: explore the
+   pid-solo subgraph (all nondeterministic branches), requiring that
+   every run halts pid in a status satisfying [accept].  The cache keeps
+   one table per pid, keyed by [Config.hash]/[Config.equal] (the
+   polymorphic hash reads only a few words of a configuration): both
+   outcomes of every configuration walked, and [On_path] while it is on
+   the DFS path — reaching one closes a solo cycle.  No answer depends
+   on the path: a [false] means a solo cycle is reachable (a cycle's
+   [false] propagates only up the path, to configurations that reach
+   the cycle) or some solo run halts in a status [accept] refuses; a
+   [true] means the subtree was explored in full without either. *)
+module Ctab = Hashtbl.Make (Config)
 
-let solo_cache () : solo_cache = Hashtbl.create 1024
+type solo_mark = On_path | Halts | Fails
+type solo_cache = (int, solo_mark Ctab.t) Hashtbl.t
+
+let solo_cache () : solo_cache = Hashtbl.create 8
 
 let solo_halts ?(cache = solo_cache ()) ?(substrate = Substrate.shm) ~machine
     ~specs ~pid ~accept config =
-  let module CM = Map.Make (Config) in
-  (* On-stack set for cycle detection within one DFS. *)
-  let rec go on_stack config =
-    match Hashtbl.find_opt cache config with
-    | Some r -> r
+  let marks =
+    match Hashtbl.find_opt cache pid with
+    | Some m -> m
     | None ->
-      if CM.mem config on_stack then false (* solo cycle: pid spins *)
-      else
-        let r =
-          if not (Config.is_running config pid) then accept config.Config.status.(pid)
-          else
-            let branches =
-              substrate.Substrate.step_branches ~machine ~specs config pid
-            in
-            List.for_all
-              (fun (config', _) -> go (CM.add config () on_stack) config')
-              branches
-        in
-        (* Only cache completed subtrees (config not on stack anywhere):
-           caching a [false] caused by an on-stack ancestor would be
-           unsound, so cache only when the answer is stack-independent.
-           A [false] from a strict cycle is still correct to cache for
-           the node that closes the cycle's entry point; to stay simple
-           and sound we cache positives always and negatives only at the
-           DFS root. *)
-        if r then Hashtbl.replace cache config r;
-        r
+      let m = Ctab.create 1024 in
+      Hashtbl.replace cache pid m;
+      m
   in
-  go CM.empty config
+  let rec go config =
+    match Ctab.find_opt marks config with
+    | Some mark -> mark = Halts
+    | None when not (Config.is_running config pid) ->
+      accept config.Config.status.(pid)
+    | None ->
+      Ctab.replace marks config On_path;
+      let r =
+        List.for_all
+          (fun (config', _) -> go config')
+          (substrate.Substrate.step_branches ~machine ~specs config pid)
+      in
+      Ctab.replace marks config (if r then Halts else Fails);
+      r
+  in
+  go config
+
+(* Does some [pid]-solo run from [config] reach a configuration where
+   [pid] aborted?  Each configuration is walked once, so a solo cycle
+   ends the walk instead of spinning it. *)
+let solo_aborts ~substrate ~machine ~specs ~pid config =
+  let seen = Ctab.create 64 in
+  let rec go config =
+    (not (Ctab.mem seen config))
+    && begin
+      Ctab.replace seen config ();
+      config.Config.status.(pid) = Config.Aborted
+      || Config.is_running config pid
+         && List.exists
+              (fun (config', _) -> go config')
+              (substrate.Substrate.step_branches ~machine ~specs config pid)
+    end
+  in
+  go config
+
+(* The same two questions on a graph that keeps every step
+   ([Graph.keeps_every_step]), where node u's [pid]-edges are exactly
+   pid's solo steps from u's configuration; [status.(u)] is u's status
+   array.  [solo_halting_of] answers [solo_halts] for every node with
+   one memoised DFS over pid's packed out-steps (int-array stacks): a
+   running node halts iff every pid-edge leads to a halting node, and
+   an edge to a failing node or to one on the DFS path (a solo cycle)
+   fails the whole path, since every node on it reaches that edge. *)
+let solo_halting_of (graph : Graph.t) ~status ~pid ~accept =
+  let white = 0 and grey = 1 and halts = 2 and fails = 3 in
+  let colour =
+    Array.map
+      (fun st ->
+        if st.(pid) = Config.Running then white
+        else if accept st.(pid) then halts
+        else fails)
+      status
+  in
+  let n = Array.length colour in
+  let stack = Array.make n 0 and cursor = Array.make n 0 in
+  let sp = ref (-1) in
+  let enter u =
+    colour.(u) <- grey;
+    incr sp;
+    stack.(!sp) <- u;
+    cursor.(!sp) <- graph.offsets.(u)
+  in
+  for root = 0 to n - 1 do
+    if colour.(root) = white then enter root;
+    while !sp >= 0 do
+      let u = stack.(!sp) and i = cursor.(!sp) in
+      if i = graph.offsets.(u + 1) then begin
+        colour.(u) <- halts;
+        decr sp
+      end
+      else begin
+        cursor.(!sp) <- i + 1;
+        if Graph.step_pid graph i = pid then
+          let v = Graph.step_target graph i in
+          if colour.(v) = white then enter v
+          else if colour.(v) <> halts then begin
+            for k = 0 to !sp do
+              colour.(stack.(k)) <- fails
+            done;
+            sp := -1
+          end
+      end
+    done
+  done;
+  Array.map (fun c -> c = halts) colour
+
+let statuses (graph : Graph.t) =
+  Array.init (Graph.n_nodes graph) (fun id -> (Graph.node graph id).Config.status)
+
+let solo_halting graph = solo_halting_of graph ~status:(statuses graph)
+
+(* [solo_aborts] from node [root]: reachability over [pid]'s edges with a
+   visited bitmap and an int-array stack. *)
+let solo_aborts_on_graph (graph : Graph.t) ~status ~pid root =
+  let n = Array.length status in
+  let seen = Array.make n false and stack = Array.make n root in
+  let sp = ref 1 and found = ref false in
+  seen.(root) <- true;
+  while !sp > 0 && not !found do
+    decr sp;
+    let u = stack.(!sp) in
+    found := status.(u).(pid) = Config.Aborted;
+    Graph.iter_out_steps graph u (fun pid' v ->
+        if pid' = pid && not seen.(v) then begin
+          seen.(v) <- true;
+          stack.(!sp) <- v;
+          incr sp
+        end)
+  done;
+  !found
 
 (* --- task checkers --------------------------------------------------- *)
 
@@ -168,86 +267,72 @@ let safety task ~inputs config =
           of_result Dac.pp_violation (Dac.check_validity ~inputs config))
     <|> fun () -> of_result Dac.pp_violation (Dac.check_aborts config)
 
-(* Nontriviality and termination (a)/(b) of n-DAC.  Both explore solo
-   runs off-graph, so they are only meaningful on a complete reachable
-   set. *)
-let dac_progress ~substrate ~machine ~specs (graph : Graph.t) =
+(* Nontriviality and termination (a)/(b) of n-DAC, on a complete graph
+   built under [reduce].  A graph that keeps every step answers from its
+   own edges; a reduced one prunes steps or links orbit
+   representatives, so its solo runs are walked off the graph.  The
+   failure is the first node in id order, p's (a) before q's (b), q
+   ascending.  [status] is read once in node order, so a spilled graph
+   faults each segment once. *)
+let dac_progress ?(substrate = Substrate.shm) ~reduce ~machine ~specs
+    (graph : Graph.t) =
   let p = Lbsa_protocols.Dac.distinguished in
-  let nontriviality () =
-    let exception Abort_found in
-    let rec p_solo config =
-      if config.Config.status.(p) = Config.Aborted then raise Abort_found
-      else if Config.is_running config p then
-        List.iter
-          (fun (c', _) -> p_solo c')
-          (substrate.Substrate.step_branches ~machine ~specs config p)
-    in
-    match p_solo (Graph.node graph graph.initial) with
-    | () -> None
-    | exception Abort_found -> Some "nontriviality: p aborted in a p-solo run"
+  let accept pid = function
+    | Config.Decided _ -> true
+    | Config.Aborted -> pid = p
+    | Config.Running | Config.Crashed -> false
   in
-  let termination () =
-    let cache_a = solo_cache () in
-    let caches_b = Hashtbl.create 8 in
-    let accept_a = function
-      | Config.Decided _ | Config.Aborted -> true
-      | Config.Running | Config.Crashed -> false
-    in
-    let accept_b = function
-      | Config.Decided _ -> true
-      | Config.Running | Config.Aborted | Config.Crashed -> false
-    in
-    Graph.find_map_node graph (fun id config ->
-        (if
-           Config.is_running config p
-           && not
-                (solo_halts ~cache:cache_a ~substrate ~machine ~specs ~pid:p
-                   ~accept:accept_a config)
-         then Some (Fmt.str "node %d: termination (a) fails for p" id)
-         else None)
-        <|> fun () ->
-        List.find_map
-          (fun q ->
-            if q = p then None
-            else
-              let cache =
-                match Hashtbl.find_opt caches_b q with
-                | Some c -> c
-                | None ->
-                  let c = solo_cache () in
-                  Hashtbl.replace caches_b q c;
-                  c
-              in
-              if
-                not
-                  (solo_halts ~cache ~substrate ~machine ~specs ~pid:q
-                     ~accept:accept_b config)
-              then Some (Fmt.str "node %d: termination (b) fails for q%d" id q)
-              else None)
-          (Config.running config))
+  let status = statuses graph in
+  let n_procs = Array.length status.(graph.initial) in
+  let aborts, halts =
+    if Graph.keeps_every_step reduce then
+      let halting =
+        Array.init n_procs (fun pid ->
+            solo_halting_of graph ~status ~pid ~accept:(accept pid))
+      in
+      ( solo_aborts_on_graph graph ~status ~pid:p graph.initial,
+        fun pid id -> halting.(pid).(id) )
+    else
+      let cache = solo_cache () in
+      ( solo_aborts ~substrate ~machine ~specs ~pid:p
+          (Graph.node graph graph.initial),
+        fun pid id ->
+          solo_halts ~cache ~substrate ~machine ~specs ~pid ~accept:(accept pid)
+            (Graph.node graph id) )
   in
-  nontriviality () <|> termination
+  let fails id pid = status.(id).(pid) = Config.Running && not (halts pid id) in
+  if aborts then Some "nontriviality: p aborted in a p-solo run"
+  else
+    Seq.find_map
+      (fun id ->
+        Option.map
+          (fun pid ->
+            if pid = p then Fmt.str "node %d: termination (a) fails for p" id
+            else Fmt.str "node %d: termination (b) fails for q%d" id pid)
+          (List.find_opt (fails id) (List.init n_procs Fun.id)))
+      (Seq.init (Array.length status) Fun.id)
 
 (* The liveness condition, checked on a complete graph only. *)
-let liveness task ~substrate ~machine ~specs ~inputs graph =
+let liveness task ~substrate ~reduce ~machine ~specs ~inputs graph =
   match task with
   | Consensus ->
+    let comp, _ = Graph.scc graph in
     List.find_map
       (fun pid ->
         Option.map
           (Fmt.str
              "process %d can take infinitely many steps (cycle at node %d)" pid)
-          (cycle_with_step_of graph pid))
+          (cycle_with_step_of graph ~comp pid))
       (List.init (Array.length inputs) Fun.id)
   | Kset _ ->
     Option.map (Fmt.str "livelock (cycle at node %d)") (any_cycle graph)
-  | Dac -> dac_progress ~substrate ~machine ~specs graph
+  | Dac -> dac_progress ~substrate ~reduce ~machine ~specs graph
 
 let check ?(max_states = Graph.default_max_states) ?domains ?budget
-    ?(substrate = Substrate.shm) ?reduce ?resume ?shards ?spill ~task ~machine
-    ~specs ~inputs () =
+    ?(substrate = Substrate.shm) ?(reduce = Graph.no_reduction) ?resume ?shards
+    ?spill ~task ~machine ~specs ~inputs () =
   let graph =
-    Graph.build ~max_states ?domains ?budget ~substrate ?reduce ?resume ?shards
+    Graph.build ~max_states ?domains ?budget ~substrate ~reduce ?resume ?shards
       ?spill ~machine ~specs ~inputs ()
   in
   let states = Graph.n_nodes graph in
@@ -261,7 +346,7 @@ let check ?(max_states = Graph.default_max_states) ?domains ?budget
   | Some msg -> fail ~stats ~inputs ~states msg
   | None when graph.truncated -> partial ~graph ~stats ~inputs ~states ()
   | None -> (
-    match liveness task ~substrate ~machine ~specs ~inputs graph with
+    match liveness task ~substrate ~reduce ~machine ~specs ~inputs graph with
     | Some msg -> fail ~stats ~inputs ~states msg
     | None -> pass ~stats ~inputs ~states ())
 

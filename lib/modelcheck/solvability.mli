@@ -27,13 +27,16 @@ type verdict = {
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
-val cycle_with_step_of : Graph.t -> int -> int option
+val cycle_with_step_of : Graph.t -> comp:int array -> int -> int option
 (** A node on a reachable cycle containing a step of the given process —
-    a wait-freedom violation witness. *)
+    a wait-freedom violation witness.  [comp] is the component map of
+    {!Graph.scc}, computed once for every process. *)
 
 val any_cycle : Graph.t -> int option
 
 type solo_cache
+(** Memoised answers of {!solo_halts}, one table per pid; use one cache
+    per [accept] predicate. *)
 
 val solo_cache : unit -> solo_cache
 
@@ -49,6 +52,23 @@ val solo_halts :
 (** Do all solo runs of [pid] from this configuration halt it with a
     status satisfying [accept]? Explores every nondeterministic branch;
     detects solo cycles. *)
+
+val solo_halting :
+  Graph.t -> pid:int -> accept:(Config.status -> bool) -> bool array
+(** {!solo_halts} for every node of a complete graph that keeps every
+    step ({!Graph.keeps_every_step}), read off its [pid]-edges. *)
+
+val dac_progress :
+  ?substrate:Substrate.t ->
+  reduce:Graph.reduction ->
+  machine:Machine.t ->
+  specs:Obj_spec.t array ->
+  Graph.t ->
+  string option
+(** n-DAC nontriviality and termination (a)/(b) of a complete graph built
+    under [reduce]: the first failure, or [None].  Decided on the graph's
+    edges when [reduce] keeps every step, else by walking solo runs off
+    the graph (sound on any complete graph). *)
 
 (** {2 Task checkers} *)
 

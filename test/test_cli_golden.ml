@@ -148,6 +148,18 @@ obj1: (1, 2)
 FAIL (inputs=0,0,0, 84 states): node 5: termination (b) fails for q2
 (liveness failure: no safety witness configuration)
 |} );
+    ( "check candidate --name 3dac-cons2-announce --reduce sym",
+      0,
+      {|candidate 3dac-cons2-announce (3-DAC) — expected to FAIL:
+FAIL (inputs=0,0,0, 84 states): node 5: termination (b) fails for q2
+(liveness failure: no safety witness configuration)
+|} );
+    ( "check candidate --name 3dac-cons2-announce --reduce sym+sleep",
+      0,
+      {|candidate 3dac-cons2-announce (3-DAC) — expected to FAIL:
+FAIL (inputs=0,0,0, 35 states): node 5: termination (b) fails for q2
+(liveness failure: no safety witness configuration)
+|} );
     ( "check candidate --name 3cons-from-22pac",
       0,
       {|candidate 3cons-from-22pac (consensus among 3) — expected to FAIL:
@@ -201,6 +213,10 @@ cycle (2 steps):
     ( "solve dac -n 3 --reduce sym+sleep",
       0,
       {|OK (inputs=1,0,0, 44 states)
+|} );
+    ( "solve dac -n 6 --reduce none",
+      0,
+      {|OK (inputs=1,0,0,0,0,0, 19230 states)
 |} );
     ( "solve consensus -m 3 --reduce none",
       0,

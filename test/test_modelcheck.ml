@@ -757,6 +757,126 @@ let test_solo_halts_primitive () =
   Alcotest.(check bool) "Algorithm 2: q1 solo decides" true
     (Solvability.solo_halts ~machine ~specs ~pid:1 ~accept c)
 
+let accept_a = function
+  | Config.Decided _ | Config.Aborted -> true
+  | Config.Running | Config.Crashed -> false
+
+let accept_b = function
+  | Config.Decided _ -> true
+  | Config.Running | Config.Aborted | Config.Crashed -> false
+
+(* Any reduction that does not keep every step sends [dac_progress] off
+   the graph; the identity group keeps the graph itself a valid input. *)
+let off_graph = { Cgraph.no_reduction with rname = "sleep"; sleep = true }
+
+(* n-DAC progress on an unreduced graph, decided from its own edges,
+   against the off-graph walks it replaces: at every node, for every
+   process running there, [solo_halting] equals [solo_halts] from the
+   node's configuration under termination (a)'s accept for p and (b)'s
+   for each q; and the whole progress answer — nontriviality first —
+   equals the off-graph path's on the same graph. *)
+let test_dac_progress_on_graph_oracle () =
+  let dac n = (Dac_from_pac.machine ~n, Dac_from_pac.specs ~n) in
+  let cases =
+    List.concat_map
+      (fun (name, protocol, n) ->
+        List.map (fun inputs -> (name, protocol, inputs)) (Dac.binary_inputs n))
+      [
+        ("dac:2", dac 2, 2);
+        ("dac:3", dac 3, 3);
+        ("dac:4", dac 4, 4);
+        ("3dac-sa2-then-cons2", Candidates.dac3_sa2_then_cons2, 3);
+        ("3dac-cons2-announce", Candidates.dac3_cons2_announce, 3);
+        ("flp-spin", Candidates.flp_spin, 2);
+      ]
+  in
+  List.iter
+    (fun (name, (machine, specs), inputs) ->
+      let label =
+        Fmt.str "%s inputs=%a" name Fmt.(array ~sep:(any ",") Value.pp) inputs
+      in
+      let graph = Cgraph.build ~machine ~specs ~inputs () in
+      Array.iteri
+        (fun pid _ ->
+          let accept = if pid = Dac.distinguished then accept_a else accept_b in
+          let on_graph = Solvability.solo_halting graph ~pid ~accept in
+          Cgraph.iter_nodes
+            (fun id config ->
+              if Config.is_running config pid then
+                Alcotest.(check bool)
+                  (Fmt.str "%s: node %d, pid %d" label id pid)
+                  (Solvability.solo_halts ~machine ~specs ~pid ~accept config)
+                  on_graph.(id))
+            graph)
+        inputs;
+      Alcotest.(check (option string))
+        (label ^ ": progress answer")
+        (Solvability.dac_progress ~reduce:off_graph ~machine ~specs graph)
+        (Solvability.dac_progress ~reduce:Cgraph.no_reduction ~machine ~specs
+           graph))
+    cases
+
+(* flp-spin run as a 2-DAC: p writes, then reads an empty register
+   forever.  Nontriviality used to follow that solo run without a
+   visited set and never returned; both paths now stop at the cycle
+   and report termination (a). *)
+let test_dac_nontriviality_solo_spin () =
+  let machine, specs = Candidates.flp_spin in
+  let inputs = [| Value.int 0; Value.int 1 |] in
+  List.iter
+    (fun (reduce, expect) ->
+      Alcotest.(check string) reduce.Cgraph.rname expect
+        (Fmt.str "%a" Solvability.pp_verdict
+           (Solvability.check_dac ~domains:1 ~reduce ~machine ~specs ~inputs ())))
+    [
+      ( Cgraph.no_reduction,
+        "FAIL (inputs=0,1, 12 states): node 0: termination (a) fails for p" );
+      ( off_graph,
+        "FAIL (inputs=0,1, 7 states): node 0: termination (a) fails for p" );
+    ]
+
+(* A p that aborts at once fails nontriviality on both paths. *)
+let test_dac_nontriviality_abort () =
+  let name = "p-aborts" in
+  let machine =
+    Machine.make ~name
+      ~init:(fun ~pid:_ ~input -> input)
+      ~delta:(fun ~pid v ->
+        if pid = Dac.distinguished then Machine.Abort else Machine.Decide v)
+  in
+  let specs = [| Register.spec () |] in
+  let inputs = [| Value.int 0; Value.int 1 |] in
+  List.iter
+    (fun reduce ->
+      Alcotest.(check (option string)) reduce.Cgraph.rname
+        (Some "nontriviality: p aborted in a p-solo run")
+        (Solvability.check_dac ~reduce ~machine ~specs ~inputs ()).failure)
+    [ Cgraph.no_reduction; off_graph ]
+
+(* A spilled graph answers from the same edges: every dac:4 vector gets
+   the resident verdict when the build spills into four shards. *)
+let test_dac_progress_spilled () =
+  let n = 4 in
+  let machine = Dac_from_pac.machine ~n and specs = Dac_from_pac.specs ~n in
+  let dir = Filename.temp_file "lbsa-spill" ".d" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () -> Segstore.clean_dir ~dir)
+    (fun () ->
+      let spill = { Cgraph.spill_dir = dir; spill_threshold = 40 } in
+      List.iter
+        (fun inputs ->
+          let verdict v = Fmt.str "%a" Solvability.pp_verdict v in
+          let spilled =
+            Solvability.check_dac ~shards:4 ~spill ~machine ~specs ~inputs ()
+          in
+          Alcotest.(check bool) "the build spilled" true
+            ((Option.get spilled.stats).Cgraph.spill.Cgraph.sp_segments > 0);
+          Alcotest.(check string) "spilled = resident"
+            (verdict (Solvability.check_dac ~machine ~specs ~inputs ()))
+            (verdict spilled))
+        (Dac.binary_inputs n))
+
 let () =
   Alcotest.run "modelcheck"
     [
@@ -828,6 +948,14 @@ let () =
             test_candidates_fail_exhaustive;
           Alcotest.test_case "solo_halts primitive" `Quick
             test_solo_halts_primitive;
+          Alcotest.test_case "DAC progress on the graph = off-graph walks"
+            `Quick test_dac_progress_on_graph_oracle;
+          Alcotest.test_case "DAC nontriviality stops on a solo spin" `Quick
+            test_dac_nontriviality_solo_spin;
+          Alcotest.test_case "DAC nontriviality catches a p-solo abort" `Quick
+            test_dac_nontriviality_abort;
+          Alcotest.test_case "DAC progress on a spilled graph" `Quick
+            test_dac_progress_spilled;
           Alcotest.test_case "witness schedule replays" `Quick
             test_witness_schedule_replays;
           Alcotest.test_case "DAC witness" `Quick test_dac_witness;

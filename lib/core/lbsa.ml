@@ -81,7 +81,6 @@ module Canon = Lbsa_modelcheck.Canon
 module Cgraph = Lbsa_modelcheck.Graph
 module Checkpoint = Lbsa_modelcheck.Checkpoint
 module Ctbl = Lbsa_modelcheck.Ctbl
-module Ctbl_sharded = Lbsa_modelcheck.Ctbl_sharded
 module Config_codec = Lbsa_modelcheck.Config_codec
 module Segstore = Lbsa_modelcheck.Segstore
 module Valence = Lbsa_modelcheck.Valence

@@ -11,20 +11,23 @@ open Lbsa_runtime
      bivalent configuration some step leads to a bivalent configuration,
      so an infinite undecided run exists. *)
 
+(* The passes below that only follow edges read the packed steps
+   ({!Graph.iter_out_steps}): no edge record is materialized, and a
+   spilled graph faults no segment. *)
+
 (* Node ids of bivalent configurations with all successors univalent. *)
 let critical_configurations (a : Valence.analysis) (graph : Graph.t) =
   let result = ref [] in
-  Graph.iter_nodes
-    (fun id _ ->
-      if
-        Valence.is_bivalent a id
-        && List.for_all
-             (fun (e : Graph.edge) -> not (Valence.is_bivalent a e.target))
-             (Graph.out_edges graph id)
-        && Graph.out_edges graph id <> []
-      then result := id :: !result)
-    graph;
-  List.rev !result
+  for id = Graph.n_nodes graph - 1 downto 0 do
+    if
+      Valence.is_bivalent a id
+      && Graph.out_degree graph id > 0
+      && not
+           (Graph.exists_out_step graph id (fun _pid v ->
+                Valence.is_bivalent a v))
+    then result := id :: !result
+  done;
+  !result
 
 (* What each running process is poised to do at a configuration:
    [Some obj] if its next step is an operation on object [obj], [None]
@@ -123,38 +126,30 @@ let pp_hook ppf h =
 let find_hooks ?(limit = 10) (a : Valence.analysis) (graph : Graph.t) =
   let hooks = ref [] in
   let count = ref 0 in
-  Graph.iter_nodes
-    (fun c _ ->
-      if !count < limit then
-        let edges = Graph.out_edges graph c in
-        List.iter
-          (fun (ep : Graph.edge) ->
-            match Valence.classify a ep.target with
-            | Valence.Valent v ->
-              List.iter
-                (fun (eq : Graph.edge) ->
-                  if eq.pid <> ep.pid && !count < limit then
-                    List.iter
-                      (fun (ep' : Graph.edge) ->
-                        if ep'.pid = ep.pid && !count < limit then
-                          match Valence.classify a ep'.target with
-                          | Valence.Valent v' when not (Value.equal v v') ->
-                            incr count;
-                            hooks :=
-                              {
-                                node = c;
-                                p = ep.pid;
-                                q = eq.pid;
-                                valent_after_p = v;
-                                valent_after_qp = v';
-                              }
-                              :: !hooks
-                          | _ -> ())
-                      (Graph.out_edges graph eq.target))
-                edges
-            | _ -> ())
-          edges)
-    graph;
+  for c = 0 to Graph.n_nodes graph - 1 do
+    if !count < limit then
+      Graph.iter_out_steps graph c (fun p after_p ->
+          match Valence.classify a after_p with
+          | Valence.Valent v ->
+            Graph.iter_out_steps graph c (fun q after_q ->
+                if q <> p && !count < limit then
+                  Graph.iter_out_steps graph after_q (fun p' after_qp ->
+                      if p' = p && !count < limit then
+                        match Valence.classify a after_qp with
+                        | Valence.Valent v' when not (Value.equal v v') ->
+                          incr count;
+                          hooks :=
+                            {
+                              node = c;
+                              p;
+                              q;
+                              valent_after_p = v;
+                              valent_after_qp = v';
+                            }
+                            :: !hooks
+                        | _ -> ()))
+          | _ -> ())
+  done;
   List.rev !hooks
 
 (* The FLP adversary argument, finitized: bivalence is *maintainable* if
@@ -164,18 +159,13 @@ let find_hooks ?(limit = 10) (a : Valence.analysis) (graph : Graph.t) =
    Returns [Ok ()] or the first bivalent dead-end (which would be a
    critical configuration). *)
 let bivalence_maintainable (a : Valence.analysis) (graph : Graph.t) =
-  let bad = ref None in
-  Graph.iter_nodes
-    (fun id _ ->
-      if !bad = None && Valence.is_bivalent a id then
-        if
-          not
-            (List.exists
-               (fun (e : Graph.edge) -> Valence.is_bivalent a e.target)
-               (Graph.out_edges graph id))
-        then bad := Some id)
-    graph;
-  match !bad with
+  match
+    Graph.find_id graph (fun id ->
+        Valence.is_bivalent a id
+        && not
+             (Graph.exists_out_step graph id (fun _pid v ->
+                  Valence.is_bivalent a v)))
+  with
   | None -> Ok ()
   | Some id -> Error id
 

@@ -1,8 +1,30 @@
 (** Open-addressing hash table from configurations to node ids: the
     dedup structure of the state-space explorer.  Keys are compared by
-    stored full-tree hash first, then [Config.equal], so lookups in a
-    graph of hundreds of thousands of states stay O(1) instead of the
-    O(log n) structural compares of a [Map.Make(Config)]. *)
+    stored full hash first, then [Config.equal], so lookups in a graph
+    of hundreds of thousands of states stay O(1) instead of the
+    O(log n) structural compares of a [Map.Make(Config)].
+
+    The table is 2^k independent open-addressing shards routed by the
+    high bits of the caller's hash (the 64-stripe intern table in
+    [lib/spec/value.ml] is the in-repo template for the idea).
+    Sharding buys two things over one big table.  Growth is local: a
+    shard that fills rehashes only its own entries, so insertion never
+    rehashes the world and the worst-case pause scales with 1/2^k of
+    the table.  And shards age independently: {!freeze_below} evicts
+    the configurations of long-expanded (cold) entries from any shard
+    while keeping their hash and id resident, so an out-of-core build
+    can bound the RAM the dedup table pins.  A probe that lands on a
+    frozen slot with a matching stored hash faults the configuration
+    back through the [resolve] callback (backed by the {!Segstore})
+    for the one [Config.equal] it needs — full-hash collisions are the
+    only other reason to fault, so cold entries cost a disk touch only
+    on genuine re-encounters.
+
+    Routing uses the {e high} bits of the hash while in-shard slots use
+    the low bits, so sharding leaves probe sequences independent of the
+    shard count: for any k, the same keys collide within a shard exactly
+    as they would in one table.  With [shards = 1] the only overhead
+    per lookup is a single shift. *)
 
 open Lbsa_runtime
 
@@ -13,30 +35,59 @@ type probe_stats = {
   hash_skips : int;
       (** occupied slots dismissed on stored-hash mismatch alone — each
           one a structural [Config.equal] the cached hashes avoided *)
-  equal_confirms : int;  (** slots where [Config.equal] actually ran *)
+  equal_confirms : int;
+      (** slots where [Config.equal] actually ran, frozen-slot resolves
+          included *)
 }
 
-val probe_stats : t -> probe_stats
-(** Probe-traffic counters since {!create}.  Reinsertions during
-    internal growth are not counted; the numbers reflect lookups only. *)
+type shard_stat = {
+  ss_size : int;  (** entries (resident + frozen) *)
+  ss_frozen : int;  (** entries whose configuration lives on disk *)
+  ss_capacity : int;
+  ss_probes : int;
+  ss_hash_skips : int;
+  ss_equal_confirms : int;
+  ss_faults : int;  (** frozen-slot resolves *)
+}
 
-val create : int -> t
-(** [create n] sizes the table for about [n] expected entries (it grows
-    as needed regardless). *)
+val create : ?shards:int -> ?resolve:(int -> Config.t) -> int -> t
+(** [create ~shards ~resolve n] sizes each shard for about [n/shards]
+    expected entries.  [shards] must be a power of two in \[1, 4096\]
+    (default 1).  [resolve id] must return the configuration that was
+    inserted with id [id]; it is only called after {!freeze_below} has
+    frozen entries, so callers that never freeze can omit it. *)
 
+val n_shards : t -> int
 val length : t -> int
 
 val find_or_add :
   t -> Config.t -> hash:int -> if_absent:(Config.t -> int) -> int
 (** [find_or_add t c ~hash ~if_absent] returns the id bound to [c],
     inserting [if_absent c] first when [c] is new.  [hash] is passed in
-    so callers can hash once per candidate (and with whatever consistent
-    hash they choose); [if_absent] receives the key so one registration
-    function can serve the whole build without per-lookup closures.  It
-    is not called when [c] is already present; detect a fresh insert by
-    comparing {!length} before and after. *)
+    so callers can hash once per candidate; it must be non-negative
+    (the explorer's [Config.hash] always is).  [if_absent] receives the
+    key so one registration function can serve the whole build without
+    per-lookup closures.  It is not called when [c] is already present;
+    detect a fresh insert by comparing {!length} before and after. *)
 
 val find_opt : t -> Config.t -> hash:int -> int option
-(** [hash] must be the same value the caller would pass to
-    {!find_or_add} for this key — the table stores whatever hash the
-    caller uses, so one build must hash consistently throughout. *)
+(** [hash] must be the value {!find_or_add} was given for this key: the
+    table stores whatever hash the caller uses, so one build must hash
+    consistently throughout. *)
+
+val freeze_below : t -> id_limit:int -> int
+(** Drops the resident configuration of every entry with id below
+    [id_limit], in every shard; such entries keep their hash and id and
+    answer probes through [resolve].  Returns the number of entries
+    newly frozen.  Requires [resolve] to have been supplied. *)
+
+val frozen : t -> int
+val faults : t -> int
+
+val probe_stats : t -> probe_stats
+(** Probe traffic since {!create}, summed over shards (see
+    {!shard_stat.ss_faults} for the frozen-slot share of the
+    equal-confirms).  Reinsertions during internal growth are not
+    counted; the numbers reflect lookups only. *)
+
+val shard_stats : t -> shard_stat array

@@ -10,10 +10,11 @@ open Lbsa_runtime
    parallel across OCaml domains (the per-node successor computation is
    pure), then merged sequentially in frontier order.  Because the merge
    assigns node ids in exactly the discovery order of the seed's
-   single-threaded FIFO BFS, the resulting graph — ids, edge order,
-   truncation point — is bit-identical regardless of the domain count,
-   so every downstream table and test is reproducible.  Dedup goes
-   through {!Ctbl}, an open-addressing hash set keyed on [Config.hash] —
+   single-threaded FIFO BFS (kept as the test suite's oracle), the
+   resulting graph — ids, edge order, truncation point — is
+   bit-identical regardless of the domain count, so every downstream
+   table and test is reproducible.  Dedup goes through {!Ctbl}, a
+   sharded open-addressing hash set keyed on [Config.hash] —
    with hash-consed values that is a fold over cached per-element
    hashes, O(#processes) per configuration, so the build needs no
    incremental hashing machinery of its own.  (An earlier revision
@@ -21,6 +22,12 @@ open Lbsa_runtime
    avoid rehashing whole value trees; interning made that redundant and
    it was deleted.)  Out-edges live in one flat array in CSR form
    (per-node slices via [offsets]) instead of a per-node list array.
+
+   The graph kernels the analyses share live here, one of each: the
+   dedup table above, Tarjan's SCC pass ({!scc}, optionally restricted
+   to a node mask) and a BFS path search ({!find_path}).  Both kernels
+   read only the packed topology, so they never fault a spilled
+   segment.
 
    Determinism caveat: everything stored or ordered here — node ids,
    edge order, [Config.hash] — is structural.  Value intern ids are
@@ -60,9 +67,6 @@ type reduction_stats = {
   ample_pruned : int;  (* running processes not expanded at those nodes *)
 }
 
-let no_reduction_stats =
-  { rmode = "none"; group_order = 1; canonized = 0; ample_nodes = 0; ample_pruned = 0 }
-
 (* Out-of-core spilling: once more than [spill_threshold] expanded
    (cold) states are resident, the oldest ones — their configurations
    and their CSR edge slice — move to disk segments under [spill_dir],
@@ -96,9 +100,9 @@ type stats = {
   peak_frontier : int;
   dedup_hits : int;  (* successors that were already-known states *)
   dedup_rate : float;  (* dedup_hits / successors generated *)
-  probe : Ctbl.probe_stats;  (* dedup-table probe traffic; zeros for build_cmap *)
+  probe : Ctbl.probe_stats;  (* dedup-table probe traffic *)
   shards : int;  (* dedup shard count the build ran with *)
-  shard_stats : Ctbl_sharded.shard_stat array;  (* per-shard occupancy/probes *)
+  shard_stats : Ctbl.shard_stat array;  (* per-shard occupancy/probes *)
   steals : int;
       (* frontier spans stolen between domains; timing-dependent
          telemetry — the produced graph never depends on it *)
@@ -171,8 +175,8 @@ let pp_sharding ppf s =
   if s.shards > 1 || s.steals > 0 then begin
     let occupied =
       Array.fold_left
-        (fun a (sh : Ctbl_sharded.shard_stat) ->
-          a + if sh.Ctbl_sharded.ss_size > 0 then 1 else 0)
+        (fun a (sh : Ctbl.shard_stat) ->
+          a + if sh.Ctbl.ss_size > 0 then 1 else 0)
         0 s.shard_stats
     in
     Fmt.pf ppf "@,shards: %d (%d occupied), steals: %d" s.shards occupied
@@ -225,18 +229,6 @@ end
 
 (* --- parallel frontier expansion -------------------------------------- *)
 
-(* All successors of one configuration, grouped per pid (one list cell
-   and pair per *process*, not per successor), in the deterministic order
-   the seed BFS used: pids ascending, object branches in spec order.
-   With a nontrivial [reduce] this is the single shared reduction step
-   of both explorers ([build] and the [build_cmap] oracle, which must
-   stay graph-identical): the ample rule first restricts expansion to
-   the commit step when one exists, then every successor is flushed
-   (poised decide/aborts committed in place) and replaced by its
-   canonical orbit representative.  Returns the per-pid branch lists
-   plus this node's reduction counters: successors canonized, and
-   steps short-circuited by commit pruning (suppressed sibling
-   expansions plus flushed decide/aborts). *)
 (* Normalize one configuration under [reduce]: flush poised
    decide/abort steps into it (sleep layer), then replace it by its
    canonical orbit representative (symmetry layer).  Flushing first is
@@ -253,6 +245,18 @@ let reduce_config ~reduce ~machine config =
     let c = Canon.canonical reduce.canon config in
     (c, flushed, if c != config then 1 else 0)
 
+(* All successors of one configuration, grouped per pid (one list cell
+   and pair per *process*, not per successor), in the deterministic order
+   the seed BFS used: pids ascending, object branches in spec order.
+   With a nontrivial [reduce] this is the reduction step [build] shares
+   with the seed-explorer oracle in the test suite, which must stay
+   graph-identical to it: the ample rule first restricts expansion to
+   the commit step when one exists, then every successor is flushed
+   (poised decide/aborts committed in place) and replaced by its
+   canonical orbit representative.  Returns the per-pid branch lists
+   plus this node's reduction counters: successors canonized, and
+   steps short-circuited by commit pruning (suppressed sibling
+   expansions plus flushed decide/aborts). *)
 let successors ?(substrate = Substrate.shm) ~reduce ~machine ~specs config =
   let ample =
     if reduce.sleep then Canon.commit_pid ~machine ?frozen:reduce.frozen config
@@ -498,7 +502,7 @@ let build ?(max_states = default_max_states) ?domains
     if id >= !n_base then nodes.Dyn.arr.(id - !n_base)
     else Segstore.node (Option.get store) id
   in
-  let tbl = Ctbl_sharded.create ~shards ~resolve:config_of 16 in
+  let tbl = Ctbl.create ~shards ~resolve:config_of 16 in
   let dedup_hits = ref 0 in
   let n_succs = ref 0 in
   let canonized = ref 0 in
@@ -528,7 +532,7 @@ let build ?(max_states = default_max_states) ?domains
         (substrate.Substrate.initial ~machine ~specs ~inputs)
     in
     ignore
-      (Ctbl_sharded.find_or_add tbl init ~hash:(Config.hash init)
+      (Ctbl.find_or_add tbl init ~hash:(Config.hash init)
          ~if_absent:register)
   | Some s ->
     (* Rebuild the dedup table and buffers from a suspended prefix.  The
@@ -550,7 +554,7 @@ let build ?(max_states = default_max_states) ?domains
       (fun id config ->
         Dyn.push nodes config;
         ignore
-          (Ctbl_sharded.find_or_add tbl config ~hash:(Config.hash config)
+          (Ctbl.find_or_add tbl config ~hash:(Config.hash config)
              ~if_absent:(fun _ -> id));
         if id >= s.s_expanded then Dyn.push !nxt config)
       s.s_nodes;
@@ -606,7 +610,7 @@ let build ?(max_states = default_max_states) ?domains
       Array.fill edges.Dyn.arr (edges.Dyn.len - eshift) eshift hole_edge;
       edges.Dyn.len <- edges.Dyn.len - eshift;
       e_base := !e_cut;
-      ignore (Ctbl_sharded.freeze_below tbl ~id_limit:cut_to)
+      ignore (Ctbl.freeze_below tbl ~id_limit:cut_to)
     | _ -> ()
   in
   let stop = ref Supervisor.Done in
@@ -654,12 +658,12 @@ let build ?(max_states = default_max_states) ?domains
                   (fun ((config' : Config.t), event) ->
                     incr n_succs;
                     let hash = Config.hash config' in
-                    let before = Ctbl_sharded.length tbl in
+                    let before = Ctbl.length tbl in
                     let target =
-                      Ctbl_sharded.find_or_add tbl config' ~hash
+                      Ctbl.find_or_add tbl config' ~hash
                         ~if_absent:register
                     in
-                    if Ctbl_sharded.length tbl = before then incr dedup_hits;
+                    if Ctbl.length tbl = before then incr dedup_hits;
                     Dyn.push edges { pid; event; target };
                     Dyn.push targets (pack_step ~pid ~target))
                   branches)
@@ -717,8 +721,8 @@ let build ?(max_states = default_max_states) ?domains
         sp_segments = Segstore.n_segments st;
         sp_bytes = Segstore.spilled_bytes st;
         sp_seg_faults = Segstore.faults st;
-        sp_frozen = Ctbl_sharded.frozen tbl;
-        sp_key_faults = Ctbl_sharded.faults tbl;
+        sp_frozen = Ctbl.frozen tbl;
+        sp_key_faults = Ctbl.faults tbl;
       }
   in
   let stats =
@@ -731,9 +735,9 @@ let build ?(max_states = default_max_states) ?domains
       dedup_hits = !dedup_hits;
       dedup_rate =
         (if !n_succs = 0 then 0. else float !dedup_hits /. float !n_succs);
-      probe = Ctbl_sharded.probe_stats tbl;
+      probe = Ctbl.probe_stats tbl;
       shards;
-      shard_stats = Ctbl_sharded.shard_stats tbl;
+      shard_stats = Ctbl.shard_stats tbl;
       steals = !steals;
       spill = spill_stats;
       wall_s;
@@ -791,216 +795,6 @@ let suspended_of_parts ~nodes ~expanded ~edges ~offsets ~dedup_hits ~n_succs
     s_ample_pruned = ample_pruned;
   }
 
-(* The seed explorer: single-threaded FIFO BFS deduping through a
-   persistent [Map.Make(Config)].  Kept as the differential-testing
-   oracle the tests hold [build] to: it must produce the identical
-   graph.  It stays in this module because it shares [build]'s
-   reduction step and reads the graph's internals.
-
-   The comparator reproduces the seed's comparison path verbatim — in
-   particular WITHOUT the physical-equality and intern-id fast paths
-   [Value.compare] has since gained — so the oracle does not share the
-   engine's dedup shortcuts: a bug in those fast paths cannot make both
-   sides agree on a wrong graph.  It reads through the hash-consed
-   records to their structural [node]s and walks whole trees. *)
-module Seed_ord = struct
-  type t = Config.t
-
-  open Lbsa_spec
-
-  let rec compare_value (a : Value.t) (b : Value.t) =
-    match (Value.node a, Value.node b) with
-    | Value.Unit, Value.Unit -> 0
-    | Value.Unit, _ -> -1
-    | _, Value.Unit -> 1
-    | Value.Bool x, Value.Bool y -> Stdlib.compare x y
-    | Value.Bool _, _ -> -1
-    | _, Value.Bool _ -> 1
-    | Value.Int x, Value.Int y -> Stdlib.compare x y
-    | Value.Int _, _ -> -1
-    | _, Value.Int _ -> 1
-    | Value.Sym x, Value.Sym y -> String.compare x y
-    | Value.Sym _, _ -> -1
-    | _, Value.Sym _ -> 1
-    | Value.Bot, Value.Bot -> 0
-    | Value.Bot, _ -> -1
-    | _, Value.Bot -> 1
-    | Value.Nil, Value.Nil -> 0
-    | Value.Nil, _ -> -1
-    | _, Value.Nil -> 1
-    | Value.Done, Value.Done -> 0
-    | Value.Done, _ -> -1
-    | _, Value.Done -> 1
-    | Value.Pair (x1, y1), Value.Pair (x2, y2) ->
-      let c = compare_value x1 x2 in
-      if c <> 0 then c else compare_value y1 y2
-    | Value.Pair _, _ -> -1
-    | _, Value.Pair _ -> 1
-    | Value.List xs, Value.List ys -> compare_value_lists xs ys
-
-  and compare_value_lists xs ys =
-    match (xs, ys) with
-    | [], [] -> 0
-    | [], _ -> -1
-    | _, [] -> 1
-    | x :: xs', y :: ys' ->
-      let c = compare_value x y in
-      if c <> 0 then c else compare_value_lists xs' ys'
-
-  let compare_status (a : Config.status) (b : Config.status) =
-    match (a, b) with
-    | Config.Running, Config.Running -> 0
-    | Config.Running, _ -> -1
-    | _, Config.Running -> 1
-    | Config.Decided x, Config.Decided y -> compare_value x y
-    | Config.Decided _, _ -> -1
-    | _, Config.Decided _ -> 1
-    | Config.Aborted, Config.Aborted -> 0
-    | Config.Aborted, _ -> -1
-    | _, Config.Aborted -> 1
-    | Config.Crashed, Config.Crashed -> 0
-
-  let compare (a : Config.t) (b : Config.t) =
-    let arr cmp x y =
-      let c = Stdlib.compare (Array.length x) (Array.length y) in
-      if c <> 0 then c
-      else
-        let rec go i =
-          if i >= Array.length x then 0
-          else
-            let c = cmp x.(i) y.(i) in
-            if c <> 0 then c else go (i + 1)
-        in
-        go 0
-    in
-    let c = arr compare_value a.Config.locals b.Config.locals in
-    if c <> 0 then c
-    else
-      let c = arr compare_value a.Config.objects b.Config.objects in
-      if c <> 0 then c else arr compare_status a.Config.status b.Config.status
-end
-
-module CMap = Map.Make (Seed_ord)
-
-let build_cmap ?(max_states = default_max_states)
-    ?(substrate = Substrate.shm) ?(reduce = no_reduction)
-    ~(machine : Machine.t) ~(specs : Lbsa_spec.Obj_spec.t array) ~inputs () =
-  let t0 = Unix.gettimeofday () in
-  let init, _, _ =
-    reduce_config ~reduce ~machine
-      (substrate.Substrate.initial ~machine ~specs ~inputs)
-  in
-  let ids = ref (CMap.singleton init 0) in
-  let nodes = ref [ init ] in
-  let n_nodes = ref 1 in
-  let edges : (int, edge list) Hashtbl.t = Hashtbl.create 1024 in
-  let queue = Queue.create () in
-  let truncated = ref false in
-  let dedup_hits = ref 0 in
-  let n_succs = ref 0 in
-  let canonized = ref 0 in
-  let ample_nodes = ref 0 in
-  let ample_pruned = ref 0 in
-  Queue.add (init, 0) queue;
-  let id_of config =
-    incr n_succs;
-    match CMap.find_opt config !ids with
-    | Some id ->
-      incr dedup_hits;
-      Some id
-    | None ->
-      if !n_nodes >= max_states then (
-        truncated := true;
-        None)
-      else begin
-        let id = !n_nodes in
-        ids := CMap.add config id !ids;
-        nodes := config :: !nodes;
-        incr n_nodes;
-        Queue.add (config, id) queue;
-        Some id
-      end
-  in
-  while not (Queue.is_empty queue) do
-    let config, id = Queue.pop queue in
-    let succ_list, n_canon, n_pruned =
-      successors ~substrate ~reduce ~machine ~specs config
-    in
-    canonized := !canonized + n_canon;
-    if n_pruned > 0 then begin
-      incr ample_nodes;
-      ample_pruned := !ample_pruned + n_pruned
-    end;
-    let out =
-      List.concat_map
-        (fun (pid, branches) ->
-          List.filter_map
-            (fun (config', event) ->
-              match id_of config' with
-              | Some target -> Some { pid; event; target }
-              | None -> None)
-            branches)
-        succ_list
-    in
-    Hashtbl.replace edges id out
-  done;
-  let nodes = Array.of_list (List.rev !nodes) in
-  let n = Array.length nodes in
-  let offsets = Array.make (n + 1) 0 in
-  let flat = Dyn.create () in
-  for id = 0 to n - 1 do
-    offsets.(id) <- flat.Dyn.len;
-    List.iter (Dyn.push flat)
-      (Option.value (Hashtbl.find_opt edges id) ~default:[])
-  done;
-  offsets.(n) <- flat.Dyn.len;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let stats =
-    {
-      states = n;
-      edges = flat.Dyn.len;
-      levels = 0;
-      frontier_sizes = [||];
-      peak_frontier = 0;
-      dedup_hits = !dedup_hits;
-      dedup_rate =
-        (if !n_succs = 0 then 0. else float !dedup_hits /. float !n_succs);
-      probe = { Ctbl.probes = 0; hash_skips = 0; equal_confirms = 0 };
-      shards = 1;
-      shard_stats = [||];
-      steals = 0;
-      spill = no_spill_stats;
-      wall_s;
-      states_per_sec = (if wall_s > 0. then float n /. wall_s else float n);
-      domains = 1;
-      truncated = !truncated;
-      reduction =
-        {
-          rmode = reduce.rname;
-          group_order = Canon.order reduce.canon;
-          canonized = !canonized;
-          ample_nodes = !ample_nodes;
-          ample_pruned = !ample_pruned;
-        };
-    }
-  in
-  let edges = Dyn.to_array flat in
-  {
-    nodes;
-    n_base = 0;
-    edges;
-    e_base = 0;
-    targets =
-      Array.map (fun e -> pack_step ~pid:e.pid ~target:e.target) edges;
-    offsets;
-    segs = None;
-    initial = 0;
-    truncated = !truncated;
-    stop = (if !truncated then Supervisor.Truncated else Supervisor.Done);
-    suspended = None;
-    stats;
-  }
-
 (* --- accessors ---------------------------------------------------------- *)
 
 let n_nodes t = t.n_base + Array.length t.nodes
@@ -1024,17 +818,6 @@ let iter_out_edges t id f =
   for i = t.offsets.(id) to t.offsets.(id + 1) - 1 do
     f (edge_at t i)
   done
-
-let fold_out_edges t id f acc =
-  let acc = ref acc in
-  for i = t.offsets.(id) to t.offsets.(id + 1) - 1 do
-    acc := f !acc (edge_at t i)
-  done;
-  !acc
-
-let exists_out_edge t id p =
-  let rec go i = i < t.offsets.(id + 1) && (p (edge_at t i) || go (i + 1)) in
-  go t.offsets.(id)
 
 let out_degree t id = t.offsets.(id + 1) - t.offsets.(id)
 
@@ -1080,47 +863,56 @@ let find_node t p =
 
 let require_complete t = if t.truncated then raise Truncated
 
+(* BFS from [src] over the packed targets, through nodes in [mask]:
+   scanning nodes in BFS order and each node's out-edges in CSR order,
+   the first edge [accept pid target] takes ends the search, and the
+   path is the chain of discovering edges from [src] to that edge's
+   source, plus the edge itself.  The accepted edge may lead anywhere
+   (back to [src], say); only the edges on the returned path are
+   materialized, faulting at most one segment per step. *)
+let find_path ?mask t ~src ~accept =
+  let n = n_nodes t in
+  let inside v = match mask with None -> true | Some m -> m.(v) in
+  let parent = Array.make n (-1) in  (* discovering edge index *)
+  let from = Array.make n (-1) in  (* that edge's source *)
+  let seen = Array.make n false in
+  let queue = Array.make (max n 1) src in  (* each node enters once *)
+  seen.(src) <- true;
+  let head = ref 0 and tail = ref 1 in
+  let found = ref (-1) and found_at = ref src in
+  while !found < 0 && !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    let i = ref t.offsets.(u) and hi = t.offsets.(u + 1) in
+    while !found < 0 && !i < hi do
+      let v = step_target t !i in
+      if accept (step_pid t !i) v then begin
+        found := !i;
+        found_at := u
+      end
+      else if inside v && not seen.(v) then begin
+        seen.(v) <- true;
+        parent.(v) <- !i;
+        from.(v) <- u;
+        queue.(!tail) <- v;
+        incr tail
+      end;
+      incr i
+    done
+  done;
+  if !found < 0 then None
+  else
+    let rec walk v acc =
+      if v = src then acc else walk from.(v) (edge_at t parent.(v) :: acc)
+    in
+    Some (walk !found_at [ edge_at t !found ])
+
 (* Shortest path (in steps) from the initial node to [target], as the
    list of edges taken: the schedule that reproduces a violating
    configuration, replayable with Scheduler.fixed. *)
 let shortest_path t ~target =
   if target = t.initial then Some []
-  else begin
-    let n = n_nodes t in
-    (* Parent search runs over the packed targets array (no segment
-       faults); only the edges actually on the returned path are
-       materialized, faulting at most one segment per path step. *)
-    let parent = Array.make n (-1) in  (* edge index into the parent *)
-    let parent_node = Array.make n (-1) in
-    let queue = Queue.create () in
-    Queue.add t.initial queue;
-    let seen = Array.make n false in
-    seen.(t.initial) <- true;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      let hi = t.offsets.(u + 1) - 1 in
-      let i = ref t.offsets.(u) in
-      while (not !found) && !i <= hi do
-        let v = t.targets.(!i) lsr pid_bits in
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          parent.(v) <- !i;
-          parent_node.(v) <- u;
-          if v = target then found := true else Queue.add v queue
-        end;
-        incr i
-      done
-    done;
-    if not !found then None
-    else begin
-      let rec walk node acc =
-        if parent.(node) < 0 then acc
-        else walk parent_node.(node) (edge_at t parent.(node) :: acc)
-      in
-      Some (walk target [])
-    end
-  end
+  else find_path t ~src:t.initial ~accept:(fun _pid v -> v = target)
 
 let schedule_of_path edges = List.map (fun e -> e.pid) edges
 
@@ -1129,9 +921,12 @@ let schedule_of_path edges = List.map (fun e -> e.pid) edges
    id of each node and the component count; ids are assigned in
    topological order of the condensation (sources first).  One DFS over
    the flat CSR edge array with preallocated int-array stacks — no
-   reverse-graph build, no per-node allocation. *)
-let scc t =
+   reverse-graph build, no per-node allocation.  With [mask], the pass
+   runs on the subgraph of the nodes it marks: edges into unmarked
+   nodes are ignored and unmarked nodes keep component -1. *)
+let scc ?mask t =
   let n = n_nodes t in
+  let inside v = match mask with None -> true | Some m -> m.(v) in
   (* The packed targets array is the flattened form the DFS wants —
      resident even for out-of-core graphs, so the whole pass runs with
      zero segment faults (and RAM builds skip the flatten copy an
@@ -1158,7 +953,7 @@ let scc t =
     incr comp_sp
   in
   for start = 0 to n - 1 do
-    if index.(start) = -1 then begin
+    if index.(start) = -1 && inside start then begin
       let sp = ref 0 in
       stack_node.(0) <- start;
       stack_edge.(0) <- t.offsets.(start);
@@ -1189,7 +984,8 @@ let scc t =
         else begin
           stack_edge.(!sp) <- ei + 1;
           let v = target ei in
-          if index.(v) = -1 then begin
+          if not (inside v) then ()
+          else if index.(v) = -1 then begin
             push v;
             incr sp;
             stack_node.(!sp) <- v;
@@ -1205,6 +1001,6 @@ let scc t =
      in topological order of the condensation, sources first. *)
   let nc = !next_comp in
   for u = 0 to n - 1 do
-    comp.(u) <- nc - 1 - comp.(u)
+    if comp.(u) >= 0 then comp.(u) <- nc - 1 - comp.(u)
   done;
   (comp, nc)

@@ -62,8 +62,6 @@ type reduction_stats = {
           successors *)
 }
 
-val no_reduction_stats : reduction_stats
-
 (** Out-of-core spilling, opt-in per build: once more than
     [spill_threshold] expanded (cold) states are resident, the oldest
     ones — configurations and their CSR edge slice — move to disk
@@ -86,8 +84,6 @@ type spill_stats = {
           re-encounters of cold states plus full-hash collisions *)
 }
 
-val no_spill_stats : spill_stats
-
 (** Exploration statistics, collected by every [build]. *)
 type stats = {
   states : int;
@@ -99,11 +95,10 @@ type stats = {
   dedup_rate : float;  (** [dedup_hits] / successors generated *)
   probe : Ctbl.probe_stats;
       (** dedup-table probe traffic — how many structural equality
-          checks the stored hashes avoided; all zeros for [build_cmap],
-          whose map baseline has no probe counters *)
+          checks the stored hashes avoided *)
   shards : int;  (** dedup shard count the build ran with *)
-  shard_stats : Ctbl_sharded.shard_stat array;
-      (** per-shard occupancy and probe traffic; empty for [build_cmap] *)
+  shard_stats : Ctbl.shard_stat array;
+      (** per-shard occupancy and probe traffic *)
   steals : int;
       (** frontier spans stolen between domains — timing-dependent
           telemetry; the produced graph never depends on it *)
@@ -206,7 +201,8 @@ val build :
     level, keeping the surviving prefix deterministic.  [reduce]
     (default {!no_reduction}) quotients and prunes the exploration; the
     reduced graph is still domain-count-deterministic and identical to
-    the [build_cmap] oracle's under the same [reduce].  [resume]
+    the test suite's seed-explorer oracle's under the same [reduce]
+    (the two share {!successors}).  [resume]
     continues a suspended exploration (its recorded reduction mode must
     match [reduce], else [Invalid_argument]); resuming an interrupted
     build yields the graph the uninterrupted build would have
@@ -240,21 +236,28 @@ val suspended_of_parts :
     from its parts (basic shape checks, no deep validation — resuming
     from a corrupted checkpoint is on the caller). *)
 
-val build_cmap :
-  ?max_states:int ->
+val reduce_config :
+  reduce:reduction -> machine:Machine.t -> Config.t -> Config.t * int * int
+(** Normalize one configuration under [reduce]: flush poised
+    decide/abort steps into it (sleep layer), then replace it by its
+    canonical orbit representative (symmetry layer).  Returns the
+    reduced configuration, the steps flushed and the canonizations (0
+    or 1).  {!build} applies it to the initial configuration. *)
+
+val successors :
   ?substrate:Substrate.t ->
-  ?reduce:reduction ->
+  reduce:reduction ->
   machine:Machine.t ->
   specs:Lbsa_spec.Obj_spec.t array ->
-  inputs:Lbsa_spec.Value.t array ->
-  unit ->
-  t
-(** The seed explorer: sequential BFS deduping through a
-    [Map.Make(Config)] with the seed's structural comparator, none of
-    [Value.compare]'s intern fast paths.  Kept as the differential-testing
-    oracle for {!build}: it produces an identical graph — including
-    under a nontrivial [reduce], which goes through the same shared
-    reduction step. *)
+  Config.t ->
+  (int * (Config.t * Config.event) list) list * int * int
+(** The reduction step {!build} expands every node with, exported for
+    the seed-explorer oracle of the test suite: all successors of a
+    configuration, grouped per running pid (ascending; object branches
+    in spec order), each one reduced by {!reduce_config}, after the
+    ample rule has restricted expansion to the commit step when one
+    exists.  Also returns the successors canonized and the steps
+    short-circuited by commit pruning. *)
 
 val n_nodes : t -> int
 val n_edges : t -> int
@@ -263,19 +266,11 @@ val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
 val out_edges : t -> int -> edge list
-(** Allocates a fresh list; prefer {!iter_out_edges}/{!fold_out_edges}
-    on hot paths. *)
+(** Allocates a fresh list; prefer {!iter_out_steps} on hot paths. *)
 
 val out_degree : t -> int -> int
 
-val edge_at : t -> int -> edge
-(** The full edge record at a flat CSR index (node [id] owns indices
-    [offsets.(id) .. offsets.(id+1) - 1]), faulting a segment in for
-    the cold prefix of an out-of-core graph. *)
-
 val iter_out_edges : t -> int -> (edge -> unit) -> unit
-val fold_out_edges : t -> int -> ('a -> edge -> 'a) -> 'a -> 'a
-val exists_out_edge : t -> int -> (edge -> bool) -> bool
 
 val iter_out_steps : t -> int -> (int -> int -> unit) -> unit
 (** [iter_out_steps t id f] calls [f pid target] for each out-edge of
@@ -308,16 +303,36 @@ val find_map_node : t -> (int -> Config.t -> 'a option) -> 'a option
 val require_complete : t -> unit
 (** Raises {!Truncated} if the graph was cut off at [max_states]. *)
 
+val find_path :
+  ?mask:bool array ->
+  t ->
+  src:int ->
+  accept:(int -> int -> bool) ->
+  edge list option
+(** The BFS path search: from [src], through the nodes [mask] marks
+    (default: all), scanning nodes in BFS order and each node's
+    out-edges in CSR order, until [accept pid target] takes an edge.
+    Returns the path of discovering edges from [src] to that edge's
+    source, followed by the accepted edge — a shortest such path, and
+    the first one in CSR order.  The accepted edge's target need not be
+    in [mask].  Reads the packed targets, so only the returned edges are
+    materialized (at most one segment fault per step). *)
+
 val shortest_path : t -> target:int -> edge list option
 (** Shortest edge path from the initial node to [target] — the schedule
-    reproducing that configuration.  [None] only if [target] is not in
-    the graph (cannot happen for ids produced by this graph). *)
+    reproducing that configuration ({!find_path} from the initial
+    node).  [None] only if [target] is not in the graph (cannot happen
+    for ids produced by this graph). *)
 
 val schedule_of_path : edge list -> int list
 (** The process ids along a path, replayable with [Scheduler.fixed].
     Nondeterministic object branches along the path must be replayed
     with a matching adversary. *)
 
-val scc : t -> int array * int
+val scc : ?mask:bool array -> t -> int array * int
 (** Strongly connected components (Tarjan): per-node component id and
-    component count, ids in topological order of the condensation. *)
+    component count, ids in topological order of the condensation.
+    With [mask], the components of the subgraph induced by the nodes it
+    marks: edges into unmarked nodes are ignored, and unmarked nodes get
+    component [-1].  Reads only the packed targets, so it never faults
+    a segment. *)

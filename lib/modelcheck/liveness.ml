@@ -2,7 +2,8 @@ open Lbsa_runtime
 
 (* Fairness-aware liveness checking: fair-cycle (lasso) detection over
    the reachable configuration graph, layered on the same iterative
-   Tarjan SCC pass the valence analysis uses.
+   Tarjan SCC pass the valence analysis uses ({!Graph.scc}, here with a
+   node mask) and on {!Graph.find_path} for the lasso's walks.
 
    A livelock is an infinite admissible execution in which some process
    runs forever without halting.  On a finite complete graph every
@@ -78,139 +79,40 @@ let cycle_trace w = Trace.of_events (List.map (fun e -> e.Graph.event) w.w_cycle
 let witness_pids w =
   List.sort_uniq Stdlib.compare (List.map (fun e -> e.Graph.pid) w.w_cycle)
 
-(* Deterministic BFS over edge indices from [src] until [accept u edge]
-   takes an edge, restricted to nodes with [ok node]; returns the edge
-   path ending with the accepted edge.  Edge order is CSR order, so the
-   result depends only on the graph. *)
-let bfs_edges graph ~ok ~src ~accept =
-  let n = Graph.n_nodes graph in
-  let parent = Array.make n (-1) in
-  let parent_node = Array.make n (-1) in
-  let seen = Array.make n false in
-  seen.(src) <- true;
-  let queue = Queue.create () in
-  Queue.add src queue;
-  let result = ref None in
-  let path_to u =
-    let rec walk v acc =
-      if v = src then acc
-      else walk parent_node.(v) (Graph.edge_at graph parent.(v) :: acc)
-    in
-    walk u []
-  in
-  while !result = None && not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    let lo = graph.Graph.offsets.(u) and hi = graph.Graph.offsets.(u + 1) in
-    let i = ref lo in
-    while !result = None && !i < hi do
-      let e = Graph.edge_at graph !i in
-      let v = e.Graph.target in
-      if accept u e then result := Some (path_to u @ [ e ])
-      else if ok v && not seen.(v) then begin
-        seen.(v) <- true;
-        parent.(v) <- !i;
-        parent_node.(v) <- u;
-        Queue.add v queue
-      end;
-      incr i
-    done
-  done;
-  !result
-
-(* A cycle through [head] inside component [in_comp], scheduling every
-   pid of [must_cover] at least once: greedily walk (BFS, deterministic)
-   to the nearest internal edge of a still-uncovered pid until all are
-   covered, then close back at [head].  The stitched walk may revisit
-   nodes — the Lasso shrinker exists to cut those detours. *)
-let cycle_through graph ~in_comp ~head ~must_cover =
-  let uncovered = Hashtbl.create 8 in
-  List.iter (fun pid -> Hashtbl.replace uncovered pid ()) must_cover;
-  let cover e =
-    List.iter (fun pid -> Hashtbl.remove uncovered pid)
-      [ e.Graph.pid ]
-  in
+(* A cycle through [head] inside the component [inside] marks,
+   scheduling every pid of [must_cover] at least once: greedily walk
+   (BFS, deterministic) to the nearest internal edge of a
+   still-uncovered pid until all are covered, then close back at
+   [head].  The stitched walk may revisit nodes — the Lasso shrinker
+   exists to cut those detours. *)
+let cycle_through graph ~inside ~head ~must_cover =
+  let uncovered = ref must_cover in
   let cycle = ref [] in
   let cur = ref head in
   let guard = ref (List.length must_cover + 1) in
-  while Hashtbl.length uncovered > 0 && !guard > 0 do
+  while !uncovered <> [] && !guard > 0 do
     decr guard;
     match
-      bfs_edges graph ~ok:in_comp ~src:!cur ~accept:(fun _u e ->
-          in_comp e.Graph.target && Hashtbl.mem uncovered e.Graph.pid)
+      Graph.find_path ~mask:inside graph ~src:!cur ~accept:(fun pid v ->
+          inside.(v) && List.mem pid !uncovered)
     with
     | None -> guard := 0 (* cannot happen for a fair component *)
     | Some path ->
-      List.iter cover path;
+      List.iter
+        (fun e -> uncovered := List.filter (( <> ) e.Graph.pid) !uncovered)
+        path;
       cycle := !cycle @ path;
       cur := (List.nth path (List.length path - 1)).Graph.target
   done;
-  if Hashtbl.length uncovered > 0 then None
+  if !uncovered <> [] then None
   else if !cur = head && !cycle <> [] then Some !cycle
   else
     match
-      bfs_edges graph ~ok:in_comp ~src:!cur ~accept:(fun _u e ->
-          e.Graph.target = head)
+      Graph.find_path ~mask:inside graph ~src:!cur ~accept:(fun _pid v ->
+          v = head)
     with
     | None -> None
     | Some path -> Some (!cycle @ path)
-
-(* Iterative Tarjan over the subgraph of nodes satisfying [ok]; edges
-   into or out of masked nodes are ignored and masked nodes keep
-   component -1.  Only the partition matters, not the numbering. *)
-let scc_masked graph ~ok comp =
-  let n = Graph.n_nodes graph in
-  let offsets = graph.Graph.offsets in
-  let index = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let tstack = Stack.create () in
-  let next = ref 0 in
-  let nc = ref 0 in
-  let visit u =
-    index.(u) <- !next;
-    low.(u) <- !next;
-    incr next;
-    Stack.push u tstack;
-    on_stack.(u) <- true
-  in
-  for root = 0 to n - 1 do
-    if ok root && index.(root) = -1 then begin
-      let call = ref [ (root, ref offsets.(root)) ] in
-      visit root;
-      while !call <> [] do
-        match !call with
-        | [] -> ()
-        | (u, i) :: rest ->
-          if !i < offsets.(u + 1) then begin
-            let v = (Graph.edge_at graph !i).Graph.target in
-            incr i;
-            if ok v then
-              if index.(v) = -1 then begin
-                visit v;
-                call := (v, ref offsets.(v)) :: !call
-              end
-              else if on_stack.(v) then low.(u) <- min low.(u) index.(v)
-          end
-          else begin
-            if low.(u) = index.(u) then begin
-              let rec pop () =
-                let w = Stack.pop tstack in
-                on_stack.(w) <- false;
-                comp.(w) <- !nc;
-                if w <> u then pop ()
-              in
-              pop ();
-              incr nc
-            end;
-            call := rest;
-            match rest with
-            | (p, _) :: _ -> low.(p) <- min low.(p) low.(u)
-            | [] -> ()
-          end
-      done
-    end
-  done;
-  !nc
 
 let analyze ~machine ~specs ~(substrate : Substrate.t) graph =
   let t0 = Unix.gettimeofday () in
@@ -227,9 +129,7 @@ let analyze ~machine ~specs ~(substrate : Substrate.t) graph =
                substrate.Substrate.mandatory_exit ~machine ~specs config pid)
              (Config.running config)))
   in
-  let ok u = good.(u) in
-  let comp = Array.make n (-1) in
-  let nc = scc_masked graph ~ok comp in
+  let comp, nc = Graph.scc ~mask:good graph in
   (* Internal-edge presence per restricted component, in one sweep. *)
   let has_internal = Array.make nc false in
   for u = 0 to n - 1 do
@@ -237,8 +137,9 @@ let analyze ~machine ~specs ~(substrate : Substrate.t) graph =
       Graph.iter_out_steps graph u (fun _pid v ->
           if comp.(v) = comp.(u) then has_internal.(comp.(u)) <- true)
   done;
-  (* Members per component, in node-id order (node ids are BFS order,
-     so the first member is also the component's shallowest node). *)
+  (* Members per component, in node-id order: node ids are BFS order,
+     so the first member — the component's head — is also its
+     shallowest node. *)
   let members = Array.make nc [] in
   for u = n - 1 downto 0 do
     if good.(u) then members.(comp.(u)) <- u :: members.(comp.(u))
@@ -246,11 +147,14 @@ let analyze ~machine ~specs ~(substrate : Substrate.t) graph =
   let cyclic_sccs = ref 0 in
   let fair_sccs = ref 0 in
   let best = ref None in
-  for c = 0 to nc - 1 do
-    if has_internal.(c) then begin
+  (* Components by ascending head id: [u] is a head iff it is the first
+     member of its component.  The first fair one gives the witness, so
+     the choice does not depend on how {!Graph.scc} numbers them. *)
+  for head = 0 to n - 1 do
+    let c = comp.(head) in
+    if c >= 0 && List.hd members.(c) = head && has_internal.(c) then begin
       (* Condition 1: nontrivial, or a single node with a self-loop. *)
       incr cyclic_sccs;
-      let head = List.hd members.(c) in
       let running = Config.running (Graph.node graph head) in
       if running <> [] then begin
         (* Condition 3: every running pid has an internal edge. *)
@@ -266,8 +170,8 @@ let analyze ~machine ~specs ~(substrate : Substrate.t) graph =
         if process_fair then begin
           incr fair_sccs;
           if !best = None then begin
-            let in_comp u = u >= 0 && good.(u) && comp.(u) = c in
-            match cycle_through graph ~in_comp ~head ~must_cover:running with
+            let inside = Array.map (fun c' -> c' = c) comp in
+            match cycle_through graph ~inside ~head ~must_cover:running with
             | None -> ()
             | Some cycle -> (
               match Graph.shortest_path graph ~target:head with
@@ -289,9 +193,10 @@ let analyze ~machine ~specs ~(substrate : Substrate.t) graph =
 
 (* Re-check a (possibly shrunk) witness against the graph — the oracle
    side of the acceptance criterion: the walk must be well-formed in
-   the graph, the cycle must close at its head, stay within one SCC,
-   schedule every running process, and pass through no configuration
-   with a mandatory exit. *)
+   the graph, the cycle must close at its head, schedule every running
+   process, and pass through no configuration with a mandatory exit.
+   A closed walk lies inside one SCC by construction, so no SCC pass is
+   needed. *)
 let validate ~machine ~specs ~(substrate : Substrate.t) graph w =
   let walk_ok src edges =
     let ok, last =
@@ -311,12 +216,9 @@ let validate ~machine ~specs ~(substrate : Substrate.t) graph w =
   let cok, cend = walk_ok w.w_head w.w_cycle in
   pok && cok && phead = w.w_head && cend = w.w_head && w.w_cycle <> []
   &&
-  let comp, _ = Graph.scc graph in
   let nodes_on_cycle =
     w.w_head :: List.map (fun e -> e.Graph.target) w.w_cycle
   in
-  List.for_all (fun u -> comp.(u) = comp.(w.w_head)) nodes_on_cycle
-  &&
   let running = Config.running (Graph.node graph w.w_head) in
   let pids = witness_pids w in
   List.for_all (fun pid -> List.mem pid pids) running

@@ -1,5 +1,7 @@
 (** Fairness-aware liveness checking: fair-cycle (lasso) detection over
-    the reachable configuration graph, layered on the Tarjan SCC pass.
+    the reachable configuration graph, layered on the Tarjan SCC pass
+    ({!Graph.scc} with a node mask) and the BFS path search
+    ({!Graph.find_path}).
 
     A livelock witness is a lasso — a finite prefix from the initial
     configuration plus a cycle inside a {e fair} SCC: one that some
@@ -42,9 +44,11 @@ val analyze :
   Graph.t ->
   report
 (** Scan every SCC for fairness and extract a lasso witness from the
-    first fair one (smallest head node id — deterministic for a given
-    graph).  The stitched cycle may revisit nodes; shrink it with
-    [Lasso] (lib/fuzz). *)
+    fair SCC with the smallest head node id (a component's head is its
+    smallest member).  Node ids are BFS order, so that head is also the
+    shallowest fair configuration, and the choice does not depend on
+    how the SCC pass numbers components.  The stitched cycle may
+    revisit nodes; shrink it with [Lasso] (lib/fuzz). *)
 
 val validate :
   machine:Machine.t ->
@@ -54,9 +58,10 @@ val validate :
   witness ->
   bool
 (** Oracle re-check of a (possibly shrunk) witness: both walks exist in
-    the graph, the cycle closes at its head, stays within one SCC,
-    schedules every running process, and passes through no
-    configuration enabling a mandatory action. *)
+    the graph, the cycle closes at its head (so it stays within one
+    SCC), schedules every running process, and passes through no
+    configuration enabling a mandatory action.  Walks the witness only:
+    no whole-graph pass. *)
 
 val prefix_trace : witness -> Trace.t
 val cycle_trace : witness -> Trace.t

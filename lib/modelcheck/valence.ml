@@ -18,11 +18,8 @@ open Lbsa_runtime
    exact fixpoint — cycles (spinning protocols) included — with a single
    [lor] per edge.
 
-   The seed worklist fixpoint is kept as {!analyze_fixpoint}, the
-   differential-testing oracle (same pattern as [Graph.build_cmap]). *)
-
-module VSet = Set.Make (Value)
-module VTbl = Hashtbl.Make (Value)
+   The seed worklist fixpoint over value sets is the test suite's
+   differential oracle for this pass. *)
 
 type classification =
   | Valent of Value.t  (* exactly one reachable decision value *)
@@ -36,57 +33,6 @@ type analysis = {
   aborts : bool array;
 }
 
-let local_abort (config : Config.t) =
-  let st = config.status in
-  let len = Array.length st in
-  let rec go i =
-    i < len
-    && (match st.(i) with Config.Aborted -> true | _ -> go (i + 1))
-  in
-  go 0
-
-(* Intern every decision value appearing in the graph (first occurrence in
-   node-id order) and return the per-node local-decision bitmasks.  The
-   decision domain of any graph we build is a handful of values — far
-   below the word size (the guard is belt-and-braces for pathological
-   inputs) — and [Value.equal] on hash-consed values is pointer
-   equality, so the linear table scan is a few pointer compares: the
-   former per-session value-hashing layer collapsed into it.  Bit
-   positions come from first-occurrence order, never from intern ids
-   (which are allocation-order-dependent), so masks are reproducible. *)
-let intern_decisions (graph : Graph.t) =
-  let n = Graph.n_nodes graph in
-  let table = ref [||] in
-  let count = ref 0 in
-  let intern v =
-    let tbl = !table in
-    let k = !count in
-    let rec find i =
-      if i >= k then begin
-        if k >= Sys.int_size - 1 then
-          invalid_arg "Valence.analyze: decision domain exceeds word size";
-        if k = Array.length tbl then begin
-          let a = Array.make (max 4 (2 * k)) v in
-          Array.blit tbl 0 a 0 k;
-          table := a
-        end;
-        !table.(k) <- v;
-        count := k + 1;
-        k
-      end
-      else if Value.equal tbl.(i) v then i
-      else find (i + 1)
-    in
-    find 0
-  in
-  let local = Array.make n 0 in
-  for id = 0 to n - 1 do
-    List.iter
-      (fun v -> local.(id) <- local.(id) lor (1 lsl intern v))
-      (Config.decisions (Graph.node graph id))
-  done;
-  (Array.sub !table 0 !count, local)
-
 (* One pass over the condensation: [Graph.scc] numbers components in
    topological order (sources first), so processing components in
    descending id order sees every successor component finalized.  Edges
@@ -96,9 +42,15 @@ let analyze (graph : Graph.t) =
   let comp, n_comps = Graph.scc graph in
   let cmask = Array.make n_comps 0 in
   let cabort = Array.make n_comps false in
-  (* Intern decisions and seed the per-component masks in one pass over
-     the nodes (same first-occurrence interning order as
-     {!intern_decisions}, which the oracle uses). *)
+  (* Intern every decision value (first occurrence in node-id order)
+     and seed the per-component masks, in one pass over the nodes.  The
+     decision domain of any graph we build is a handful of values — far
+     below the word size (the guard is belt-and-braces for pathological
+     inputs) — and [Value.equal] on hash-consed values is pointer
+     equality, so the linear table scan is a few pointer compares.  Bit
+     positions come from first-occurrence order, never from intern ids
+     (which are allocation-order-dependent), so masks are
+     reproducible. *)
   let table = ref [||] in
   let count = ref 0 in
   let intern v =
@@ -171,60 +123,6 @@ let analyze (graph : Graph.t) =
     aborts.(u) <- cabort.(c)
   done;
   { graph; table; masks; aborts }
-
-(* The seed fixpoint: worklist over functional [VSet]s, all n nodes
-   seeded.  Exact but allocation-heavy; kept as the oracle. *)
-let analyze_fixpoint (graph : Graph.t) =
-  let n = Graph.n_nodes graph in
-  let local_decisions config =
-    List.fold_left (fun s v -> VSet.add v s) VSet.empty (Config.decisions config)
-  in
-  let decisions = Array.init n (fun id -> local_decisions (Graph.node graph id)) in
-  let abort_reachable =
-    Array.init n (fun id -> local_abort (Graph.node graph id))
-  in
-  (* Reverse edges once for backward propagation. *)
-  let preds = Array.make n [] in
-  for u = 0 to n - 1 do
-    Graph.iter_out_edges graph u (fun e ->
-        preds.(e.target) <- u :: preds.(e.target))
-  done;
-  let queue = Queue.create () in
-  for id = 0 to n - 1 do
-    Queue.add id queue
-  done;
-  let in_queue = Array.make n true in
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    in_queue.(u) <- false;
-    (* Recompute u from its successors; if it grew, reschedule preds. *)
-    let d = ref decisions.(u) in
-    let a = ref abort_reachable.(u) in
-    Graph.iter_out_edges graph u (fun e ->
-        d := VSet.union !d decisions.(e.target);
-        a := !a || abort_reachable.(e.target));
-    if (not (VSet.equal !d decisions.(u))) || !a <> abort_reachable.(u) then begin
-      decisions.(u) <- !d;
-      abort_reachable.(u) <- !a;
-      List.iter
-        (fun p ->
-          if not in_queue.(p) then begin
-            in_queue.(p) <- true;
-            Queue.add p queue
-          end)
-        preds.(u)
-    end
-  done;
-  (* Re-express the VSet result in the interned representation so both
-     analyses answer through the same accessors. *)
-  let table, _local = intern_decisions graph in
-  let id_of = VTbl.create 16 in
-  Array.iteri (fun i v -> VTbl.add id_of v i) table;
-  let masks =
-    Array.init n (fun u ->
-        VSet.fold (fun v m -> m lor (1 lsl VTbl.find id_of v)) decisions.(u) 0)
-  in
-  { graph; table; masks; aborts = abort_reachable }
 
 let popcount m =
   let c = ref 0 and m = ref m in

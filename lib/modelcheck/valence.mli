@@ -17,12 +17,6 @@ val analyze : Graph.t -> analysis
     {!Graph.scc} condensation (exact on cyclic graphs: an SCC's nodes
     share one reachable set). *)
 
-val analyze_fixpoint : Graph.t -> analysis
-(** The seed worklist fixpoint over functional value sets, independent
-    of the SCC condensation {!analyze} relies on.  Kept as the
-    differential-testing oracle: it agrees with {!analyze} on every
-    accessor. *)
-
 val decision_set : analysis -> int -> Value.t list
 (** All decision values reachable from the node. *)
 

@@ -75,7 +75,7 @@ type state = {
   mutable consec_corrupt : int;  (* corrupt store reads since last clean one *)
   mutable draining : bool;
   mutable shutdown_fds : Unix.file_descr list;  (* reply after drain *)
-  mutable clients : Unix.file_descr list;
+  mutable clients : (Unix.file_descr * Wire.inbox) list;
   started : float;
 }
 
@@ -144,7 +144,7 @@ let safe_send_response fd resp =
      with Unix.Unix_error _ | Wire.Closed | Invalid_argument _ -> false)
 
 let close_client st fd =
-  st.clients <- List.filter (fun c -> c <> fd) st.clients;
+  st.clients <- List.filter (fun (c, _) -> c <> fd) st.clients;
   Hashtbl.iter
     (fun _ job ->
       job.j_waiters <- List.filter (fun (w, _) -> w <> fd) job.j_waiters)
@@ -443,7 +443,7 @@ let run cfg =
     else begin
       let watch =
         (if !listening then [ listen_fd ] else [])
-        @ (st.wake_r :: st.clients)
+        @ (st.wake_r :: List.map fst st.clients)
       in
       let readable, _, _ =
         try Unix.select watch [] [] 0.5
@@ -453,7 +453,7 @@ let run cfg =
         (fun fd ->
           if fd = listen_fd && !listening then begin
             match Unix.accept listen_fd with
-            | client, _ -> st.clients <- client :: st.clients
+            | client, _ -> st.clients <- (client, Wire.inbox ()) :: st.clients
             | exception Unix.Unix_error _ -> ()
           end
           else if fd = st.wake_r then begin
@@ -463,10 +463,12 @@ let run cfg =
             drain_done st
           end
           else begin
-            match Wire.recv_request fd with
-            | req -> handle_request st fd req
-            (* a malformed frame ([Failure]) costs only its connection *)
-            | exception (Wire.Closed | Unix.Unix_error _ | Failure _) ->
+            (* One read per readable client, so a peer that stalls
+               mid-frame never blocks the loop; a malformed frame
+               ([Failure]) costs only its connection. *)
+            let inbox = List.assoc fd st.clients in
+            try Wire.read_requests inbox fd (handle_request st fd)
+            with Wire.Closed | Unix.Unix_error _ | Failure _ ->
               close_client st fd
           end)
         readable;
@@ -487,9 +489,11 @@ let run cfg =
     (fun fd -> ignore (safe_send_response fd (Wire.Stats_r final)))
     st.shutdown_fds;
   List.iter
-    (fun fd -> ignore (safe_send_response fd Wire.Shutting_down))
-    (List.filter (fun c -> not (List.mem c st.shutdown_fds)) st.clients);
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun (fd, _) ->
+      if not (List.mem fd st.shutdown_fds) then
+        ignore (safe_send_response fd Wire.Shutting_down))
+    st.clients;
+  List.iter (fun (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ())
     st.clients;
   (try Unix.close st.wake_r with Unix.Unix_error _ -> ());
   (try Unix.close st.wake_w with Unix.Unix_error _ -> ());

@@ -129,17 +129,64 @@ let send fd ~tag codec msg =
 (* The cap is checked before the payload is allocated, and any defect
    (a foreign tag, a bad checksum, an undecodable payload) is a
    [Failure]: the daemon closes that connection and keeps serving. *)
-let recv fd ~tag codec =
+let read_frame ~read ~tag codec =
   try
-    match Codec.read_section ~read:(really_read fd) ~limit:max_frame with
+    match Codec.read_section ~read ~limit:max_frame with
     | tag', payload when String.equal tag' tag -> Codec.decode codec payload
     | tag', _ -> Codec.malformed "expected %s, got %S" tag tag'
   with Codec.Malformed m -> failwith ("Wire.recv: " ^ m)
 
+let recv fd ~tag codec = read_frame ~read:(really_read fd) ~tag codec
+
 let send_request fd r = send fd ~tag:"REQUEST" request_codec r
 let recv_request fd = recv fd ~tag:"REQUEST" request_codec
+
 let send_response fd r = send fd ~tag:"RESPONSE" response_codec r
 let recv_response fd = recv fd ~tag:"RESPONSE" response_codec
+
+(* A connection's unread bytes, [data.(0 .. len-1)].  [need] is how many
+   of them the next frame takes: the header's length until a header has
+   been seen, then the whole frame's. *)
+type inbox = { mutable data : Bytes.t; mutable len : int; mutable need : int }
+
+let inbox () = { data = Bytes.create 4096; len = 0; need = Codec.header_len }
+
+exception Partial
+
+let read_requests ib fd f =
+  if Bytes.length ib.data - ib.len < 4096 then begin
+    let data = Bytes.create (2 * Bytes.length ib.data) in
+    Bytes.blit ib.data 0 data 0 ib.len;
+    ib.data <- data
+  end;
+  let got =
+    Rio.read ~site:"wire.read" fd ib.data ib.len (Bytes.length ib.data - ib.len)
+  in
+  if got = 0 then raise Closed;
+  ib.len <- ib.len + got;
+  (* Decode every complete frame through the same section reader as
+     [recv], over a cursor into the buffer; a frame that runs past the
+     buffered bytes records what it needs and waits for more. *)
+  let pos = ref 0 in
+  (try
+     while ib.len - !pos >= ib.need do
+       let at = ref !pos in
+       let read buf off len =
+         if !at + len > ib.len then begin
+           ib.need <- !at + len - !pos;
+           raise Partial
+         end;
+         Bytes.blit ib.data !at buf off len;
+         at := !at + len
+       in
+       let req = read_frame ~read ~tag:"REQUEST" request_codec in
+       ib.need <- Codec.header_len;
+       pos := !at;
+       f req
+     done
+   with Partial -> ());
+  Bytes.blit ib.data !pos ib.data 0 (ib.len - !pos);
+  ib.len <- ib.len - !pos
 
 let zero_stats ~workers =
   {

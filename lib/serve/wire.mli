@@ -5,9 +5,10 @@
 
     A length above the 16 MB frame cap is refused before anything is
     allocated; a foreign tag, a checksum mismatch or an undecodable
-    payload is a [Failure] from [recv_*], and the daemon answers it by
-    closing that one connection.  A peer that stalls mid-frame still
-    blocks the daemon's read loop, so keep the socket on the machine. *)
+    payload is a [Failure] from [recv_*] or {!read_requests}, and the
+    daemon answers it by closing that one connection.  The daemon reads
+    requests through an {!inbox} per connection, so a peer that stalls
+    mid-frame holds up only itself. *)
 
 open Lbsa_util
 
@@ -57,6 +58,19 @@ exception Closed
 val send_request : Unix.file_descr -> request -> unit
 val recv_request : Unix.file_descr -> request
 (** Raises {!Closed}, [Failure] on a malformed frame, or [Unix_error]. *)
+
+type inbox
+(** A connection's buffered, not yet decoded request bytes. *)
+
+val inbox : unit -> inbox
+
+val read_requests : inbox -> Unix.file_descr -> (request -> unit) -> unit
+(** One read from a readable [fd] (through {!Rio} at the [wire.read]
+    site) into the inbox, then every complete request it now holds, in
+    order, to the callback; an incomplete frame stays buffered.  Raises
+    {!Closed} at end of stream, [Failure] on a malformed frame (the
+    over-cap check fires as soon as a header is buffered), or
+    [Unix_error]. *)
 
 val send_response : Unix.file_descr -> response -> unit
 val recv_response : Unix.file_descr -> response

@@ -266,6 +266,16 @@ let really_read ~site fd buf off len =
       read_loop ~site fd buf off len 0 0
   else read_loop ~site fd buf off len 0 0
 
+(* One read of whatever is there, for a caller that waited on [select]
+   and keeps its own buffer.  Same plan as {!really_read}: an injected
+   EINTR is retried, an injected short read returns fewer bytes. *)
+let rec read ~site fd buf off len =
+  match read_once ~site fd buf off len with
+  | n -> n
+  | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+    bump (fun c -> { c with c_retries = c.c_retries + 1 });
+    read ~site fd buf off len
+
 let rec write_loop ~site fd buf off len sent again =
   if sent < len then
     match write_once ~site fd buf (off + sent) (len - sent) with

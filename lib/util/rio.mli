@@ -72,6 +72,12 @@ val really_read : site:string -> Unix.file_descr -> bytes -> int -> int -> unit
     Raises [End_of_file] if the peer closes mid-transfer (a clean
     end-of-stream, distinct from an I/O error). *)
 
+val read : site:string -> Unix.file_descr -> bytes -> int -> int -> int
+(** One read of at most [len] bytes, for a caller that buffers partial
+    input itself (the daemon's select loop): returns the count read, 0
+    at end of stream.  The plan applies as in {!really_read}; EINTR is
+    retried, and a short read just returns fewer bytes. *)
+
 val really_write :
   site:string -> Unix.file_descr -> bytes -> int -> int -> unit
 (** Write exactly [len] bytes, absorbing EINTR/EAGAIN and short

@@ -594,6 +594,112 @@ let test_daemon_survives_hostile_frames () =
         (Some 0) (Crashdrive.exited o);
       Alcotest.(check bool) "socket removed" false (Sys.file_exists socket))
 
+(* --- daemon: stalled peers ----------------------------------------------- *)
+
+let request_frame q =
+  section ~tag:"REQUEST"
+    (Codec.encode Serve_wire.request_codec
+       (Serve_wire.Query { q; deadline_s = None }))
+
+let connect_raw ~socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  fd
+
+let write_all fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+(* The rendered answer on [fd], or [None] if none starts arriving
+   within [within] seconds. *)
+let answer_within ~within fd =
+  match Unix.select [ fd ] [] [] within with
+  | [], _, _ -> None
+  | _ -> (
+    match Serve_wire.recv_response fd with
+    | Serve_wire.Result { r; _ } -> Some (Serve_api.render r)
+    | _ -> Some "a non-result response")
+
+(* Two peers stall mid-frame — A after 10 header bytes, B after its
+   header and half its payload — and a third client's dac:3 query must
+   still be answered within a second by a real `lbsa serve` child.
+   Then A and B finish their frames and get their own answers; B sends
+   the rest of its frame and the whole frame again in one write, so one
+   read holds two frames (replies to one connection follow completion
+   order, so both ask the same question). *)
+let test_daemon_stalled_peers () =
+  require_exe ();
+  let dir = fresh_dir () in
+  let socket = fresh_path ".sock" in
+  let q_a = verify_q (Serve_api.Dac { n = 3 }) in
+  let q_b = verify_q (Serve_api.Consensus { m = 2 }) in
+  let expect q = Serve_api.render (Serve_api.compute q).Serve_api.res in
+  let fds = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !fds;
+      rm_rf dir)
+    (fun () ->
+      let daemon =
+        Crashdrive.spawn ~exe
+          ~args:[ "serve"; "--socket"; socket; "--store"; dir; "--quiet" ]
+          ()
+      in
+      let exited = ref false in
+      Fun.protect ~finally:(fun () ->
+          if not !exited then begin
+            (try Unix.kill (Crashdrive.pid daemon) Sys.sigkill
+             with Unix.Unix_error _ -> ());
+            ignore (Crashdrive.wait daemon)
+          end)
+      @@ fun () ->
+      (match Serve_client.connect ~wait_s:10. ~socket () with
+      | Ok c -> Serve_client.close c
+      | Error msg -> Alcotest.failf "daemon unreachable: %s" msg);
+      let open_conn () =
+        let fd = connect_raw ~socket in
+        fds := fd :: !fds;
+        fd
+      in
+      let frame_a = request_frame q_a and frame_b = request_frame q_b in
+      let cut_a = 10 in
+      let cut_b =
+        Codec.header_len + ((String.length frame_b - Codec.header_len) / 2)
+      in
+      let a = open_conn () and b = open_conn () in
+      write_all a (String.sub frame_a 0 cut_a);
+      write_all b (String.sub frame_b 0 cut_b);
+      (* let the daemon take in both partial frames first *)
+      Unix.sleepf 0.2;
+      let c = open_conn () in
+      write_all c frame_a;
+      Alcotest.(check (option string))
+        "third client answered within 1 s" (Some (expect q_a))
+        (answer_within ~within:1. c);
+      write_all a (String.sub frame_a cut_a (String.length frame_a - cut_a));
+      write_all b
+        (String.sub frame_b cut_b (String.length frame_b - cut_b) ^ frame_b);
+      Alcotest.(check (option string))
+        "A's finished frame answered" (Some (expect q_a))
+        (answer_within ~within:10. a);
+      Alcotest.(check (option string))
+        "B's finished frame answered" (Some (expect q_b))
+        (answer_within ~within:10. b);
+      Alcotest.(check (option string))
+        "B's second frame, from the same read, answered" (Some (expect q_b))
+        (answer_within ~within:10. b);
+      let c = match Serve_client.connect ~socket () with
+        | Ok c -> c
+        | Error msg -> Alcotest.failf "daemon unreachable: %s" msg
+      in
+      (match Serve_client.shutdown c with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "shutdown: %s" msg);
+      Serve_client.close c;
+      let o = Crashdrive.wait daemon in
+      exited := true;
+      Alcotest.(check (option int))
+        (Fmt.str "daemon exits 0 (err=%S)" o.Crashdrive.err)
+        (Some 0) (Crashdrive.exited o))
+
 (* --- seeded fault-plan sweep --------------------------------------------- *)
 
 (* Twenty seeds, every resilient-I/O component, injection rate 25%:
@@ -773,6 +879,8 @@ let () =
             test_daemon_degrades_and_recovers;
           tc "hostile frames never kill the daemon"
             test_daemon_survives_hostile_frames;
+          tc "stalled peers never block another client"
+            test_daemon_stalled_peers;
         ] );
       ( "wire",
         [

@@ -89,7 +89,10 @@ let test_bcast_live () =
    [h].  Decided by explicit BFS over the product (node, subset of
    running pids already scheduled) per candidate head — exponential in
    processes, fine for the toy instances here, and structurally
-   unrelated to the masked-Tarjan pass it cross-checks. *)
+   unrelated to the masked-Tarjan pass it cross-checks.  Returns the
+   smallest such head: the accepted nodes are exactly the members of
+   the fair SCCs, so it is the smallest fair SCC head, the one
+   [Liveness.analyze] must report. *)
 let brute_force_livelock ~(substrate : Substrate.t) (machine, specs, _) g =
   let n = Cgraph.n_nodes g in
   let bad =
@@ -140,18 +143,25 @@ let brute_force_livelock ~(substrate : Substrate.t) (machine, specs, _) g =
     done;
     !found
   in
-  let rec any h = h < n && (from_head h || any (h + 1)) in
-  any 0
+  let rec first h =
+    if h >= n then None else if from_head h then Some h else first (h + 1)
+  in
+  first 0
 
 let check_against_oracle label ~substrate inst g =
   let r = analyze ~substrate inst g in
   let brute = brute_force_livelock ~substrate inst g in
-  let analyzed =
-    match r.Liveness.verdict with Liveness.Livelock _ -> true | _ -> false
+  let head =
+    match r.Liveness.verdict with
+    | Liveness.Livelock w -> Some w.Liveness.w_head
+    | Liveness.Live -> None
   in
   Alcotest.(check bool)
     (label ^ ": analyze agrees with brute force")
-    brute analyzed;
+    (brute <> None) (head <> None);
+  Alcotest.(check (option int))
+    (label ^ ": witness head is the smallest fair head")
+    brute head;
   match r.Liveness.verdict with
   | Liveness.Live -> ()
   | Liveness.Livelock w ->
@@ -233,6 +243,100 @@ let test_oracle_randomized () =
      vacuous; the counts are seed-determined, so this cannot flake *)
   Alcotest.(check bool) "some livelocks found" true (!livelocks > 0);
   Alcotest.(check bool) "some live instances found" true (!lives > 0)
+
+(* --- Liveness.validate refusals ------------------------------------------ *)
+
+let mandatory ~(substrate : Substrate.t) (machine, specs, _) c =
+  List.exists
+    (fun pid -> substrate.Substrate.mandatory_exit ~machine ~specs c pid)
+    (Config.running c)
+
+(* The fixtures and the random family, each with its graph. *)
+let instance_graphs () =
+  List.map
+    (fun inst -> (inst, build ~max_states:50_000 ~substrate:mp inst))
+    (vc 2 :: vc 3 :: List.init 20 (fun seed -> random_mp_instance ~seed ~n:2))
+
+(* Each of three broken witnesses comes from the first instance that
+   has one, and [validate] must refuse it:
+   (a) a cycle that does not close — a shrunk lasso's cycle cut after
+       its first step off the head;
+   (b) a closed walk that drops a running process — a self-loop of one
+       process at a configuration where another one runs and no
+       mandatory action is enabled;
+   (c) a cycle through a mandatory-exit node — vc:2's shrunk lasso
+       under a substrate that makes a configuration on its cycle enable
+       a mandatory action. *)
+let test_validate_rejects_broken_witnesses () =
+  let graphs = instance_graphs () in
+  let first what f =
+    match List.find_map (fun (inst, g) -> f inst g) graphs with
+    | Some found -> found
+    | None -> Alcotest.failf "no instance has %s" what
+  in
+  let shrunk inst g =
+    match (analyze ~substrate:mp inst g).Liveness.verdict with
+    | Liveness.Livelock w -> Some (fst (shrink ~substrate:mp inst ~graph:g w))
+    | Liveness.Live -> None
+  in
+  let open_cycle inst g =
+    Option.bind (shrunk inst g) (fun w ->
+        let rec upto acc = function
+          | [] -> None
+          | (e : Cgraph.edge) :: rest ->
+            if e.target <> w.Liveness.w_head then Some (List.rev (e :: acc))
+            else upto (e :: acc) rest
+        in
+        Option.map
+          (fun cycle -> (inst, g, { w with Liveness.w_cycle = cycle }))
+          (upto [] w.Liveness.w_cycle))
+  in
+  let one_process_loop inst g =
+    Cgraph.find_map_node g (fun h c ->
+        if mandatory ~substrate:mp inst c || List.length (Config.running c) < 2
+        then None
+        else
+          List.find_map
+            (fun (e : Cgraph.edge) ->
+              if e.target <> h then None
+              else
+                Some
+                  ( inst,
+                    g,
+                    {
+                      Liveness.w_head = h;
+                      w_prefix = Option.get (Cgraph.shortest_path g ~target:h);
+                      w_cycle = [ e ];
+                    } ))
+            (Cgraph.out_edges g h))
+  in
+  List.iter
+    (fun (what, (inst, g, w)) ->
+      Alcotest.(check bool) (what ^ " is rejected") false
+        (validate ~substrate:mp inst g w))
+    [
+      ("a cycle that does not close", first "an open cycle" open_cycle);
+      ( "a cycle that drops a running pid",
+        first "a one-process loop" one_process_loop );
+    ];
+  let inst, g = List.hd graphs in
+  let w = Option.get (shrunk inst g) in
+  Alcotest.(check bool)
+    "vc:2's shrunk witness validates" true
+    (validate ~substrate:mp inst g w);
+  let marked = Cgraph.node g (List.hd w.Liveness.w_cycle).Cgraph.target in
+  let substrate =
+    {
+      mp with
+      Substrate.mandatory_exit =
+        (fun ~machine ~specs c pid ->
+          Config.equal c marked
+          || mp.Substrate.mandatory_exit ~machine ~specs c pid);
+    }
+  in
+  Alcotest.(check bool)
+    "a cycle through a mandatory-exit node is rejected" false
+    (validate ~substrate inst g w)
 
 (* --- verdict stability --------------------------------------------------- *)
 
@@ -471,6 +575,8 @@ let () =
             test_oracle_fixtures;
           Alcotest.test_case "randomized machines agree with brute force"
             `Slow test_oracle_randomized;
+          Alcotest.test_case "validate rejects broken witnesses" `Quick
+            test_validate_rejects_broken_witnesses;
         ] );
       ( "stability",
         [

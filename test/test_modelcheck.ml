@@ -87,29 +87,14 @@ let test_scc_on_spin_graph () =
 
 (* --- explorer determinism and statistics ------------------------------- *)
 
-let check_same_graph label (g1 : Cgraph.t) (g2 : Cgraph.t) =
-  Alcotest.(check int)
-    (label ^ ": node count") (Cgraph.n_nodes g1) (Cgraph.n_nodes g2);
-  Alcotest.(check int)
-    (label ^ ": edge count") (Cgraph.n_edges g1) (Cgraph.n_edges g2);
-  Alcotest.(check int) (label ^ ": initial") g1.Cgraph.initial g2.Cgraph.initial;
-  for id = 0 to Cgraph.n_nodes g1 - 1 do
-    if not (Config.equal (Cgraph.node g1 id) (Cgraph.node g2 id)) then
-      Alcotest.failf "%s: node %d differs" label id;
-    (* Edge records are pure data (pids, ops, values), so structural
-       equality compares them in full, order included. *)
-    if Cgraph.out_edges g1 id <> Cgraph.out_edges g2 id then
-      Alcotest.failf "%s: out-edges of node %d differ" label id
-  done
-
 let test_build_matches_cmap_oracle () =
   (* The rewritten explorer against the seed explorer, on a branchy
      nondeterministic graph and on a consensus graph. *)
   List.iter
     (fun (label, (machine, specs), inputs) ->
       let g = Cgraph.build ~machine ~specs ~inputs () in
-      let oracle = Cgraph.build_cmap ~machine ~specs ~inputs () in
-      check_same_graph label g oracle)
+      let oracle = Oracle.build_cmap ~machine ~specs ~inputs () in
+      Oracle.same_graph label g oracle)
     [
       ( "2-SA one-shot",
         ( Consensus_protocols.one_shot ~name:"sa" ~mk_op:Sa2.propose (),
@@ -129,7 +114,7 @@ let test_build_domain_count_invariant () =
   let inputs = Array.init n (fun pid -> Value.int (if pid = 0 then 1 else 0)) in
   let g1 = Cgraph.build ~domains:1 ~machine ~specs ~inputs () in
   let g4 = Cgraph.build ~domains:4 ~machine ~specs ~inputs () in
-  check_same_graph "domains 1 vs 4" g1 g4;
+  Oracle.same_graph "domains 1 vs 4" g1 (Oracle.of_graph g4);
   Alcotest.(check int) "1-domain stats" 1 (Cgraph.stats g1).Cgraph.domains;
   Alcotest.(check int) "4-domain stats" 4 (Cgraph.stats g4).Cgraph.domains
 
@@ -139,11 +124,11 @@ let test_build_domains_1_2_4_with_oracle () =
      CMap explorer as a fourth, independently-computed reference. *)
   List.iter
     (fun (label, (machine, specs), inputs) ->
-      let oracle = Cgraph.build_cmap ~machine ~specs ~inputs () in
+      let oracle = Oracle.build_cmap ~machine ~specs ~inputs () in
       List.iter
         (fun domains ->
           let g = Cgraph.build ~domains ~machine ~specs ~inputs () in
-          check_same_graph (Fmt.str "%s, domains=%d" label domains) g oracle)
+          Oracle.same_graph (Fmt.str "%s, domains=%d" label domains) g oracle)
         [ 1; 2; 4 ])
     [
       ( "cons:2",
@@ -171,7 +156,9 @@ let test_truncation_point_domain_invariant () =
       Alcotest.(check bool)
         (Fmt.str "domains=%d truncated" domains)
         g1.Cgraph.truncated g.Cgraph.truncated;
-      check_same_graph (Fmt.str "truncated, domains 1 vs %d" domains) g1 g)
+      Oracle.same_graph
+        (Fmt.str "truncated, domains 1 vs %d" domains)
+        g1 (Oracle.of_graph g))
     [ 2; 4 ]
 
 let test_intern_order_independent_across_processes () =
@@ -274,9 +261,9 @@ let test_decided_configs_univalent () =
    two analyses must agree on every accessor at every node. *)
 let check_valence_agrees label graph =
   let a = Valence.analyze graph in
-  let o = Valence.analyze_fixpoint graph in
+  let o = Oracle.analyze_fixpoint graph in
   for id = 0 to Cgraph.n_nodes graph - 1 do
-    let ca = Valence.classify a id and co = Valence.classify o id in
+    let ca = Valence.classify a id and co = Oracle.classify o id in
     if ca <> co then
       Alcotest.failf "%s: node %d classified %a, oracle says %a" label id
         Valence.pp_classification ca Valence.pp_classification co;
@@ -284,9 +271,9 @@ let check_valence_agrees label graph =
       not
         (List.equal Value.equal
            (Valence.decision_set a id)
-           (Valence.decision_set o id))
+           (Oracle.decision_set o id))
     then Alcotest.failf "%s: node %d decision sets differ" label id;
-    if Valence.abort_reachable a id <> Valence.abort_reachable o id then
+    if Valence.abort_reachable a id <> Oracle.abort_reachable o id then
       Alcotest.failf "%s: node %d abort reachability differs" label id
   done
 
@@ -742,6 +729,160 @@ let test_shortest_path_initial () =
     (Option.map Cgraph.schedule_of_path
        (Cgraph.shortest_path graph ~target:graph.Cgraph.initial))
 
+(* --- the graph kernels: masked SCC and path search ----------------------- *)
+
+let kernel_graphs () =
+  let dac n =
+    ( Dac_from_pac.machine ~n,
+      Dac_from_pac.specs ~n,
+      Array.init n (fun pid -> Value.int (if pid = 0 then 1 else 0)) )
+  in
+  let build ?substrate (machine, specs, inputs) =
+    Cgraph.build ?substrate ~machine ~specs ~inputs ()
+  in
+  let cons2, cons2_specs = Consensus_protocols.from_consensus_obj ~m:2 in
+  let retry, retry_specs = Candidates.consensus_from_pac_retry ~n:2 ~procs:2 in
+  let two = [| Value.int 0; Value.int 1 |] in
+  [
+    ("dac:3", build (dac 3));
+    ("cons:2", build (cons2, cons2_specs, two));
+    ( "vc:3",
+      build ~substrate:(Substrate.mp ())
+        ( View_change.machine ~n:3,
+          View_change.specs ~n:3 (),
+          View_change.inputs ~n:3 ) );
+    ("pac-retry (livelock SCC)", build (retry, retry_specs, two));
+  ]
+
+(* Brute force: [reach.(u).(v)] iff [v] is reachable from [u] through
+   nodes of [mask] only, read off the full edge records. *)
+let reach_within g mask =
+  let n = Cgraph.n_nodes g in
+  Array.init n (fun u ->
+      let seen = Array.make n false in
+      if mask.(u) then begin
+        let rec go u =
+          if not seen.(u) then begin
+            seen.(u) <- true;
+            List.iter
+              (fun (e : Cgraph.edge) -> if mask.(e.target) then go e.target)
+              (Cgraph.out_edges g u)
+          end
+        in
+        go u
+      end;
+      seen)
+
+let test_masked_scc_is_mutual_reachability () =
+  let prng = Prng.create 19 in
+  List.iter
+    (fun (label, g) ->
+      let n = Cgraph.n_nodes g in
+      let masks =
+        Array.make n true
+        :: List.init 4 (fun _ -> Array.init n (fun _ -> Prng.int prng 4 > 0))
+      in
+      List.iteri
+        (fun k mask ->
+          let label = Fmt.str "%s, mask %d" label k in
+          let comp, nc = Cgraph.scc ~mask g in
+          let reach = reach_within g mask in
+          for u = 0 to n - 1 do
+            if mask.(u) <> (comp.(u) >= 0) then
+              Alcotest.failf "%s: node %d masked %b but in component %d" label
+                u (not mask.(u)) comp.(u);
+            if comp.(u) >= nc then
+              Alcotest.failf "%s: component id %d out of range" label comp.(u);
+            for v = 0 to n - 1 do
+              let same = comp.(u) = comp.(v)
+              and mutual = reach.(u).(v) && reach.(v).(u) in
+              if mask.(u) && mask.(v) && same <> mutual then
+                Alcotest.failf
+                  "%s: nodes %d and %d: same component %b, mutually \
+                   reachable %b"
+                  label u v same mutual
+            done
+          done;
+          let used = Array.make nc false in
+          Array.iter (fun c -> if c >= 0 then used.(c) <- true) comp;
+          Alcotest.(check bool)
+            (label ^ ": every component id used") true
+            (Array.for_all Fun.id used))
+        masks;
+      (* the full mask is the unmasked pass *)
+      Alcotest.(check bool)
+        (label ^ ": full mask = no mask") true
+        (Cgraph.scc ~mask:(Array.make n true) g = Cgraph.scc g))
+    (kernel_graphs ())
+
+let dac4_builds f =
+  let n = 4 in
+  let machine = Dac_from_pac.machine ~n and specs = Dac_from_pac.specs ~n in
+  let inputs = Array.init n (fun pid -> Value.int (if pid = 0 then 1 else 0)) in
+  let dir = Filename.temp_file "lbsa-spill" ".d" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () -> Segstore.clean_dir ~dir)
+    (fun () ->
+      let resident = Cgraph.build ~machine ~specs ~inputs () in
+      let spill = { Cgraph.spill_dir = dir; spill_threshold = 40 } in
+      let spilled = Cgraph.build ~shards:4 ~spill ~machine ~specs ~inputs () in
+      Alcotest.(check bool) "the dac:4 build spilled" true
+        ((Cgraph.stats spilled).Cgraph.spill.Cgraph.sp_segments > 0);
+      f resident spilled)
+
+let test_masked_scc_faults_nothing () =
+  dac4_builds (fun resident spilled ->
+      let segs = Option.get spilled.Cgraph.segs in
+      let mask =
+        let prng = Prng.create 4 in
+        Array.init (Cgraph.n_nodes spilled) (fun _ -> Prng.int prng 4 > 0)
+      in
+      let before = Segstore.faults segs in
+      let spilled_sccs = (Cgraph.scc spilled, Cgraph.scc ~mask spilled) in
+      Alcotest.(check int) "no segment faulted" before (Segstore.faults segs);
+      Alcotest.(check bool) "spilled = resident" true
+        (spilled_sccs = (Cgraph.scc resident, Cgraph.scc ~mask resident)))
+
+(* The path search against a list-based BFS over the full edge records:
+   for every node, the path from the initial node is the BFS tree's,
+   whose parents are the first discovering edges in CSR order. *)
+let test_shortest_path_is_first_bfs_path () =
+  dac4_builds (fun resident spilled ->
+      let g = resident in
+      let n = Cgraph.n_nodes g in
+      let parent = Array.make n None in
+      let dist = Array.make n (-1) in
+      let queue = Queue.create () in
+      dist.(g.Cgraph.initial) <- 0;
+      Queue.add g.Cgraph.initial queue;
+      while not (Queue.is_empty queue) do
+        let u = Queue.pop queue in
+        List.iter
+          (fun (e : Cgraph.edge) ->
+            if dist.(e.target) < 0 then begin
+              dist.(e.target) <- dist.(u) + 1;
+              parent.(e.target) <- Some (u, e);
+              Queue.add e.target queue
+            end)
+          (Cgraph.out_edges g u)
+      done;
+      let rec path v acc =
+        match parent.(v) with None -> acc | Some (u, e) -> path u (e :: acc)
+      in
+      for target = 0 to n - 1 do
+        let expect = path target [] in
+        Alcotest.(check int)
+          (Fmt.str "BFS reaches node %d" target)
+          dist.(target) (List.length expect);
+        List.iter
+          (fun (which, g) ->
+            if Cgraph.shortest_path g ~target <> Some expect then
+              Alcotest.failf "%s: path to node %d is not the first BFS path"
+                which target)
+          [ ("resident", resident); ("spilled", spilled) ]
+      done)
+
 let test_solo_halts_primitive () =
   let machine, specs = Candidates.flp_spin in
   let c = Config.initial ~machine ~specs ~inputs:[| Value.int 0; Value.int 1 |] in
@@ -963,5 +1104,14 @@ let () =
             test_hooks_exist_on_consensus_graph;
           Alcotest.test_case "shortest path to initial" `Quick
             test_shortest_path_initial;
+        ] );
+      ( "kernels",
+        [
+          Alcotest.test_case "masked scc = mutual reachability" `Quick
+            test_masked_scc_is_mutual_reachability;
+          Alcotest.test_case "masked scc faults no segment" `Quick
+            test_masked_scc_faults_nothing;
+          Alcotest.test_case "shortest path = first BFS path" `Quick
+            test_shortest_path_is_first_bfs_path;
         ] );
     ]

@@ -281,21 +281,6 @@ let test_canonical_rejects_misfit () =
 
 (* --- reduced builds against the CMap oracle ---------------------------- *)
 
-let check_same_graph label (g1 : Cgraph.t) (g2 : Cgraph.t) =
-  Alcotest.(check int)
-    (label ^ ": node count")
-    (Cgraph.n_nodes g1) (Cgraph.n_nodes g2);
-  Alcotest.(check int)
-    (label ^ ": edge count")
-    (Cgraph.n_edges g1) (Cgraph.n_edges g2);
-  Alcotest.(check int) (label ^ ": initial") g1.Cgraph.initial g2.Cgraph.initial;
-  for id = 0 to Cgraph.n_nodes g1 - 1 do
-    if not (Config.equal (Cgraph.node g1 id) (Cgraph.node g2 id)) then
-      Alcotest.failf "%s: node %d differs" label id;
-    if Cgraph.out_edges g1 id <> Cgraph.out_edges g2 id then
-      Alcotest.failf "%s: out-edges of node %d differ" label id
-  done
-
 let test_reduced_build_matches_cmap_oracle () =
   (* The parallel explorer and the seed CMap explorer share one
      reduction step; under every mode they must still produce the same
@@ -305,8 +290,8 @@ let test_reduced_build_matches_cmap_oracle () =
       List.iter
         (fun reduce ->
           let g = Cgraph.build ~reduce ~machine ~specs ~inputs () in
-          let oracle = Cgraph.build_cmap ~reduce ~machine ~specs ~inputs () in
-          check_same_graph
+          let oracle = Oracle.build_cmap ~reduce ~machine ~specs ~inputs () in
+          Oracle.same_graph
             (Fmt.str "%s [%s]" label reduce.Cgraph.rname)
             g oracle)
         [ sym canon; sym_sleep ?frozen canon ])
@@ -351,7 +336,8 @@ let test_domains_agree_under_memo () =
       ~reduce:(sym_sleep ~frozen:dac_frozen (Canon.dac ~n))
       ~machine ~specs ~inputs:(dac_inputs n) ()
   in
-  check_same_graph "dac:6 sym+sleep, 4 vs 1 domains" (build 4) (build 1);
+  Oracle.same_graph "dac:6 sym+sleep, 4 vs 1 domains" (build 4)
+    (Oracle.of_graph (build 1));
   let g = Cgraph.build ~machine ~specs ~inputs:(dac_inputs n) () in
   let nodes = Array.init (min 3000 (Cgraph.n_nodes g)) (Cgraph.node g) in
   let seq =
@@ -473,10 +459,10 @@ let test_valence_agreement_on_reduced_graphs () =
       let initial_class reduce =
         let g = Cgraph.build ?reduce ~machine ~specs ~inputs () in
         let a = Valence.analyze g in
-        let oracle = Valence.analyze_fixpoint g in
+        let oracle = Oracle.analyze_fixpoint g in
         for id = 0 to Cgraph.n_nodes g - 1 do
           if
-            not (equal_class (Valence.classify a id) (Valence.classify oracle id))
+            not (equal_class (Valence.classify a id) (Oracle.classify oracle id))
           then
             Alcotest.failf "%s: valence engines disagree at node %d" label id
         done;
@@ -557,7 +543,8 @@ let test_resume_rejects_reduction_mismatch () =
   (* matching mode: the resumed build is the uninterrupted build *)
   let resumed = Cgraph.build ~resume:s ~reduce ~machine ~specs ~inputs () in
   let full = Cgraph.build ~reduce ~machine ~specs ~inputs () in
-  check_same_graph "resumed vs uninterrupted [sym]" resumed full
+  Oracle.same_graph "resumed vs uninterrupted [sym]" resumed
+    (Oracle.of_graph full)
 
 (* --- the CLI resume contract (exit 2 on divergent parameters) ---------- *)
 

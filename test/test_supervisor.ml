@@ -16,18 +16,6 @@ let expect_outcome label want got =
     Alcotest.failf "%s: expected %a, got %a" label Supervisor.pp_outcome want
       Supervisor.pp_outcome got
 
-let same_graph label (g1 : Cgraph.t) (g2 : Cgraph.t) =
-  Alcotest.(check int)
-    (label ^ ": node count") (Cgraph.n_nodes g1) (Cgraph.n_nodes g2);
-  Alcotest.(check int)
-    (label ^ ": edge count") (Cgraph.n_edges g1) (Cgraph.n_edges g2);
-  for id = 0 to Cgraph.n_nodes g1 - 1 do
-    if not (Config.equal (Cgraph.node g1 id) (Cgraph.node g2 id)) then
-      Alcotest.failf "%s: node %d differs" label id;
-    if Cgraph.out_edges g1 id <> Cgraph.out_edges g2 id then
-      Alcotest.failf "%s: out-edges of node %d differ" label id
-  done
-
 let dac_instance n =
   ( Dac_from_pac.machine ~n,
     Dac_from_pac.specs ~n,
@@ -205,7 +193,9 @@ let test_chaos_preserves_graph_and_verdict () =
       in
       expect_outcome (Fmt.str "chaos domains=%d completes" d) Supervisor.Done
         g.Cgraph.stop;
-      same_graph (Fmt.str "chaos domains=%d" d) clean g)
+      Oracle.same_graph
+        (Fmt.str "chaos domains=%d" d)
+        g (Oracle.of_graph clean))
     [ 1; 2; 4 ];
   let vectors = Dac.binary_inputs 3 in
   let machine3, specs3, _ = dac_instance 3 in
@@ -358,7 +348,8 @@ let test_resume_from_deadline_checkpoint () =
   in
   expect_outcome "resume runs to completion" Supervisor.Done
     resumed.Cgraph.stop;
-  same_graph "deadline-0 resume = uninterrupted" full resumed
+  Oracle.same_graph "deadline-0 resume = uninterrupted" resumed
+    (Oracle.of_graph full)
 
 let test_resume_from_midway_checkpoint () =
   (* Truncate mid-exploration (nonzero expanded prefix, partially built
@@ -375,13 +366,14 @@ let test_resume_from_midway_checkpoint () =
       ~resume:(roundtrip_through_disk ~label:"dac3 midway" s)
       ~machine ~specs ~inputs ()
   in
-  same_graph "midway resume = uninterrupted" full resumed;
+  let full = Oracle.of_graph full in
+  Oracle.same_graph "midway resume = uninterrupted" resumed full;
   (* And resuming across domain counts still agrees. *)
   let resumed4 =
     Cgraph.build ~domains:4 ~resume:(Option.get partial.Cgraph.suspended)
       ~machine ~specs ~inputs ()
   in
-  same_graph "midway resume, 4 domains" full resumed4
+  Oracle.same_graph "midway resume, 4 domains" resumed4 full
 
 let test_checkpoint_rejects_foreign_files () =
   let file = Filename.temp_file "lbsa-ckpt" ".bin" in
@@ -854,7 +846,7 @@ let test_sharded_equals_single () =
   let machine, specs, inputs = dac_instance 3 in
   List.iter
     (fun reduce ->
-      let oracle = Cgraph.build_cmap ~reduce ~machine ~specs ~inputs () in
+      let oracle = Oracle.build_cmap ~reduce ~machine ~specs ~inputs () in
       let baseline =
         Solvability.check_dac ~domains:1 ~reduce ~shards:1 ~machine ~specs
           ~inputs ()
@@ -862,9 +854,9 @@ let test_sharded_equals_single () =
       List.iter
         (fun shards ->
           let g = Cgraph.build ~reduce ~shards ~machine ~specs ~inputs () in
-          same_graph
+          Oracle.same_graph
             (Fmt.str "%s shards=%d vs oracle" reduce.Cgraph.rname shards)
-            oracle g;
+            g oracle;
           Alcotest.(check int)
             (Fmt.str "%s shards=%d: stats report the count"
                reduce.Cgraph.rname shards)
@@ -887,33 +879,33 @@ let test_sharded_equals_single () =
    grow alone — the 63 idle shards keep their initial capacity. *)
 let test_sharded_one_hot_shard () =
   let n = 600 in
-  let t = Ctbl_sharded.create ~shards:64 1 in
+  let t = Ctbl.create ~shards:64 1 in
   for i = 0 to n - 1 do
     let id =
-      Ctbl_sharded.find_or_add t (config_of_int i) ~hash:0
+      Ctbl.find_or_add t (config_of_int i) ~hash:0
         ~if_absent:(fun _ -> i)
     in
     Alcotest.(check int) (Fmt.str "insert %d keeps its id" i) i id
   done;
-  Alcotest.(check int) "all keys distinct" n (Ctbl_sharded.length t);
+  Alcotest.(check int) "all keys distinct" n (Ctbl.length t);
   for i = 0 to n - 1 do
-    match Ctbl_sharded.find_opt t (config_of_int i) ~hash:0 with
+    match Ctbl.find_opt t (config_of_int i) ~hash:0 with
     | Some id -> Alcotest.(check int) (Fmt.str "find %d" i) i id
     | None -> Alcotest.failf "key %d lost" i
   done;
   Alcotest.(check (option int))
     "absent key still missing" None
-    (Ctbl_sharded.find_opt t (config_of_int (n + 777)) ~hash:0);
-  let ss = Ctbl_sharded.shard_stats t in
-  Alcotest.(check int) "shard 0 holds everything" n ss.(0).Ctbl_sharded.ss_size;
+    (Ctbl.find_opt t (config_of_int (n + 777)) ~hash:0);
+  let ss = Ctbl.shard_stats t in
+  Alcotest.(check int) "shard 0 holds everything" n ss.(0).Ctbl.ss_size;
   Array.iteri
     (fun i s ->
       if i > 0 then begin
         Alcotest.(check int)
-          (Fmt.str "shard %d empty" i) 0 s.Ctbl_sharded.ss_size;
+          (Fmt.str "shard %d empty" i) 0 s.Ctbl.ss_size;
         Alcotest.(check int)
           (Fmt.str "shard %d never grew" i)
-          16 s.Ctbl_sharded.ss_capacity
+          16 s.Ctbl.ss_capacity
       end)
     ss
 
@@ -930,22 +922,22 @@ let test_sharded_freeze_resolves () =
   let resolve id = all.(id) in
   List.iter
     (fun shards ->
-      let t = Ctbl_sharded.create ~shards ~resolve 16 in
+      let t = Ctbl.create ~shards ~resolve 16 in
       for i = 0 to n - 1 do
         ignore
-          (Ctbl_sharded.find_or_add t all.(i) ~hash:(Config.hash all.(i))
+          (Ctbl.find_or_add t all.(i) ~hash:(Config.hash all.(i))
              ~if_absent:(fun _ -> i))
       done;
-      let froze = Ctbl_sharded.freeze_below t ~id_limit:limit in
+      let froze = Ctbl.freeze_below t ~id_limit:limit in
       Alcotest.(check int)
         (Fmt.str "shards=%d: froze the cold prefix" shards)
         limit froze;
       Alcotest.(check int)
         (Fmt.str "shards=%d: frozen count" shards)
-        limit (Ctbl_sharded.frozen t);
+        limit (Ctbl.frozen t);
       for i = 0 to n - 1 do
         match
-          Ctbl_sharded.find_opt t all.(i) ~hash:(Config.hash all.(i))
+          Ctbl.find_opt t all.(i) ~hash:(Config.hash all.(i))
         with
         | Some id when id = i -> ()
         | Some id ->
@@ -955,10 +947,10 @@ let test_sharded_freeze_resolves () =
       Alcotest.(check bool)
         (Fmt.str "shards=%d: frozen hits fault" shards)
         true
-        (Ctbl_sharded.faults t >= limit);
+        (Ctbl.faults t >= limit);
       (* re-adding a frozen key must dedup, not mint a fresh id *)
       let id =
-        Ctbl_sharded.find_or_add t all.(0) ~hash:(Config.hash all.(0))
+        Ctbl.find_or_add t all.(0) ~hash:(Config.hash all.(0))
           ~if_absent:(fun _ -> Alcotest.fail "frozen key re-added as new")
       in
       Alcotest.(check int) (Fmt.str "shards=%d: dedup survives" shards) 0 id)
@@ -967,7 +959,8 @@ let test_sharded_freeze_resolves () =
 (* Out-of-core builds: an aggressively tiny threshold forces many
    spill waves on dac:3, and the graph must stay bit-identical to the
    resident build's, for every shard count and reduction mode.
-   [same_graph] reads every node, so it also exercises fault-in. *)
+   [Oracle.same_graph] reads every node of the spilled graph, so it
+   also exercises fault-in. *)
 let test_spill_build_equivalence () =
   let machine, specs, inputs = dac_instance 3 in
   let dir = Filename.temp_file "lbsa-spill" ".d" in
@@ -996,7 +989,7 @@ let test_spill_build_equivalence () =
               Alcotest.(check bool)
                 (label ^ ": dedup keys went cold") true
                 (sp.Cgraph.sp_frozen > 0);
-              same_graph label resident g)
+              Oracle.same_graph label g (Oracle.of_graph resident))
             [ 1; 4 ])
         (dac_reductions 3);
       (* path-based cleanup drops the segment files and the directory *)
@@ -1031,14 +1024,16 @@ let test_spill_checkpoint_resume () =
           ~resume:(roundtrip_through_disk ~label:"dac3 spilled midway" s)
           ~machine ~specs ~inputs ()
       in
-      same_graph "spilled interrupt/resume = uninterrupted" full resumed;
+      let full = Oracle.of_graph full in
+      Oracle.same_graph "spilled interrupt/resume = uninterrupted" resumed full;
       (* and resuming back INTO a spilled build also agrees *)
       let resumed_spilled =
         Cgraph.build ~spill ~shards:4
           ~resume:(Option.get partial.Cgraph.suspended)
           ~machine ~specs ~inputs ()
       in
-      same_graph "resume into a spilled sharded build" full resumed_spilled)
+      Oracle.same_graph "resume into a spilled sharded build" resumed_spilled
+        full)
 
 (* The compatibility rule: a coherent checkpoint from an older format
    version raises [Version_mismatch], never [Failure] and never a

@@ -344,13 +344,13 @@ let table_t7 () =
      bare PAC";
   (let machine, specs = Candidates.flp_write_read in
    let v =
-     Solvability.check_consensus ~machine ~specs
+     Solvability.check ~task:Solvability.Consensus ~machine ~specs
        ~inputs:[| Value.int 0; Value.int 1 |] ()
    in
    verdict_cell "write-read candidate (terminating)" v ~expect_ok:false);
   (let machine, specs = Candidates.flp_spin in
    let v =
-     Solvability.check_consensus ~machine ~specs
+     Solvability.check ~task:Solvability.Consensus ~machine ~specs
        ~inputs:[| Value.int 0; Value.int 1 |] ()
    in
    verdict_cell "spin candidate (safe, not wait-free)" v ~expect_ok:false);
@@ -451,7 +451,8 @@ let table_t8 () =
       let v =
         Solvability.for_all_inputs
           (fun inputs ->
-            Solvability.check_consensus ~machine ~specs ~inputs ())
+            Solvability.check ~task:Solvability.Consensus
+              ~machine ~specs ~inputs ())
           (Consensus_task.binary_inputs procs)
       in
       verdict_cell

@@ -37,7 +37,8 @@ let pp_report ppf r =
 let check_consensus_all_binary ?(max_states = Lbsa_modelcheck.Graph.default_max_states) ~machine ~specs ~procs () =
   Solvability.for_all_inputs
     (fun inputs ->
-      Solvability.check_consensus ~max_states ~machine ~specs ~inputs ())
+      Solvability.check ~task:Solvability.Consensus
+        ~max_states ~machine ~specs ~inputs ())
     (Consensus_task.binary_inputs procs)
 
 (* Level of the m-consensus object: solves consensus among m; the natural

@@ -66,7 +66,9 @@ let probe ?(max_states = Lbsa_modelcheck.Graph.default_max_states) ?(also_binary
   in
   let verdict =
     Solvability.for_all_inputs
-      (fun inputs -> Solvability.check_kset ~max_states ~machine ~specs ~k ~inputs ())
+      (fun inputs ->
+        Solvability.check ~task:(Solvability.Kset k)
+          ~max_states ~machine ~specs ~inputs ())
       inputs_list
   in
   {
@@ -142,7 +144,8 @@ let probe_o_n_consensus ~n ?(max_states = Lbsa_modelcheck.Graph.default_max_stat
   let verdict =
     Solvability.for_all_inputs
       (fun inputs ->
-        Solvability.check_consensus ~max_states ~machine ~specs ~inputs ())
+        Solvability.check ~task:Solvability.Consensus
+          ~max_states ~machine ~specs ~inputs ())
       (Consensus_task.binary_inputs n)
   in
   {

@@ -18,8 +18,8 @@ let thaw t = t.suspended
    and the exploration it froze is cheaper to redo than a silent
    cross-version misread would be to debug.  Version 4 recorded the
    substrate; version 5 replaced [Marshal] payloads with the typed
-   codec. *)
-let version = 5
+   codec; version 6 stores edges as packed steps, without events. *)
+let version = 6
 let magic = Fmt.str "LBSA-CHECKPOINT/%d\n" version
 let magic_family = "LBSA-CHECKPOINT/"
 
@@ -31,8 +31,7 @@ exception Corrupt of string
 let chunk_len = 65_536
 
 let nodes_codec = Codec.(pair int Config_codec.configs)
-let edges_codec = Codec.(pair int Config_codec.steps)
-let step (e : Graph.edge) = (e.Graph.pid, e.Graph.event, e.Graph.target)
+let edges_codec = Codec.(pair int (array int))
 
 (* CKMETA: the label and the two mode names, then the offsets, the
    frontier sizes and the scalars of the suspended exploration, ending
@@ -44,7 +43,7 @@ let meta { label; suspended = s } =
     [| s.Graph.s_offsets; s.Graph.s_frontier_sizes;
        [| s.Graph.s_expanded; s.Graph.s_dedup_hits; s.Graph.s_n_succs;
           s.Graph.s_canonized; s.Graph.s_ample_nodes; s.Graph.s_ample_pruned;
-          Array.length s.Graph.s_nodes; Array.length s.Graph.s_edges |] |] )
+          Array.length s.Graph.s_nodes; Array.length s.Graph.s_targets |] |] )
 
 (* The save streams through a {!Rio} atomic commit: tmp file, fsync,
    rename, directory fsync.  Without the fsyncs, tmp+rename only
@@ -57,18 +56,18 @@ let save ~file t =
       let sink = Rio.write_string w in
       sink magic;
       Codec.write_section sink ~tag:"CKMETA" (Codec.encode meta_codec (meta t));
-      let stream tag codec arr f =
+      let stream tag codec arr =
         let n = Array.length arr in
         let lo = ref 0 in
         while !lo < n do
           let len = min chunk_len (n - !lo) in
           Codec.write_section sink ~tag
-            (Codec.encode codec (!lo, Array.init len (fun i -> f arr.(!lo + i))));
+            (Codec.encode codec (!lo, Array.sub arr !lo len));
           lo := !lo + len
         done
       in
-      stream "CKNODES" nodes_codec t.suspended.Graph.s_nodes Fun.id;
-      stream "CKEDGES" edges_codec t.suspended.Graph.s_edges step)
+      stream "CKNODES" nodes_codec t.suspended.Graph.s_nodes;
+      stream "CKEDGES" edges_codec t.suspended.Graph.s_targets)
 
 let load ~file =
   let ic =
@@ -123,15 +122,11 @@ let load ~file =
                [| expanded; dedup_hits; n_succs; canonized; ample_nodes;
                   ample_pruned; n_nodes; n_edges |] |] ) ->
           let nodes = chunks "CKNODES" nodes_codec n_nodes in
-          let edges =
-            Array.map
-              (fun (pid, event, target) -> { Graph.pid; event; target })
-              (chunks "CKEDGES" edges_codec n_edges)
-          in
+          let targets = chunks "CKEDGES" edges_codec n_edges in
           if pos_in ic <> in_channel_length ic then defect "trailing bytes";
           { label;
             suspended =
-              Graph.suspended_of_parts ~nodes ~expanded ~edges ~offsets
+              Graph.suspended_of_parts ~nodes ~expanded ~targets ~offsets
                 ~dedup_hits ~n_succs ~frontier_sizes ~reduction ~substrate
                 ~canonized ~ample_nodes ~ample_pruned }
         | _ -> defect "CKMETA: wrong field count"

@@ -2,8 +2,7 @@ open Lbsa_util
 open Lbsa_spec
 open Lbsa_runtime
 
-(* The value-dictionary codec; see the .mli for the layout.  Op names
-   are stored as [Sym] values, so one table serves both. *)
+(* The value-dictionary codec; see the .mli for the layout. *)
 
 (* Encoding state of one section.  Intern ids key the table (ids may
    serve as internal memo keys), but indices are handed out in order of
@@ -80,28 +79,6 @@ let get_value vals c =
 let get_array vals get c =
   Array.init (Codec.count.get c) (fun _ -> get vals c)
 
-(* A section is the table, then the elements that refer into it.  The
-   elements are encoded first, into their own buffer, so the table is
-   complete when it is written. *)
-let section put_elt get_elt =
-  {
-    Codec.put =
-      (fun b a ->
-        let d =
-          { index = Hashtbl.create 1024; table = Buffer.create 4096;
-            body = Buffer.create 4096 }
-        in
-        Codec.count.put d.body (Array.length a);
-        Array.iter (put_elt d) a;
-        Codec.count.put b (Hashtbl.length d.index);
-        Buffer.add_buffer b d.table;
-        Buffer.add_buffer b d.body);
-    get =
-      (fun c ->
-        let vals = get_table c in
-        Array.init (Codec.count.get c) (fun _ -> get_elt vals c));
-  }
-
 let put_status d = function
   | Config.Running -> put_int d 0
   | Config.Decided v -> put_int d 1; put_value d v
@@ -126,44 +103,23 @@ let get_config vals c : Config.t =
   let objects = get_array vals get_value c in
   { Config.locals; objects; status = get_array vals get_status c }
 
-let configs = section put_config get_config
-
-let put_step d (pid, event, target) =
-  put_int d pid;
-  put_int d target;
-  match event with
-  | Config.Op_event { pid; obj; op; response } ->
-    List.iter (put_int d) [ 0; pid; obj ];
-    put_value d (Value.sym op.Op.name);
-    Codec.count.put d.body (List.length op.Op.args);
-    List.iter (put_value d) op.Op.args;
-    put_value d response
-  | Config.Decide_event { pid; value } ->
-    List.iter (put_int d) [ 1; pid ];
-    put_value d value
-  | Config.Abort_event { pid } -> List.iter (put_int d) [ 2; pid ]
-
-let get_step vals c =
-  let step_pid = Codec.int.get c in
-  let target = Codec.int.get c in
-  let kind = Codec.int.get c in
-  let pid = Codec.int.get c in
-  let event =
-    match kind with
-    | 0 ->
-      let obj = Codec.int.get c in
-      let name =
-        match Value.node (get_value vals c) with
-        | Value.Sym s -> s
-        | _ -> Codec.malformed "op name is not a symbol"
-      in
-      let args = List.init (Codec.count.get c) (fun _ -> get_value vals c) in
-      Config.Op_event
-        { pid; obj; op = Op.make name args; response = get_value vals c }
-    | 1 -> Config.Decide_event { pid; value = get_value vals c }
-    | 2 -> Config.Abort_event { pid }
-    | k -> Codec.bad_tag k
-  in
-  (step_pid, event, target)
-
-let steps = section put_step get_step
+(* A section is the table, then the configurations that refer into it.
+   The configurations are encoded first, into their own buffer, so the
+   table is complete when it is written. *)
+let configs =
+  {
+    Codec.put =
+      (fun b a ->
+        let d =
+          { index = Hashtbl.create 1024; table = Buffer.create 4096;
+            body = Buffer.create 4096 }
+        in
+        put_array d put_config a;
+        Codec.count.put b (Hashtbl.length d.index);
+        Buffer.add_buffer b d.table;
+        Buffer.add_buffer b d.body);
+    get =
+      (fun c ->
+        let vals = get_table c in
+        get_array vals get_config c);
+  }

@@ -1,12 +1,12 @@
-(** The value-dictionary codec for configurations and explorer steps:
-    the payloads of checkpoint chunks and spilled segments.
+(** The value-dictionary codec for configurations: the payloads of
+    checkpoint node chunks and spilled segments.
 
     A hash-consed value cannot cross a process boundary as it is: intern
     ids depend on allocation order, and [Value.equal] is pointer
     equality.  Each encoded array therefore starts with its own table of
-    the distinct values it holds (op names included, as symbols), each
-    written once, children before parents, indexed in order of first
-    occurrence; the elements then refer to values by index.  The bytes
+    the distinct values it holds, each written once, children before
+    parents, indexed in order of first occurrence; the elements then
+    refer to values by index.  The bytes
     depend only on the structure of the data, never on intern ids.
     Decoding re-interns every table entry through the [Value] smart
     constructors, so decoded values are physically canonical in the
@@ -16,8 +16,3 @@
 open Lbsa_runtime
 
 val configs : Config.t array Lbsa_util.Codec.t
-
-val steps : (int * Config.event * int) array Lbsa_util.Codec.t
-(** Explorer edges as [(pid, event, target)] triples, so that both
-    {!Checkpoint} and {!Segstore} can use them without a dependency on
-    [Graph]. *)

@@ -21,13 +21,17 @@ open Lbsa_runtime
    threaded parent-to-child element-hash arrays through the frontier to
    avoid rehashing whole value trees; interning made that redundant and
    it was deleted.)  Out-edges live in one flat array in CSR form
-   (per-node slices via [offsets]) instead of a per-node list array.
+   (per-node slices via [offsets]), and only as packed (target, pid)
+   steps: an edge's event is re-derived on demand from its source
+   node by running the build's successor function again ({!out_edges}),
+   so no second, boxed copy of the edges is ever kept, spilled or
+   checkpointed.
 
    The graph kernels the analyses share live here, one of each: the
    dedup table above, Tarjan's SCC pass ({!scc}, optionally restricted
    to a node mask) and a BFS path search ({!find_path}).  Both kernels
    read only the packed topology, so they never fault a spilled
-   segment.
+   segment; {!find_path} re-derives just the edges it returns.
 
    Determinism caveat: everything stored or ordered here — node ids,
    edge order, [Config.hash] — is structural.  Value intern ids are
@@ -68,8 +72,8 @@ type reduction_stats = {
 }
 
 (* Out-of-core spilling: once more than [spill_threshold] expanded
-   (cold) states are resident, the oldest ones — their configurations
-   and their CSR edge slice — move to disk segments under [spill_dir],
+   (cold) states are resident, the oldest ones' configurations move to
+   disk segments under [spill_dir] (their packed steps stay resident),
    and the dedup entries covering them are frozen to (hash, id) pairs.
    Spilling happens only at level boundaries, so it never races the
    expansion workers and never touches the live frontier. *)
@@ -119,12 +123,13 @@ type stats = {
    [s_expanded] is the unexpanded frontier.  Because the explorer is
    level-synchronous and completed levels are identical for any domain
    count, a suspended prefix — and therefore a resumed build — is too.
-   Checkpoint files encode it with {!Config_codec}; values are
-   re-interned on load. *)
+   Checkpoint files encode its configurations with {!Config_codec}
+   (values are re-interned on load) and its packed steps as plain
+   ints. *)
 type suspended = {
   s_nodes : Config.t array;  (* every discovered configuration, id order *)
   s_expanded : int;
-  s_edges : edge array;
+  s_targets : int array;  (* the expanded prefix's steps, packed as in [t] *)
   s_offsets : int array;  (* length s_expanded *)
   s_dedup_hits : int;
   s_n_succs : int;
@@ -136,12 +141,13 @@ type suspended = {
   s_ample_pruned : int;
 }
 
-(* Edge targets (and pids) also live packed in one flat, always-resident
-   int array: [(target lsl 8) lor pid].  Every pure-topology pass — SCC,
-   the valence sweep, liveness cycle searches, shortest-path parents —
-   reads only this array, so an out-of-core graph answers them with zero
-   segment faults; full [edge] records (with their events) fault in only
-   when a caller actually asks for them. *)
+(* The graph's one edge store: every edge packed into one flat,
+   always-resident int array as [(target lsl 8) lor pid].  Every
+   pure-topology pass — SCC, the valence sweep, liveness cycle
+   searches, path-search parents — reads only this array, so an
+   out-of-core graph answers them with zero segment faults; an edge's
+   event is re-derived from its source node only when a caller asks
+   for the full [edge] record. *)
 let pid_bits = 8
 
 let pack_step ~pid ~target =
@@ -151,11 +157,12 @@ let pack_step ~pid ~target =
 type t = {
   nodes : Config.t array;  (* resident suffix: ids [n_base, n_base + length) *)
   n_base : int;  (* 0 unless the build spilled *)
-  edges : edge array;  (* resident suffix of the flat CSR edge array *)
-  e_base : int;
   targets : int array;  (* all edges, packed (target lsl 8) lor pid *)
   offsets : int array;  (* length nodes+1; node id owns [offsets.(id), offsets.(id+1)) *)
-  segs : Segstore.t option;  (* cold prefix [0, n_base) and its edges *)
+  segs : Segstore.t option;  (* configurations of the cold prefix [0, n_base) *)
+  succ : Config.t -> (int * (Config.t * Config.event) list) list;
+      (* the successor function every node was expanded with *)
+  expanded : int;  (* nodes [0, expanded) have their out-edges *)
   initial : int;
   truncated : bool;  (* true whenever stop <> Done: results are partial *)
   stop : Supervisor.outcome;
@@ -463,10 +470,9 @@ let expand ~domains ~substrate ~reduce ~machine ~specs frontier n =
 let default_max_states = 1_000_000
 let default_spill_threshold = 500_000
 
-(* Hole values for compacting the resident arrays after a spill: the
+(* Hole value for compacting the resident nodes after a spill: the
    freed suffix slots must stop retaining the spilled configurations. *)
 let hole_config : Config.t = { locals = [||]; objects = [||]; status = [||] }
-let hole_edge = { pid = 0; event = Config.Abort_event { pid = 0 }; target = 0 }
 
 let build ?(max_states = default_max_states) ?domains
     ?(budget = Supervisor.Budget.unlimited) ?(substrate = Substrate.shm)
@@ -480,14 +486,12 @@ let build ?(max_states = default_max_states) ?domains
   in
   let t0 = Unix.gettimeofday () in
   let nodes = Dyn.create () in
-  let edges = Dyn.create () in
   let targets = Dyn.create () in
   let offsets = Dyn.create () in
   let n_nodes = ref 0 in
-  (* Ids below [n_base] (and edge indices below [e_base]) live in the
-     segment store; the Dyn buffers hold only the resident suffix. *)
+  (* Ids below [n_base] live in the segment store; [nodes] holds only
+     the resident suffix. *)
   let n_base = ref 0 in
-  let e_base = ref 0 in
   let store =
     match spill with
     | None -> None
@@ -559,11 +563,7 @@ let build ?(max_states = default_max_states) ?domains
         if id >= s.s_expanded then Dyn.push !nxt config)
       s.s_nodes;
     n_nodes := Array.length s.s_nodes;
-    Array.iter
-      (fun e ->
-        Dyn.push edges e;
-        Dyn.push targets (pack_step ~pid:e.pid ~target:e.target))
-      s.s_edges;
+    Array.iter (Dyn.push targets) s.s_targets;
     Array.iter (Dyn.push offsets) s.s_offsets;
     Array.iter (Dyn.push frontier_sizes) s.s_frontier_sizes;
     dedup_hits := s.s_dedup_hits;
@@ -576,7 +576,7 @@ let build ?(max_states = default_max_states) ?domains
      nodes, in segment chunks; runs at a level boundary only (single
      threaded, frontier untouched — frontier ids are >= expanded and
      the cut stays strictly below it).  After the segments are written,
-     the resident Dyns are compacted in place and the dedup entries
+     the resident nodes are compacted in place and the dedup entries
      covering the spilled ids are frozen to (hash, id). *)
   let maybe_spill () =
     match (spill, store) with
@@ -584,20 +584,11 @@ let build ?(max_states = default_max_states) ?domains
       let keep = max 1 (sp.spill_threshold / 2) in
       let cut_to = !expanded - keep in
       let seg_len = min 65536 (max 64 (sp.spill_threshold / 4)) in
-      let e_cut = ref !e_base in
       let lo = ref !n_base in
       while !lo < cut_to do
         let hi = min cut_to (!lo + seg_len) in
-        let elo = offsets.Dyn.arr.(!lo) in
-        let ehi = offsets.Dyn.arr.(hi) in
         let configs = Array.sub nodes.Dyn.arr (!lo - !n_base) (hi - !lo) in
-        let steps =
-          Array.init (ehi - elo) (fun i ->
-              let e = edges.Dyn.arr.(elo + i - !e_base) in
-              (e.pid, e.event, e.target))
-        in
-        Segstore.write_segment st ~lo:!lo ~hi ~elo ~ehi ~configs ~steps;
-        e_cut := ehi;
+        Segstore.write_segment st ~lo:!lo ~hi ~configs;
         lo := hi
       done;
       let nshift = cut_to - !n_base in
@@ -605,11 +596,6 @@ let build ?(max_states = default_max_states) ?domains
       Array.fill nodes.Dyn.arr (nodes.Dyn.len - nshift) nshift hole_config;
       nodes.Dyn.len <- nodes.Dyn.len - nshift;
       n_base := cut_to;
-      let eshift = !e_cut - !e_base in
-      Array.blit edges.Dyn.arr eshift edges.Dyn.arr 0 (edges.Dyn.len - eshift);
-      Array.fill edges.Dyn.arr (edges.Dyn.len - eshift) eshift hole_edge;
-      edges.Dyn.len <- edges.Dyn.len - eshift;
-      e_base := !e_cut;
       ignore (Ctbl.freeze_below tbl ~id_limit:cut_to)
     | _ -> ()
   in
@@ -651,11 +637,11 @@ let build ?(max_states = default_max_states) ?domains
               ample_pruned := !ample_pruned + n_pruned
             end;
             (* Nodes are expanded in id order, so this records offsets.(id). *)
-            Dyn.push offsets (!e_base + edges.Dyn.len);
+            Dyn.push offsets targets.Dyn.len;
             List.iter
               (fun (pid, branches) ->
                 List.iter
-                  (fun ((config' : Config.t), event) ->
+                  (fun ((config' : Config.t), _event) ->
                     incr n_succs;
                     let hash = Config.hash config' in
                     let before = Ctbl.length tbl in
@@ -664,7 +650,6 @@ let build ?(max_states = default_max_states) ?domains
                         ~if_absent:register
                     in
                     if Ctbl.length tbl = before then incr dedup_hits;
-                    Dyn.push edges { pid; event; target };
                     Dyn.push targets (pack_step ~pid ~target))
                   branches)
               succ_list)
@@ -673,24 +658,16 @@ let build ?(max_states = default_max_states) ?domains
         maybe_spill ())
   done;
   let stop = !stop in
-  (* Materialized views over resident + spilled storage, for [suspended]
-     and for fully-resident final graphs.  The sequential walk faults
-     each segment at most [cache_slots] times. *)
-  let all_nodes () = Array.init !n_nodes config_of in
-  let all_edges () =
-    Array.init (!e_base + edges.Dyn.len) (fun i ->
-        if i >= !e_base then edges.Dyn.arr.(i - !e_base)
-        else
-          let pid, event, target = Segstore.step (Option.get store) i in
-          { pid; event; target })
-  in
+  let targets = Dyn.to_array targets in
   let suspended =
     if !expanded < !n_nodes then
       Some
         {
-          s_nodes = all_nodes ();
+          (* Materialized over resident + spilled storage; the
+             sequential walk faults each segment in once. *)
+          s_nodes = Array.init !n_nodes config_of;
           s_expanded = !expanded;
-          s_edges = all_edges ();
+          s_targets = targets;
           s_offsets = Dyn.to_array offsets;
           s_dedup_hits = !dedup_hits;
           s_n_succs = !n_succs;
@@ -703,7 +680,7 @@ let build ?(max_states = default_max_states) ?domains
         }
     else None
   in
-  let n_all_edges = !e_base + edges.Dyn.len in
+  let n_all_edges = Array.length targets in
   (* Unexpanded frontier nodes (partial stop) get empty out-edge slices
      so the CSR offsets invariant (length nodes+1) holds for readers. *)
   for _ = !expanded to !n_nodes - 1 do
@@ -758,11 +735,14 @@ let build ?(max_states = default_max_states) ?domains
   {
     nodes = Dyn.to_array nodes;
     n_base = !n_base;
-    edges = Dyn.to_array edges;
-    e_base = !e_base;
-    targets = Dyn.to_array targets;
+    targets;
     offsets = Dyn.to_array offsets;
     segs = store;
+    succ =
+      (fun c ->
+        let succs, _, _ = successors ~substrate ~reduce ~machine ~specs c in
+        succs);
+    expanded = !expanded;
     initial = 0;
     truncated;
     stop;
@@ -773,17 +753,22 @@ let build ?(max_states = default_max_states) ?domains
 (* Constructor for checkpoint thawing: [suspended] is private in the
    interface (only [build] and [Checkpoint] may produce one), so the
    checkpoint loader goes through here. *)
-let suspended_of_parts ~nodes ~expanded ~edges ~offsets ~dedup_hits ~n_succs
+let suspended_of_parts ~nodes ~expanded ~targets ~offsets ~dedup_hits ~n_succs
     ~frontier_sizes ~reduction ~substrate ~canonized ~ample_nodes ~ample_pruned
     =
   if expanded < 0 || expanded > Array.length nodes then
     invalid_arg "Graph.suspended_of_parts: expanded out of range";
   if Array.length offsets <> expanded then
     invalid_arg "Graph.suspended_of_parts: offsets length <> expanded";
+  let n_steps = Array.length targets and n_nodes = Array.length nodes in
+  if
+    Array.exists (fun o -> o < 0 || o > n_steps) offsets
+    || Array.exists (fun s -> s lsr pid_bits >= n_nodes) targets
+  then invalid_arg "Graph.suspended_of_parts: step out of range";
   {
     s_nodes = nodes;
     s_expanded = expanded;
-    s_edges = edges;
+    s_targets = targets;
     s_offsets = offsets;
     s_dedup_hits = dedup_hits;
     s_n_succs = n_succs;
@@ -805,29 +790,44 @@ let node t id =
   if id >= t.n_base then t.nodes.(id - t.n_base)
   else Segstore.node (Option.get t.segs) id
 
-(* Full edge records for index [i], faulting a segment in for the cold
-   prefix.  Topology-only readers should use {!iter_out_steps} /
-   {!exists_out_step}, which never fault. *)
-let edge_at t i =
-  if i >= t.e_base then t.edges.(i - t.e_base)
-  else
-    let pid, event, target = Segstore.step (Option.get t.segs) i in
-    { pid; event; target }
-
-let iter_out_edges t id f =
-  for i = t.offsets.(id) to t.offsets.(id + 1) - 1 do
-    f (edge_at t i)
-  done
-
 let out_degree t id = t.offsets.(id + 1) - t.offsets.(id)
-
-let out_edges t id =
-  List.init (out_degree t id) (fun i -> edge_at t (t.offsets.(id) + i))
 
 (* Packed-topology readers: pid and target straight out of the resident
    [targets] array — no segment faults, no allocation. *)
 let step_pid t i = t.targets.(i) land ((1 lsl pid_bits) - 1)
 let step_target t i = t.targets.(i) lsr pid_bits
+
+(* Full edge records, re-derived: node [u]'s successor list, flattened
+   in order, is exactly its CSR slice, so re-running the build's
+   successor function on [u] recovers each step's event.  The stored
+   slice length, each pid and each target's configuration are checked
+   against the re-derivation, and any disagreement raises instead of
+   pairing a step with a wrong event.  Unexpanded frontier nodes of a
+   partial graph keep their empty slices (expanding them here would
+   report edges the build never took). *)
+let out_edges t u =
+  if u >= t.expanded then []
+  else
+    let lo = t.offsets.(u) in
+    let steps =
+      List.concat_map
+        (fun (pid, bs) -> List.map (fun (c, event) -> (pid, c, event)) bs)
+        (t.succ (node t u))
+    in
+    let drift () =
+      failwith
+        (Fmt.str
+           "Graph.out_edges: node %d: re-derived successors disagree with \
+            the stored steps" u)
+    in
+    if List.length steps <> out_degree t u then drift ();
+    List.mapi
+      (fun k (pid, c, event) ->
+        let target = step_target t (lo + k) in
+        if step_pid t (lo + k) <> pid || not (Config.equal (node t target) c)
+        then drift ();
+        { pid; event; target })
+      steps
 
 let iter_out_steps t id f =
   for i = t.offsets.(id) to t.offsets.(id + 1) - 1 do
@@ -869,7 +869,7 @@ let require_complete t = if t.truncated then raise Truncated
    path is the chain of discovering edges from [src] to that edge's
    source, plus the edge itself.  The accepted edge may lead anywhere
    (back to [src], say); only the edges on the returned path are
-   materialized, faulting at most one segment per step. *)
+   re-derived, one {!out_edges} call per step. *)
 let find_path ?mask t ~src ~accept =
   let n = n_nodes t in
   let inside v = match mask with None -> true | Some m -> m.(v) in
@@ -902,10 +902,11 @@ let find_path ?mask t ~src ~accept =
   done;
   if !found < 0 then None
   else
+    let edge u i = List.nth (out_edges t u) (i - t.offsets.(u)) in
     let rec walk v acc =
-      if v = src then acc else walk from.(v) (edge_at t parent.(v) :: acc)
+      if v = src then acc else walk from.(v) (edge from.(v) parent.(v) :: acc)
     in
-    Some (walk !found_at [ edge_at t !found ])
+    Some (walk !found_at [ edge !found_at !found ])
 
 (* Shortest path (in steps) from the initial node to [target], as the
    list of edges taken: the schedule that reproduces a violating

@@ -6,7 +6,12 @@
     The explorer is a level-synchronous parallel BFS (OCaml domains) with
     an open-addressing dedup table over the full element-wise
     [Config.hash], producing the same graph — identical node ids, edge
-    order and truncation point — for any domain count. *)
+    order and truncation point — for any domain count.
+
+    The graph stores its edges once, as packed (target, pid) steps in
+    CSR order.  An edge's event is not stored: {!out_edges} re-derives
+    it from the source node by running the successor function the
+    build used, and checks the result against the stored steps. *)
 
 open Lbsa_runtime
 
@@ -64,8 +69,8 @@ type reduction_stats = {
 
 (** Out-of-core spilling, opt-in per build: once more than
     [spill_threshold] expanded (cold) states are resident, the oldest
-    ones — configurations and their CSR edge slice — move to disk
-    segments under [spill_dir] (see {!Segstore}), and the dedup entries
+    ones' configurations move to disk segments under [spill_dir] (see
+    {!Segstore}; the packed steps stay resident), and the dedup entries
     covering them are frozen to (hash, id) pairs that fault the
     configuration back only when a probe's full hash matches.  Spilling
     happens only at level boundaries: it never races expansion workers,
@@ -119,7 +124,9 @@ type stats = {
 type suspended = private {
   s_nodes : Config.t array;  (** every discovered configuration, id order *)
   s_expanded : int;
-  s_edges : edge array;
+  s_targets : int array;
+      (** the expanded prefix's out-edges in CSR order, packed
+          [(target lsl 8) lor pid] *)
   s_offsets : int array;  (** length [s_expanded] *)
   s_dedup_hits : int;
   s_n_succs : int;
@@ -138,17 +145,24 @@ type t = private {
       (** the resident suffix, ids [n_base, n_base + length); the whole
           graph when the build did not spill ([n_base = 0]) *)
   n_base : int;
-  edges : edge array;  (** resident suffix of the flat CSR edge array *)
-  e_base : int;
   targets : int array;
-      (** every edge, packed [(target lsl 8) lor pid] — always resident,
-          so pure-topology passes (SCC, valence sweep, cycle searches)
-          run with zero segment faults on an out-of-core graph *)
+      (** the graph's one edge store: every edge, packed
+          [(target lsl 8) lor pid] — always resident, so pure-topology
+          passes (SCC, valence sweep, cycle searches) run with zero
+          segment faults on an out-of-core graph *)
   offsets : int array;
       (** length [nodes + 1]; node [id]'s out-edges are the slice
-          [offsets.(id) .. offsets.(id+1) - 1] of the edge array; empty
+          [offsets.(id) .. offsets.(id+1) - 1] of [targets]; empty
           slices for unexpanded frontier nodes of a partial build *)
-  segs : Segstore.t option;  (** the cold prefix, when the build spilled *)
+  segs : Segstore.t option;
+      (** the cold prefix's configurations, when the build spilled *)
+  succ : Config.t -> (int * (Config.t * Config.event) list) list;
+      (** the successor function the build expanded every node with
+          ({!successors} under its substrate, reduction, machine and
+          specs); {!out_edges} re-runs it to re-derive events *)
+  expanded : int;
+      (** nodes [0, expanded) have their out-edges; the rest (only in
+          a partial build) are the unexpanded frontier *)
   initial : int;
   truncated : bool;
       (** true whenever [stop <> Done]; results are then partial *)
@@ -221,7 +235,7 @@ val build :
 val suspended_of_parts :
   nodes:Config.t array ->
   expanded:int ->
-  edges:edge array ->
+  targets:int array ->
   offsets:int array ->
   dedup_hits:int ->
   n_succs:int ->
@@ -233,8 +247,9 @@ val suspended_of_parts :
   ample_pruned:int ->
   suspended
 (** For {!Checkpoint} thawing only: reassemble a suspended exploration
-    from its parts (basic shape checks, no deep validation — resuming
-    from a corrupted checkpoint is on the caller). *)
+    from its parts.  Shape checks only — offsets and step targets in
+    range, [Invalid_argument] otherwise; resuming from a corrupted
+    checkpoint is on the caller. *)
 
 val reduce_config :
   reduce:reduction -> machine:Machine.t -> Config.t -> Config.t * int * int
@@ -266,11 +281,15 @@ val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
 val out_edges : t -> int -> edge list
-(** Allocates a fresh list; prefer {!iter_out_steps} on hot paths. *)
+(** Node [id]'s out-edges in CSR order, events included, re-derived by
+    running {!field-succ} on its configuration: the flattened successor
+    list must match the stored slice in length, pids and target
+    configurations, else [Failure] (never a wrong event).  Costs a
+    successor computation and faults the source's and targets' segments
+    on an out-of-core graph; prefer {!iter_out_steps} wherever the
+    events are not needed.  Unexpanded frontier nodes have none. *)
 
 val out_degree : t -> int -> int
-
-val iter_out_edges : t -> int -> (edge -> unit) -> unit
 
 val iter_out_steps : t -> int -> (int -> int -> unit) -> unit
 (** [iter_out_steps t id f] calls [f pid target] for each out-edge of
@@ -316,7 +335,7 @@ val find_path :
     source, followed by the accepted edge — a shortest such path, and
     the first one in CSR order.  The accepted edge's target need not be
     in [mask].  Reads the packed targets, so only the returned edges are
-    materialized (at most one segment fault per step). *)
+    materialized, by one {!out_edges} call per step. *)
 
 val shortest_path : t -> target:int -> edge list option
 (** Shortest edge path from the initial node to [target] — the schedule

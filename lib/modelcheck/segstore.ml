@@ -1,15 +1,14 @@
 open Lbsa_util
 open Lbsa_runtime
 
-(* Disk-spilled CSR segments.  See the .mli for the format and the
+(* Disk-spilled node segments.  See the .mli for the format and the
    re-interning contract. *)
 
-let magic = "LBSA-SEG/2\n"
+let magic = "LBSA-SEG/3\n"
 
-(* Each section holds its first index and its slice; [lo, hi) and
-   [elo, ehi) are checked against the segment table on fault-in. *)
+(* The section holds the segment's first id and its configurations;
+   [lo, hi) is checked against the segment table on fault-in. *)
 let nodes_codec = Codec.(pair int Config_codec.configs)
-let steps_codec = Codec.(pair int Config_codec.steps)
 
 exception Corrupt of string
 (* A spilled segment that fails validation on fault-in (bad magic,
@@ -19,12 +18,11 @@ exception Corrupt of string
    recompute from — the typed refusal propagates to the supervisor /
    CLI boundary (a clean partial exit), never a crash. *)
 
-type seg = { lo : int; hi : int; elo : int; ehi : int; file : string }
+type seg = { lo : int; hi : int; file : string }
 
 type loaded = {
   l_seg : int; (* index into segs *)
   l_configs : Config.t array;
-  l_steps : (int * Config.event * int) array;
 }
 
 let cache_slots = 4
@@ -82,20 +80,18 @@ let create ~dir =
     clock = 0;
   }
 
-let write_segment t ~lo ~hi ~elo ~ehi ~configs ~steps =
+let write_segment t ~lo ~hi ~configs =
   if lo <> spilled_upto t then invalid_arg "Segstore.write_segment: gap";
-  if hi - lo <> Array.length configs || ehi - elo <> Array.length steps then
+  if hi - lo <> Array.length configs then
     invalid_arg "Segstore.write_segment: range/payload mismatch";
   let file = Filename.concat t.sdir (Printf.sprintf "seg-%012d.seg" lo) in
   Rio.with_atomic_file ~site:"segstore.write" ~path:file (fun w ->
       let sink = Rio.write_string w in
       sink magic;
       Codec.write_section sink ~tag:"SEGNODES"
-        (Codec.encode nodes_codec (lo, configs));
-      Codec.write_section sink ~tag:"SEGEDGES"
-        (Codec.encode steps_codec (elo, steps)));
+        (Codec.encode nodes_codec (lo, configs)));
   t.bytes <- t.bytes + (try (Unix.stat file).Unix.st_size with Unix.Unix_error _ -> 0);
-  t.segs <- Array.append t.segs [| { lo; hi; elo; ehi; file } |]
+  t.segs <- Array.append t.segs [| { lo; hi; file } |]
 
 (* One parse attempt.  Raises [Corrupt] for a validation defect (the
    file's bytes are wrong — retrying cannot help), [Sys_error] /
@@ -113,22 +109,15 @@ let read_seg_file t idx =
       in
       if not (String.equal header magic) then
         corrupt "Segstore: %s is not a segment file" s.file;
-      let section tag codec ~first ~len =
-        let first', slice = Codec.decode codec (Codec.input_section ic ~tag) in
-        if first' <> first || Array.length slice <> len then
-          corrupt "Segstore: %s: %s range mismatch" s.file tag;
-        slice
-      in
       try
-        let l_configs =
-          section "SEGNODES" nodes_codec ~first:s.lo ~len:(s.hi - s.lo)
+        let lo, l_configs =
+          Codec.decode nodes_codec (Codec.input_section ic ~tag:"SEGNODES")
         in
-        let l_steps =
-          section "SEGEDGES" steps_codec ~first:s.elo ~len:(s.ehi - s.elo)
-        in
+        if lo <> s.lo || Array.length l_configs <> s.hi - s.lo then
+          corrupt "Segstore: %s: SEGNODES range mismatch" s.file;
         if pos_in ic <> in_channel_length ic then
           corrupt "Segstore: %s: trailing bytes" s.file;
-        { l_seg = idx; l_configs; l_steps }
+        { l_seg = idx; l_configs }
       with Codec.Malformed msg -> corrupt "Segstore: %s: %s" s.file msg)
 
 (* Fault-in with the recompute-or-refuse policy: a device error gets
@@ -175,30 +164,21 @@ let cached t idx =
     l
 
 (* Binary search over the sorted, contiguous segment array. *)
-let seg_index t ~key ~lo_of ~hi_of =
-  let n = Array.length t.segs in
+let seg_index t id =
   let rec go lo hi =
     if lo >= hi then invalid_arg "Segstore: index out of spilled range"
     else
       let mid = (lo + hi) / 2 in
       let s = t.segs.(mid) in
-      if key < lo_of s then go lo mid
-      else if key >= hi_of s then go (mid + 1) hi
+      if id < s.lo then go lo mid
+      else if id >= s.hi then go (mid + 1) hi
       else mid
   in
-  go 0 n
+  go 0 (Array.length t.segs)
 
 let node t id =
-  let idx = seg_index t ~key:id ~lo_of:(fun s -> s.lo) ~hi_of:(fun s -> s.hi) in
-  let l = cached t idx in
-  l.l_configs.(id - t.segs.(idx).lo)
-
-let step t i =
-  let idx =
-    seg_index t ~key:i ~lo_of:(fun s -> s.elo) ~hi_of:(fun s -> s.ehi)
-  in
-  let l = cached t idx in
-  l.l_steps.(i - t.segs.(idx).elo)
+  let idx = seg_index t id in
+  (cached t idx).l_configs.(id - t.segs.(idx).lo)
 
 let remove_all t =
   Array.iter

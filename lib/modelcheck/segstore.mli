@@ -1,17 +1,16 @@
-(** Out-of-core segment store: cold node-id ranges of an exploration
-    (their configurations and their CSR edge slice) spilled to disk and
-    faulted back in on demand.
+(** Out-of-core segment store: the configurations of cold node-id
+    ranges of an exploration, spilled to disk and faulted back in on
+    demand.  Edges are not spilled: the graph keeps its packed steps
+    resident and re-derives events from the source configuration.
 
     A segment covers a half-open id range [lo, hi) of the expanded
-    prefix together with its edge-index range [elo, ehi); segments are
-    written in increasing id order and never overlap, so lookup is a
-    binary search.  A segment file is the magic line [LBSA-SEG/2], then
-    two {!Lbsa_util.Codec} sections: SEGNODES holds [lo] and the
-    configurations, SEGEDGES holds [elo] and the steps, both encoded by
-    {!Config_codec}.  Fault-in re-interns every value through the
-    [Value] smart constructors, so the id-never-orders invariant
-    survives a round trip through disk exactly as it does for
-    checkpoints.
+    prefix; segments are written in increasing id order and never
+    overlap, so lookup is a binary search.  A segment file is the magic
+    line [LBSA-SEG/3], then one {!Lbsa_util.Codec} section, SEGNODES,
+    holding [lo] and the configurations encoded by {!Config_codec}.
+    Fault-in re-interns every value through the [Value] smart
+    constructors, so the id-never-orders invariant survives a round
+    trip through disk exactly as it does for checkpoints.
 
     Spilled segments are scratch, not durable state: {!create} clears
     any stale [seg-*.seg] files in the directory (a resumed run
@@ -35,29 +34,15 @@ val create : dir:string -> t
 
 val dir : t -> string
 
-val write_segment :
-  t ->
-  lo:int ->
-  hi:int ->
-  elo:int ->
-  ehi:int ->
-  configs:Config.t array ->
-  steps:(int * Config.event * int) array ->
-  unit
-(** Spills ids [lo, hi) (configs, in id order) and their out-edge slice
-    [elo, ehi) (steps, in CSR order).  Ranges must extend the store:
-    [lo] equals the previous segment's [hi] (or 0). *)
+val write_segment : t -> lo:int -> hi:int -> configs:Config.t array -> unit
+(** Spills ids [lo, hi) (configs, in id order).  Ranges must extend the
+    store: [lo] equals the previous segment's [hi] (or 0). *)
 
 val node : t -> int -> Config.t
 (** [node t id] faults in the segment covering [id] (if not cached) and
     returns its re-interned configuration.  Raises [Invalid_argument]
     if no segment covers [id]; raises {!Corrupt} (after one backed-off
     retry for device-level errors) if the segment fails validation. *)
-
-val step : t -> int -> int * Config.event * int
-(** [step t i] returns the [(pid, event, target)] of global edge index
-    [i], faulting in the covering segment.  Raises [Invalid_argument]
-    if no segment covers [i]; raises {!Corrupt} like {!node}. *)
 
 val spilled_upto : t -> int
 (** One past the highest spilled node id (0 when empty). *)

@@ -350,13 +350,7 @@ let check ?(max_states = Graph.default_max_states) ?domains ?budget
     | Some msg -> fail ~stats ~inputs ~states msg
     | None -> pass ~stats ~inputs ~states ())
 
-let check_consensus = check ~task:Consensus
 let check_dac = check ~task:Dac
-
-let check_kset ?max_states ?domains ?budget ?substrate ?reduce ?resume ?shards
-    ?spill ~machine ~specs ~k =
-  check ?max_states ?domains ?budget ?substrate ?reduce ?resume ?shards ?spill
-    ~task:(Kset k) ~machine ~specs
 
 (* --- counterexample witnesses ----------------------------------------- *)
 
@@ -412,9 +406,6 @@ let find_safety_witness ?(max_states = Graph.default_max_states) ~machine ~specs
 let witness ?max_states ~task ~machine ~specs ~inputs () =
   find_safety_witness ?max_states ~machine ~specs ~inputs
     ~judge:(safety task ~inputs) ()
-
-let consensus_witness = witness ~task:Consensus
-let dac_witness = witness ~task:Dac
 
 type family_stats = {
   vectors : int;

@@ -113,39 +113,6 @@ val check :
     truncation: a cut-short exploration yields a partial verdict
     (safety checked on the explored prefix, liveness skipped). *)
 
-val check_consensus :
-  ?max_states:int ->
-  ?domains:int ->
-  ?budget:Supervisor.Budget.t ->
-  ?substrate:Substrate.t ->
-  ?reduce:Graph.reduction ->
-  ?resume:Graph.suspended ->
-  ?shards:int ->
-  ?spill:Graph.spill ->
-  machine:Machine.t ->
-  specs:Obj_spec.t array ->
-  inputs:Value.t array ->
-  unit ->
-  verdict
-(** [check ~task:Consensus]. *)
-
-val check_kset :
-  ?max_states:int ->
-  ?domains:int ->
-  ?budget:Supervisor.Budget.t ->
-  ?substrate:Substrate.t ->
-  ?reduce:Graph.reduction ->
-  ?resume:Graph.suspended ->
-  ?shards:int ->
-  ?spill:Graph.spill ->
-  machine:Machine.t ->
-  specs:Obj_spec.t array ->
-  k:int ->
-  inputs:Value.t array ->
-  unit ->
-  verdict
-(** [check ~task:(Kset k)]. *)
-
 val check_dac :
   ?max_states:int ->
   ?domains:int ->
@@ -208,24 +175,6 @@ val witness :
   unit ->
   witness_search
 (** {!find_safety_witness} with the task's safety judge. *)
-
-val consensus_witness :
-  ?max_states:int ->
-  machine:Machine.t ->
-  specs:Obj_spec.t array ->
-  inputs:Value.t array ->
-  unit ->
-  witness_search
-(** [witness ~task:Consensus]. *)
-
-val dac_witness :
-  ?max_states:int ->
-  machine:Machine.t ->
-  specs:Obj_spec.t array ->
-  inputs:Value.t array ->
-  unit ->
-  witness_search
-(** [witness ~task:Dac]. *)
 
 (** {2 Input-family sweeps} *)
 

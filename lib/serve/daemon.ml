@@ -143,14 +143,25 @@ let safe_send_response fd resp =
        true
      with Unix.Unix_error _ | Wire.Closed | Invalid_argument _ -> false)
 
+(* Idempotent: a connection already closed (say, by a failed reply
+   earlier in the same read) is not closed twice, so a descriptor
+   number the kernel has since handed out again is never touched. *)
 let close_client st fd =
-  st.clients <- List.filter (fun (c, _) -> c <> fd) st.clients;
-  Hashtbl.iter
-    (fun _ job ->
-      job.j_waiters <- List.filter (fun (w, _) -> w <> fd) job.j_waiters)
-    st.inflight;
-  st.shutdown_fds <- List.filter (fun c -> c <> fd) st.shutdown_fds;
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  if List.mem_assoc fd st.clients then begin
+    st.clients <- List.filter (fun (c, _) -> c <> fd) st.clients;
+    Hashtbl.iter
+      (fun _ job ->
+        job.j_waiters <- List.filter (fun (w, _) -> w <> fd) job.j_waiters)
+      st.inflight;
+    st.shutdown_fds <- List.filter (fun c -> c <> fd) st.shutdown_fds;
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  end
+
+(* A reply that cannot be written closes its connection: the client
+   then sees end of stream instead of waiting forever for an answer
+   that will never come. *)
+let reply st fd resp =
+  if not (safe_send_response fd resp) then close_client st fd
 
 let bump_hot st dt_us =
   st.stats <-
@@ -167,7 +178,7 @@ let bump_cold st dt_us =
 let reply_result st fd ~cached ~t0 res =
   let dt = (now () -. t0) *. 1e6 in
   if cached then bump_hot st dt else bump_cold st dt;
-  ignore (safe_send_response fd (Wire.Result { r = res; cached; wall_us = dt }))
+  reply st fd (Wire.Result { r = res; cached; wall_us = dt })
 
 (* -- graceful degradation ------------------------------------------- *)
 
@@ -309,10 +320,9 @@ let handle_query st fd q deadline_s =
   st.stats <- { st.stats with Wire.st_queries = st.stats.Wire.st_queries + 1 };
   match Api.canonical q with
   | exception Invalid_argument msg ->
-    ignore (safe_send_response fd (Wire.Error msg))
+    reply st fd (Wire.Error msg)
   | canonical ->
-    if st.draining then
-      ignore (safe_send_response fd (Wire.Error "daemon is shutting down"))
+    if st.draining then reply st fd (Wire.Error "daemon is shutting down")
     else begin
       let key = Api.key q in
       match lookup st ~canonical ~key with
@@ -328,9 +338,7 @@ let handle_completion st { c_job = job; c_result } =
   match c_result with
   | Error msg ->
     logf st "job %s failed: %s" job.j_key msg;
-    List.iter
-      (fun (fd, _) -> ignore (safe_send_response fd (Wire.Error msg)))
-      job.j_waiters
+    List.iter (fun (fd, _) -> reply st fd (Wire.Error msg)) job.j_waiters
   | Ok { Api.res; cacheable; fuzz_prefix } ->
     st.stats <- { st.stats with Wire.st_computed = st.stats.Wire.st_computed + 1 };
     if cacheable then begin
@@ -360,9 +368,8 @@ let current_stats st =
 
 let handle_request st fd = function
   | Wire.Query { q; deadline_s } -> handle_query st fd q deadline_s
-  | Wire.Stats ->
-    ignore (safe_send_response fd (Wire.Stats_r (current_stats st)))
-  | Wire.Ping -> ignore (safe_send_response fd Wire.Pong)
+  | Wire.Stats -> reply st fd (Wire.Stats_r (current_stats st))
+  | Wire.Ping -> reply st fd Wire.Pong
   | Wire.Shutdown ->
     st.draining <- true;
     st.shutdown_fds <- fd :: st.shutdown_fds
@@ -462,15 +469,22 @@ let run cfg =
              with Unix.Unix_error _ -> ());
             drain_done st
           end
-          else begin
+          else
             (* One read per readable client, so a peer that stalls
                mid-frame never blocks the loop; a malformed frame
-               ([Failure]) costs only its connection. *)
-            let inbox = List.assoc fd st.clients in
-            try Wire.read_requests inbox fd (handle_request st fd)
-            with Wire.Closed | Unix.Unix_error _ | Failure _ ->
-              close_client st fd
-          end)
+               ([Failure]) costs only its connection, and so does a
+               failed reply, after which the rest of the read is
+               dropped.  A client a failed reply closed earlier in this
+               round is skipped. *)
+            match List.assoc_opt fd st.clients with
+            | None -> ()
+            | Some inbox -> (
+              try
+                Wire.read_requests inbox fd (fun req ->
+                  if List.mem_assoc fd st.clients then
+                    handle_request st fd req)
+              with Wire.Closed | Unix.Unix_error _ | Failure _ ->
+                close_client st fd))
         readable;
       (* completions can land between selects; sweep regardless *)
       drain_done st;

@@ -68,19 +68,34 @@ let slurp file =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
 
-let wait c =
-  let rec await () =
-    match Unix.waitpid [] c.c_pid with
-    | _, status -> status
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ()
-  in
-  let status = await () in
+let collect c status =
   let out = slurp c.c_out in
   let err = slurp c.c_err in
   List.iter
     (fun f -> try Sys.remove f with Sys_error _ -> ())
     [ c.c_out; c.c_err ];
   { status; out; err }
+
+let wait c =
+  let rec await () =
+    match Unix.waitpid [] c.c_pid with
+    | _, status -> status
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ()
+  in
+  collect c (await ())
+
+let wait_within c seconds =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec poll () =
+    match Unix.waitpid [ Unix.WNOHANG ] c.c_pid with
+    | 0, _ when Unix.gettimeofday () >= deadline -> None
+    | 0, _ ->
+      Unix.sleepf 0.01;
+      poll ()
+    | _, status -> Some (collect c status)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> poll ()
+  in
+  poll ()
 
 let run ?env ~exe ~args () = wait (spawn ?env ~exe ~args ())
 

@@ -33,6 +33,10 @@ val wait : child -> outcome
     output.  Idempotent per child only in the sense that it must be
     called exactly once; the temp files are removed here. *)
 
+val wait_within : child -> float -> outcome option
+(** [wait] if the child exits within [seconds]; [None] leaves it
+    running (the caller kills it and then calls {!wait}). *)
+
 val run :
   ?env:(string * string) list -> exe:string -> args:string list -> unit ->
   outcome

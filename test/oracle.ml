@@ -199,8 +199,7 @@ let analyze_fixpoint (graph : Cgraph.t) =
   (* Reverse edges once for backward propagation. *)
   let preds = Array.make n [] in
   for u = 0 to n - 1 do
-    Cgraph.iter_out_edges graph u (fun e ->
-        preds.(e.target) <- u :: preds.(e.target))
+    Cgraph.iter_out_steps graph u (fun _pid v -> preds.(v) <- u :: preds.(v))
   done;
   let queue = Queue.create () in
   for id = 0 to n - 1 do
@@ -213,9 +212,9 @@ let analyze_fixpoint (graph : Cgraph.t) =
     (* Recompute u from its successors; if it grew, reschedule preds. *)
     let d = ref decisions.(u) in
     let a = ref abort_reachable.(u) in
-    Cgraph.iter_out_edges graph u (fun e ->
-        d := VSet.union !d decisions.(e.target);
-        a := !a || abort_reachable.(e.target));
+    Cgraph.iter_out_steps graph u (fun _pid v ->
+        d := VSet.union !d decisions.(v);
+        a := !a || abort_reachable.(v));
     if (not (VSet.equal !d decisions.(u))) || !a <> abort_reachable.(u) then begin
       decisions.(u) <- !d;
       abort_reachable.(u) <- !a;

@@ -324,16 +324,6 @@ let test_segstore_flipped_byte () =
   let g = Cgraph.build ~machine ~specs ~inputs () in
   let n = min 4 (Cgraph.n_nodes g) in
   let configs = Array.init n (fun id -> Cgraph.node g id) in
-  let steps =
-    Array.of_list
-      (List.concat_map
-         (fun id ->
-           List.map
-             (fun (e : Cgraph.edge) ->
-               (e.Cgraph.pid, e.Cgraph.event, e.Cgraph.target))
-             (Cgraph.out_edges g id))
-         (List.init n Fun.id))
-  in
   let seg_file_of dir =
     match
       Array.to_list (Sys.readdir dir)
@@ -348,8 +338,7 @@ let test_segstore_flipped_byte () =
     ~finally:(fun () -> rm_rf dir0)
     (fun () ->
       let t0 = Segstore.create ~dir:dir0 in
-      Segstore.write_segment t0 ~lo:0 ~hi:n ~elo:0 ~ehi:(Array.length steps)
-        ~configs ~steps;
+      Segstore.write_segment t0 ~lo:0 ~hi:n ~configs;
       Alcotest.(check bool)
         "pristine fault-in round-trips" true
         (Config.equal configs.(0) (Segstore.node t0 0)));
@@ -360,8 +349,7 @@ let test_segstore_flipped_byte () =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let t = Segstore.create ~dir in
-      Segstore.write_segment t ~lo:0 ~hi:n ~elo:0 ~ehi:(Array.length steps)
-        ~configs ~steps;
+      Segstore.write_segment t ~lo:0 ~hi:n ~configs;
       let seg_file = seg_file_of dir in
       let bytes = Bytes.of_string (read_file seg_file) in
       let i = Bytes.length bytes - 7 in
@@ -700,6 +688,62 @@ let test_daemon_stalled_peers () =
         (Fmt.str "daemon exits 0 (err=%S)" o.Crashdrive.err)
         (Some 0) (Crashdrive.exited o))
 
+(* --- daemon: failed reply writes ------------------------------------------ *)
+
+(* Under [--io-chaos-seed 2] an injected fault hits the daemon's reply
+   to its first query.  A reply that cannot be written must close the
+   connection, so the `lbsa query` child comes back within 5 s and
+   exits 3 naming the closed connection, instead of waiting forever for
+   an answer that never comes.  The daemon keeps serving: the next
+   query gets the (now memoised) answer. *)
+let test_daemon_failed_reply_closes () =
+  require_exe ();
+  let dir = fresh_dir () in
+  let socket = fresh_path ".sock" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let daemon =
+        Crashdrive.spawn ~exe
+          ~args:
+            [ "serve"; "--socket"; socket; "--store"; dir; "--quiet";
+              "--io-chaos-seed"; "2" ]
+          ()
+      in
+      Fun.protect ~finally:(fun () ->
+          (try Unix.kill (Crashdrive.pid daemon) Sys.sigkill
+           with Unix.Unix_error _ -> ());
+          ignore (Crashdrive.wait daemon))
+      @@ fun () ->
+      let query what =
+        let q =
+          Crashdrive.spawn ~exe
+            ~args:[ "query"; "dac:2"; "--socket"; socket; "--wait"; "10" ]
+            ()
+        in
+        match Crashdrive.wait_within q 5. with
+        | Some o -> o
+        | None ->
+          (try Unix.kill (Crashdrive.pid q) Sys.sigkill
+           with Unix.Unix_error _ -> ());
+          ignore (Crashdrive.wait q);
+          Alcotest.failf "%s: no answer and no hang-up within 5 s" what
+      in
+      let first = query "first query" in
+      Alcotest.(check (option int))
+        (Fmt.str "first query exits 3 (err=%S)" first.Crashdrive.err)
+        (Some 3) (Crashdrive.exited first);
+      Alcotest.(check bool)
+        "refusal names the closed connection" true
+        (contains_sub ~sub:"closed the connection" first.Crashdrive.err);
+      let second = query "second query" in
+      Alcotest.(check (option int))
+        (Fmt.str "second query exits 0 (err=%S)" second.Crashdrive.err)
+        (Some 0) (Crashdrive.exited second);
+      Alcotest.(check string)
+        "second query answered" "OK (inputs=1,0, 36 states)\n"
+        second.Crashdrive.out)
+
 (* --- seeded fault-plan sweep --------------------------------------------- *)
 
 (* Twenty seeds, every resilient-I/O component, injection rate 25%:
@@ -719,16 +763,6 @@ let test_fault_plan_sweep () =
   let g = Cgraph.build ~machine ~specs ~inputs () in
   let nseg = min 4 (Cgraph.n_nodes g) in
   let seg_configs = Array.init nseg (fun id -> Cgraph.node g id) in
-  let seg_steps =
-    Array.of_list
-      (List.concat_map
-         (fun id ->
-           List.map
-             (fun (e : Cgraph.edge) ->
-               (e.Cgraph.pid, e.Cgraph.event, e.Cgraph.target))
-             (Cgraph.out_edges g id))
-         (List.init nseg Fun.id))
-  in
   let survived = ref 0 and refused = ref 0 in
   Fun.protect
     ~finally:(fun () -> Rio.disarm ())
@@ -790,9 +824,7 @@ let test_fault_plan_sweep () =
           (fun () ->
             match
               let t = Segstore.create ~dir:sdir in
-              Segstore.write_segment t ~lo:0 ~hi:nseg ~elo:0
-                ~ehi:(Array.length seg_steps) ~configs:seg_configs
-                ~steps:seg_steps;
+              Segstore.write_segment t ~lo:0 ~hi:nseg ~configs:seg_configs;
               t
             with
             | exception Unix.Unix_error _ -> incr refused
@@ -881,6 +913,8 @@ let () =
             test_daemon_survives_hostile_frames;
           tc "stalled peers never block another client"
             test_daemon_stalled_peers;
+          tc "a failed reply closes its connection"
+            test_daemon_failed_reply_closes;
         ] );
       ( "wire",
         [

@@ -217,7 +217,7 @@ let test_exploration_stats_sane () =
 let test_verdict_carries_stats () =
   let machine, specs = Consensus_protocols.from_consensus_obj ~m:2 in
   let v =
-    Solvability.check_consensus ~machine ~specs
+    Solvability.check ~task:Solvability.Consensus ~machine ~specs
       ~inputs:[| Value.int 0; Value.int 1 |] ()
   in
   match v.Solvability.stats with
@@ -549,7 +549,9 @@ let test_consensus_solvable_exhaustive () =
       let machine, specs = Consensus_protocols.from_consensus_obj ~m in
       let verdict =
         Solvability.for_all_inputs
-          (fun inputs -> Solvability.check_consensus ~machine ~specs ~inputs ())
+          (fun inputs ->
+            Solvability.check ~task:Solvability.Consensus
+              ~machine ~specs ~inputs ())
           (Consensus_task.binary_inputs m)
       in
       if not verdict.Solvability.ok then
@@ -561,7 +563,7 @@ let test_kset_solvable_exhaustive () =
      (partition), distinct inputs, all schedules. *)
   let machine, specs = Kset_protocols.partition ~m:2 ~k:2 in
   let verdict =
-    Solvability.check_kset ~machine ~specs ~k:2
+    Solvability.check ~task:(Solvability.Kset 2) ~machine ~specs
       ~inputs:(Kset_task.distinct_inputs 4) ()
   in
   if not verdict.Solvability.ok then
@@ -570,7 +572,7 @@ let test_kset_solvable_exhaustive () =
      nondeterminism explored). *)
   let machine, specs = Kset_protocols.from_sa2 ~k:2 in
   let verdict =
-    Solvability.check_kset ~machine ~specs ~k:2
+    Solvability.check ~task:(Solvability.Kset 2) ~machine ~specs
       ~inputs:(Kset_task.distinct_inputs 4) ()
   in
   if not verdict.Solvability.ok then
@@ -579,7 +581,9 @@ let test_kset_solvable_exhaustive () =
      3 processes. *)
   let verdict =
     Solvability.for_all_inputs
-      (fun inputs -> Solvability.check_kset ~machine ~specs ~k:2 ~inputs ())
+      (fun inputs ->
+        Solvability.check ~task:(Solvability.Kset 2)
+          ~machine ~specs ~inputs ())
       (Kset_task.all_inputs ~d:3 3)
   in
   if not verdict.Solvability.ok then
@@ -591,7 +595,9 @@ let test_classic_constructions_exhaustive () =
     (fun (machine, specs) ->
       let verdict =
         Solvability.for_all_inputs
-          (fun inputs -> Solvability.check_consensus ~machine ~specs ~inputs ())
+          (fun inputs ->
+            Solvability.check ~task:Solvability.Consensus
+              ~machine ~specs ~inputs ())
           (Consensus_task.binary_inputs 2)
       in
       if not verdict.Solvability.ok then
@@ -608,7 +614,9 @@ let test_classic_constructions_exhaustive () =
     (fun (machine, specs) ->
       let verdict =
         Solvability.for_all_inputs
-          (fun inputs -> Solvability.check_consensus ~machine ~specs ~inputs ())
+          (fun inputs ->
+            Solvability.check ~task:Solvability.Consensus
+              ~machine ~specs ~inputs ())
           (Consensus_task.binary_inputs 3)
       in
       if not verdict.Solvability.ok then
@@ -623,14 +631,14 @@ let test_candidates_fail_exhaustive () =
   (* flp-write-read: safety violation found. *)
   let machine, specs = Candidates.flp_write_read in
   let verdict =
-    Solvability.check_consensus ~machine ~specs
+    Solvability.check ~task:Solvability.Consensus ~machine ~specs
       ~inputs:[| Value.int 0; Value.int 1 |] ()
   in
   Alcotest.(check bool) "flp-write-read fails" false verdict.Solvability.ok;
   (* flp-spin: wait-freedom violation (cycle) found. *)
   let machine, specs = Candidates.flp_spin in
   let verdict =
-    Solvability.check_consensus ~machine ~specs
+    Solvability.check ~task:Solvability.Consensus ~machine ~specs
       ~inputs:[| Value.int 0; Value.int 1 |] ()
   in
   Alcotest.(check bool) "flp-spin fails" false verdict.Solvability.ok;
@@ -651,7 +659,9 @@ let test_candidates_fail_exhaustive () =
   let machine, specs = Candidates.consensus_m1_from_pac_nm ~n:2 ~m:2 in
   let verdict =
     Solvability.for_all_inputs
-      (fun inputs -> Solvability.check_consensus ~machine ~specs ~inputs ())
+      (fun inputs ->
+        Solvability.check ~task:Solvability.Consensus
+          ~machine ~specs ~inputs ())
       (Consensus_task.binary_inputs 3)
   in
   Alcotest.(check bool) "3-consensus from (2,2)-PAC fails" false
@@ -662,7 +672,9 @@ let test_witness_schedule_replays () =
      schedule through the executor: the violation must reproduce. *)
   let machine, specs = Candidates.flp_write_read in
   let inputs = [| Value.int 0; Value.int 1 |] in
-  match Solvability.consensus_witness ~machine ~specs ~inputs () with
+  match
+    Solvability.witness ~task:Solvability.Consensus ~machine ~specs ~inputs ()
+  with
   | Solvability.No_witness | Solvability.Search_truncated _ ->
     Alcotest.fail "expected a disagreement witness"
   | Solvability.Witness w ->
@@ -681,13 +693,17 @@ let test_witness_schedule_replays () =
 let test_dac_witness () =
   let machine, specs = Candidates.dac3_sa2_then_cons2 in
   let inputs = [| Value.int 1; Value.int 0; Value.int 0 |] in
-  match Solvability.dac_witness ~machine ~specs ~inputs () with
+  match
+    Solvability.witness ~task:Solvability.Dac ~machine ~specs ~inputs ()
+  with
   | Solvability.No_witness | Solvability.Search_truncated _ ->
     (* This input vector may be safe; some binary vector must witness. *)
     let witnessed =
       List.exists
         (fun inputs ->
-          match Solvability.dac_witness ~machine ~specs ~inputs () with
+          match
+            Solvability.witness ~task:Solvability.Dac ~machine ~specs ~inputs ()
+          with
           | Solvability.Witness _ -> true
           | Solvability.No_witness | Solvability.Search_truncated _ -> false)
         (Dac.binary_inputs 3)

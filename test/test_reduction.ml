@@ -398,7 +398,8 @@ let test_verdicts_agree_across_modes () =
      failing protocols alike. *)
   let machine, specs, inputs, canon = cons2 () in
   let cons reduce =
-    (Solvability.check_consensus ?reduce ~machine ~specs ~inputs ())
+    (Solvability.check ~task:Solvability.Consensus
+       ?reduce ~machine ~specs ~inputs ())
       .Solvability.ok
   in
   Alcotest.(check bool) "cons:2 sym" (cons None) (cons (Some (sym canon)));
@@ -406,7 +407,8 @@ let test_verdicts_agree_across_modes () =
     (cons (Some (sym_sleep canon)));
   let machine, specs, inputs, canon = kset22 () in
   let kset reduce =
-    (Solvability.check_kset ?reduce ~machine ~specs ~k:2 ~inputs ())
+    (Solvability.check ~task:(Solvability.Kset 2)
+       ?reduce ~machine ~specs ~inputs ())
       .Solvability.ok
   in
   Alcotest.(check bool) "kset 2,2 sym" (kset None) (kset (Some (sym canon)));
@@ -489,7 +491,9 @@ let test_witness_search_truncation_sound () =
      Search_truncated — answering No_witness on a cut-off graph was the
      false negative this guards against. *)
   let machine, specs, inputs, _ = cons2 () in
-  (match Solvability.consensus_witness ~max_states:2 ~machine ~specs ~inputs ()
+  (match
+     Solvability.witness ~task:Solvability.Consensus
+       ~max_states:2 ~machine ~specs ~inputs ()
    with
   | Solvability.Search_truncated o ->
     Alcotest.(check bool) "partial outcome" true (Supervisor.is_partial o)
@@ -499,7 +503,9 @@ let test_witness_search_truncation_sound () =
     Alcotest.failf "correct protocol produced a witness: %s"
       w.Solvability.violation);
   (* unbounded, the answer is definitive *)
-  (match Solvability.consensus_witness ~machine ~specs ~inputs () with
+  (match
+     Solvability.witness ~task:Solvability.Consensus ~machine ~specs ~inputs ()
+   with
   | Solvability.No_witness -> ()
   | Solvability.Search_truncated _ ->
     Alcotest.fail "complete search reported truncation"
@@ -511,10 +517,14 @@ let test_witness_search_truncation_sound () =
      no-witness. *)
   let machine, specs = Candidates.flp_write_read in
   let inputs = [| Value.int 0; Value.int 1 |] in
-  (match Solvability.consensus_witness ~machine ~specs ~inputs () with
+  (match
+     Solvability.witness ~task:Solvability.Consensus ~machine ~specs ~inputs ()
+   with
   | Solvability.Witness _ -> ()
   | _ -> Alcotest.fail "expected a disagreement witness");
-  match Solvability.consensus_witness ~max_states:2 ~machine ~specs ~inputs ()
+  match
+    Solvability.witness ~task:Solvability.Consensus
+      ~max_states:2 ~machine ~specs ~inputs ()
   with
   | Solvability.No_witness ->
     Alcotest.fail "truncated search on a broken protocol claimed no witness"

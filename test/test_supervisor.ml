@@ -27,7 +27,8 @@ let test_truncation_is_partial_verdict () =
   let machine, specs = Consensus_protocols.from_consensus_obj ~m:2 in
   let inputs = [| Value.int 0; Value.int 1 |] in
   let v =
-    Solvability.check_consensus ~max_states:1 ~machine ~specs ~inputs ()
+    Solvability.check ~task:Solvability.Consensus
+      ~max_states:1 ~machine ~specs ~inputs ()
   in
   Alcotest.(check bool) "partial is not ok" false v.Solvability.ok;
   expect_outcome "quota" Supervisor.Truncated v.Solvability.outcome;
@@ -39,8 +40,8 @@ let test_deadline_is_partial_verdict () =
   let machine, specs = Consensus_protocols.from_consensus_obj ~m:2 in
   let inputs = [| Value.int 0; Value.int 1 |] in
   let v =
-    Solvability.check_consensus ~budget:(expired ()) ~machine ~specs ~inputs
-      ()
+    Solvability.check ~task:Solvability.Consensus
+      ~budget:(expired ()) ~machine ~specs ~inputs ()
   in
   Alcotest.(check bool) "partial is not ok" false v.Solvability.ok;
   expect_outcome "deadline" Supervisor.Deadline v.Solvability.outcome;
@@ -69,7 +70,8 @@ let test_cancellation_is_partial_verdict () =
   Supervisor.cancel token;
   let budget = Supervisor.Budget.make ~deadline_s:3600. ~token () in
   let v =
-    Solvability.check_consensus ~budget ~machine ~specs ~inputs ()
+    Solvability.check ~task:Solvability.Consensus
+      ~budget ~machine ~specs ~inputs ()
   in
   (* Cancellation wins over a live deadline. *)
   expect_outcome "cancelled" Supervisor.Cancelled v.Solvability.outcome
@@ -130,7 +132,7 @@ let test_sweep_survives_raising_checker () =
   let machine, specs = Consensus_protocols.from_consensus_obj ~m:2 in
   let check inputs =
     if Value.equal inputs.(0) (Value.int 1) then failwith "checker bug";
-    Solvability.check_consensus ~machine ~specs ~inputs ()
+    Solvability.check ~task:Solvability.Consensus ~machine ~specs ~inputs ()
   in
   let reference = Solvability.for_all_inputs ~domains:1 check vectors in
   Alcotest.(check bool) "sweep fails" false reference.Solvability.ok;
@@ -332,9 +334,11 @@ let roundtrip_through_disk ~label s =
       done;
       Checkpoint.thaw c)
 
+(* Resumed graphs are compared with the seed explorer, whose events
+   come from its own BFS rather than from a re-derivation. *)
 let test_resume_from_deadline_checkpoint () =
   let machine, specs, inputs = dac_instance 3 in
-  let full = Cgraph.build ~machine ~specs ~inputs () in
+  let full = Oracle.build_cmap ~machine ~specs ~inputs () in
   let partial =
     Cgraph.build ~budget:(expired ()) ~machine ~specs ~inputs ()
   in
@@ -348,14 +352,13 @@ let test_resume_from_deadline_checkpoint () =
   in
   expect_outcome "resume runs to completion" Supervisor.Done
     resumed.Cgraph.stop;
-  Oracle.same_graph "deadline-0 resume = uninterrupted" resumed
-    (Oracle.of_graph full)
+  Oracle.same_graph "deadline-0 resume = uninterrupted" resumed full
 
 let test_resume_from_midway_checkpoint () =
   (* Truncate mid-exploration (nonzero expanded prefix, partially built
      edge array), persist, thaw, finish: identical graph. *)
   let machine, specs, inputs = dac_instance 3 in
-  let full = Cgraph.build ~machine ~specs ~inputs () in
+  let full = Oracle.build_cmap ~machine ~specs ~inputs () in
   let partial =
     Cgraph.build ~max_states:40 ~machine ~specs ~inputs ()
   in
@@ -366,7 +369,6 @@ let test_resume_from_midway_checkpoint () =
       ~resume:(roundtrip_through_disk ~label:"dac3 midway" s)
       ~machine ~specs ~inputs ()
   in
-  let full = Oracle.of_graph full in
   Oracle.same_graph "midway resume = uninterrupted" resumed full;
   (* And resuming across domain counts still agrees. *)
   let resumed4 =
@@ -560,12 +562,15 @@ let store_entry dir =
     refusal = (fun ~foreign:_ e -> e = Refused);
   }
 
+(* A quota stop after the first level, so the file carries an edge
+   chunk (the initial node's packed steps) as well as node chunks. *)
 let checkpoint file =
   let machine, specs, inputs = dac_instance 3 in
-  let partial = Cgraph.build ~budget:(expired ()) ~machine ~specs ~inputs () in
-  Checkpoint.save ~file
-    (Checkpoint.freeze ~label:"dac:3 deadline 0"
-       (Option.get partial.Cgraph.suspended));
+  let partial = Cgraph.build ~max_states:2 ~machine ~specs ~inputs () in
+  let s = Option.get partial.Cgraph.suspended in
+  Alcotest.(check bool) "the checkpoint holds steps" true
+    (Array.length s.Cgraph.s_targets > 0);
+  Checkpoint.save ~file (Checkpoint.freeze ~label:"dac:3 quota 2" s);
   let pristine = read_file file in
   {
     pristine;
@@ -585,18 +590,8 @@ let segment dir =
   let machine, specs = Consensus_protocols.from_consensus_obj ~m:2 in
   let g = Cgraph.build ~machine ~specs ~inputs:[| Value.int 0; Value.int 1 |] () in
   let n = min 4 (Cgraph.n_nodes g) in
-  let steps =
-    Array.of_list
-      (List.concat_map
-         (fun id ->
-           List.map
-             (fun (e : Cgraph.edge) -> (e.Cgraph.pid, e.Cgraph.event, e.Cgraph.target))
-             (Cgraph.out_edges g id))
-         (List.init n Fun.id))
-  in
   let t = Segstore.create ~dir in
-  Segstore.write_segment t ~lo:0 ~hi:n ~elo:0 ~ehi:(Array.length steps)
-    ~configs:(Array.init n (Cgraph.node g)) ~steps;
+  Segstore.write_segment t ~lo:0 ~hi:n ~configs:(Array.init n (Cgraph.node g));
   let file =
     match Array.to_list (Sys.readdir dir) with
     | [ f ] -> Filename.concat dir f
@@ -958,9 +953,12 @@ let test_sharded_freeze_resolves () =
 
 (* Out-of-core builds: an aggressively tiny threshold forces many
    spill waves on dac:3, and the graph must stay bit-identical to the
-   resident build's, for every shard count and reduction mode.
-   [Oracle.same_graph] reads every node of the spilled graph, so it
-   also exercises fault-in. *)
+   resident one, for every shard count and reduction mode.  The
+   reference is the seed explorer, whose events come from its own BFS:
+   a spilled graph re-derives each edge's event from its faulted-in
+   source node, so comparing it with another [Graph.build] would check
+   one re-derivation against another.  [Oracle.same_graph] reads every
+   node and edge of the spilled graph, so it also exercises fault-in. *)
 let test_spill_build_equivalence () =
   let machine, specs, inputs = dac_instance 3 in
   let dir = Filename.temp_file "lbsa-spill" ".d" in
@@ -970,7 +968,7 @@ let test_spill_build_equivalence () =
     (fun () ->
       List.iter
         (fun reduce ->
-          let resident = Cgraph.build ~reduce ~machine ~specs ~inputs () in
+          let oracle = Oracle.build_cmap ~reduce ~machine ~specs ~inputs () in
           List.iter
             (fun shards ->
               let spill =
@@ -989,7 +987,7 @@ let test_spill_build_equivalence () =
               Alcotest.(check bool)
                 (label ^ ": dedup keys went cold") true
                 (sp.Cgraph.sp_frozen > 0);
-              Oracle.same_graph label g (Oracle.of_graph resident))
+              Oracle.same_graph label g oracle)
             [ 1; 4 ])
         (dac_reductions 3);
       (* path-based cleanup drops the segment files and the directory *)
@@ -998,12 +996,13 @@ let test_spill_build_equivalence () =
         "spill dir fully cleaned" false (Sys.file_exists dir))
 
 (* Interrupting a spilled build, checkpointing it, and resuming yields
-   the uninterrupted graph: the suspended state is materialized out of
-   the segments, encoded with its value dictionaries, and re-interned
-   on load. *)
+   the uninterrupted graph, events included (checked against the seed
+   explorer's own): the suspended state is materialized out of the
+   segments, its configurations encoded with their value dictionaries
+   and re-interned on load, its packed steps written as plain ints. *)
 let test_spill_checkpoint_resume () =
   let machine, specs, inputs = dac_instance 3 in
-  let full = Cgraph.build ~machine ~specs ~inputs () in
+  let full = Oracle.build_cmap ~machine ~specs ~inputs () in
   let dir = Filename.temp_file "lbsa-spill" ".d" in
   Sys.remove dir;
   Fun.protect
@@ -1024,7 +1023,6 @@ let test_spill_checkpoint_resume () =
           ~resume:(roundtrip_through_disk ~label:"dac3 spilled midway" s)
           ~machine ~specs ~inputs ()
       in
-      let full = Oracle.of_graph full in
       Oracle.same_graph "spilled interrupt/resume = uninterrupted" resumed full;
       (* and resuming back INTO a spilled build also agrees *)
       let resumed_spilled =
@@ -1035,10 +1033,103 @@ let test_spill_checkpoint_resume () =
       Oracle.same_graph "resume into a spilled sharded build" resumed_spilled
         full)
 
+(* --- the edge store: events re-derived from packed steps ----------------- *)
+
+(* A quota-stopped graph re-derives the events of its expanded prefix
+   exactly as the seed explorer recorded them, under every reduction
+   mode, and its unexpanded frontier has no out-edges: expanding those
+   nodes would report edges the build never took. *)
+let test_partial_graph_edges () =
+  let machine, specs, inputs = dac_instance 3 in
+  List.iter
+    (fun reduce ->
+      let oracle = Oracle.build_cmap ~reduce ~machine ~specs ~inputs () in
+      let max_states = Array.length oracle.Oracle.nodes / 2 in
+      let g = Cgraph.build ~max_states ~reduce ~machine ~specs ~inputs () in
+      let label = Fmt.str "%s, max_states %d" reduce.Cgraph.rname max_states in
+      expect_outcome label Supervisor.Truncated g.Cgraph.stop;
+      Alcotest.(check bool)
+        (label ^ ": a frontier is left") true
+        (g.Cgraph.expanded < Cgraph.n_nodes g);
+      for u = 0 to Cgraph.n_nodes g - 1 do
+        let expect =
+          if u < g.Cgraph.expanded then oracle.Oracle.out.(u) else []
+        in
+        if Cgraph.out_edges g u <> expect then
+          Alcotest.failf "%s: out-edges of node %d differ" label u
+      done)
+    (dac_reductions 3)
+
+(* The stored steps and their re-derivation must agree.  A resumed
+   prefix whose steps were tampered with (two targets swapped, a pid
+   changed, a slice boundary moved) makes [out_edges] raise instead of
+   pairing a step with the wrong event. *)
+let test_tampered_steps_refused () =
+  let machine, specs, inputs = dac_instance 3 in
+  let partial = Cgraph.build ~max_states:40 ~machine ~specs ~inputs () in
+  let s = Option.get partial.Cgraph.suspended in
+  let resume ~targets ~offsets =
+    Cgraph.build ~machine ~specs ~inputs ()
+      ~resume:
+        (Cgraph.suspended_of_parts ~nodes:s.Cgraph.s_nodes
+           ~expanded:s.Cgraph.s_expanded ~targets ~offsets
+           ~dedup_hits:s.Cgraph.s_dedup_hits ~n_succs:s.Cgraph.s_n_succs
+           ~frontier_sizes:s.Cgraph.s_frontier_sizes
+           ~reduction:s.Cgraph.s_reduction ~substrate:s.Cgraph.s_substrate
+           ~canonized:s.Cgraph.s_canonized ~ample_nodes:s.Cgraph.s_ample_nodes
+           ~ample_pruned:s.Cgraph.s_ample_pruned)
+  in
+  let step ~pid ~target = (target lsl 8) lor pid in
+  let pid i = s.Cgraph.s_targets.(i) land 0xff
+  and target i = s.Cgraph.s_targets.(i) lsr 8 in
+  Alcotest.(check bool)
+    "node 0 has two steps to distinct targets" true
+    (s.Cgraph.s_offsets.(1) >= 2 && target 0 <> target 1);
+  let oracle = Oracle.build_cmap ~machine ~specs ~inputs () in
+  Alcotest.(check bool)
+    "untampered: node 0's edges re-derive" true
+    (Cgraph.out_edges
+       (resume ~targets:s.Cgraph.s_targets ~offsets:s.Cgraph.s_offsets)
+       0
+    = oracle.Oracle.out.(0));
+  let tampered what ~targets ~offsets =
+    match Cgraph.out_edges (resume ~targets ~offsets) 0 with
+    | exception Failure msg ->
+      Alcotest.(check bool)
+        (what ^ ": refusal names the node") true
+        (contains_sub ~sub:"node 0" msg)
+    | _ -> Alcotest.failf "%s: out-edges re-derived anyway" what
+  in
+  let with_steps edits =
+    let t = Array.copy s.Cgraph.s_targets in
+    List.iter (fun (i, v) -> t.(i) <- v) edits;
+    t
+  in
+  tampered "targets swapped" ~offsets:s.Cgraph.s_offsets
+    ~targets:
+      (with_steps
+         [ (0, step ~pid:(pid 0) ~target:(target 1));
+           (1, step ~pid:(pid 1) ~target:(target 0)) ]);
+  tampered "pid changed" ~offsets:s.Cgraph.s_offsets
+    ~targets:
+      (with_steps [ (0, step ~pid:((pid 0 + 1) mod 3) ~target:(target 0)) ]);
+  let offsets = Array.copy s.Cgraph.s_offsets in
+  offsets.(1) <- offsets.(1) - 1;
+  tampered "slice shortened" ~targets:s.Cgraph.s_targets ~offsets;
+  (* a step past the last node is refused before any build starts *)
+  let past = Array.length s.Cgraph.s_nodes in
+  match
+    resume ~offsets:s.Cgraph.s_offsets
+      ~targets:(with_steps [ (0, step ~pid:(pid 0) ~target:past) ])
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a step past the last node was accepted"
+
 (* The compatibility rule: a coherent checkpoint from an older format
    version raises [Version_mismatch], never [Failure] and never a
    misread, and the CLI refuses it with exit 2.  Version 4 is the last
-   format whose payloads were marshalled. *)
+   format whose payloads were marshalled, version 5 the last that
+   stored every edge's event. *)
 let test_checkpoint_old_versions_refused () =
   let file = Filename.temp_file "lbsa-ckpt" ".bin" in
   Fun.protect
@@ -1055,14 +1146,14 @@ let test_checkpoint_old_versions_refused () =
           | exception Failure msg ->
             Alcotest.failf "old version reported as plain failure: %s" msg
           | _ -> Alcotest.failf "version-%d checkpoint accepted" v)
-        [ 2; 4 ];
+        [ 2; 4; 5 ];
       let exe =
         Filename.concat
           (Filename.dirname Sys.executable_name)
           (Filename.concat ".." (Filename.concat "bin" "lbsa_cli.exe"))
       in
       Alcotest.(check int)
-        "the CLI refuses a version-4 checkpoint with exit 2" 2
+        "the CLI refuses a version-5 checkpoint with exit 2" 2
         (Sys.command
            (Fmt.str "%s solve dac -n 3 --resume %s > /dev/null 2>&1"
               (Filename.quote exe) (Filename.quote file))))
@@ -1177,7 +1268,11 @@ let () =
             test_spill_build_equivalence;
           Alcotest.test_case "spill + checkpoint + resume" `Quick
             test_spill_checkpoint_resume;
-          Alcotest.test_case "version-2 and version-4 checkpoints refused"
+          Alcotest.test_case "partial graph: prefix re-derives, frontier bare"
+            `Quick test_partial_graph_edges;
+          Alcotest.test_case "tampered steps refused, never re-derived"
+            `Quick test_tampered_steps_refused;
+          Alcotest.test_case "version-2, -4 and -5 checkpoints refused"
             `Quick test_checkpoint_old_versions_refused;
           QCheck_alcotest.to_alcotest prop_checkpoint_bytes_stable;
         ] );

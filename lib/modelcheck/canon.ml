@@ -1,292 +1,178 @@
 open Lbsa_spec
 open Lbsa_runtime
+module Pac = Lbsa_objects.Pac
 
 (* Process-symmetry quotient for the explorer, plus the commit-step
    vocabulary shared with the bivalency toolkit.
 
-   A symmetry group is represented extensionally: the explicit list of
-   its non-identity automorphisms.  Each automorphism is a permutation
-   of processes, optionally a compatible permutation of objects, and
-   optionally a rewrite of object states (the hook for object encodings
-   that mention process identities, e.g. PAC labels).  Groups here are
-   small — (n-1)! for n-DAC, (m!)^k * k! for the k*m partition protocol
-   — and [canonical] returns the [Config.compare]-least element of the
-   orbit without building it: the local states are ranked once per
-   call, so rejecting an automorphism costs a few int comparisons, and
-   only automorphisms that tie the best image on every local get their
-   objects built (renamed object states come from a per-group memo) and
-   their statuses compared in place.  The winner alone is built.
+   A symmetry group is described by its structure, never by its
+   elements: which pids stay fixed, which pids are interchangeable, and,
+   for the partition protocol, which blocks of pids move together with
+   their objects.  [canonical] returns the [Config.compare]-least
+   element of the orbit with one stable sort of the pids per call: the
+   sort key is [Config.compare]'s own order restricted to what the
+   group can move (locals, then what the objects say about each pid,
+   then statuses), so the sorted arrangement is the least image, and
+   pids that still tie give byte-identical images whichever way they
+   land.  The argument for each group is in DESIGN.md, "Finding the
+   orbit minimum"; soundness of the quotient itself is in "State-space
+   reduction".  The constructors below only build groups for protocols
+   whose step machines are certified equivariant: [exchangeable]
+   requires a pid-independent delta over pid-free object states, [dac]
+   fixes the distinguished process 0 and renames PAC labels,
+   [kset_partition] permutes within groups and whole groups together
+   with their consensus objects. *)
 
-   Soundness (why quotienting preserves verdicts) and the search's
-   argument are in DESIGN.md, "State-space reduction".  The
-   constructors below only build groups for protocols whose step
-   machines are certified equivariant: [exchangeable] requires a
-   pid-independent delta over pid-free object states, [dac] fixes the
-   distinguished process 0 and renames PAC labels, [kset_partition]
-   permutes within groups and whole groups together with their
-   consensus objects. *)
+type shape =
+  | Exchangeable of int array  (* the movable pids, ascending *)
+  | Dac  (* p0 fixed, p1..p(n-1) movable, PAC labels renamed *)
+  | Kset of { m : int; k : int }  (* k blocks of m, objects carried *)
 
-type auto = {
-  proc : int array;  (* image process i carries old process proc.(i) *)
-  obj : int array option;  (* image object o carries old object obj.(o) *)
-  rename_obj : (int -> Value.t -> Value.t) option;
-      (* rewrite of old object [index]'s state, applied during permute *)
-}
+type t = { n : int; order : int; shape : shape }
 
-(* The memo of renamed object states: (automorphism index, old object
-   index, state) -> [rename_obj index state].  Keyed by the state's
-   physical identity and structural [Value.hash], never by its intern
-   id.  Lock-striped so the explorer's worker domains can share it; the
-   stripe is picked from high hash bits because [Hashtbl] indexes by the
-   low ones. *)
-module Key = struct
-  type t = { auto : int; src : int; state : Value.t }
-
-  let equal a b = a.state == b.state && a.auto = b.auto && a.src = b.src
-
-  let hash k =
-    Value.hash_combine (Value.hash_fold k.auto k.state) k.src land max_int
-end
-
-module Memo = Hashtbl.Make (Key)
-
-type stripe = { lock : Mutex.t; tbl : Value.t Memo.t }
-
-let n_stripes = 16 (* power of two *)
-
-type t = {
-  autos : auto list;  (* excludes the identity *)
-  order : int;
-  id : auto;  (* the identity; its [proc] fixes the process count *)
-  objs : int option;  (* object count, when automorphisms permute objects *)
-  memo : stripe array option Atomic.t;  (* allocated on first use *)
-}
-
-let make autos =
-  let procs = match autos with [] -> 0 | a :: _ -> Array.length a.proc in
-  {
-    autos;
-    order = List.length autos + 1;
-    id = { proc = Array.init procs Fun.id; obj = None; rename_obj = None };
-    objs = List.find_map (fun a -> Option.map Array.length a.obj) autos;
-    memo = Atomic.make None;
-  }
-
-let identity = make []
-let is_identity g = g.autos = []
+let identity = { n = 0; order = 1; shape = Exchangeable [||] }
+let is_identity g = g.order = 1
 let order g = g.order
-let autos g = g.autos
 
-let apply a config =
-  Config.permute ?obj:a.obj ?rename_obj:a.rename_obj ~proc:a.proc config
-
-let memo g =
-  match Atomic.get g.memo with
-  | Some m -> m
-  | None ->
-    let m =
-      Array.init n_stripes (fun _ ->
-          { lock = Mutex.create (); tbl = Memo.create 64 })
-    in
-    if Atomic.compare_and_set g.memo None (Some m) then m
-    else Option.get (Atomic.get g.memo)
-
-(* [rename src state], memoised per automorphism [k].  The rename runs
-   outside the lock: two domains racing on one key compute the same
-   interned value, so either store is fine. *)
-let renamed g k rename src state =
-  let key = { Key.auto = k; src; state } in
-  let s = (memo g).((Key.hash key lsr 24) land (n_stripes - 1)) in
-  match Mutex.protect s.lock (fun () -> Memo.find_opt s.tbl key) with
-  | Some v -> v
-  | None ->
-    let v = rename src state in
-    Mutex.protect s.lock (fun () -> Memo.replace s.tbl key v);
-    v
-
-(* The object array of [a]'s image; [k] is [a]'s index in the group
-   (the memo key), [-1] for the identity. *)
-let image_objects g k a (config : Config.t) =
-  match a with
-  | { obj = None; rename_obj = None; _ } -> config.objects
-  | { obj; rename_obj; _ } ->
-    Array.init (Array.length config.objects) (fun o ->
-        let src = match obj with None -> o | Some m -> m.(o) in
-        let state = config.objects.(src) in
-        match rename_obj with
-        | None -> state
-        | Some f -> renamed g k f src state)
-
-(* Order-preserving ranks of the locals: [rank.(p) < rank.(q)] iff
-   [locals.(p)] precedes [locals.(q)], equal ranks iff equal values. *)
-let ranks locals =
-  let n = Array.length locals in
-  let idx = Array.init n Fun.id in
-  Array.stable_sort (fun p q -> Value.compare locals.(p) locals.(q)) idx;
-  let rank = Array.make n 0 in
-  for j = 1 to n - 1 do
-    let p = idx.(j) and q = idx.(j - 1) in
-    rank.(p) <- (if locals.(p) == locals.(q) then rank.(q) else j)
-  done;
-  rank
+(* Group orders saturate at [max_int] rather than wrap. *)
+let mul a b = if b <> 0 && a > max_int / b then max_int else a * b
+let rec factorial i = if i <= 1 then 1 else mul i (factorial (i - 1))
+let rec power b e = if e <= 0 then 1 else mul b (power b (e - 1))
 
 let fits g (config : Config.t) =
-  if Array.length config.locals <> Array.length g.id.proc then
+  if Array.length config.locals <> g.n then
     invalid_arg "Canon.canonical: process count does not fit the group";
-  match g.objs with
-  | Some m when m <> Array.length config.objects ->
+  let objects =
+    match g.shape with
+    | Exchangeable _ -> None
+    | Dac -> Some 1
+    | Kset { k; _ } -> Some k
+  in
+  match objects with
+  | Some o when o <> Array.length config.objects ->
     invalid_arg "Canon.canonical: object count does not fit the group"
   | _ -> ()
 
-(* The lex-least image of [config] over its orbit, found without
-   building the losing images.  [Config.compare] orders locals first,
-   then objects, then statuses, so a candidate is rejected (or wins
-   outright) at its first local whose rank differs from the best
-   image's; only a full tie on locals builds its objects, and only a
-   tie on those compares statuses.  Returns [config] itself
-   (physically) when no image is strictly smaller, so callers can count
-   actual canonizations with [!=]. *)
-let canonical g (config : Config.t) =
+(* The arrangement that fills [slots] (ascending) with the pids they
+   hold, sorted by [cmp], and leaves every other pid in place. *)
+let sort_slots n slots cmp =
+  let sorted = Array.copy slots in
+  Array.stable_sort cmp sorted;
+  let proc = Array.init n Fun.id in
+  Array.iteri (fun j slot -> proc.(slot) <- sorted.(j)) slots;
+  proc
+
+(* The least arrangement of [config]'s pids: slot [i] of the least image
+   carries old process [proc.(i)].  Each key is [Config.compare]'s order
+   restricted to what the group moves, and every sort is stable, so an
+   argument that is already least gets the identity back. *)
+let least g (config : Config.t) =
+  let locals = config.locals and status = config.status in
+  let by_local p q = Value.compare locals.(p) locals.(q) in
+  let by_status p q = Config.compare_status status.(p) status.(q) in
+  let by_local_status p q =
+    let c = by_local p q in
+    if c <> 0 then c else by_status p q
+  in
+  match g.shape with
+  | Exchangeable movable -> sort_slots g.n movable by_local_status
+  | Dac ->
+    (* Process p proposes under label p+1, so the PAC says two things
+       about p: its entry V[p+1], and whether it holds the last label L.
+       The image's PAC compares V label by label, then L, so ties on
+       the local are broken by the entry, then by holding L. *)
+    let pac = config.objects.(0) in
+    let entry = Array.init g.n (fun p -> Pac.v_entry pac (p + 1)) in
+    let holder =
+      match Value.to_int (Pac.label pac) with Some l -> l - 1 | None -> -1
+    in
+    sort_slots g.n
+      (Array.init (g.n - 1) succ)
+      (fun p q ->
+        let c = by_local p q in
+        if c <> 0 then c
+        else
+          let c = Value.compare entry.(p) entry.(q) in
+          if c <> 0 then c
+          else
+            let c = Bool.compare (p <> holder) (q <> holder) in
+            if c <> 0 then c else by_status p q)
+  | Kset { m; k } ->
+    (* Sort each block, then order the blocks by their sorted locals,
+       their object, then their sorted statuses.  The pids of a block
+       all belong to group pid/m, whose object it carries. *)
+    let blocks =
+      Array.init k (fun b ->
+          let block = Array.init m (fun i -> (b * m) + i) in
+          Array.stable_sort by_local_status block;
+          block)
+    in
+    let rec lex cmp a b i =
+      if i = m then 0
+      else
+        let c = cmp a.(i) b.(i) in
+        if c <> 0 then c else lex cmp a b (i + 1)
+    in
+    Array.stable_sort
+      (fun a b ->
+        let c = lex by_local a b 0 in
+        if c <> 0 then c
+        else
+          let c =
+            Value.compare config.objects.(a.(0) / m) config.objects.(b.(0) / m)
+          in
+          if c <> 0 then c else lex by_status a b 0)
+      blocks;
+    Array.concat (Array.to_list blocks)
+
+(* The image of [config] under the arrangement [proc]. *)
+let image g (config : Config.t) proc =
+  let objects =
+    match g.shape with
+    | Exchangeable _ -> config.objects
+    | Dac ->
+      (* old label l names old process l-1, now at slot inv.(l-1) *)
+      let inv = Array.make g.n 0 in
+      Array.iteri (fun i p -> inv.(p) <- i) proc;
+      [| Pac.rename_labels (fun l -> inv.(l - 1) + 1) config.objects.(0) |]
+    | Kset { m; k } -> Array.init k (fun j -> config.objects.(proc.(j * m) / m))
+  in
+  {
+    Config.locals = Array.map (fun p -> config.locals.(p)) proc;
+    objects;
+    status = Array.map (fun p -> config.status.(p)) proc;
+  }
+
+let canonical g config =
   if is_identity g then config
   else begin
     fits g config;
-    let n = Array.length g.id.proc in
-    let locals = config.locals and status = config.status in
-    let rank = ranks locals in
-    (* the best image so far: its automorphism and index, its locals'
-       ranks and, once some tie needed them, its objects *)
-    let best = ref g.id and best_k = ref (-1) in
-    let best_rank = Array.copy rank in
-    let best_objs = ref (Some config.objects) in
-    List.iteri
-      (fun k a ->
-        let proc = a.proc in
-        let rec by_rank i =
-          if i = n then 0
-          else
-            let c = rank.(proc.(i)) - best_rank.(i) in
-            if c <> 0 then c else by_rank (i + 1)
-        in
-        let c = by_rank 0 in
-        if c < 0 then begin
-          best := a;
-          best_k := k;
-          best_objs := None;
-          for i = 0 to n - 1 do
-            best_rank.(i) <- rank.(proc.(i))
-          done
-        end
-        else if c = 0 then begin
-          let objs = image_objects g k a config in
-          let bobjs =
-            match !best_objs with
-            | Some o -> o
-            | None -> image_objects g !best_k !best config
-          in
-          let bproc = !best.proc in
-          let rec by_obj o =
-            if o = Array.length objs then 0
-            else
-              let c = Value.compare objs.(o) bobjs.(o) in
-              if c <> 0 then c else by_obj (o + 1)
-          in
-          let rec by_status i =
-            if i = n then 0
-            else
-              let c =
-                Config.compare_status status.(proc.(i)) status.(bproc.(i))
-              in
-              if c <> 0 then c else by_status (i + 1)
-          in
-          let c = by_obj 0 in
-          if c < 0 || (c = 0 && by_status 0 < 0) then begin
-            best := a;
-            best_k := k;
-            best_objs := Some objs
-          end
-          else best_objs := Some bobjs
-        end)
-      g.autos;
-    if !best_k < 0 then config
-    else
-      let proc = !best.proc in
-      {
-        Config.locals = Array.init n (fun i -> locals.(proc.(i)));
-        objects =
-          (match !best_objs with
-          | Some o -> o
-          | None -> image_objects g !best_k !best config);
-        status = Array.init n (fun i -> status.(proc.(i)));
-      }
+    let proc = least g config in
+    let rec moved i = i < g.n && (proc.(i) <> i || moved (i + 1)) in
+    if moved 0 then image g config proc else config
   end
 
 (* --- group constructors ------------------------------------------------ *)
 
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-    List.concat_map
-      (fun x ->
-        permutations (List.filter (fun y -> y <> x) l)
-        |> List.map (fun p -> x :: p))
-      l
-
-let is_id_array a =
-  let ok = ref true in
-  Array.iteri (fun i x -> if x <> i then ok := false) a;
-  !ok
-
-(* All process-permutation arrays moving only [movable] (identity
-   included); [proc.(i)] is the old index placed at image slot [i]. *)
-let perm_arrays ~n ~movable =
-  permutations movable
-  |> List.map (fun assignment ->
-         let proc = Array.init n Fun.id in
-         List.iteri (fun j src -> proc.(List.nth movable j) <- src) assignment;
-         proc)
-
-let of_proc_arrays ?mk_rename ?mk_obj arrays =
-  let autos =
-    List.filter_map
-      (fun proc ->
-        if is_id_array proc then None
-        else
-          Some
-            {
-              proc;
-              obj = Option.map (fun f -> f proc) mk_obj;
-              rename_obj = Option.map (fun f -> f proc) mk_rename;
-            })
-      arrays
-  in
-  make autos
-
 let exchangeable ~n ?(fixed = []) () =
   if n < 0 then invalid_arg "Canon.exchangeable: n must be >= 0";
   let movable =
-    List.filter (fun i -> not (List.mem i fixed)) (Lbsa_util.Listx.range 0 (n - 1))
+    List.filter
+      (fun i -> not (List.mem i fixed))
+      (Lbsa_util.Listx.range 0 (n - 1))
   in
-  of_proc_arrays (perm_arrays ~n ~movable)
-
-let inverse proc =
-  let inv = Array.make (Array.length proc) 0 in
-  Array.iteri (fun i src -> inv.(src) <- i) proc;
-  inv
+  {
+    n;
+    order = factorial (List.length movable);
+    shape = Exchangeable (Array.of_list movable);
+  }
 
 (* n-DAC from an n-PAC (Section 3): the distinguished process 0 is
-   fixed; permuting processes 1..n-1 must rename the PAC labels they
-   propose under (process p uses label p+1).  Old label l names old
-   process l-1, which lands at image slot inv.(l-1), so l becomes
-   inv.(l-1)+1. *)
+   fixed; permuting processes 1..n-1 renames the PAC labels they
+   propose under (process p uses label p+1). *)
 let dac ~n =
   if n < 1 then invalid_arg "Canon.dac: n must be >= 1";
-  let movable = Lbsa_util.Listx.range 1 (n - 1) in
-  let mk_rename proc =
-    let inv = inverse proc in
-    fun _obj state ->
-      Lbsa_objects.Pac.rename_labels (fun l -> inv.(l - 1) + 1) state
-  in
-  of_proc_arrays ~mk_rename (perm_arrays ~n ~movable)
+  { n; order = factorial (n - 1); shape = Dac }
 
 (* The k*m-process partition protocol (Section 6): process p belongs to
    group p/m and proposes to consensus object p/m.  The symmetry group
@@ -295,47 +181,11 @@ let dac ~n =
    states are pid-free, so no state rewrite is needed. *)
 let kset_partition ~m ~k =
   if m < 1 || k < 1 then invalid_arg "Canon.kset_partition";
-  let n = m * k in
-  let group_perms = permutations (Lbsa_util.Listx.range 0 (k - 1)) in
-  let within_perms = permutations (Lbsa_util.Listx.range 0 (m - 1)) in
-  (* one within-group permutation per group *)
-  let rec tau_choices g =
-    if g = 0 then [ [] ]
-    else
-      List.concat_map
-        (fun rest -> List.map (fun tau -> tau :: rest) within_perms)
-        (tau_choices (g - 1))
-  in
-  let arrays =
-    List.concat_map
-      (fun sigma ->
-        let sigma = Array.of_list sigma in
-        (* sigma.(j) = old group at image group slot j; invert to map
-           old group g to its image slot. *)
-        let sigma_img = inverse sigma in
-        List.map
-          (fun taus ->
-            let taus = Array.of_list (List.map Array.of_list taus) in
-            (* image slot of old process p = within-image of its rank,
-               inside the image slot of its group *)
-            let img_of =
-              Array.init n (fun p ->
-                  let g = p / m and r = p mod m in
-                  let tau_img = inverse taus.(g) in
-                  (sigma_img.(g) * m) + tau_img.(r))
-            in
-            (inverse img_of, sigma))
-          (tau_choices k))
-      group_perms
-  in
-  let autos =
-    List.filter_map
-      (fun (proc, sigma) ->
-        if is_id_array proc then None
-        else Some { proc; obj = Some sigma; rename_obj = None })
-      arrays
-  in
-  make autos
+  {
+    n = m * k;
+    order = mul (power (factorial m) k) (factorial k);
+    shape = Kset { m; k };
+  }
 
 (* --- poised / commit steps --------------------------------------------- *)
 

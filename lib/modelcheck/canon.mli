@@ -1,53 +1,46 @@
 (** Process-symmetry quotient for the explorer, and the commit-step
     vocabulary shared with the bivalency toolkit.
 
-    A symmetry group of a protocol instance is a finite set of
-    automorphisms: process permutations, optionally paired with a
-    compatible object permutation and a rewrite of object states for
-    encodings that mention process identities (PAC labels).
-    [canonical] maps a configuration to the [Config.compare]-least
-    element of its orbit; keying the explorer's dedup table on
-    canonical representatives quotients the reachable graph by the
-    group.  The soundness argument — why the quotient preserves
-    solvability and valence verdicts — is in DESIGN.md, "State-space
-    reduction". *)
+    A symmetry group of a protocol instance is a set of automorphisms:
+    process permutations, optionally paired with a compatible object
+    permutation and a rewrite of object states for encodings that
+    mention process identities (PAC labels).  [canonical] maps a
+    configuration to the [Config.compare]-least element of its orbit;
+    keying the explorer's dedup table on canonical representatives
+    quotients the reachable graph by the group.  The soundness argument
+    — why the quotient preserves solvability and valence verdicts — is
+    in DESIGN.md, "State-space reduction". *)
 
 open Lbsa_spec
 open Lbsa_runtime
 
-type auto = {
-  proc : int array;  (** image process [i] carries old process [proc.(i)] *)
-  obj : int array option;  (** image object [o] carries old object [obj.(o)] *)
-  rename_obj : (int -> Value.t -> Value.t) option;
-      (** rewrite of old object [index]'s state during the permute *)
-}
-
 type t
-(** A group, extensionally: its non-identity automorphisms, plus a memo
-    of renamed object states that the group owns (allocated on the first
-    [canonical] call that needs it, shared safely by the explorer's
-    worker domains). *)
+(** A group, structurally: its fixed pids, its blocks of
+    interchangeable pids and, for [kset_partition], the block
+    permutations that carry their objects.  No group element is ever
+    listed, so building one costs nothing at any order. *)
 
 val identity : t
+
 val is_identity : t -> bool
+(** O(1). *)
+
 val order : t -> int
-
-val autos : t -> auto list
-(** The non-identity automorphisms ([order - 1] of them). *)
-
-val apply : auto -> Config.t -> Config.t
+(** Computed, not counted: [(n-1)!] for [dac], [(n - |fixed|)!] for
+    [exchangeable], [(m!)^k * k!] for [kset_partition].  Saturates at
+    [max_int]. *)
 
 val canonical : t -> Config.t -> Config.t
 (** The lex-least image of the configuration over its orbit.  Returns
     the argument {e physically} when no image is strictly smaller, so
-    callers can count canonizations with [(!=)].  Builds no losing
-    image: the locals are ranked once, each automorphism is rejected at
-    its first local ranked above the best image's ([O(|G| * n)] int
-    comparisons at worst), objects are built (through the memo) and
-    statuses compared only for automorphisms that tie the best on every
-    local, and the winner is built once.  Raises [Invalid_argument] when
-    the configuration's process count, or its object count for a group
-    that permutes objects, does not fit the group. *)
+    callers can count canonizations with [(!=)].  Costs one stable sort
+    of the pids ([O(n log n)] comparisons of locals, object-side keys
+    and statuses), plus, when the sort moved a pid, one build of the
+    image with at most one object rename ([Pac.rename_labels] for
+    [dac]); the argument for each group is in DESIGN.md, "Finding the
+    orbit minimum".  Raises [Invalid_argument] when the configuration's
+    process count, or its object count for [dac] (one PAC) or
+    [kset_partition] ([k] objects), does not fit the group. *)
 
 val exchangeable : n:int -> ?fixed:int list -> unit -> t
 (** All permutations of [n] processes fixing the pids in [fixed].
@@ -57,7 +50,9 @@ val exchangeable : n:int -> ?fixed:int list -> unit -> t
 val dac : n:int -> t
 (** The symmetry group of the n-DAC-from-n-PAC protocol: permutations
     of processes [1..n-1] (the distinguished process 0 is fixed), with
-    PAC labels renamed alongside ([Pac.rename_labels]). *)
+    PAC labels renamed alongside ([Pac.rename_labels]).  Its
+    configurations hold the one n-PAC, whose V binds every label
+    [1..n] (as every state of [Pac.spec] does). *)
 
 val kset_partition : m:int -> k:int -> t
 (** The symmetry group of the [k*m]-process partition protocol:

@@ -125,31 +125,6 @@ let crash t pid =
   status.(pid) <- Crashed;
   { t with status }
 
-(* Apply a process/object permutation: process [pid] of the image is the
-   old process [proc.(pid)], and object [i] of the image is the old
-   object [obj.(i)] with [rename_obj] applied to its state.  Taking the
-   permutations "source-indexed" this way keeps the hot loop a plain
-   [Array.init].  Used by [Canon] to enumerate the orbit of a
-   configuration under a symmetry group of the protocol. *)
-let permute ?obj ?rename_obj ~proc t =
-  if Array.length proc <> Array.length t.locals then
-    invalid_arg "Config.permute: proc permutation has wrong length";
-  let locals = Array.init (Array.length t.locals) (fun i -> t.locals.(proc.(i)))
-  and status = Array.init (Array.length t.status) (fun i -> t.status.(proc.(i)))
-  and objects =
-    match obj with
-    | None -> (
-      match rename_obj with
-      | None -> t.objects
-      | Some f -> Array.mapi f t.objects)
-    | Some obj ->
-      if Array.length obj <> Array.length t.objects then
-        invalid_arg "Config.permute: obj permutation has wrong length";
-      let f = match rename_obj with None -> fun _ s -> s | Some f -> f in
-      Array.init (Array.length t.objects) (fun i -> f obj.(i) t.objects.(obj.(i)))
-  in
-  { locals; objects; status }
-
 (* The outcome of one step of process [pid]: what happened, for traces
    and property checkers. *)
 type event =

@@ -45,18 +45,6 @@ val all_halted : t -> bool
 val crash : t -> int -> t
 (** Mark a process crashed; it is never scheduled again. *)
 
-val permute :
-  ?obj:int array -> ?rename_obj:(int -> Value.t -> Value.t) -> proc:int array -> t -> t
-(** [permute ~proc ?obj ?rename_obj t] is the image of [t] under a
-    process (and optionally object) permutation: process [i] of the
-    image carries the local state and status of old process [proc.(i)],
-    and object [i] carries the state of old object [obj.(i)] (identity
-    if [obj] is absent), transformed by [rename_obj old_index state]
-    when given — the hook a symmetry uses to rewrite process identities
-    {e inside} object states (e.g. PAC labels).  Statuses and locals are
-    moved verbatim, never renamed.  Raises [Invalid_argument] on length
-    mismatch. *)
-
 type event =
   | Op_event of { pid : int; obj : int; op : Op.t; response : Value.t }
   | Decide_event of { pid : int; value : Value.t }

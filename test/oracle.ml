@@ -1,9 +1,10 @@
 (* The seed engines, kept as differential-testing oracles: the
    single-threaded explorer deduping through a persistent
-   [Map.Make(Config)], and the worklist valence fixpoint over
-   functional value sets.  The engines in lib/modelcheck must agree
-   with them; the one piece they share is the explorer's reduction
-   step ([Cgraph.reduce_config] and [Cgraph.successors]). *)
+   [Map.Make(Config)], the worklist valence fixpoint over functional
+   value sets, and the symmetry groups as explicit lists of
+   automorphisms.  The engines in lib/modelcheck must agree with them;
+   the one piece they share is the explorer's reduction step
+   ([Cgraph.reduce_config] and [Cgraph.successors]). *)
 
 open Lbsa
 
@@ -238,3 +239,129 @@ let classify o id =
   | _ -> Valence.Bivalent
 
 let abort_reachable o id = o.aborts.(id)
+
+(* --- the symmetry groups, enumerated ------------------------------------ *)
+
+(* Each group as the explicit list of its automorphisms, built from the
+   paper's description of the protocol's symmetries and never from
+   [Canon]'s sort, so the orbits built here can judge
+   [Canon.canonical]. *)
+
+type auto = {
+  proc : int array;
+  obj : int array option;
+  rename_obj : (int -> Value.t -> Value.t) option;
+}
+
+let apply a (t : Config.t) =
+  let proc = a.proc in
+  if Array.length proc <> Array.length t.locals then
+    invalid_arg "Oracle.apply: proc permutation has wrong length";
+  let objects =
+    let obj =
+      match a.obj with
+      | None -> Array.init (Array.length t.objects) Fun.id
+      | Some obj ->
+        if Array.length obj <> Array.length t.objects then
+          invalid_arg "Oracle.apply: obj permutation has wrong length";
+        obj
+    in
+    let f = match a.rename_obj with None -> fun _ s -> s | Some f -> f in
+    Array.map (fun o -> f o t.objects.(o)) obj
+  in
+  {
+    Config.locals = Array.map (fun p -> t.locals.(p)) proc;
+    objects;
+    status = Array.map (fun p -> t.status.(p)) proc;
+  }
+
+type group = { canon : Canon.t; autos : auto list }
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+    List.concat_map
+      (fun x ->
+        permutations (List.filter (fun y -> y <> x) l)
+        |> List.map (fun p -> x :: p))
+      l
+
+let is_id_array a =
+  let ok = ref true in
+  Array.iteri (fun i x -> if x <> i then ok := false) a;
+  !ok
+
+let inverse proc =
+  let inv = Array.make (Array.length proc) 0 in
+  Array.iteri (fun i src -> inv.(src) <- i) proc;
+  inv
+
+(* All non-identity process-permutation arrays moving only [movable]. *)
+let perm_arrays ~n ~movable =
+  permutations movable
+  |> List.map (fun assignment ->
+         let proc = Array.init n Fun.id in
+         List.iteri (fun j src -> proc.(List.nth movable j) <- src) assignment;
+         proc)
+  |> List.filter (fun proc -> not (is_id_array proc))
+
+let plain proc = { proc; obj = None; rename_obj = None }
+
+let exchangeable ~n ?(fixed = []) () =
+  let movable =
+    List.filter (fun i -> not (List.mem i fixed)) (Listx.range 0 (n - 1))
+  in
+  {
+    canon = Canon.exchangeable ~n ~fixed ();
+    autos = List.map plain (perm_arrays ~n ~movable);
+  }
+
+(* Process p proposes under label p+1: old label l names old process
+   l-1, which lands at image slot inv.(l-1), so l becomes inv.(l-1)+1. *)
+let dac_auto proc =
+  let inv = inverse proc in
+  {
+    proc;
+    obj = None;
+    rename_obj =
+      Some (fun _ state -> Pac.rename_labels (fun l -> inv.(l - 1) + 1) state);
+  }
+
+let dac ~n =
+  {
+    canon = Canon.dac ~n;
+    autos =
+      List.map dac_auto (perm_arrays ~n ~movable:(Listx.range 1 (n - 1)));
+  }
+
+(* Process p of the k*m partition protocol is in group p/m, which
+   proposes to object p/m: one within-group permutation per group, times
+   a permutation of the groups that carries their objects. *)
+let kset_partition ~m ~k =
+  let within = permutations (Listx.range 0 (m - 1)) in
+  let rec taus g =
+    if g = 0 then [ [] ]
+    else
+      List.concat_map
+        (fun rest -> List.map (fun t -> t :: rest) within)
+        (taus (g - 1))
+  in
+  let autos =
+    List.concat_map
+      (fun sigma ->
+        (* sigma.(j) = old group at image group slot j *)
+        let sigma = Array.of_list sigma in
+        let sigma_img = inverse sigma in
+        List.map
+          (fun taus ->
+            let taus = Array.of_list (List.map Array.of_list taus) in
+            let img_of =
+              Array.init (m * k) (fun p ->
+                  (sigma_img.(p / m) * m) + (inverse taus.(p / m)).(p mod m))
+            in
+            { proc = inverse img_of; obj = Some sigma; rename_obj = None })
+          (taus k))
+      (permutations (Listx.range 0 (k - 1)))
+    |> List.filter (fun a -> not (is_id_array a.proc))
+  in
+  { canon = Canon.kset_partition ~m ~k; autos }

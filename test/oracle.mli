@@ -1,6 +1,7 @@
 (** The seed engines, kept as differential-testing oracles for the
-    explorer and the valence pass of lib/modelcheck, plus the one
-    graph-equality check the suites share. *)
+    explorer and the valence pass of lib/modelcheck, the symmetry
+    groups as explicit automorphism lists for {!Canon.canonical}, plus
+    the one graph-equality check the suites share. *)
 
 open Lbsa
 
@@ -44,3 +45,33 @@ val analyze_fixpoint : Cgraph.t -> valence
 val classify : valence -> int -> Valence.classification
 val decision_set : valence -> int -> Value.t list
 val abort_reachable : valence -> int -> bool
+
+(** {2 The symmetry groups, enumerated}
+
+    Each {!Canon} group paired with the explicit list of its
+    automorphisms, enumerated from the protocol's symmetries and not
+    from [Canon]'s sort: the orbit of a configuration is the argument
+    plus its image under each automorphism, so the least orbit element
+    judges {!Canon.canonical}. *)
+
+type auto = {
+  proc : int array;  (** image process [i] carries old process [proc.(i)] *)
+  obj : int array option;  (** image object [o] carries old object [obj.(o)] *)
+  rename_obj : (int -> Value.t -> Value.t) option;
+      (** rewrite of old object [index]'s state (PAC labels) *)
+}
+
+val apply : auto -> Config.t -> Config.t
+(** The image of a configuration.  Locals and statuses move verbatim;
+    objects move by [obj] (identity when absent) and are rewritten by
+    [rename_obj].  Raises [Invalid_argument] on a length mismatch. *)
+
+type group = { canon : Canon.t; autos : auto list  (** non-identity *) }
+
+val exchangeable : n:int -> ?fixed:int list -> unit -> group
+val dac : n:int -> group
+val kset_partition : m:int -> k:int -> group
+
+val dac_auto : int array -> auto
+(** The dac automorphism moving processes by [proc] (which must fix 0)
+    and renaming PAC labels alongside. *)

@@ -218,6 +218,14 @@ cycle (2 steps):
       0,
       {|OK (inputs=1,0,0,0,0,0, 19230 states)
 |} );
+    ( "solve dac -n 7 --reduce sym+sleep",
+      0,
+      {|OK (inputs=1,0,0,0,0,0,0, 258 states)
+|} );
+    ( "solve dac -n 9 --reduce sym+sleep",
+      0,
+      {|OK (inputs=1,0,0,0,0,0,0,0,0, 431 states)
+|} );
     ( "solve consensus -m 3 --reduce none",
       0,
       {|OK (inputs=0,1,0, 43 states)
@@ -513,6 +521,25 @@ fingerprint=b084b3ea
     ( "fingerprint -n 3 --question live --substrate mp",
       0,
       {|states=190 edges=418 truncated=false reduce=none question=live substrate=mp fingerprint=474cce69 key=1964fb588cd641c1
+|} );
+    (* The dac quotients under the symmetry group: node sets,
+       fingerprints and cache keys must not move with the
+       canonicalizer. *)
+    ( "fingerprint -n 6 --reduce sym",
+      0,
+      {|states=760 edges=3388 truncated=false reduce=sym question=solve substrate=shm fingerprint=1b7addaa key=28262b0b0eef66c0
+|} );
+    ( "fingerprint -n 7 --reduce sym+sleep",
+      0,
+      {|states=258 edges=1161 truncated=false reduce=sym+sleep question=solve substrate=shm fingerprint=767143c4 key=18c62dfad200c735
+|} );
+    ( "fingerprint -n 8 --reduce sym+sleep",
+      0,
+      {|states=339 edges=1751 truncated=false reduce=sym+sleep question=solve substrate=shm fingerprint=b9ff65e0 key=2e7457c43e375128
+|} );
+    ( "fingerprint -n 9 --reduce sym+sleep",
+      0,
+      {|states=431 edges=2513 truncated=false reduce=sym+sleep question=solve substrate=shm fingerprint=81e70cfa key=1fdb7c33feac9ef3
 |} );
   ]
 

@@ -7,71 +7,88 @@ open Lbsa
 
 (* --- protocol instances with their symmetry groups --------------------- *)
 
+(* Each group comes as an [Oracle.group]: the [Canon] group the explorer
+   runs, with its automorphisms enumerated beside it. *)
+
 let dac_inputs n =
   Array.init n (fun pid -> Value.int (if pid = 0 then 1 else 0))
 
 let dac n =
-  (Dac_from_pac.machine ~n, Dac_from_pac.specs ~n, dac_inputs n, Canon.dac ~n)
+  (Dac_from_pac.machine ~n, Dac_from_pac.specs ~n, dac_inputs n, Oracle.dac ~n)
 
 let dac3 () = dac 3
 
 let cons2 () =
   let machine, specs = Consensus_protocols.from_consensus_obj ~m:2 in
-  (machine, specs, [| Value.int 0; Value.int 1 |], Canon.exchangeable ~n:2 ())
+  (machine, specs, [| Value.int 0; Value.int 1 |], Oracle.exchangeable ~n:2 ())
 
 let kset22 () =
   let machine, specs = Kset_protocols.partition ~m:2 ~k:2 in
   ( machine,
     specs,
     Kset_task.distinct_inputs 4,
-    Canon.kset_partition ~m:2 ~k:2 )
+    Oracle.kset_partition ~m:2 ~k:2 )
 
 let dac_frozen obj state = obj = 0 && Pac.is_upset state
 
-let sym canon = { Cgraph.rname = "sym"; canon; sleep = false; frozen = None }
+let sym (group : Oracle.group) =
+  { Cgraph.rname = "sym"; canon = group.canon; sleep = false; frozen = None }
 
-let sym_sleep ?frozen canon =
-  { Cgraph.rname = "sym+sleep"; canon; sleep = true; frozen }
+let sym_sleep ?frozen (group : Oracle.group) =
+  { Cgraph.rname = "sym+sleep"; canon = group.canon; sleep = true; frozen }
 
 (* --- the quotient map: permutation invariance on reachable states ------ *)
 
 let test_group_orders () =
-  Alcotest.(check int) "exchangeable 3" 6
-    (Canon.order (Canon.exchangeable ~n:3 ()));
-  Alcotest.(check int) "exchangeable 3 fixing one" 2
-    (Canon.order (Canon.exchangeable ~n:3 ~fixed:[ 0 ] ()));
-  Alcotest.(check int) "dac 3 fixes p0" 2 (Canon.order (Canon.dac ~n:3));
-  Alcotest.(check int) "dac 4 fixes p0" 6 (Canon.order (Canon.dac ~n:4));
-  Alcotest.(check int) "kset 2,2: (2!)^2 * 2!" 8
-    (Canon.order (Canon.kset_partition ~m:2 ~k:2));
+  (* [Canon.order] is arithmetic; the oracle counts its automorphisms
+     one by one, and the two must agree. *)
+  List.iter
+    (fun (label, order, (group : Oracle.group)) ->
+      Alcotest.(check int) label order (Canon.order group.canon);
+      Alcotest.(check int) (label ^ ", enumerated") order
+        (List.length group.autos + 1);
+      Alcotest.(check bool) (label ^ ", identity iff order 1") (order = 1)
+        (Canon.is_identity group.canon))
+    [
+      ("exchangeable 3", 6, Oracle.exchangeable ~n:3 ());
+      ( "exchangeable 3 fixing one",
+        2,
+        Oracle.exchangeable ~n:3 ~fixed:[ 0 ] () );
+      ("exchangeable 1", 1, Oracle.exchangeable ~n:1 ());
+      ("dac 2 fixes p0", 1, Oracle.dac ~n:2);
+      ("dac 3 fixes p0", 2, Oracle.dac ~n:3);
+      ("dac 4 fixes p0", 6, Oracle.dac ~n:4);
+      ("kset 2,2: (2!)^2 * 2!", 8, Oracle.kset_partition ~m:2 ~k:2);
+      ("kset 1,1", 1, Oracle.kset_partition ~m:1 ~k:1);
+      ("kset 3,2: (3!)^2 * 2!", 72, Oracle.kset_partition ~m:3 ~k:2);
+    ];
   (* The dac group must never move the distinguished process 0. *)
   List.iter
-    (fun (a : Canon.auto) ->
-      Alcotest.(check int) "p0 fixed" 0 a.Canon.proc.(0))
-    (Canon.autos (Canon.dac ~n:4))
+    (fun (a : Oracle.auto) -> Alcotest.(check int) "p0 fixed" 0 a.proc.(0))
+    (Oracle.dac ~n:4).autos
 
 (* --- the enumeration oracle --------------------------------------------- *)
 
-(* The whole orbit of [c], built from [Canon.apply] alone (one
-   [Config.permute] per automorphism), sorted and deduplicated.  It
-   shares nothing with [Canon.canonical]'s search, so it can judge it. *)
-let orbit group c =
+(* The whole orbit of [c], built from the oracle's enumeration alone
+   (one [Oracle.apply] per automorphism), sorted and deduplicated.  It
+   shares nothing with [Canon.canonical]'s sort, so it can judge it. *)
+let orbit (group : Oracle.group) c =
   List.sort_uniq Config.compare
-    (c :: List.map (fun a -> Canon.apply a c) (Canon.autos group))
+    (c :: List.map (fun a -> Oracle.apply a c) group.autos)
 
 (* The oracle's minimum alone: the first strictly smaller image wins. *)
-let orbit_min group c =
+let orbit_min (group : Oracle.group) c =
   List.fold_left
     (fun best a ->
-      let img = Canon.apply a c in
+      let img = Oracle.apply a c in
       if Config.compare img best < 0 then img else best)
-    c (Canon.autos group)
+    c group.autos
 
 (* [canonical] is the oracle's least orbit element, and it is the
    argument itself (physically) exactly when no image is strictly
    smaller.  [None] when both hold, else what failed. *)
-let oracle_mismatch ?(full = true) group c =
-  let rep = Canon.canonical group c in
+let oracle_mismatch ?(full = true) (group : Oracle.group) c =
+  let rep = Canon.canonical group.canon c in
   let least = if full then List.hd (orbit group c) else orbit_min group c in
   if not (Config.equal rep least) then Some "not the orbit minimum"
   else if (rep == c) <> (Config.compare least c = 0) then
@@ -82,11 +99,12 @@ let oracle_mismatch ?(full = true) group c =
    representative, that representative must be the [Config.compare]-least
    orbit element, and [Config.hash] must agree wherever [compare] says
    equal — the properties the explorer's dedup table keys on. *)
-let check_orbit_stability label group graph =
+let check_orbit_stability label (group : Oracle.group) graph =
+  let canonical = Canon.canonical group.canon in
   Cgraph.iter_nodes
     (fun id c ->
-      let rep = Canon.canonical group c in
-      if not (Config.equal (Canon.canonical group rep) rep) then
+      let rep = canonical c in
+      if not (Config.equal (canonical rep) rep) then
         Alcotest.failf "%s: canonical not idempotent at node %d" label id;
       if Config.compare rep c > 0 then
         Alcotest.failf "%s: canonical exceeds its argument at node %d" label
@@ -96,7 +114,7 @@ let check_orbit_stability label group graph =
       | Some what -> Alcotest.failf "%s: node %d: canonical %s" label id what);
       List.iter
         (fun a ->
-          let rep' = Canon.canonical group (Canon.apply a c) in
+          let rep' = canonical (Oracle.apply a c) in
           if not (Config.equal rep' rep) then
             Alcotest.failf
               "%s: node %d: permuted image canonizes to a different \
@@ -108,7 +126,7 @@ let check_orbit_stability label group graph =
           if Config.hash rep' <> Config.hash rep then
             Alcotest.failf "%s: node %d: orbit representatives hash apart"
               label id)
-        (Canon.autos group))
+        group.autos)
     graph
 
 let test_canonical_permutation_stable () =
@@ -121,14 +139,14 @@ let test_canonical_permutation_stable () =
     ( machine,
       specs,
       Array.map Value.int [| 0; 1; 1; 0 |],
-      Canon.exchangeable ~n:4 () )
+      Oracle.exchangeable ~n:4 () )
   in
   let kset23 () =
     let machine, specs = Kset_protocols.partition ~m:2 ~k:3 in
     ( machine,
       specs,
       Kset_task.distinct_inputs 6,
-      Canon.kset_partition ~m:2 ~k:3 )
+      Oracle.kset_partition ~m:2 ~k:3 )
   in
   List.iter
     (fun (label, (machine, specs, inputs, group)) ->
@@ -251,9 +269,154 @@ let prop_canonical_is_oracle_min =
        ~print:(fun (n, c) -> Fmt.str "dac:%d@.%a" n Config.pp c)
        random_dac_config)
     (fun (n, c) ->
-      match oracle_mismatch (Canon.dac ~n) c with
+      match oracle_mismatch (Oracle.dac ~n) c with
       | None -> true
       | Some what -> QCheck.Test.fail_reportf "canonical %s" what)
+
+(* Small domains for the other two group shapes, so that pids, whole
+   blocks and objects tie often and every key of the sort gets used. *)
+let small_value =
+  QCheck.Gen.oneofl
+    [
+      Value.int 0;
+      Value.int 1;
+      Value.sym "a";
+      Value.pair (Value.int 0, Value.nil);
+    ]
+
+let small_status =
+  QCheck.Gen.oneofl
+    [
+      Config.Running;
+      Config.Decided (Value.int 0);
+      Config.Decided (Value.int 1);
+      Config.Aborted;
+      Config.Crashed;
+    ]
+
+let random_config ~n ~objects =
+  QCheck.Gen.map3
+    (fun locals objects status ->
+      {
+        Config.locals = Array.of_list locals;
+        objects = Array.of_list objects;
+        status = Array.of_list status;
+      })
+    (QCheck.Gen.list_repeat n small_value)
+    objects
+    (QCheck.Gen.list_repeat n small_status)
+
+(* The partition groups with m*k <= 9 and order at most 1,296, each
+   enumerated once. *)
+let kset_group =
+  let memo = Hashtbl.create 16 in
+  fun (m, k) ->
+    match Hashtbl.find_opt memo (m, k) with
+    | Some g -> g
+    | None ->
+      let g = Oracle.kset_partition ~m ~k in
+      Hashtbl.add memo (m, k) g;
+      g
+
+let kset_shapes =
+  List.concat_map
+    (fun m ->
+      List.filter_map
+        (fun k ->
+          if m * k <= 9 && Canon.order (Canon.kset_partition ~m ~k) <= 1296
+          then Some (m, k)
+          else None)
+        (Listx.range 1 9))
+    (Listx.range 1 9)
+
+let prop_kset_is_oracle_min =
+  let gen =
+    let open QCheck.Gen in
+    oneofl kset_shapes >>= fun (m, k) ->
+    map
+      (fun c -> ((m, k), c))
+      (random_config ~n:(m * k) ~objects:(list_repeat k small_value))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"canonical = oracle minimum (random kset_partition configs)"
+    (QCheck.make
+       ~print:(fun ((m, k), c) -> Fmt.str "kset %d,%d@.%a" m k Config.pp c)
+       gen)
+    (fun (shape, c) ->
+      match oracle_mismatch (kset_group shape) c with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "canonical %s" what)
+
+let prop_exchangeable_is_oracle_min =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 6 >>= fun n ->
+    (* fixed pids may repeat or fall outside 0..n-1 *)
+    pair
+      (list_size (int_bound n) (int_bound n))
+      (random_config ~n ~objects:(list_size (int_bound 2) small_value))
+    |> map (fun (fixed, c) -> ((n, fixed), c))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"canonical = oracle minimum (random exchangeable ~fixed configs)"
+    (QCheck.make
+       ~print:(fun ((n, fixed), c) ->
+         Fmt.str "exchangeable %d fixing [%a]@.%a" n
+           Fmt.(list ~sep:comma int)
+           fixed Config.pp c)
+       gen)
+    (fun ((n, fixed), c) ->
+      match oracle_mismatch (Oracle.exchangeable ~n ~fixed ()) c with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "canonical %s" what)
+
+let test_group_is_structural () =
+  (* Orders are computed, never counted: an explicit list for dac:12
+     would hold 39,916,800 automorphisms. *)
+  Alcotest.(check int) "dac:12: 11!" 39_916_800 (Canon.order (Canon.dac ~n:12));
+  Alcotest.(check int) "kset 3,3: (3!)^3 * 3!" 1_296
+    (Canon.order (Canon.kset_partition ~m:3 ~k:3));
+  (* Reachable dac:12 configurations (seeded random walks) and random
+     permuted images of each: one representative per orbit, idempotent
+     and never above its argument. *)
+  let n = 12 in
+  let machine = Dac_from_pac.machine ~n and specs = Dac_from_pac.specs ~n in
+  let group = Canon.dac ~n in
+  let rng = Prng.create 12 in
+  let rec walk c steps =
+    match Config.running c with
+    | _ :: _ as running when steps > 0 ->
+      let pid = Prng.pick rng running in
+      let c', _ = Prng.pick rng (Config.step_branches ~machine ~specs c pid) in
+      walk c' (steps - 1)
+    | _ -> c
+  in
+  List.iter
+    (fun steps ->
+      let initial = Config.initial ~machine ~specs ~inputs:(dac_inputs n) in
+      let c = walk initial steps in
+      let rep = Canon.canonical group c in
+      if Canon.canonical group rep != rep then
+        Alcotest.failf "dac:12, %d steps: representative not idempotent" steps;
+      if Config.compare rep c > 0 then
+        Alcotest.failf "dac:12, %d steps: representative above its argument"
+          steps;
+      for _ = 1 to 100 do
+        let proc =
+          Array.append [| 0 |] (Prng.shuffle rng (Array.init (n - 1) succ))
+        in
+        let img = Oracle.apply (Oracle.dac_auto proc) c in
+        let rep' = Canon.canonical group img in
+        if not (Config.equal rep' rep) then
+          Alcotest.failf
+            "dac:12, %d steps: permuted image canonizes to another \
+             representative"
+            steps;
+        if Config.compare rep' img > 0 then
+          Alcotest.failf
+            "dac:12, %d steps: representative above a permuted image" steps
+      done)
+    [ 6; 15; 30; 60 ]
 
 let test_canonical_rejects_misfit () =
   (* A configuration whose process count (or, for a group that permutes
@@ -267,6 +430,12 @@ let test_canonical_rejects_misfit () =
   (match Canon.canonical (Canon.exchangeable ~n:2 ()) c with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "2-process group accepted a 3-process configuration");
+  (match
+     Canon.canonical (Canon.dac ~n:3)
+       { c with objects = Array.append c.objects c.objects }
+   with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "dac:3 group accepted a 2-object configuration");
   let kset = Canon.kset_partition ~m:2 ~k:2 in
   let c =
     {
@@ -286,7 +455,7 @@ let test_reduced_build_matches_cmap_oracle () =
      reduction step; under every mode they must still produce the same
      graph, node ids and edge order included. *)
   List.iter
-    (fun (label, (machine, specs, inputs, canon), frozen) ->
+    (fun (label, (machine, specs, inputs, group), frozen) ->
       List.iter
         (fun reduce ->
           let g = Cgraph.build ~reduce ~machine ~specs ~inputs () in
@@ -294,7 +463,7 @@ let test_reduced_build_matches_cmap_oracle () =
           Oracle.same_graph
             (Fmt.str "%s [%s]" label reduce.Cgraph.rname)
             g oracle)
-        [ sym canon; sym_sleep ?frozen canon ])
+        [ sym group; sym_sleep ?frozen group ])
     [
       ("dac:3", dac3 (), Some dac_frozen);
       ("cons:2", cons2 (), None);
@@ -307,9 +476,9 @@ let test_dac7_pins () =
   (* Theorem 4.1's 7-DAC instance under sym+sleep: graph size and
      reduction counters are pinned, so a faster canonicalizer cannot
      drift the quotient. *)
-  let machine, specs, inputs, canon = dac 7 in
+  let machine, specs, inputs, group = dac 7 in
   let g =
-    Cgraph.build ~domains:1 ~reduce:(sym_sleep ~frozen:dac_frozen canon)
+    Cgraph.build ~domains:1 ~reduce:(sym_sleep ~frozen:dac_frozen group)
       ~machine ~specs ~inputs ()
   in
   let r = (Cgraph.stats g).Cgraph.reduction in
@@ -324,16 +493,16 @@ let test_dac7_pins () =
       r.Cgraph.ample_pruned;
     ]
 
-let test_domains_agree_under_memo () =
-  (* The renamed-object memo is shared by the explorer's worker domains:
-     the dac:6 sym+sleep graph must not depend on the domain count, and
-     four domains canonicalizing the same nodes through one fresh group
+let test_domains_agree_on_shared_group () =
+  (* One group is shared by the explorer's worker domains: the dac:6
+     sym+sleep graph must not depend on the domain count, and four
+     domains canonicalizing the same nodes through one shared group
      must agree with a sequential pass through another. *)
   let n = 6 in
   let machine = Dac_from_pac.machine ~n and specs = Dac_from_pac.specs ~n in
   let build domains =
     Cgraph.build ~domains
-      ~reduce:(sym_sleep ~frozen:dac_frozen (Canon.dac ~n))
+      ~reduce:(sym_sleep ~frozen:dac_frozen (Oracle.dac ~n))
       ~machine ~specs ~inputs:(dac_inputs n) ()
   in
   Oracle.same_graph "dac:6 sym+sleep, 4 vs 1 domains" (build 4)
@@ -371,11 +540,11 @@ let check_done label (v : Solvability.verdict) =
   | o -> Alcotest.failf "%s: partial outcome %a" label Supervisor.pp_outcome o
 
 let test_dac3_verdicts_agree_and_ratio () =
-  let machine, specs, inputs, canon = dac3 () in
+  let machine, specs, inputs, group = dac3 () in
   let check reduce = Solvability.check_dac ?reduce ~machine ~specs ~inputs () in
   let v_none = check None in
-  let v_sym = check (Some (sym canon)) in
-  let v_sleep = check (Some (sym_sleep ~frozen:dac_frozen canon)) in
+  let v_sym = check (Some (sym group)) in
+  let v_sleep = check (Some (sym_sleep ~frozen:dac_frozen group)) in
   List.iter (fun (l, v) -> check_done l v)
     [ ("none", v_none); ("sym", v_sym); ("sym+sleep", v_sleep) ];
   Alcotest.(check bool) "none ok" true v_none.Solvability.ok;
@@ -396,26 +565,26 @@ let test_verdicts_agree_across_modes () =
   (* Consensus and k-set checkers, plus the dac binary input family and
      two failing candidates: ok must agree mode-by-mode, for passing and
      failing protocols alike. *)
-  let machine, specs, inputs, canon = cons2 () in
+  let machine, specs, inputs, group = cons2 () in
   let cons reduce =
     (Solvability.check ~task:Solvability.Consensus
        ?reduce ~machine ~specs ~inputs ())
       .Solvability.ok
   in
-  Alcotest.(check bool) "cons:2 sym" (cons None) (cons (Some (sym canon)));
+  Alcotest.(check bool) "cons:2 sym" (cons None) (cons (Some (sym group)));
   Alcotest.(check bool) "cons:2 sym+sleep" (cons None)
-    (cons (Some (sym_sleep canon)));
-  let machine, specs, inputs, canon = kset22 () in
+    (cons (Some (sym_sleep group)));
+  let machine, specs, inputs, group = kset22 () in
   let kset reduce =
     (Solvability.check ~task:(Solvability.Kset 2)
        ?reduce ~machine ~specs ~inputs ())
       .Solvability.ok
   in
-  Alcotest.(check bool) "kset 2,2 sym" (kset None) (kset (Some (sym canon)));
+  Alcotest.(check bool) "kset 2,2 sym" (kset None) (kset (Some (sym group)));
   Alcotest.(check bool) "kset 2,2 sym+sleep" (kset None)
-    (kset (Some (sym_sleep canon)));
+    (kset (Some (sym_sleep group)));
   (* full binary family on dac:3 *)
-  let machine, specs, _, canon = dac3 () in
+  let machine, specs, _, group = dac3 () in
   let family reduce =
     let v =
       Solvability.for_all_inputs
@@ -425,9 +594,9 @@ let test_verdicts_agree_across_modes () =
     v.Solvability.ok
   in
   Alcotest.(check bool) "dac:3 family sym" (family None)
-    (family (Some (sym canon)));
+    (family (Some (sym group)));
   Alcotest.(check bool) "dac:3 family sym+sleep" (family None)
-    (family (Some (sym_sleep ~frozen:dac_frozen canon)));
+    (family (Some (sym_sleep ~frozen:dac_frozen group)));
   (* a buggy dac candidate must keep failing under reduction *)
   let machine, specs = Candidates.dac3_sa2_then_cons2 in
   let broken reduce =
@@ -440,9 +609,9 @@ let test_verdicts_agree_across_modes () =
   in
   Alcotest.(check bool) "broken candidate fails unreduced" false (broken None);
   Alcotest.(check bool) "broken candidate fails under sym" false
-    (broken (Some (sym canon)));
+    (broken (Some (sym group)));
   Alcotest.(check bool) "broken candidate fails under sym+sleep" false
-    (broken (Some (sym_sleep ~frozen:dac_frozen canon)))
+    (broken (Some (sym_sleep ~frozen:dac_frozen group)))
 
 (* --- valence on reduced graphs ----------------------------------------- *)
 
@@ -457,7 +626,7 @@ let test_valence_agreement_on_reduced_graphs () =
   (* On each reduced graph both valence engines must agree node-by-node,
      and the initial classification must be stable across modes. *)
   List.iter
-    (fun (label, (machine, specs, inputs, canon), frozen) ->
+    (fun (label, (machine, specs, inputs, group), frozen) ->
       let initial_class reduce =
         let g = Cgraph.build ?reduce ~machine ~specs ~inputs () in
         let a = Valence.analyze g in
@@ -478,7 +647,7 @@ let test_valence_agreement_on_reduced_graphs () =
             Alcotest.failf "%s [%s]: initial valence differs: %a vs %a" label
               reduce.Cgraph.rname Valence.pp_classification c_none
               Valence.pp_classification c)
-        [ sym canon; sym_sleep ?frozen canon ])
+        [ sym group; sym_sleep ?frozen group ])
     [
       ("dac:3", dac3 (), Some dac_frozen);
       ("cons:2", cons2 (), None);
@@ -533,8 +702,8 @@ let test_witness_search_truncation_sound () =
 (* --- resume compatibility ---------------------------------------------- *)
 
 let test_resume_rejects_reduction_mismatch () =
-  let machine, specs, inputs, canon = dac3 () in
-  let reduce = sym canon in
+  let machine, specs, inputs, group = dac3 () in
+  let reduce = sym group in
   let partial =
     Cgraph.build ~max_states:20 ~reduce ~machine ~specs ~inputs ()
   in
@@ -545,7 +714,7 @@ let test_resume_rejects_reduction_mismatch () =
   | _ -> Alcotest.fail "resume under a different reduction must be rejected");
   (match
      Cgraph.build ~resume:s
-       ~reduce:(sym_sleep ~frozen:dac_frozen canon)
+       ~reduce:(sym_sleep ~frozen:dac_frozen group)
        ~machine ~specs ~inputs ()
    with
   | exception Invalid_argument _ -> ()
@@ -630,6 +799,10 @@ let () =
           Alcotest.test_case "oracle: dac:6 sample" `Quick
             test_oracle_dac6_sample;
           QCheck_alcotest.to_alcotest prop_canonical_is_oracle_min;
+          QCheck_alcotest.to_alcotest prop_kset_is_oracle_min;
+          QCheck_alcotest.to_alcotest prop_exchangeable_is_oracle_min;
+          Alcotest.test_case "group is structural" `Quick
+            test_group_is_structural;
           Alcotest.test_case "misfit configuration rejected" `Quick
             test_canonical_rejects_misfit;
         ] );
@@ -638,8 +811,8 @@ let () =
           Alcotest.test_case "reduced build matches CMap oracle" `Quick
             test_reduced_build_matches_cmap_oracle;
           Alcotest.test_case "dac:7 sym+sleep pins" `Quick test_dac7_pins;
-          Alcotest.test_case "domain count agrees under the memo" `Quick
-            test_domains_agree_under_memo;
+          Alcotest.test_case "domain count and a shared group agree" `Quick
+            test_domains_agree_on_shared_group;
           Alcotest.test_case "dac:3 verdicts agree, ratio >= 3x" `Quick
             test_dac3_verdicts_agree_and_ratio;
           Alcotest.test_case "verdicts agree across modes" `Slow

@@ -827,7 +827,6 @@ let explore task max_states rmode d shards spill_dir spill_threshold deadline
   Fmt.pr "states_per_sec=%.1f@." s.Cgraph.states_per_sec;
   Fmt.pr "domains=%d@." s.Cgraph.domains;
   Fmt.pr "shards=%d@." s.Cgraph.shards;
-  Fmt.pr "steals=%d@." s.Cgraph.steals;
   Fmt.pr "dedup_rate=%.4f@." s.Cgraph.dedup_rate;
   Fmt.pr "spill_segments=%d@." s.Cgraph.spill.Cgraph.sp_segments;
   Fmt.pr "spill_bytes=%d@." s.Cgraph.spill.Cgraph.sp_bytes;
@@ -871,7 +870,7 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:
          "Build one configuration graph and print machine-readable \
-          key=value telemetry (states, throughput, shard/steal/spill \
+          key=value telemetry (states, throughput, shard/spill \
           counters, per-process peak RSS).  The benchmark harness runs \
           each case through this command in a fresh process so peak-RSS \
           numbers are honest.  Exit 0 on a complete graph, 2 on a \

@@ -6,9 +6,12 @@ open Lbsa_runtime
    object the paper's proofs quantify over, built explicitly for small
    instances.
 
-   Construction is a level-synchronous BFS: each frontier is expanded in
-   parallel across OCaml domains (the per-node successor computation is
-   pure), then merged sequentially in frontier order.  Because the merge
+   Construction is a level-synchronous BFS, each level an ordered
+   pipeline of 64-node blocks: domains expand blocks in parallel (the
+   per-node successor computation is pure), and the calling domain
+   merges each finished block in frontier order as soon as the blocks
+   before it are merged, so successors that turn out to be dedup hits
+   die young instead of waiting for the whole level.  Because the merge
    assigns node ids in exactly the discovery order of the seed's
    single-threaded FIFO BFS (kept as the test suite's oracle), the
    resulting graph — ids, edge order, truncation point — is
@@ -107,9 +110,6 @@ type stats = {
   probe : Ctbl.probe_stats;  (* dedup-table probe traffic *)
   shards : int;  (* dedup shard count the build ran with *)
   shard_stats : Ctbl.shard_stat array;  (* per-shard occupancy/probes *)
-  steals : int;
-      (* frontier spans stolen between domains; timing-dependent
-         telemetry — the produced graph never depends on it *)
   spill : spill_stats;
   wall_s : float;
   states_per_sec : float;
@@ -179,15 +179,14 @@ let pp_reduction_stats ppf r =
     r.rmode r.group_order r.canonized r.ample_nodes r.ample_pruned
 
 let pp_sharding ppf s =
-  if s.shards > 1 || s.steals > 0 then begin
+  if s.shards > 1 then begin
     let occupied =
       Array.fold_left
         (fun a (sh : Ctbl.shard_stat) ->
           a + if sh.Ctbl.ss_size > 0 then 1 else 0)
         0 s.shard_stats
     in
-    Fmt.pf ppf "@,shards: %d (%d occupied), steals: %d" s.shards occupied
-      s.steals
+    Fmt.pf ppf "@,shards: %d (%d occupied)" s.shards occupied
   end
 
 let pp_spill ppf sp =
@@ -206,7 +205,7 @@ let pp_stats ppf s =
     s.states
     (if s.truncated then " [TRUNCATED]" else "")
     s.edges s.levels s.peak_frontier s.dedup_hits (100. *. s.dedup_rate)
-    (s.dedup_hits + s.states - 1 + if s.truncated then 1 else 0)
+    s.edges
     s.probe.Ctbl.probes s.probe.Ctbl.hash_skips s.probe.Ctbl.equal_confirms
     s.wall_s s.states_per_sec s.domains
     (if s.domains = 1 then "" else "s")
@@ -295,175 +294,99 @@ let successors ?(substrate = Substrate.shm) ~reduce ~machine ~specs config =
     done;
     (!acc, !canonized, !flushed)
 
-(* Below this frontier size the spawn/join overhead outweighs the work. *)
+(* Below this frontier size the spawn/join overhead outweighs the work:
+   such a level runs on the calling domain alone. *)
 let parallel_threshold = 256
 
-(* Granule of the work-stealing loop: a worker claims this many frontier
-   indices at a time from its own span. *)
-let steal_block = 64
+(* A level is expanded and merged in blocks of this many frontier
+   nodes.  A block's successors fit the minor heap many times over, so
+   at one domain the ones that turn out to be dedup hits die young;
+   it is also enough work per claim that the atomic counter and the
+   per-block [run_shard] cost nothing next to it. *)
+let block_size = 64
 
-(* One worker's span of unclaimed frontier indices.  [lo] advances as
-   the owner claims blocks; [hi] retreats when a thief steals the upper
-   half.  The lock covers both fields; every deque operation is a few
-   loads and stores, so contention is negligible next to successor
-   computation. *)
-type deque = { mutable dq_lo : int; mutable dq_hi : int; dq_lock : Mutex.t }
+(* Expand the first [n] entries of [frontier] and feed each node's
+   successors to [merge], in frontier order; [Ok ()] once all are
+   merged.
 
-(* Expand the first [n] entries of the frontier buffer; [Ok (out,
-   steals)] has node [i]'s successor list at [out.(i)].
+   The level is an ordered block pipeline.  Workers claim blocks in
+   ascending order from one atomic counter ([Supervisor.first_hit]
+   claims indices the same way), expand each under its own
+   [Supervisor.run_shard] and publish it in its slot.  The calling
+   domain is a worker too, and the only merger: after every block it
+   expands it merges each ready block at the cursor, in frontier order,
+   and drops it; after the join it merges the rest.  At one domain this
+   is expand a block, merge it, repeat.  Who expands a block never
+   changes what it holds, and the merge order is the frontier order, so
+   node ids, edges and truncation points are the same for every domain
+   count.
 
-   Scheduling is work-stealing: the frontier is split into [d] initial
-   spans (one per domain), each worker claims [steal_block]-sized blocks
-   from the front of its own span, and a worker whose span is empty
-   steals the upper half of a victim's remaining span, installs it as
-   its own and continues.  Stealing only moves *which worker* computes
-   an index, never what is computed or where it lands: [out.(i)] is a
-   pure function of [frontier.(i)], every index is written exactly once,
-   and the caller's merge reads [out] sequentially in frontier order —
-   so the produced graph is bit-identical for any domain count and any
-   steal interleaving, exactly as with static chunking.  Joining the
-   workers ([Supervisor.spawn_join]) publishes the writes.
-
-   Termination: an atomic [remaining] counts unprocessed indices, and a
-   worker whose own span and every victim's span are empty spins until
-   it reaches zero (some worker is still computing the last claimed
-   blocks) or a failure is flagged.
-
-   Fault isolation: each worker loop runs under [Supervisor.run_shard],
-   which retries a crashed attempt with bounded backoff.  A worker
-   records its claimed block in [claimed.(k)] before processing, so a
-   retry first reprocesses that block (idempotent: pure recompute into
-   the same disjoint slots) before claiming more.  [remaining] is
-   decremented once per completed block, after processing; injected
-   chaos faults fire at attempt entry — before any claim — so a
-   transient crash never leaves the counter torn.  A deterministic
-   crash (a raising machine) exhausts its retries, flags [failed], and
-   every other worker exits; the level is then abandoned whole.
-   [Error (worker, exn, attempts)] reports the lowest such worker. *)
-let expand ~domains ~substrate ~reduce ~machine ~specs frontier n =
-  let out = Array.make n ([], 0, 0) in
-  let process lo hi =
-    for i = lo to hi - 1 do
-      out.(i) <- successors ~substrate ~reduce ~machine ~specs frontier.(i)
-    done
+   Fault isolation: merging never runs inside [run_shard], so a retried
+   block (a pure recompute; no backoff) never registers twice.  Once a
+   block exhausts its retries no worker claims another; every block
+   below it had its claim made earlier and still completes, so the
+   cursor stops at the lowest failing block, whose [Error (worker, exn,
+   attempts)] is returned.  The caller then abandons the level whole. *)
+let expand ~domains ~substrate ~reduce ~machine ~specs ~merge frontier n =
+  let n_blocks = (n + block_size - 1) / block_size in
+  let slots = Array.init n_blocks (fun _ -> Atomic.make None) in
+  let next = Atomic.make 0 in
+  let failed = Atomic.make false in
+  let cursor = ref 0 in
+  let rec drain () =
+    if !cursor < n_blocks then
+      match Atomic.get slots.(!cursor) with
+      | Some (Ok succs) ->
+        Atomic.set slots.(!cursor) None;
+        incr cursor;
+        Array.iter merge succs;
+        drain ()
+      | Some (Error _) | None -> ()
   in
-  let d = min domains n in
-  if d <= 1 || n < parallel_threshold then
-    match Supervisor.run_shard ~worker:0 (fun () -> process 0 n) with
-    | Ok () -> Ok (out, 0)
-    | Error (exn, attempts) -> Error (0, exn, attempts)
-  else begin
-    let chunk = (n + d - 1) / d in
-    let deques =
-      Array.init d (fun k ->
-          {
-            dq_lo = min n (k * chunk);
-            dq_hi = min n ((k + 1) * chunk);
-            dq_lock = Mutex.create ();
-          })
-    in
-    let remaining = Atomic.make n in
-    let failed = Atomic.make false in
-    let steals = Atomic.make 0 in
-    let claimed = Array.make d None in
-    let take_own k =
-      let dq = deques.(k) in
-      Mutex.lock dq.dq_lock;
-      let r =
-        if dq.dq_lo < dq.dq_hi then begin
-          let lo = dq.dq_lo in
-          let hi = min dq.dq_hi (lo + steal_block) in
-          dq.dq_lo <- hi;
-          Some (lo, hi)
-        end
-        else None
-      in
-      Mutex.unlock dq.dq_lock;
-      r
-    in
-    let steal k =
-      let rec go i =
-        if i >= d then None
-        else begin
-          let dq = deques.((k + i) mod d) in
-          Mutex.lock dq.dq_lock;
-          let got =
-            let rem = dq.dq_hi - dq.dq_lo in
-            if rem <= 0 then None
-            else begin
-              (* Steal the upper half (the whole span when it is down
-                 to one block) — the victim keeps the work nearest its
-                 cursor. *)
-              let mid =
-                if rem <= steal_block then dq.dq_lo else dq.dq_lo + (rem / 2)
-              in
-              let r = (mid, dq.dq_hi) in
-              dq.dq_hi <- mid;
-              Some r
-            end
-          in
-          Mutex.unlock dq.dq_lock;
-          match got with
-          | Some (lo, hi) ->
-            Atomic.incr steals;
-            (* Install the stolen span as our own (only the owner ever
-               writes both ends outside a steal, and our span is empty),
-               then claim from it normally. *)
-            let own = deques.(k) in
-            Mutex.lock own.dq_lock;
-            own.dq_lo <- lo;
-            own.dq_hi <- hi;
-            Mutex.unlock own.dq_lock;
-            take_own k
-          | None -> go (i + 1)
-        end
-      in
-      go 1
-    in
-    let rec worker k () =
-      (match claimed.(k) with
-      | Some (lo, hi) ->
-        (* A previous attempt of this worker crashed mid-block; redo it
-           (pure recompute into the same slots) before claiming more. *)
-        process lo hi;
-        ignore (Atomic.fetch_and_add remaining (lo - hi));
-        claimed.(k) <- None
-      | None -> ());
-      if Atomic.get failed then ()
-      else
-        match (match take_own k with Some b -> Some b | None -> steal k) with
-        | Some (lo, hi) ->
-          claimed.(k) <- Some (lo, hi);
-          process lo hi;
-          ignore (Atomic.fetch_and_add remaining (lo - hi));
-          claimed.(k) <- None;
-          worker k ()
-        | None ->
-          if Atomic.get remaining > 0 then begin
-            Domain.cpu_relax ();
-            worker k ()
-          end
-    in
-    let shard k =
-      let r = Supervisor.run_shard ~worker:k (worker k) in
-      (match r with
-      | Error _ -> Atomic.set failed true
-      | Ok () -> ());
-      r
-    in
-    let results = Supervisor.spawn_join d shard in
-    let worst = ref None in
-    List.iteri
-      (fun k r ->
-        match r with
-        | Error (exn, attempts) when !worst = None ->
-          worst := Some (k, exn, attempts)
-        | _ -> ())
-      results;
-    match !worst with
-    | None -> Ok (out, Atomic.get steals)
-    | Some f -> Error f
-  end
+  let expand_block b =
+    let lo = b * block_size in
+    Array.init (min block_size (n - lo)) (fun j ->
+        successors ~substrate ~reduce ~machine ~specs frontier.(lo + j))
+  in
+  (* The flag is read before the claim, and a block, once taken,
+     always runs: so every block below a failing one completes. *)
+  let rec claim k =
+    if not (Atomic.get failed) then begin
+      let b = Atomic.fetch_and_add next 1 in
+      if b < n_blocks then begin
+        let r =
+          match
+            Supervisor.run_shard ~backoff_s:0. ~worker:k (fun () ->
+                expand_block b)
+          with
+          | Ok succs -> Ok succs
+          | Error (exn, attempts) ->
+            Atomic.set failed true;
+            Error (k, exn, attempts)
+        in
+        Atomic.set slots.(b) (Some r);
+        if k = 0 then drain ();
+        claim k
+      end
+    end
+  in
+  (* A merge that raises (a spilled segment that cannot be read back)
+     stops the claims and is re-raised once every domain is joined. *)
+  let work k =
+    match claim k with
+    | () -> None
+    | exception e ->
+      Atomic.set failed true;
+      Some e
+  in
+  let d = if n < parallel_threshold then 1 else min domains n_blocks in
+  List.iter (Option.iter raise) (Supervisor.spawn_join d work);
+  drain ();
+  if !cursor = n_blocks then Ok ()
+  else
+    match Atomic.get slots.(!cursor) with
+    | Some (Error f) -> Error f
+    | Some (Ok _) | None -> assert false
 
 (* --- construction ------------------------------------------------------ *)
 
@@ -512,7 +435,6 @@ let build ?(max_states = default_max_states) ?domains
   let canonized = ref 0 in
   let ample_nodes = ref 0 in
   let ample_pruned = ref 0 in
-  let steals = ref 0 in
   let frontier_sizes = Dyn.create () in
   (* Two frontier buffers, swapped each level; no per-level copying.
      Hashing a candidate successor is [Config.hash]: a fold over the
@@ -599,6 +521,30 @@ let build ?(max_states = default_max_states) ?domains
       ignore (Ctbl.freeze_below tbl ~id_limit:cut_to)
     | _ -> ()
   in
+  (* One node's successors, registered in frontier order: nodes are
+     merged in id order, so this records offsets.(id). *)
+  let merge (succ_list, n_canon, n_pruned) =
+    canonized := !canonized + n_canon;
+    if n_pruned > 0 then begin
+      incr ample_nodes;
+      ample_pruned := !ample_pruned + n_pruned
+    end;
+    Dyn.push offsets targets.Dyn.len;
+    List.iter
+      (fun (pid, branches) ->
+        List.iter
+          (fun ((config' : Config.t), _event) ->
+            incr n_succs;
+            let hash = Config.hash config' in
+            let before = Ctbl.length tbl in
+            let target =
+              Ctbl.find_or_add tbl config' ~hash ~if_absent:register
+            in
+            if Ctbl.length tbl = before then incr dedup_hits;
+            Dyn.push targets (pack_step ~pid ~target))
+          branches)
+      succ_list
+  in
   let stop = ref Supervisor.Done in
   while !stop = Supervisor.Done && (!nxt).Dyn.len > 0 do
     (* Budget and quota polls at the level boundary: the only place a
@@ -617,43 +563,34 @@ let build ?(max_states = default_max_states) ?domains
       nxt := !cur;
       cur := f;
       (!nxt).Dyn.len <- 0;
+      let n0 = !n_nodes and steps0 = targets.Dyn.len in
+      let hits0 = !dedup_hits and succs0 = !n_succs in
+      let canon0 = !canonized and ample0 = !ample_nodes in
+      let pruned0 = !ample_pruned in
       match
-        expand ~domains ~substrate ~reduce ~machine ~specs f.Dyn.arr f.Dyn.len
+        expand ~domains ~substrate ~reduce ~machine ~specs ~merge f.Dyn.arr
+          f.Dyn.len
       with
       | Error (worker, exn, attempts) ->
         (* This level's expansion failed even after retries.  Every
            completed level is kept; this one is abandoned whole (its
            nodes stay frontier), so the surviving prefix is still a
-           level boundary and domain-count-deterministic. *)
+           level boundary and domain-count-deterministic.  The blocks
+           merged before the failing one are taken back; the dedup
+           table keeps their entries, but the build stops here and
+           drops it. *)
+        n_nodes := n0;
+        nodes.Dyn.len <- n0 - !n_base;
+        targets.Dyn.len <- steps0;
+        offsets.Dyn.len <- !expanded;
+        dedup_hits := hits0;
+        n_succs := succs0;
+        canonized := canon0;
+        ample_nodes := ample0;
+        ample_pruned := pruned0;
         stop := Supervisor.Worker_failed { worker; exn; attempts }
-      | Ok (succs, level_steals) ->
-        steals := !steals + level_steals;
+      | Ok () ->
         Dyn.push frontier_sizes f.Dyn.len;
-        Array.iteri
-          (fun _i (succ_list, n_canon, n_pruned) ->
-            canonized := !canonized + n_canon;
-            if n_pruned > 0 then begin
-              incr ample_nodes;
-              ample_pruned := !ample_pruned + n_pruned
-            end;
-            (* Nodes are expanded in id order, so this records offsets.(id). *)
-            Dyn.push offsets targets.Dyn.len;
-            List.iter
-              (fun (pid, branches) ->
-                List.iter
-                  (fun ((config' : Config.t), _event) ->
-                    incr n_succs;
-                    let hash = Config.hash config' in
-                    let before = Ctbl.length tbl in
-                    let target =
-                      Ctbl.find_or_add tbl config' ~hash
-                        ~if_absent:register
-                    in
-                    if Ctbl.length tbl = before then incr dedup_hits;
-                    Dyn.push targets (pack_step ~pid ~target))
-                  branches)
-              succ_list)
-          succs;
         expanded := !expanded + f.Dyn.len;
         maybe_spill ())
   done;
@@ -715,7 +652,6 @@ let build ?(max_states = default_max_states) ?domains
       probe = Ctbl.probe_stats tbl;
       shards;
       shard_stats = Ctbl.shard_stats tbl;
-      steals = !steals;
       spill = spill_stats;
       wall_s;
       states_per_sec =

@@ -3,10 +3,13 @@
     nondeterministic object response — the object the paper's proofs
     quantify over, built explicitly for small instances.
 
-    The explorer is a level-synchronous parallel BFS (OCaml domains) with
-    an open-addressing dedup table over the full element-wise
-    [Config.hash], producing the same graph — identical node ids, edge
-    order and truncation point — for any domain count.
+    The explorer is a level-synchronous BFS with an open-addressing
+    dedup table over the full element-wise [Config.hash].  Each level is
+    an ordered pipeline of 64-node blocks: domains expand the blocks in
+    parallel, and the calling domain merges each one into the dedup
+    table in frontier order as soon as the blocks before it are merged.
+    The graph — node ids, edge order and truncation point — is the same
+    for any domain count.
 
     The graph stores its edges once, as packed (target, pid) steps in
     CSR order.  An edge's event is not stored: {!out_edges} re-derives
@@ -89,7 +92,10 @@ type spill_stats = {
           re-encounters of cold states plus full-hash collisions *)
 }
 
-(** Exploration statistics, collected by every [build]. *)
+(** Exploration statistics, collected by every [build].  Every
+    generated successor is an edge, so [edges] also counts the
+    successors; a level abandoned by a worker failure counts for
+    nothing. *)
 type stats = {
   states : int;
   edges : int;
@@ -97,16 +103,13 @@ type stats = {
   frontier_sizes : int array;  (** one entry per level *)
   peak_frontier : int;
   dedup_hits : int;  (** generated successors that were already known *)
-  dedup_rate : float;  (** [dedup_hits] / successors generated *)
+  dedup_rate : float;  (** [dedup_hits] / successors generated ([edges]) *)
   probe : Ctbl.probe_stats;
       (** dedup-table probe traffic — how many structural equality
           checks the stored hashes avoided *)
   shards : int;  (** dedup shard count the build ran with *)
   shard_stats : Ctbl.shard_stat array;
       (** per-shard occupancy and probe traffic *)
-  steals : int;
-      (** frontier spans stolen between domains — timing-dependent
-          telemetry; the produced graph never depends on it *)
   spill : spill_stats;
   wall_s : float;
   states_per_sec : float;
@@ -210,9 +213,11 @@ val build :
     [suspended] holding the frozen frontier (a level's successors are
     registered in full, so a quota-stopped graph may hold slightly more
     than [max_states] nodes — never a node with a partial edge list).
-    Worker exceptions are isolated and retried per worker
-    ({!Supervisor.run_shard}); an exhausted chunk abandons its whole
-    level, keeping the surviving prefix deterministic.  [reduce]
+    Worker exceptions are isolated and retried per 64-node block
+    ({!Supervisor.run_shard}, no backoff); a block whose retries run
+    out abandons its whole level — even the blocks of it already merged
+    are taken back — and [stop] reports the lowest failing block, so
+    the surviving prefix is the same for every domain count.  [reduce]
     (default {!no_reduction}) quotients and prunes the exploration; the
     reduced graph is still domain-count-deterministic and identical to
     the test suite's seed-explorer oracle's under the same [reduce]

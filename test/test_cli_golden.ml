@@ -397,7 +397,6 @@ truncated=false
 outcome=done
 domains=1
 shards=1
-steals=0
 dedup_rate=0.5478
 spill_segments=0
 spill_bytes=0
@@ -417,7 +416,6 @@ truncated=false
 outcome=done
 domains=1
 shards=1
-steals=0
 dedup_rate=0.6643
 spill_segments=0
 spill_bytes=0
@@ -437,7 +435,6 @@ truncated=false
 outcome=done
 domains=1
 shards=1
-steals=0
 dedup_rate=0.4878
 spill_segments=0
 spill_bytes=0
@@ -457,7 +454,6 @@ truncated=false
 outcome=done
 domains=1
 shards=1
-steals=0
 dedup_rate=0.5962
 spill_segments=0
 spill_bytes=0
@@ -477,7 +473,6 @@ truncated=false
 outcome=done
 domains=1
 shards=1
-steals=0
 dedup_rate=0.4601
 spill_segments=0
 spill_bytes=0
@@ -497,7 +492,6 @@ truncated=false
 outcome=done
 domains=1
 shards=1
-steals=0
 dedup_rate=0.6563
 spill_segments=0
 spill_bytes=0
@@ -505,6 +499,25 @@ seg_faults=0
 frozen_keys=0
 key_faults=0
 fingerprint=b084b3ea
+|} );
+    ( "explore of:3:2 --fingerprint --domains 1",
+      0,
+      {|task=of:3:2
+reduce=none
+states=104871
+edges=300706
+levels=52
+truncated=false
+outcome=done
+domains=1
+shards=1
+dedup_rate=0.6513
+spill_segments=0
+spill_bytes=0
+seg_faults=0
+frozen_keys=0
+key_faults=0
+fingerprint=c47ba12b
 |} );
     ( "fingerprint -n 3",
       0,
@@ -633,6 +646,51 @@ let test_partial_sweep_domains () =
 |} );
     ]
 
+(* of:3:2 spilled to disk in 4 shards, at 1, 2 and 4 domains: the
+   resident row's graph (same states, edges and fingerprint), the cold
+   prefix's configurations in segments and its dedup keys frozen, and
+   the spill directory removed once the graph is complete. *)
+let test_explore_spilled () =
+  List.iter
+    (fun d ->
+      let dir = Filename.temp_dir "lbsa-golden" ".spill" in
+      Fun.protect
+        ~finally:(fun () ->
+          if Sys.file_exists dir then
+            ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+        (fun () ->
+          check_run
+            ~args:
+              (Fmt.str
+                 "explore of:3:2 --fingerprint --domains %d --shards 4 \
+                  --spill-dir %s --spill-threshold 20000"
+                 d dir)
+            ~rc:0
+            ~stdout:
+              (Fmt.str
+                 {|task=of:3:2
+reduce=none
+states=104871
+edges=300706
+levels=52
+truncated=false
+outcome=done
+domains=%d
+shards=4
+dedup_rate=0.6513
+spill_segments=21
+spill_bytes=1983285
+seg_faults=0
+frozen_keys=86431
+key_faults=0
+fingerprint=c47ba12b
+|}
+                 d);
+          Alcotest.(check bool)
+            (Fmt.str "domains=%d: spill directory removed" d)
+            false (Sys.file_exists dir)))
+    [ 1; 2; 4 ]
+
 let test_candidate_shards () =
   check_run ~args:"check candidate --name 3dac-sa2-then-cons2 --shards 4"
     ~rc:0
@@ -645,6 +703,47 @@ let has_line ~prefix ?(suffix = "") s =
     (fun l ->
       String.starts_with ~prefix l && String.ends_with ~suffix l)
     (lines s)
+
+(* The explorer's output does not depend on the domain count: of:3:2's
+   levels are big enough to spread over every domain, and it prints the
+   1-domain row but for its domains= line. *)
+let test_explore_domains () =
+  let row = golden_stdout "explore of:3:2 --fingerprint --domains 1" in
+  List.iter
+    (fun d ->
+      check_run
+        ~args:(Fmt.str "explore of:3:2 --fingerprint --domains %d" d)
+        ~rc:0
+        ~stdout:
+          (String.concat "\n"
+             (List.map
+                (fun l -> if l = "domains=1" then Fmt.str "domains=%d" d else l)
+                (lines row))))
+    [ 2; 4 ]
+
+(* --stats counts the successors the build generated, and every one of
+   them is an edge: on a complete graph and on a quota- or
+   deadline-stopped one alike. *)
+let test_stats_successors () =
+  List.iter
+    (fun args ->
+      let out, _, _ = run args in
+      let line prefix =
+        match List.find_opt (String.starts_with ~prefix) (lines out) with
+        | Some l -> l
+        | None -> Alcotest.failf "%s: no %S line in %S" args prefix out
+      in
+      let edges = Scanf.sscanf (line "edges: ") "edges: %d" Fun.id in
+      let succs =
+        Scanf.sscanf (line "dedup: ") "dedup: %_d hits (%_f%% of %d successors)"
+          Fun.id
+      in
+      Alcotest.(check int) (args ^ ": successors = edges") edges succs)
+    [
+      "solve dac -n 4 --stats";
+      "check dac -n 4 --max-states 300 --stats";
+      "solve dac -n 4 --deadline 0 --stats";
+    ]
 
 (* kset's family is one vector: --stats prints no family: line, and
    --domains drives that vector's explorer.  The binary families print
@@ -681,6 +780,12 @@ let () =
   Alcotest.run "cli_golden"
     (List.map group [ "check"; "solve"; "valence"; "explore"; "fingerprint" ]
     @ [
+        ( "explore of:3:2",
+          [
+            Alcotest.test_case "same row for any --domains" `Quick
+              test_explore_domains;
+            Alcotest.test_case "spilled in 4 shards" `Quick test_explore_spilled;
+          ] );
         ( "refusals",
           List.map
             (fun ((args, _) as r) ->
@@ -702,6 +807,8 @@ let () =
           [
             Alcotest.test_case "family line and domains" `Quick
               test_stats_family_lines;
+            Alcotest.test_case "successors = edges" `Quick
+              test_stats_successors;
           ] );
         ( "partial sweep",
           [

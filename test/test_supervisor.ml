@@ -123,6 +123,80 @@ let test_graph_isolates_raising_machine () =
   Alcotest.(check bool) "marked truncated" true g.Cgraph.truncated;
   Alcotest.(check int) "the explored prefix survives" 1 (Cgraph.n_nodes g)
 
+(* A level whose expansion keeps raising is abandoned whole, however
+   many of its blocks were merged before the failing one.  of:3:2 with
+   p2 raising in round 2's B-collect once it has read two registers:
+   the first such node is index 674 of a 765-node level, so ten blocks
+   of 64 are merged before the failure.  The build keeps the 16
+   completed levels and nothing of the 17th at every domain count (the
+   worker number is left unchecked: at more than one domain it is
+   whichever domain claimed the failing block), and resuming it with the
+   healthy machine gives the uninterrupted graph and counters. *)
+let test_failing_level_abandoned_whole () =
+  let n = 3 and max_rounds = 2 in
+  let healthy = Obstruction_free.machine_spin ~n ~max_rounds in
+  let specs = Obstruction_free.specs ~n ~max_rounds in
+  let inputs = Array.init n (fun pid -> Value.int (pid mod 2)) in
+  let poisoned =
+    {
+      healthy with
+      Machine.delta =
+        (fun ~pid state ->
+          match state.Value.node with
+          | List
+              [
+                { node = Sym "b-collect"; _ };
+                { node = Int 2; _ };
+                _;
+                _;
+                { node = List [ _; _ ]; _ };
+              ]
+            when pid = 2 ->
+            failwith "poisoned b-collect"
+          | _ -> healthy.Machine.delta ~pid state);
+    }
+  in
+  let full = Cgraph.build ~domains:1 ~machine:healthy ~specs ~inputs () in
+  List.iter
+    (fun d ->
+      let label = Fmt.str "domains=%d" d in
+      let g = Cgraph.build ~domains:d ~machine:poisoned ~specs ~inputs () in
+      (match g.Cgraph.stop with
+      | Supervisor.Worker_failed { exn; attempts; _ } ->
+        Alcotest.(check (pair string int))
+          (label ^ ": exception and attempts")
+          ("Failure(\"poisoned b-collect\")", 3)
+          (exn, attempts)
+      | o ->
+        Alcotest.failf "%s: expected a worker failure, got %a" label
+          Supervisor.pp_outcome o);
+      let s = Cgraph.stats g in
+      Alcotest.(check (list int))
+        (label ^ ": states, edges, levels, expanded")
+        [ 3754; 8844; 16; 2989 ]
+        [ s.Cgraph.states; s.Cgraph.edges; s.Cgraph.levels; g.Cgraph.expanded ];
+      let resumed =
+        Cgraph.build ~domains:d ~resume:(Option.get g.Cgraph.suspended)
+          ~machine:healthy ~specs ~inputs ()
+      in
+      expect_outcome (label ^ ": resume completes") Supervisor.Done
+        resumed.Cgraph.stop;
+      Alcotest.(check (list int))
+        (label ^ ": resumed states, edges, dedup hits")
+        [ 104_871; 300_706; (Cgraph.stats full).Cgraph.dedup_hits ]
+        [
+          Cgraph.n_nodes resumed;
+          Cgraph.n_edges resumed;
+          (Cgraph.stats resumed).Cgraph.dedup_hits;
+        ];
+      Alcotest.(check bool)
+        (label ^ ": resumed graph = uninterrupted graph")
+        true
+        (resumed.Cgraph.targets = full.Cgraph.targets
+        && resumed.Cgraph.offsets = full.Cgraph.offsets
+        && Array.for_all2 Config.equal resumed.Cgraph.nodes full.Cgraph.nodes))
+    [ 1; 2; 4 ]
+
 let test_sweep_survives_raising_checker () =
   (* Regression for the latent for_all_inputs bug: an exception escaping
      a spawned domain used to abort the whole sweep through
@@ -199,6 +273,27 @@ let test_chaos_preserves_graph_and_verdict () =
         (Fmt.str "chaos domains=%d" d)
         g (Oracle.of_graph clean))
     [ 1; 2; 4 ];
+  (* dac:4's levels stay under the parallel threshold, so the builds
+     above run on one domain whatever they ask for; dac:5's peak
+     frontier (715) spreads its big levels' blocks over real domains. *)
+  let machine5, specs5, inputs5 = dac_instance 5 in
+  let clean5 =
+    Cgraph.build ~domains:1 ~machine:machine5 ~specs:specs5 ~inputs:inputs5 ()
+  in
+  Alcotest.(check int) "dac:5 peak frontier" 715
+    (Cgraph.stats clean5).Cgraph.peak_frontier;
+  let oracle5 = Oracle.of_graph clean5 in
+  List.iter
+    (fun d ->
+      let g =
+        with_chaos 11 (fun () ->
+            Cgraph.build ~domains:d ~machine:machine5 ~specs:specs5
+              ~inputs:inputs5 ())
+      in
+      expect_outcome (Fmt.str "chaos dac:5 domains=%d completes" d)
+        Supervisor.Done g.Cgraph.stop;
+      Oracle.same_graph (Fmt.str "chaos dac:5 domains=%d" d) g oracle5)
+    [ 2; 3; 4 ];
   let vectors = Dac.binary_inputs 3 in
   let machine3, specs3, _ = dac_instance 3 in
   let check inputs =
@@ -1204,6 +1299,8 @@ let () =
         [
           Alcotest.test_case "raising machine is contained" `Quick
             test_graph_isolates_raising_machine;
+          Alcotest.test_case "a failing level is abandoned whole" `Quick
+            test_failing_level_abandoned_whole;
           Alcotest.test_case "raising checker no longer aborts the sweep"
             `Quick test_sweep_survives_raising_checker;
           Alcotest.test_case "run_shard retry discipline" `Quick

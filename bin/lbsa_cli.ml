@@ -151,6 +151,24 @@ let clean_spill_on_done spill ~done_ =
   | Some s when done_ -> Lbsa_modelcheck.Segstore.clean_dir ~dir:s.Cgraph.spill_dir
   | _ -> ()
 
+(* A spill that cannot be written or read back ends the run like a
+   damaged checkpoint: one stderr line naming the site and the error,
+   exit 2.  [Segstore.Corrupt] is a segment that failed validation or
+   kept failing to read; a [Unix_error] is a hard device error the
+   resilient-I/O layer passed on (its third field names the site of an
+   injected one). *)
+let refuse_io_failures ~cmd f =
+  match f () with
+  | rc -> rc
+  | exception Lbsa_modelcheck.Segstore.Corrupt msg ->
+    Fmt.epr "lbsa %s: refused at segstore.read: %s@." cmd msg;
+    2
+  | exception Unix.Unix_error (e, fn, site) ->
+    Fmt.epr "lbsa %s: I/O failed at %s: %s@." cmd
+      (if site = "" then fn else site)
+      (Unix.error_message e);
+    2
+
 (* --- state-space reduction -------------------------------------------- *)
 
 let reduce_arg =
@@ -566,6 +584,7 @@ let solve task n m k max_states stats rmode d shards spill_dir spill_threshold
         (Checkpoint.label c) label;
       2
     | resume ->
+      refuse_io_failures ~cmd:"solve" @@ fun () ->
       let v =
         Serve_api.check inst ~max_states ?domains ~budget
           ~reduce:(Serve_api.reduction inst rmode)
@@ -648,6 +667,7 @@ let valence name n m max_states stats rmode shards spill_dir spill_threshold =
     resolve ~cmd:"valence"
       (fun () -> (Serve_api.instance task, Serve_api.input_vector task))
     @@ fun (inst, inputs) ->
+    refuse_io_failures ~cmd:"valence" @@ fun () ->
     let machine = inst.machine and specs = inst.specs in
     let reduce = Serve_api.reduction inst rmode in
     let graph =
@@ -704,8 +724,9 @@ let valence_cmd =
    bench never inherits a child's high-water mark — and the key=value
    stdout is trivially parseable.  [--fingerprint] appends the
    structural graph fingerprint used by the spilled-vs-resident
-   equivalence checks; it reads every configuration (faulting each
-   segment once, in order), so the big memory-bound cases skip it. *)
+   equivalence checks; it reads every configuration back, streaming
+   each spilled segment once, one configuration at a time, so it costs
+   a spilled run time but next to no memory. *)
 
 let explore_task_conv =
   let parse s =
@@ -759,12 +780,13 @@ let peak_rss_kb () =
 let graph_fingerprint ?(extra = []) graph =
   let h = ref 0x811c9dc5 in
   let comb k = h := Value.hash_combine !h k land max_int in
-  for id = 0 to Cgraph.n_nodes graph - 1 do
-    comb (Config.hash (Cgraph.node graph id));
-    Cgraph.iter_out_steps graph id (fun pid target ->
-        comb pid;
-        comb target)
-  done;
+  Cgraph.iter_nodes
+    (fun id config ->
+      comb (Config.hash config);
+      Cgraph.iter_out_steps graph id (fun pid target ->
+          comb pid;
+          comb target))
+    graph;
   List.iter comb extra;
   !h land 0xffffffff
 
@@ -801,6 +823,7 @@ let explore task max_states rmode d shards spill_dir spill_threshold deadline
             frozen = None;
           } )
   in
+  refuse_io_failures ~cmd:"explore" @@ fun () ->
   let graph =
     Cgraph.build ~max_states ?domains ~budget ~reduce ~shards ?spill ~machine
       ~specs ~inputs ()
@@ -854,8 +877,10 @@ let explore_cmd =
       & flag
       & info [ "fingerprint" ]
           ~doc:
-            "Append the structural graph fingerprint (reads every \
-             configuration; skip it for memory-bound runs).")
+            "Append the structural graph fingerprint.  It reads every \
+             configuration back (spilled ones streamed from disk, each \
+             segment once), so on a spilled graph it also checks that \
+             every segment still decodes.")
   in
   let domains =
     Arg.(

@@ -14,10 +14,11 @@ type dict = {
 }
 
 let rec value_ref d (v : Value.t) =
-  match Hashtbl.find_opt d.index v.Value.id with
-  | Some i -> i
-  | None ->
-    let b = d.table and int = Codec.int.put d.table in
+  match Hashtbl.find d.index v.Value.id with
+  | i -> i
+  | exception Not_found ->
+    let b = d.table in
+    let int n = Codec.int.put b n in
     (match Value.node v with
     | Value.Unit -> int 0
     | Value.Bool x -> int 1; Codec.bool.put b x
@@ -37,24 +38,34 @@ let rec value_ref d (v : Value.t) =
     Hashtbl.add d.index v.Value.id i;
     i
 
-let put_int d = Codec.int.put d.body
+(* Every encoder and decoder below is applied to all of its arguments
+   and loops with [for]: without flambda a partial application or a
+   closure passed to [Array.iter]/[Array.init] is allocated per call,
+   and these run once per value of every configuration. *)
+let put_int d n = Codec.int.put d.body n
 let put_value d v = put_int d (value_ref d v)
 
 let put_array d put a =
   Codec.count.put d.body (Array.length a);
-  Array.iter (put d) a
+  for i = 0 to Array.length a - 1 do
+    put d a.(i)
+  done
 
-(* An entry may only refer to entries before it, so the table is
+(* Entry [i] may only refer to entries before it, so the table is
    acyclic and decodes in one pass. *)
-let get_table c =
+let earlier vals i c =
+  let j = Codec.int.get c in
+  if j < 0 || j >= i then
+    Codec.malformed "value %d refers to %d, not an earlier one" i j;
+  vals.(j)
+
+type table = Value.t array
+
+(* The value table, then the count of configurations that refer into
+   it. *)
+let get_table c : table * int =
   let vals = Array.make (Codec.count.get c) Value.unit_ in
   for i = 0 to Array.length vals - 1 do
-    let earlier () =
-      let j = Codec.int.get c in
-      if j < 0 || j >= i then
-        Codec.malformed "value %d refers to %d, not an earlier one" i j;
-      vals.(j)
-    in
     vals.(i) <-
       (match Codec.int.get c with
       | 0 -> Value.unit_
@@ -64,11 +75,13 @@ let get_table c =
       | 4 -> Value.bot
       | 5 -> Value.nil
       | 6 -> Value.done_
-      | 7 -> let x = earlier () in Value.pair (x, earlier ())
-      | 8 -> Value.list (List.init (Codec.count.get c) (fun _ -> earlier ()))
+      | 7 ->
+        let x = earlier vals i c in
+        Value.pair (x, earlier vals i c)
+      | 8 -> Value.list (List.init (Codec.count.get c) (fun _ -> earlier vals i c))
       | k -> Codec.bad_tag k)
   done;
-  vals
+  (vals, Codec.count.get c)
 
 let get_value vals c =
   let i = Codec.int.get c in
@@ -76,8 +89,18 @@ let get_value vals c =
     Codec.malformed "value reference %d out of range" i;
   vals.(i)
 
-let get_array vals get c =
-  Array.init (Codec.count.get c) (fun _ -> get vals c)
+(* The one decode loop: [n] elements, read in order into an array. *)
+let collect vals get n c =
+  if n = 0 then [||]
+  else begin
+    let a = Array.make n (get vals c) in
+    for i = 1 to n - 1 do
+      a.(i) <- get vals c
+    done;
+    a
+  end
+
+let get_array vals get c = collect vals get (Codec.count.get c) c
 
 let put_status d = function
   | Config.Running -> put_int d 0
@@ -105,7 +128,8 @@ let get_config vals c : Config.t =
 
 (* A section is the table, then the configurations that refer into it.
    The configurations are encoded first, into their own buffer, so the
-   table is complete when it is written. *)
+   table is complete when it is written.  Decoding is {!get_table},
+   then one {!get_config} per configuration. *)
 let configs =
   {
     Codec.put =
@@ -120,6 +144,6 @@ let configs =
         Buffer.add_buffer b d.body);
     get =
       (fun c ->
-        let vals = get_table c in
-        get_array vals get_config c);
+        let vals, n = get_table c in
+        collect vals get_config n c);
   }

@@ -16,3 +16,20 @@
 open Lbsa_runtime
 
 val configs : Config.t array Lbsa_util.Codec.t
+(** Its decoder is {!get_table}, then {!get_config} once per
+    configuration, collected into an array. *)
+
+(** {1 One configuration at a time}
+
+    For a reader that hands each configuration on as it is decoded
+    instead of holding the whole array. *)
+
+type table
+(** The decoded value table of one encoded array. *)
+
+val get_table : Lbsa_util.Codec.cursor -> table * int
+(** Reads an encoded array's value table and then its configuration
+    count; that many {!get_config} calls follow. *)
+
+val get_config : table -> Lbsa_util.Codec.cursor -> Config.t
+(** Decodes the next configuration, its values taken from the table. *)

@@ -397,6 +397,20 @@ let default_spill_threshold = 500_000
    freed suffix slots must stop retaining the spilled configurations. *)
 let hole_config : Config.t = { locals = [||]; objects = [||]; status = [||] }
 
+(* Every configuration in id order into [f], stopping at its first
+   [Some]: the spilled prefix streamed from its segments (each read
+   once, decoded one configuration at a time, past the segment cache),
+   then the resident suffix. *)
+let find_map_stored segs ~n_base nodes ~len f =
+  match Option.bind segs (fun st -> Segstore.find_map st f) with
+  | Some _ as r -> r
+  | None ->
+    let rec go i =
+      if i = len then None
+      else match f (n_base + i) nodes.(i) with None -> go (i + 1) | r -> r
+    in
+    go 0
+
 let build ?(max_states = default_max_states) ?domains
     ?(budget = Supervisor.Budget.unlimited) ?(substrate = Substrate.shm)
     ?(reduce = no_reduction) ?resume ?(shards = 1) ?spill
@@ -424,7 +438,7 @@ let build ?(max_states = default_max_states) ?domains
       Some (Segstore.create ~dir:sp.spill_dir)
   in
   (* Configuration of a node id, wherever it lives — the dedup table's
-     resolve callback for frozen entries, and the accessor below. *)
+     resolve callback for frozen entries. *)
   let config_of id =
     if id >= !n_base then nodes.Dyn.arr.(id - !n_base)
     else Segstore.node (Option.get store) id
@@ -600,9 +614,16 @@ let build ?(max_states = default_max_states) ?domains
     if !expanded < !n_nodes then
       Some
         {
-          (* Materialized over resident + spilled storage; the
-             sequential walk faults each segment in once. *)
-          s_nodes = Array.init !n_nodes config_of;
+          (* Materialized over resident + spilled storage in one
+             streamed walk. *)
+          s_nodes =
+            (let all = Array.make !n_nodes hole_config in
+             ignore
+               (find_map_stored store ~n_base:!n_base nodes.Dyn.arr
+                  ~len:nodes.Dyn.len (fun id config ->
+                    all.(id) <- config;
+                    None));
+             all);
           s_expanded = !expanded;
           s_targets = targets;
           s_offsets = Dyn.to_array offsets;
@@ -776,18 +797,10 @@ let exists_out_step t id p =
   in
   go t.offsets.(id)
 
-let iter_nodes f t =
-  for id = 0 to n_nodes t - 1 do
-    f id (node t id)
-  done
-
 let find_map_node t f =
-  let n = n_nodes t in
-  let rec go id =
-    if id >= n then None
-    else match f id (node t id) with Some _ as r -> r | None -> go (id + 1)
-  in
-  go 0
+  find_map_stored t.segs ~n_base:t.n_base t.nodes ~len:(Array.length t.nodes) f
+
+let iter_nodes f t = ignore (find_map_node t (fun id config -> f id config; None))
 
 let find_id t p =
   let n = n_nodes t in

@@ -281,7 +281,12 @@ val successors :
 
 val n_nodes : t -> int
 val n_edges : t -> int
+
 val node : t -> int -> Config.t
+(** A point lookup: on an out-of-core graph a spilled id is served
+    from {!Segstore}'s cache of decoded segments.  A walk over every
+    node goes through {!iter_nodes} or {!find_map_node} instead. *)
+
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
@@ -311,6 +316,11 @@ val step_target : t -> int -> int
     packed targets array (no segment faults). *)
 
 val iter_nodes : (int -> Config.t -> unit) -> t -> unit
+(** Every node in id order.  On an out-of-core graph the spilled prefix
+    is streamed ({!Segstore.find_map}): each segment is read and decoded
+    once, one configuration at a time, past the segment cache, so a
+    configuration [f] does not keep dies young.  [find_node] and
+    [find_map_node] walk the same way, up to their hit. *)
 
 val find_id : t -> (int -> bool) -> int option
 (** Lowest node id satisfying an id-only predicate; never touches

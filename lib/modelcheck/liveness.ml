@@ -120,15 +120,16 @@ let analyze ~machine ~specs ~(substrate : Substrate.t) graph =
   let n = Graph.n_nodes graph in
   (* Mask out configurations enabling a mandatory action of a running
      process: none may appear on a fair cycle (see the header). *)
-  let good =
-    Array.init n (fun u ->
-        let config = Graph.node graph u in
+  let good = Array.make n false in
+  Graph.iter_nodes
+    (fun u config ->
+      good.(u) <-
         not
           (List.exists
              (fun pid ->
                substrate.Substrate.mandatory_exit ~machine ~specs config pid)
              (Config.running config)))
-  in
+    graph;
   let comp, nc = Graph.scc ~mask:good graph in
   (* Internal-edge presence per restricted component, in one sweep. *)
   let has_internal = Array.make nc false in

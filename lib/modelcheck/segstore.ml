@@ -93,11 +93,12 @@ let write_segment t ~lo ~hi ~configs =
   t.bytes <- t.bytes + (try (Unix.stat file).Unix.st_size with Unix.Unix_error _ -> 0);
   t.segs <- Array.append t.segs [| { lo; hi; file } |]
 
-(* One parse attempt.  Raises [Corrupt] for a validation defect (the
-   file's bytes are wrong — retrying cannot help), [Sys_error] /
-   [Unix_error] for a device-level failure (possibly transient). *)
-let read_seg_file t idx =
-  let s = t.segs.(idx) in
+(* One read attempt: the magic line, then the SEGNODES section whose
+   checksum covers the whole payload, then nothing.  Raises [Corrupt]
+   for a validation defect (the file's bytes are wrong — retrying
+   cannot help), [Sys_error] / [Unix_error] for a device-level failure
+   (possibly transient). *)
+let read_payload s =
   Rio.inject_read_fault ~site:"segstore.read";
   let corrupt fmt = Fmt.kstr (fun m -> raise (Corrupt m)) fmt in
   let ic = open_in_bin s.file in
@@ -109,43 +110,57 @@ let read_seg_file t idx =
       in
       if not (String.equal header magic) then
         corrupt "Segstore: %s is not a segment file" s.file;
-      try
-        let lo, l_configs =
-          Codec.decode nodes_codec (Codec.input_section ic ~tag:"SEGNODES")
-        in
-        if lo <> s.lo || Array.length l_configs <> s.hi - s.lo then
-          corrupt "Segstore: %s: SEGNODES range mismatch" s.file;
+      match Codec.input_section ic ~tag:"SEGNODES" with
+      | exception Codec.Malformed msg -> corrupt "Segstore: %s: %s" s.file msg
+      | payload ->
         if pos_in ic <> in_channel_length ic then
           corrupt "Segstore: %s: trailing bytes" s.file;
-        { l_seg = idx; l_configs }
-      with Codec.Malformed msg -> corrupt "Segstore: %s: %s" s.file msg)
+        payload)
 
-(* Fault-in with the recompute-or-refuse policy: a device error gets
-   one backed-off retry (transient EIO, injected or real); a validation
+let refuse t msg =
+  t.n_corrupt <- t.n_corrupt + 1;
+  raise (Corrupt msg)
+
+let malformed t s msg = refuse t (Fmt.str "Segstore: %s: %s" s.file msg)
+
+let check_range t s ~lo ~n =
+  if lo <> s.lo || n <> s.hi - s.lo then
+    refuse t (Fmt.str "Segstore: %s: SEGNODES range mismatch" s.file)
+
+(* The one segment read, behind both the cached load and the streamed
+   pass, with the recompute-or-refuse policy: a device error gets one
+   backed-off retry (transient EIO, injected or real); a validation
    defect or a second device failure is counted and refused with the
    typed [Corrupt] — never a crash, never silently wrong data (the
-   per-section checksums decide). *)
-let load_seg t idx =
-  let refuse msg =
-    t.n_corrupt <- t.n_corrupt + 1;
-    raise (Corrupt msg)
-  in
-  let l =
-    match read_seg_file t idx with
-    | l -> l
-    | exception Corrupt msg -> refuse msg
+   section checksum decides).  The payload is whole and checked before
+   any configuration is decoded from it, so a retry never hands a
+   configuration on twice. *)
+let load_payload t idx =
+  let s = t.segs.(idx) in
+  let payload =
+    match read_payload s with
+    | p -> p
+    | exception Corrupt msg -> refuse t msg
     | exception (Sys_error _ | Unix.Unix_error _) -> (
       Rio.sleep_backoff ~site:"segstore.read" ~attempt:0;
-      match read_seg_file t idx with
-      | l -> l
-      | exception Corrupt msg -> refuse msg
-      | exception Sys_error msg -> refuse (Fmt.str "Segstore: %s" msg)
+      match read_payload s with
+      | p -> p
+      | exception Corrupt msg -> refuse t msg
+      | exception Sys_error msg -> refuse t (Fmt.str "Segstore: %s" msg)
       | exception Unix.Unix_error (e, _, _) ->
-        refuse
-          (Fmt.str "Segstore: %s: %s" t.segs.(idx).file (Unix.error_message e)))
+        refuse t (Fmt.str "Segstore: %s: %s" s.file (Unix.error_message e)))
   in
   t.n_faults <- t.n_faults + 1;
-  l
+  payload
+
+(* A segment decoded whole, for the cache. *)
+let load_seg t idx =
+  let s = t.segs.(idx) in
+  match Codec.decode nodes_codec (load_payload t idx) with
+  | exception Codec.Malformed msg -> malformed t s msg
+  | lo, l_configs ->
+    check_range t s ~lo ~n:(Array.length l_configs);
+    { l_seg = idx; l_configs }
 
 let cached t idx =
   let rec find i =
@@ -179,6 +194,43 @@ let seg_index t id =
 let node t id =
   let idx = seg_index t id in
   (cached t idx).l_configs.(id - t.segs.(idx).lo)
+
+(* The streamed pass over one segment: the same checked read as
+   [load_seg], then its configurations decoded one at a time straight
+   into [f], none of them held after [f] returns.  A configuration that
+   is dropped at once dies in the minor heap; one stored in a cached
+   segment's array (thousands of elements, so allocated in the major
+   heap) is promoted with it. *)
+let find_map_seg t idx f =
+  let s = t.segs.(idx) in
+  let c = Codec.cursor (load_payload t idx) in
+  match
+    (* [nodes_codec]'s layout, read a piece at a time *)
+    let lo = Codec.int.get c in
+    let vals, n = Config_codec.get_table c in
+    (lo, n, vals)
+  with
+  | exception Codec.Malformed msg -> malformed t s msg
+  | lo, n, vals ->
+    check_range t s ~lo ~n;
+    let rec go id =
+      if id = s.hi then begin
+        (try Codec.at_end c with Codec.Malformed msg -> malformed t s msg);
+        None
+      end
+      else
+        match Config_codec.get_config vals c with
+        | exception Codec.Malformed msg -> malformed t s msg
+        | config -> ( match f id config with None -> go (id + 1) | r -> r)
+    in
+    go lo
+
+let find_map t f =
+  let rec go idx =
+    if idx = Array.length t.segs then None
+    else match find_map_seg t idx f with None -> go (idx + 1) | r -> r
+  in
+  go 0
 
 let remove_all t =
   Array.iter

@@ -12,6 +12,15 @@
     constructors, so the id-never-orders invariant survives a round
     trip through disk exactly as it does for checkpoints.
 
+    A segment is read back two ways, through one checked read (magic,
+    section checksum, id range, trailing bytes, the [segstore.read]
+    fault site, one backed-off retry, the {!Corrupt} refusal).  Point
+    lookups ({!node}: dedup resolves, re-derived edges, witnesses) go
+    through a 4-slot cache of whole decoded segments.  A walk over
+    every spilled configuration ({!find_map}) bypasses it: it reads
+    each segment once, in id order, and decodes it one configuration at
+    a time into the caller, so the walk keeps nothing the caller drops.
+
     Spilled segments are scratch, not durable state: {!create} clears
     any stale [seg-*.seg] files in the directory (a resumed run
     re-spills deterministically from its checkpoint), and callers
@@ -44,6 +53,14 @@ val node : t -> int -> Config.t
     if no segment covers [id]; raises {!Corrupt} (after one backed-off
     retry for device-level errors) if the segment fails validation. *)
 
+val find_map : t -> (int -> Config.t -> 'a option) -> 'a option
+(** The streamed pass: [f id config] for every spilled id in order,
+    stopping at the first [Some], which is returned.  Each segment up to
+    the hit is read from disk once (one {!faults} each), past the
+    cache, and its payload is checked whole before its first
+    configuration reaches [f].  Raises {!Corrupt} as {!node} does; an
+    undecodable configuration is refused when the walk reaches it. *)
+
 val spilled_upto : t -> int
 (** One past the highest spilled node id (0 when empty). *)
 
@@ -53,7 +70,8 @@ val spilled_bytes : t -> int
 (** Total bytes written across live segment files. *)
 
 val faults : t -> int
-(** Segment loads from disk (cache misses), cumulative. *)
+(** Segment loads from disk (cache misses and streamed segments),
+    cumulative. *)
 
 val corrupt_count : t -> int
 (** Fault-ins refused as {!Corrupt}, cumulative. *)

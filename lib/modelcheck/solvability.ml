@@ -207,7 +207,9 @@ let solo_halting_of (graph : Graph.t) ~status ~pid ~accept =
   Array.map (fun c -> c = halts) colour
 
 let statuses (graph : Graph.t) =
-  Array.init (Graph.n_nodes graph) (fun id -> (Graph.node graph id).Config.status)
+  let status = Array.make (Graph.n_nodes graph) [||] in
+  Graph.iter_nodes (fun id config -> status.(id) <- config.Config.status) graph;
+  status
 
 let solo_halting graph = solo_halting_of graph ~status:(statuses graph)
 
@@ -272,8 +274,9 @@ let safety task ~inputs config =
    own edges; a reduced one prunes steps or links orbit
    representatives, so its solo runs are walked off the graph.  The
    failure is the first node in id order, p's (a) before q's (b), q
-   ascending.  [status] is read once in node order, so a spilled graph
-   faults each segment once. *)
+   ascending.  Either way the configurations are read in one streamed
+   walk ({!statuses}, or {!Graph.find_map_node} up to the failure), so
+   a spilled graph reads each segment once. *)
 let dac_progress ?(substrate = Substrate.shm) ~reduce ~machine ~specs
     (graph : Graph.t) =
   let p = Lbsa_protocols.Dac.distinguished in
@@ -282,35 +285,41 @@ let dac_progress ?(substrate = Substrate.shm) ~reduce ~machine ~specs
     | Config.Aborted -> pid = p
     | Config.Running | Config.Crashed -> false
   in
-  let status = statuses graph in
-  let n_procs = Array.length status.(graph.initial) in
-  let aborts, halts =
-    if Graph.keeps_every_step reduce then
+  (* Node [id]'s first running process that [halts] says does not. *)
+  let failure ~pids id (status : Config.status array) halts =
+    Option.map
+      (fun pid ->
+        if pid = p then Fmt.str "node %d: termination (a) fails for p" id
+        else Fmt.str "node %d: termination (b) fails for q%d" id pid)
+      (List.find_opt
+         (fun pid -> status.(pid) = Config.Running && not (halts pid))
+         pids)
+  in
+  let nontriviality = Some "nontriviality: p aborted in a p-solo run" in
+  if Graph.keeps_every_step reduce then
+    let status = statuses graph in
+    let pids = List.init (Array.length status.(graph.initial)) Fun.id in
+    if solo_aborts_on_graph graph ~status ~pid:p graph.initial then nontriviality
+    else
       let halting =
-        Array.init n_procs (fun pid ->
-            solo_halting_of graph ~status ~pid ~accept:(accept pid))
+        Array.of_list
+          (List.map
+             (fun pid -> solo_halting_of graph ~status ~pid ~accept:(accept pid))
+             pids)
       in
-      ( solo_aborts_on_graph graph ~status ~pid:p graph.initial,
-        fun pid id -> halting.(pid).(id) )
+      Seq.find_map
+        (fun id -> failure ~pids id status.(id) (fun pid -> halting.(pid).(id)))
+        (Seq.init (Array.length status) Fun.id)
+  else
+    let init = Graph.node graph graph.initial in
+    let pids = List.init (Array.length init.Config.status) Fun.id in
+    if solo_aborts ~substrate ~machine ~specs ~pid:p init then nontriviality
     else
       let cache = solo_cache () in
-      ( solo_aborts ~substrate ~machine ~specs ~pid:p
-          (Graph.node graph graph.initial),
-        fun pid id ->
-          solo_halts ~cache ~substrate ~machine ~specs ~pid ~accept:(accept pid)
-            (Graph.node graph id) )
-  in
-  let fails id pid = status.(id).(pid) = Config.Running && not (halts pid id) in
-  if aborts then Some "nontriviality: p aborted in a p-solo run"
-  else
-    Seq.find_map
-      (fun id ->
-        Option.map
-          (fun pid ->
-            if pid = p then Fmt.str "node %d: termination (a) fails for p" id
-            else Fmt.str "node %d: termination (b) fails for q%d" id pid)
-          (List.find_opt (fails id) (List.init n_procs Fun.id)))
-      (Seq.init (Array.length status) Fun.id)
+      Graph.find_map_node graph (fun id config ->
+          failure ~pids id config.Config.status (fun pid ->
+              solo_halts ~cache ~substrate ~machine ~specs ~pid
+                ~accept:(accept pid) config))
 
 (* The liveness condition, checked on a complete graph only. *)
 let liveness task ~substrate ~reduce ~machine ~specs ~inputs graph =

@@ -74,16 +74,17 @@ let analyze (graph : Graph.t) =
     in
     find 0
   in
-  for u = 0 to n - 1 do
-    let st = (Graph.node graph u).Config.status in
-    let c = comp.(u) in
-    for p = 0 to Array.length st - 1 do
-      match st.(p) with
-      | Config.Decided v -> cmask.(c) <- cmask.(c) lor (1 lsl intern v)
-      | Config.Aborted -> cabort.(c) <- true
-      | Config.Running | Config.Crashed -> ()
-    done
-  done;
+  Graph.iter_nodes
+    (fun u config ->
+      let st = config.Config.status in
+      let c = comp.(u) in
+      for p = 0 to Array.length st - 1 do
+        match st.(p) with
+        | Config.Decided v -> cmask.(c) <- cmask.(c) lor (1 lsl intern v)
+        | Config.Aborted -> cabort.(c) <- true
+        | Config.Running | Config.Crashed -> ()
+      done)
+    graph;
   let table = Array.sub !table 0 !count in
   (* Group node ids by component (counting sort into a CSR layout) so the
      reverse-topological sweep touches each edge exactly once. *)
@@ -104,8 +105,8 @@ let analyze (graph : Graph.t) =
   (* The sweep needs only edge targets, so it reads the packed targets
      array ({!Graph.iter_out_steps}) — on an out-of-core graph this
      whole pass (like the SCC above) runs with zero segment faults;
-     only the status seeding above touched configurations, once each,
-     in sequential id order. *)
+     only the status seeding above touched configurations, in one
+     streamed walk ({!Graph.iter_nodes}). *)
   for c = n_comps - 1 downto 0 do
     for i = counts.(c) to counts.(c + 1) - 1 do
       let u = members.(i) in

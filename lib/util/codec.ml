@@ -71,18 +71,19 @@ let put_varint b n =
   done;
   Buffer.add_char b (Char.unsafe_chr !n)
 
-let get_varint c =
-  let rec go acc shift =
-    let x = byte c in
-    let acc = acc lor ((x land 0x7f) lsl shift) in
-    if x < 0x80 then begin
-      if x = 0 && shift > 0 then malformed "overlong varint";
-      acc
-    end
-    else if shift = 56 then malformed "varint longer than nine bytes"
-    else go acc (shift + 7)
-  in
-  go 0 0
+(* A top-level loop rather than a local closure over [c]: without
+   flambda a local [go] would be allocated on every call. *)
+let rec get_varint_from c acc shift =
+  let x = byte c in
+  let acc = acc lor ((x land 0x7f) lsl shift) in
+  if x < 0x80 then begin
+    if x = 0 && shift > 0 then malformed "overlong varint";
+    acc
+  end
+  else if shift = 56 then malformed "varint longer than nine bytes"
+  else get_varint_from c acc (shift + 7)
+
+let get_varint c = get_varint_from c 0 0
 
 (* A count is followed by at least one byte per element, so one larger
    than what is left of the input is refused before anything is
@@ -150,9 +151,14 @@ let encode e x =
   e.put b x;
   Buffer.contents b
 
+let cursor s = { buf = s; pos = 0 }
+
+let at_end c =
+  if c.pos <> String.length c.buf then
+    malformed "%d trailing bytes" (String.length c.buf - c.pos)
+
 let decode e s =
-  let c = { buf = s; pos = 0 } in
+  let c = cursor s in
   let x = e.get c in
-  if c.pos <> String.length s then
-    malformed "%d trailing bytes" (String.length s - c.pos);
+  at_end c;
   x

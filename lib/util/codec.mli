@@ -82,3 +82,11 @@ val encode : 'a t -> 'a -> string
 
 val decode : 'a t -> string -> 'a
 (** Decodes the whole string: trailing bytes are {!Malformed}. *)
+
+val cursor : string -> cursor
+(** A cursor at the start of a payload, for a decoder that hands out
+    what it decodes piece by piece instead of returning one value. *)
+
+val at_end : cursor -> unit
+(** {!decode}'s last check: {!Malformed} unless the cursor has read
+    its whole payload. *)

@@ -646,6 +646,20 @@ let test_partial_sweep_domains () =
 |} );
     ]
 
+(* A fresh scratch directory for [f], removed afterwards whatever the
+   CLI left in it. *)
+let with_temp_dir suffix f =
+  let dir = Filename.temp_dir "lbsa-golden" suffix in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then
+        ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () -> f dir)
+
+let check_removed what dir =
+  Alcotest.(check bool) (what ^ ": spill directory removed") false
+    (Sys.file_exists dir)
+
 (* of:3:2 spilled to disk in 4 shards, at 1, 2 and 4 domains: the
    resident row's graph (same states, edges and fingerprint), the cold
    prefix's configurations in segments and its dedup keys frozen, and
@@ -653,12 +667,7 @@ let test_partial_sweep_domains () =
 let test_explore_spilled () =
   List.iter
     (fun d ->
-      let dir = Filename.temp_dir "lbsa-golden" ".spill" in
-      Fun.protect
-        ~finally:(fun () ->
-          if Sys.file_exists dir then
-            ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
-        (fun () ->
+      with_temp_dir ".spill" (fun dir ->
           check_run
             ~args:
               (Fmt.str
@@ -686,10 +695,78 @@ key_faults=0
 fingerprint=c47ba12b
 |}
                  d);
-          Alcotest.(check bool)
-            (Fmt.str "domains=%d: spill directory removed" d)
-            false (Sys.file_exists dir)))
+          check_removed (Fmt.str "domains=%d" d) dir))
     [ 1; 2; 4 ]
+
+(* The sharded, spilled solver prints the resident verdict byte for
+   byte: dac:3 spilled in full; and stopped at the first safe point
+   (--deadline 0, exit 2) with a checkpoint, then resumed spilled.
+   [solve] removes its spill directory once the graph completes. *)
+let test_solve_spilled () =
+  with_temp_dir ".ckpt" (fun tmp ->
+      let spill = Filename.concat tmp "spill.d" in
+      let ckpt = Filename.concat tmp "ooc.ckpt" in
+      let spilled =
+        Fmt.str "solve dac -n 3 --shards 4 --spill-dir %s --spill-threshold 40"
+          spill
+      in
+      let resident, _, rc = run "solve dac -n 3" in
+      Alcotest.(check int) "resident: exit code" 0 rc;
+      check_run ~args:spilled ~rc:0 ~stdout:resident;
+      check_removed "spilled run" spill;
+      let _, err, rc = run (Fmt.str "%s --deadline 0 --checkpoint %s" spilled ckpt) in
+      Alcotest.(check int) (Fmt.str "deadline 0: exit code (stderr: %s)" err) 2 rc;
+      check_run ~args:(Fmt.str "%s --resume %s" spilled ckpt) ~rc:0
+        ~stdout:resident;
+      check_removed "resumed run" spill)
+
+(* A quota-stopped dac:4 checkpoint carries 307 nodes and their packed
+   steps (a --deadline 0 one holds the initial node alone, no edges);
+   resumed resident, and resumed into a spilled, sharded build, it
+   prints the uninterrupted verdict. *)
+let test_solve_quota_resume () =
+  with_temp_dir ".ckpt" (fun tmp ->
+      let spill = Filename.concat tmp "qspill.d" in
+      let ckpt = Filename.concat tmp "q.ckpt" in
+      let full = "OK (inputs=1,0,0,0, 918 states)\n" in
+      check_run ~args:"solve dac -n 4" ~rc:0 ~stdout:full;
+      let _, err, rc =
+        run (Fmt.str "solve dac -n 4 --max-states 300 --checkpoint %s" ckpt)
+      in
+      Alcotest.(check int) (Fmt.str "quota: exit code (stderr: %s)" err) 2 rc;
+      check_run ~args:(Fmt.str "solve dac -n 4 --resume %s" ckpt) ~rc:0
+        ~stdout:full;
+      check_run
+        ~args:
+          (Fmt.str
+             "solve dac -n 4 --shards 4 --spill-dir %s --spill-threshold 40 \
+              --resume %s"
+             spill ckpt)
+        ~rc:0 ~stdout:full;
+      check_removed "resumed spilled run" spill)
+
+(* Under --io-chaos-seed 1 the first spilled segment's write fails hard
+   (ENOSPC): the run is refused with exit 2 and one stderr line naming
+   the site, never an uncaught exception.  Seed 6's injected faults are
+   all absorbed, and it prints the unarmed answer. *)
+let test_spill_io_failure () =
+  let solve dir seed =
+    Fmt.str
+      "solve dac -n 6 --domains 1 --spill-dir %s --spill-threshold 2000 \
+       --io-chaos-seed %d"
+      dir seed
+  in
+  with_temp_dir ".spill" (fun dir ->
+      let out, err, rc = run (solve dir 1) in
+      Alcotest.(check int) (Fmt.str "seed 1: exit code (stderr: %s)" err) 2 rc;
+      Alcotest.(check string) "seed 1: no verdict" "" out;
+      let line = "lbsa solve: I/O failed at segstore.write: No space left on device\n" in
+      if not (contains ~sub:line err) then
+        Alcotest.failf "seed 1: stderr %S does not hold %S" err line);
+  with_temp_dir ".spill" (fun dir ->
+      check_run ~args:(solve dir 6) ~rc:0
+        ~stdout:(golden_stdout "solve dac -n 6 --reduce none");
+      check_removed "seed 6" dir)
 
 let test_candidate_shards () =
   check_run ~args:"check candidate --name 3dac-sa2-then-cons2 --shards 4"
@@ -785,6 +862,15 @@ let () =
             Alcotest.test_case "same row for any --domains" `Quick
               test_explore_domains;
             Alcotest.test_case "spilled in 4 shards" `Quick test_explore_spilled;
+          ] );
+        ( "out of core",
+          [
+            Alcotest.test_case "spilled solve = resident, checkpoint and resume"
+              `Quick test_solve_spilled;
+            Alcotest.test_case "quota checkpoint resumed resident and spilled"
+              `Quick test_solve_quota_resume;
+            Alcotest.test_case "a failed spill write exits 2" `Quick
+              test_spill_io_failure;
           ] );
         ( "refusals",
           List.map

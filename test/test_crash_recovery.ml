@@ -361,7 +361,16 @@ let test_segstore_flipped_byte () =
         Alcotest.(check bool)
           "refusal names the defect" true
           (contains_sub ~sub:"Segstore" msg));
-      Alcotest.(check int) "refusal counted" 1 (Segstore.corrupt_count t))
+      Alcotest.(check int) "refusal counted" 1 (Segstore.corrupt_count t);
+      (* the streamed walk reads the same bytes and refuses them too *)
+      (match ignore (Segstore.find_map t (fun _ _ -> None)) with
+      | () -> Alcotest.fail "flipped byte decoded by the streamed walk"
+      | exception Segstore.Corrupt msg ->
+        Alcotest.(check bool)
+          "streamed refusal names the defect" true
+          (contains_sub ~sub:"Segstore" msg));
+      Alcotest.(check int) "streamed refusal counted" 2
+        (Segstore.corrupt_count t))
 
 (* --- daemon graceful degradation ----------------------------------------- *)
 

@@ -692,14 +692,31 @@ let segment dir =
     | [ f ] -> Filename.concat dir f
     | l -> Alcotest.failf "expected one segment file, got %d" (List.length l)
   in
+  (* The bytes go through both read-backs: the cached load of a point
+     lookup and the streamed walk.  Both must refuse, and each refusal
+     is counted. *)
+  let refused f =
+    match f () with () -> false | exception Segstore.Corrupt _ -> true
+  in
   {
     pristine = read_file file;
     magic_len = 0;
     load =
       (fun bytes ->
         write_file file bytes;
-        ignore (Segstore.node t 0));
-    refusal = (fun ~foreign:_ -> function Segstore.Corrupt _ -> true | _ -> false);
+        let before = Segstore.corrupt_count t in
+        let cached = refused (fun () -> ignore (Segstore.node t 0)) in
+        let streamed =
+          refused (fun () -> ignore (Segstore.find_map t (fun _ _ -> None)))
+        in
+        if cached <> streamed then
+          failwith "the cached load and the streamed walk disagree";
+        if cached then begin
+          if Segstore.corrupt_count t <> before + 2 then
+            failwith "a refusal was not counted";
+          raise Refused
+        end);
+    refusal = (fun ~foreign:_ e -> e = Refused);
   }
 
 let fuzz_checkpoint file =
@@ -1046,6 +1063,61 @@ let test_sharded_freeze_resolves () =
       Alcotest.(check int) (Fmt.str "shards=%d: dedup survives" shards) 0 id)
     [ 1; 4; 64 ]
 
+(* The walks over every node of a spilled graph: ids in order, the
+   resident build's configurations, each segment read once per walk
+   (from disk, not from the segment cache), and a search reads no
+   segment past its hit. *)
+let check_streamed_walks label (g : Cgraph.t) (resident : Cgraph.t) =
+  let segs = Option.get g.Cgraph.segs in
+  let n = Cgraph.n_nodes g in
+  let loads f =
+    let before = Segstore.faults segs in
+    f ();
+    Segstore.faults segs - before
+  in
+  let next = ref 0 in
+  let walk () =
+    next := 0;
+    Cgraph.iter_nodes
+      (fun id config ->
+        if id <> !next then Alcotest.failf "%s: walk yields %d for %d" label id !next;
+        if not (Config.equal config (Cgraph.node resident id)) then
+          Alcotest.failf "%s: node %d differs from the resident build" label id;
+        incr next)
+      g
+  in
+  Alcotest.(check int) (label ^ ": walk reads each segment once")
+    (Segstore.n_segments segs) (loads walk);
+  Alcotest.(check int) (label ^ ": walk yields every id") n !next;
+  Alcotest.(check int) (label ^ ": a second walk reads them again")
+    (Segstore.n_segments segs) (loads walk);
+  (* A failed read is retried before any of its configurations is
+     handed on, so the walk still yields every id exactly once; a
+     second failure in a row is refused, and counted. *)
+  let forced times f =
+    Fun.protect ~finally:Rio.unforce (fun () ->
+        Rio.force ~times ~site:"segstore.read" ~error:Unix.EIO ();
+        f ())
+  in
+  forced 1 walk;
+  Alcotest.(check int) (label ^ ": a retried read yields every id once") n !next;
+  let refusals = Segstore.corrupt_count segs in
+  forced 2 (fun () ->
+      match walk () with
+      | () -> Alcotest.failf "%s: two failed reads in a row were not refused" label
+      | exception Segstore.Corrupt _ -> ());
+  Alcotest.(check int) (label ^ ": the refusal is counted") (refusals + 1)
+    (Segstore.corrupt_count segs);
+  let find target () =
+    Alcotest.(check (option int)) (Fmt.str "%s: find_node %d" label target)
+      (Some target)
+      (Cgraph.find_node g (fun id _ -> id = target))
+  in
+  Alcotest.(check int) (label ^ ": a hit in the first segment reads only it")
+    1 (loads (find 0));
+  Alcotest.(check int) (label ^ ": a resident hit reads every segment")
+    (Segstore.n_segments segs) (loads (find (n - 1)))
+
 (* Out-of-core builds: an aggressively tiny threshold forces many
    spill waves on dac:3, and the graph must stay bit-identical to the
    resident one, for every shard count and reduction mode.  The
@@ -1053,7 +1125,8 @@ let test_sharded_freeze_resolves () =
    a spilled graph re-derives each edge's event from its faulted-in
    source node, so comparing it with another [Graph.build] would check
    one re-derivation against another.  [Oracle.same_graph] reads every
-   node and edge of the spilled graph, so it also exercises fault-in. *)
+   node and edge of the spilled graph, so it also exercises fault-in;
+   [check_streamed_walks] the walks that stream it instead. *)
 let test_spill_build_equivalence () =
   let machine, specs, inputs = dac_instance 3 in
   let dir = Filename.temp_file "lbsa-spill" ".d" in
@@ -1064,6 +1137,7 @@ let test_spill_build_equivalence () =
       List.iter
         (fun reduce ->
           let oracle = Oracle.build_cmap ~reduce ~machine ~specs ~inputs () in
+          let resident = Cgraph.build ~reduce ~machine ~specs ~inputs () in
           List.iter
             (fun shards ->
               let spill =
@@ -1082,6 +1156,7 @@ let test_spill_build_equivalence () =
               Alcotest.(check bool)
                 (label ^ ": dedup keys went cold") true
                 (sp.Cgraph.sp_frozen > 0);
+              check_streamed_walks label g resident;
               Oracle.same_graph label g oracle)
             [ 1; 4 ])
         (dac_reductions 3);

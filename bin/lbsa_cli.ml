@@ -135,9 +135,20 @@ let spill_threshold_arg =
     & info [ "spill-threshold" ] ~docv:"S"
         ~doc:
           "Resident expanded states beyond which the oldest spill to \
-           --spill-dir (ignored without it).")
+           --spill-dir; at least 1, and checked even without --spill-dir.")
 
-let mk_spill dir threshold =
+(* A bad --shards or --spill-threshold is a usage error: both raise
+   [Invalid_argument], which [resolve] turns into one stderr line and
+   exit 3, before anything is built. *)
+let check_shards shards =
+  if shards < 1 || shards > 4096 || shards land (shards - 1) <> 0 then
+    invalid_arg
+      (Fmt.str "--shards %d is not a power of two in [1, 4096]" shards)
+
+let mk_spill ~shards dir threshold =
+  check_shards shards;
+  if threshold < 1 then
+    invalid_arg (Fmt.str "--spill-threshold %d is below 1" threshold);
   Option.map
     (fun spill_dir -> { Cgraph.spill_dir; spill_threshold = threshold })
     dir
@@ -451,6 +462,7 @@ let check_cmd =
       | `Vc -> Serve_api.Vc { n }
       | `Bcast -> Serve_api.Bcast { n }
     in
+    resolve ~cmd:"check" (fun () -> check_shards shards) @@ fun () ->
     if live || Serve_api.mp_task task then
       (* mp tasks without --live get the solvability question on the mp
          substrate (agreement/validity/wait-freedom); --live asks for a
@@ -515,7 +527,6 @@ let solve task n m k max_states stats rmode d shards spill_dir spill_threshold
   arm_io_chaos io_chaos;
   let budget = mk_budget ?deadline ~chaos () in
   let domains = if d <= 0 then None else Some d in
-  let spill = mk_spill spill_dir spill_threshold in
   let task, name =
     match task with
     | `Consensus -> (Serve_api.Consensus { m }, Fmt.str "consensus m=%d" m)
@@ -536,8 +547,11 @@ let solve task n m k max_states stats rmode d shards spill_dir spill_threshold
     3
   | inputs ->
     resolve ~cmd:"solve"
-      (fun () -> (Serve_api.instance task, Serve_api.input_vector ?inputs task))
-    @@ fun (inst, inputs) ->
+      (fun () ->
+        ( mk_spill ~shards spill_dir spill_threshold,
+          Serve_api.instance task,
+          Serve_api.input_vector ?inputs task ))
+    @@ fun (spill, inst, inputs) ->
     (* The label pins exactly what defines the graph — task, sizes,
        inputs, reduction mode.  Budget-side knobs (max_states, deadline,
        domains) stay out: a frozen prefix is valid under any of them, and
@@ -655,7 +669,6 @@ let valence_task ~n ~m = function
   | _ -> None
 
 let valence name n m max_states stats rmode shards spill_dir spill_threshold =
-  let spill = mk_spill spill_dir spill_threshold in
   match valence_task ~n ~m name with
   | None ->
     Fmt.epr
@@ -665,8 +678,11 @@ let valence name n m max_states stats rmode shards spill_dir spill_threshold =
     3
   | Some task ->
     resolve ~cmd:"valence"
-      (fun () -> (Serve_api.instance task, Serve_api.input_vector task))
-    @@ fun (inst, inputs) ->
+      (fun () ->
+        ( mk_spill ~shards spill_dir spill_threshold,
+          Serve_api.instance task,
+          Serve_api.input_vector task ))
+    @@ fun (spill, inst, inputs) ->
     refuse_io_failures ~cmd:"valence" @@ fun () ->
     let machine = inst.machine and specs = inst.specs in
     let reduce = Serve_api.reduction inst rmode in
@@ -794,7 +810,8 @@ let explore task max_states rmode d shards spill_dir spill_threshold deadline
     chaos want_fp want_stats =
   let budget = mk_budget ?deadline ~chaos () in
   let domains = if d <= 0 then None else Some d in
-  let spill = mk_spill spill_dir spill_threshold in
+  resolve ~cmd:"explore" (fun () -> mk_spill ~shards spill_dir spill_threshold)
+  @@ fun spill ->
   let label = Fmt.str "%a" (Arg.conv_printer explore_task_conv) task in
   let machine, specs, inputs, reduce =
     match task with

@@ -17,10 +17,11 @@ open Lbsa_runtime
    resulting graph — ids, edge order, truncation point — is
    bit-identical regardless of the domain count, so every downstream
    table and test is reproducible.  Dedup goes through {!Ctbl}, a
-   sharded open-addressing hash set keyed on [Config.hash] —
-   with hash-consed values that is a fold over cached per-element
-   hashes, O(#processes) per configuration, so the build needs no
-   incremental hashing machinery of its own.  (An earlier revision
+   sharded open-addressing table of (hash, id) slots that resolves ids
+   through the node store, keyed on [Config.hash] — with hash-consed
+   values that is a fold over cached per-element hashes, O(#processes)
+   per configuration, so the build needs no incremental hashing
+   machinery of its own.  (An earlier revision
    threaded parent-to-child element-hash arrays through the frontier to
    avoid rehashing whole value trees; interning made that redundant and
    it was deleted.)  Out-edges live in one flat array in CSR form
@@ -77,17 +78,18 @@ type reduction_stats = {
 (* Out-of-core spilling: once more than [spill_threshold] expanded
    (cold) states are resident, the oldest ones' configurations move to
    disk segments under [spill_dir] (their packed steps stay resident),
-   and the dedup entries covering them are frozen to (hash, id) pairs.
-   Spilling happens only at level boundaries, so it never races the
-   expansion workers and never touches the live frontier. *)
+   and the dedup table, whose slots hold only (hash, id), resolves
+   their ids from the segments from then on.  Spilling happens only at
+   level boundaries, so it never races the expansion workers and never
+   touches the live frontier. *)
 type spill = { spill_dir : string; spill_threshold : int }
 
 type spill_stats = {
   sp_segments : int;  (* segments written *)
   sp_bytes : int;  (* bytes across live segment files *)
   sp_seg_faults : int;  (* segment loads back from disk *)
-  sp_frozen : int;  (* dedup entries whose key lives on disk *)
-  sp_key_faults : int;  (* frozen dedup slots resolved through a segment *)
+  sp_frozen : int;  (* dedup entries whose key lives on disk: the spilled ids *)
+  sp_key_faults : int;  (* dedup resolves of a spilled id, through a segment *)
 }
 
 let no_spill_stats =
@@ -397,6 +399,22 @@ let default_spill_threshold = 500_000
    freed suffix slots must stop retaining the spilled configurations. *)
 let hole_config : Config.t = { locals = [||]; objects = [||]; status = [||] }
 
+(* One physical copy per distinct object vector.  A build's
+   registration hands each new node the first array it met with that
+   value, so the nodes share object state their steps left unchanged
+   (an of:3:2 build holds 657 distinct vectors for 104,871 nodes).  The
+   table belongs to one build and dies with it; dedup hits never reach
+   it. *)
+module Vectors = Hashtbl.Make (struct
+  type t = Lbsa_spec.Value.t array
+
+  let equal a b =
+    a == b
+    || Array.length a = Array.length b && Array.for_all2 Lbsa_spec.Value.equal a b
+
+  let hash = Array.fold_left Lbsa_spec.Value.hash_fold 0
+end)
+
 (* Every configuration in id order into [f], stopping at its first
    [Some]: the spilled prefix streamed from its segments (each read
    once, decoded one configuration at a time, past the segment cache),
@@ -438,12 +456,27 @@ let build ?(max_states = default_max_states) ?domains
       Some (Segstore.create ~dir:sp.spill_dir)
   in
   (* Configuration of a node id, wherever it lives — the dedup table's
-     resolve callback for frozen entries. *)
+     resolve callback.  A spilled id is a key fault. *)
+  let key_faults = ref 0 in
   let config_of id =
     if id >= !n_base then nodes.Dyn.arr.(id - !n_base)
-    else Segstore.node (Option.get store) id
+    else begin
+      incr key_faults;
+      Segstore.node (Option.get store) id
+    end
   in
   let tbl = Ctbl.create ~shards ~resolve:config_of 16 in
+  (* Registration runs in the merging domain only, so [vectors] needs no
+     lock. *)
+  let vectors = Vectors.create 64 in
+  let share (config : Config.t) =
+    match Vectors.find_opt vectors config.objects with
+    | Some objects when objects != config.objects -> { config with objects }
+    | Some _ -> config
+    | None ->
+      Vectors.add vectors config.objects config.objects;
+      config
+  in
   let dedup_hits = ref 0 in
   let n_succs = ref 0 in
   let canonized = ref 0 in
@@ -459,6 +492,7 @@ let build ?(max_states = default_max_states) ?domains
   (* Nodes whose out-edges have been finalized; always a level boundary. *)
   let expanded = ref 0 in
   let register config =
+    let config = share config in
     let id = !n_nodes in
     incr n_nodes;
     Dyn.push nodes config;
@@ -492,6 +526,7 @@ let build ?(max_states = default_max_states) ?domains
            s.s_substrate substrate.Substrate.sname);
     Array.iteri
       (fun id config ->
+        let config = share config in
         Dyn.push nodes config;
         ignore
           (Ctbl.find_or_add tbl config ~hash:(Config.hash config)
@@ -512,8 +547,8 @@ let build ?(max_states = default_max_states) ?domains
      nodes, in segment chunks; runs at a level boundary only (single
      threaded, frontier untouched — frontier ids are >= expanded and
      the cut stays strictly below it).  After the segments are written,
-     the resident nodes are compacted in place and the dedup entries
-     covering the spilled ids are frozen to (hash, id). *)
+     the resident nodes are compacted in place; from then on the dedup
+     table resolves the spilled ids through the segments. *)
   let maybe_spill () =
     match (spill, store) with
     | Some sp, Some st when !expanded - !n_base > sp.spill_threshold ->
@@ -531,8 +566,7 @@ let build ?(max_states = default_max_states) ?domains
       Array.blit nodes.Dyn.arr nshift nodes.Dyn.arr 0 (nodes.Dyn.len - nshift);
       Array.fill nodes.Dyn.arr (nodes.Dyn.len - nshift) nshift hole_config;
       nodes.Dyn.len <- nodes.Dyn.len - nshift;
-      n_base := cut_to;
-      ignore (Ctbl.freeze_below tbl ~id_limit:cut_to)
+      n_base := cut_to
     | _ -> ()
   in
   (* One node's successors, registered in frontier order: nodes are
@@ -656,8 +690,8 @@ let build ?(max_states = default_max_states) ?domains
         sp_segments = Segstore.n_segments st;
         sp_bytes = Segstore.spilled_bytes st;
         sp_seg_faults = Segstore.faults st;
-        sp_frozen = Ctbl.frozen tbl;
-        sp_key_faults = Ctbl.faults tbl;
+        sp_frozen = !n_base;
+        sp_key_faults = !key_faults;
       }
   in
   let stats =

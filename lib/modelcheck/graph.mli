@@ -73,9 +73,10 @@ type reduction_stats = {
 (** Out-of-core spilling, opt-in per build: once more than
     [spill_threshold] expanded (cold) states are resident, the oldest
     ones' configurations move to disk segments under [spill_dir] (see
-    {!Segstore}; the packed steps stay resident), and the dedup entries
-    covering them are frozen to (hash, id) pairs that fault the
-    configuration back only when a probe's full hash matches.  Spilling
+    {!Segstore}; the packed steps stay resident).  The dedup table holds
+    only (hash, id) pairs and resolves ids through the node store, so a
+    spilled configuration is faulted back only when a probe's full hash
+    matches its id.  Spilling
     happens only at level boundaries: it never races expansion workers,
     never touches the live frontier, and leaves the produced graph
     bit-identical to an unspilled build's. *)
@@ -86,10 +87,13 @@ type spill_stats = {
   sp_segments : int;  (** segments written *)
   sp_bytes : int;  (** bytes across live segment files *)
   sp_seg_faults : int;  (** segment loads back from disk *)
-  sp_frozen : int;  (** dedup entries whose key lives on disk *)
+  sp_frozen : int;
+      (** dedup entries whose key lives on disk: every spilled id, since
+          each id is in the table once *)
   sp_key_faults : int;
-      (** frozen dedup slots resolved through a segment — genuine
-          re-encounters of cold states plus full-hash collisions *)
+      (** dedup probes that resolved a spilled id through a segment —
+          genuine re-encounters of cold states plus full-hash
+          collisions *)
 }
 
 (** Exploration statistics, collected by every [build].  Every
@@ -146,7 +150,9 @@ type suspended = private {
 type t = private {
   nodes : Config.t array;
       (** the resident suffix, ids [n_base, n_base + length); the whole
-          graph when the build did not spill ([n_base = 0]) *)
+          graph when the build did not spill ([n_base = 0]).  Nodes
+          with equal object vectors share one physical array (see
+          [Config.t]: never write into a node's arrays). *)
   n_base : int;
   targets : int array;
       (** the graph's one edge store: every edge, packed
@@ -228,11 +234,11 @@ val build :
     produced.
 
     [shards] (default 1; a power of two up to 4096) shards the dedup
-    table by the high bits of [Config.hash] — growth and freezing are
-    then per-shard, and the produced graph (ids, edges, truncation) is
-    identical for every shard count.  [spill] bounds resident state:
-    cold expanded nodes move to disk segments and their dedup keys are
-    frozen, again without changing the produced graph — only the
+    table by the high bits of [Config.hash] — growth is then per-shard,
+    and the produced graph (ids, edges, truncation) is identical for
+    every shard count.  [spill] bounds resident state: cold expanded
+    nodes move to disk segments, and dedup probes resolve them from
+    there, again without changing the produced graph — only the
     telemetry in {!stats} and the laziness of node access differ.  A
     spilled graph's [suspended] (interrupt path) is materialized fully
     in RAM when taken. *)

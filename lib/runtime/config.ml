@@ -150,12 +150,22 @@ let step_branches ~(machine : Machine.t) ~(specs : Obj_spec.t array) t pid :
   | Machine.Invoke { obj; op; resume } ->
     if obj < 0 || obj >= Array.length specs then
       invalid_arg (Fmt.str "Config.step_branches: no object %d" obj);
-    Obj_spec.branches specs.(obj) t.objects.(obj) op
+    let state = t.objects.(obj) in
+    Obj_spec.branches specs.(obj) state op
     |> List.map (fun (b : Obj_spec.branch) ->
            let locals = Array.copy t.locals in
            locals.(pid) <- resume b.response;
-           let objects = Array.copy t.objects in
-           objects.(obj) <- b.next;
+           (* A branch that leaves the object as it was (a read, a
+              no-op) shares the parent's object vector, as every step
+              but a halt shares its status array. *)
+           let objects =
+             if Value.equal b.next state then t.objects
+             else begin
+               let objects = Array.copy t.objects in
+               objects.(obj) <- b.next;
+               objects
+             end
+           in
            ( { t with locals; objects },
              Op_event { pid; obj; op; response = b.response } ))
 

@@ -15,6 +15,14 @@ type t = {
   objects : Value.t array;
   status : status array;
 }
+(** The three arrays are immutable once the configuration is built, and
+    configurations share them: a step shares its parent's status array
+    unless it halts a process, and its parent's object vector when the
+    object's state does not change; the explorer keeps one physical
+    object vector per distinct value.  So never write into a
+    configuration's array.  Every write in [lib] is on a fresh copy:
+    {!crash}, the decide, abort and invoke steps of {!step_branches},
+    and [Canon.flush_commits]. *)
 
 val compare_status : status -> status -> int
 (** The status order [compare] uses: [Running < Decided _ < Aborted <

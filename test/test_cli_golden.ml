@@ -594,6 +594,33 @@ let test_refusal (args, reason) () =
   if not (contains ~sub:reason err) then
     Alcotest.failf "%s: stderr %S does not say %S" args err reason
 
+(* A bad --shards or --spill-threshold is a usage error too, refused
+   with exactly one stderr line before anything is built; the threshold
+   is checked even without --spill-dir. *)
+let flag_refusals =
+  [
+    ( "explore dac:3 --shards 3",
+      "lbsa explore: --shards 3 is not a power of two in [1, 4096]" );
+    ( "explore dac:3 --shards 0",
+      "lbsa explore: --shards 0 is not a power of two in [1, 4096]" );
+    ( "explore dac:3 --shards 8192",
+      "lbsa explore: --shards 8192 is not a power of two in [1, 4096]" );
+    ( "valence --protocol dac -n 3 --shards 6",
+      "lbsa valence: --shards 6 is not a power of two in [1, 4096]" );
+    ( "solve dac -n 3 --spill-dir D --spill-threshold 0",
+      "lbsa solve: --spill-threshold 0 is below 1" );
+    ( "solve dac -n 3 --spill-threshold 0",
+      "lbsa solve: --spill-threshold 0 is below 1" );
+    ( "check dac -n 3 --shards 3",
+      "lbsa check: --shards 3 is not a power of two in [1, 4096]" );
+  ]
+
+let test_flag_refusal (args, line) () =
+  let out, err, rc = run args in
+  Alcotest.(check int) (args ^ ": exit code") 3 rc;
+  Alcotest.(check string) (args ^ ": no verdict on stdout") "" out;
+  Alcotest.(check string) (args ^ ": stderr") (line ^ "\n") err
+
 (* valence builds only the protocol it is asked for, so a size another
    protocol cannot take does not matter; pac-retry is the cand:pac-retry
    row, whose graph does not depend on -n. *)
@@ -662,7 +689,7 @@ let check_removed what dir =
 
 (* of:3:2 spilled to disk in 4 shards, at 1, 2 and 4 domains: the
    resident row's graph (same states, edges and fingerprint), the cold
-   prefix's configurations in segments and its dedup keys frozen, and
+   prefix's configurations in segments (frozen_keys counts its ids), and
    the spill directory removed once the graph is complete. *)
 let test_explore_spilled () =
   List.iter
@@ -840,6 +867,35 @@ let test_stats_family_lines () =
   Alcotest.(check bool) "consensus vectors explore on 1 domain" true
     (has_line ~prefix:"wall:" ~suffix:"1 domain)" out)
 
+(* One codec: no byte that leaves the process is marshalled, so no
+   source under lib/ or bin/ mentions [Marshal.] at all (the walk reads
+   the copies dune keeps beside the built executables). *)
+let test_no_marshal () =
+  let root = Filename.concat (Filename.dirname Sys.executable_name) ".." in
+  let scanned = ref [] in
+  let rec walk rel =
+    let path = Filename.concat root rel in
+    if Sys.is_directory path then
+      Array.iter
+        (fun f -> if f.[0] <> '.' then walk (Filename.concat rel f))
+        (Sys.readdir path)
+    else if Filename.check_suffix rel ".ml" || Filename.check_suffix rel ".mli"
+    then begin
+      scanned := rel :: !scanned;
+      In_channel.with_open_bin path In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.iteri (fun i line ->
+             if contains ~sub:"Marshal." line then
+               Alcotest.failf "%s:%d: %s" rel (i + 1) line)
+    end
+  in
+  walk "lib";
+  walk "bin";
+  List.iter
+    (fun f ->
+      if not (List.mem f !scanned) then Alcotest.failf "%s was not scanned" f)
+    [ "lib/util/codec.ml"; "bin/lbsa_cli.ml" ]
+
 let () =
   if not (Sys.file_exists exe) then
     failwith (Fmt.str "CLI executable not found at %s" exe);
@@ -877,6 +933,10 @@ let () =
             (fun ((args, _) as r) ->
               Alcotest.test_case args `Quick (test_refusal r))
             refusals
+          @ List.map
+              (fun ((args, _) as r) ->
+                Alcotest.test_case args `Quick (test_flag_refusal r))
+              flag_refusals
           @ [
               Alcotest.test_case "valence builds only its protocol" `Quick
                 test_valence_sizes;
@@ -901,4 +961,7 @@ let () =
             Alcotest.test_case "same vector for any --domains" `Quick
               test_partial_sweep_domains;
           ] );
+        ( "sources",
+          [ Alcotest.test_case "no Marshal in lib or bin" `Quick test_no_marshal ]
+        );
       ])

@@ -709,8 +709,11 @@ let test_daemon_failed_reply_closes () =
   require_exe ();
   let dir = fresh_dir () in
   let socket = fresh_path ".sock" in
+  (* The daemon is SIGKILLed, so it never unlinks its own socket. *)
   Fun.protect
-    ~finally:(fun () -> rm_rf dir)
+    ~finally:(fun () ->
+      rm_rf dir;
+      rm_rf socket)
     (fun () ->
       let daemon =
         Crashdrive.spawn ~exe
@@ -751,7 +754,8 @@ let test_daemon_failed_reply_closes () =
         (Some 0) (Crashdrive.exited second);
       Alcotest.(check string)
         "second query answered" "OK (inputs=1,0, 36 states)\n"
-        second.Crashdrive.out)
+        second.Crashdrive.out);
+  Alcotest.(check bool) "socket path removed" false (Sys.file_exists socket)
 
 (* --- seeded fault-plan sweep --------------------------------------------- *)
 

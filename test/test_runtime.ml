@@ -218,6 +218,37 @@ let test_machine_bad_state_raises () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected bad_state to raise"
 
+(* Configurations share the arrays a step leaves unchanged: a read keeps
+   its parent's object vector, an operation its status array, and a
+   write or a decide copies what it changes, leaving the parent's arrays
+   as they were. *)
+let test_config_step_shares () =
+  let machine, specs = two_phase in
+  let step (c : Config.t) pid =
+    match Config.step_branches ~machine ~specs c pid with
+    | [ (c', _) ] -> c'
+    | _ -> Alcotest.fail "expected one branch"
+  in
+  let c0 = Config.initial ~machine ~specs ~inputs:inputs01 in
+  let objects0 = Array.copy c0.objects and status0 = Array.copy c0.status in
+  let c1 = step c0 0 (* p0 writes its input to register 0 *) in
+  Alcotest.(check bool) "a write copies the object vector" false
+    (c1.objects == c0.objects);
+  Alcotest.(check bool) "the parent's vector is untouched" true
+    (Array.for_all2 Value.equal objects0 c0.objects);
+  Alcotest.(check bool) "an operation shares the status array" true
+    (c1.status == c0.status);
+  let c2 = step c1 0 (* p0 reads register 1 *) in
+  Alcotest.(check bool) "a read shares the object vector" true
+    (c2.objects == c1.objects);
+  let c3 = step c2 0 (* p0 decides *) in
+  Alcotest.(check bool) "a decide copies the status array" false
+    (c3.status == c2.status);
+  Alcotest.(check bool) "the parent's statuses are untouched" true
+    (c2.status = status0);
+  Alcotest.(check bool) "a decide shares the object vector" true
+    (c3.objects == c2.objects)
+
 let test_prefix_scheduler () =
   let machine, specs = two_phase in
   (* Prefix gives p1 a head start, then round-robin finishes. *)
@@ -515,6 +546,8 @@ let () =
       ( "config",
         [
           Alcotest.test_case "crash" `Quick test_config_crash;
+          Alcotest.test_case "steps share unchanged arrays" `Quick
+            test_config_step_shares;
           Alcotest.test_case "compare" `Quick test_config_compare;
           Alcotest.test_case "bad state raises" `Quick
             test_machine_bad_state_raises;

@@ -882,13 +882,17 @@ let config_of_int i =
   Config.initial ~machine:Machine.trivial_decide_input ~specs:[||]
     ~inputs:[| Value.int i |]
 
+(* A table whose ids resolve through [keys], the array of the
+   configurations inserted with those ids. *)
+let ctbl_over ?shards keys n = Ctbl.create ?shards ~resolve:(Array.get keys) n
+
 let test_ctbl_all_equal_hashes () =
   (* 200 distinct keys, every one claiming hash 0: the table degrades to
      a probe chain but must stay correct — no livelock, distinct ids,
      hits and misses exact, and the probe telemetry must show that the
      stored-hash shortcut can never dismiss a slot. *)
   let n = 200 in
-  let t = Ctbl.create 1 in
+  let t = ctbl_over (Array.init n config_of_int) 1 in
   for i = 0 to n - 1 do
     let id = Ctbl.find_or_add t (config_of_int i) ~hash:0 ~if_absent:(fun _ -> i) in
     Alcotest.(check int) "fresh insert keeps its id" i id
@@ -918,7 +922,7 @@ let test_ctbl_growth_from_capacity_one () =
      through it: growth must preserve every binding and re-insertions at
      capacity must stay idempotent. *)
   let n = 1_000 in
-  let t = Ctbl.create 1 in
+  let t = ctbl_over (Array.init n config_of_int) 1 in
   for i = 0 to n - 1 do
     let c = config_of_int i in
     ignore (Ctbl.find_or_add t c ~hash:(Config.hash c) ~if_absent:(fun _ -> i))
@@ -930,6 +934,89 @@ let test_ctbl_growth_from_capacity_one () =
     Alcotest.(check int) "binding stable across growth" i id
   done;
   Alcotest.(check int) "no phantom entries" n (Ctbl.length t)
+
+(* --- shared configuration state ----------------------------------------- *)
+
+let of_instance n max_rounds =
+  ( Obstruction_free.machine_spin ~n ~max_rounds,
+    Obstruction_free.specs ~n ~max_rounds,
+    Array.init n (fun pid -> Value.int (pid mod 2)) )
+
+(* The object vectors of a graph's nodes, counted twice: as distinct
+   values, and as physically distinct arrays. *)
+let vector_counts g =
+  let module M = Map.Make (struct
+    type t = Value.t list
+
+    let compare = List.compare Value.compare
+  end) in
+  let seen = ref M.empty in
+  Cgraph.iter_nodes
+    (fun _ (c : Config.t) ->
+      let key = Array.to_list c.objects in
+      let arrays = Option.value (M.find_opt key !seen) ~default:[] in
+      if not (List.memq c.objects arrays) then
+        seen := M.add key (c.objects :: arrays) !seen)
+    g;
+  (M.cardinal !seen, M.fold (fun _ arrays n -> n + List.length arrays) !seen 0)
+
+let check_one_array_per_vector label g ~states ~distinct =
+  Alcotest.(check int) (label ^ ": states") states (Cgraph.n_nodes g);
+  let values, arrays = vector_counts g in
+  Alcotest.(check int) (label ^ ": distinct object vectors") distinct values;
+  Alcotest.(check int) (label ^ ": one array per distinct vector") values arrays
+
+(* A build's nodes hold one physical object vector per distinct value:
+   steps that leave the objects alone share their parent's vector, and
+   registration hands every new node the build's copy of its value. *)
+let test_one_vector_per_value () =
+  List.iter
+    (fun (label, (machine, specs, inputs), states, distinct) ->
+      check_one_array_per_vector label
+        (Cgraph.build ~domains:1 ~machine ~specs ~inputs ())
+        ~states ~distinct)
+    [
+      ("of:3:1", of_instance 3 1, 5349, 49);
+      ("dac:5", dac_instance 5, 4254, 260);
+    ]
+
+(* A resumed checkpoint's configurations are decoded afresh, one array
+   each; registering the prefix shares them all the same. *)
+let test_resumed_vectors_shared () =
+  let machine, specs, inputs = dac_instance 5 in
+  let partial = Cgraph.build ~domains:1 ~max_states:2000 ~machine ~specs ~inputs () in
+  expect_outcome "quota fired" Supervisor.Truncated partial.Cgraph.stop;
+  let resume =
+    roundtrip_through_disk ~label:"dac5 midway" (Option.get partial.Cgraph.suspended)
+  in
+  check_one_array_per_vector "dac:5 resumed"
+    (Cgraph.build ~domains:1 ~resume ~machine ~specs ~inputs ())
+    ~states:4254 ~distinct:260
+
+(* What the of:3:1 node array keeps alive, configurations and values
+   together: 50,243 words once object vectors are shared (85,957 with
+   one copy per node). *)
+let test_node_words () =
+  let machine, specs, inputs = of_instance 3 1 in
+  let g = Cgraph.build ~domains:1 ~machine ~specs ~inputs () in
+  let words = Obj.reachable_words (Obj.repr g.Cgraph.nodes) in
+  if words > 50_243 then
+    Alcotest.failf "of:3:1 nodes reach %d words, more than 50243" words
+
+(* Configurations share their arrays, so an analysis that wrote into
+   one would change other nodes too: after the analyses have run, the
+   graph must still be the oracle's. *)
+let test_analyses_leave_nodes_alone () =
+  let machine, specs, inputs = dac_instance 3 in
+  let g = Cgraph.build ~domains:1 ~machine ~specs ~inputs () in
+  ignore (Solvability.dac_progress ~reduce:Cgraph.no_reduction ~machine ~specs g);
+  ignore (Solvability.any_cycle g);
+  let a = Valence.analyze g in
+  ignore (Bivalency.report_critical ~machine ~specs g a);
+  ignore (Bivalency.bivalence_maintainable a g);
+  ignore (Liveness.analyze ~machine ~specs ~substrate:Substrate.shm g);
+  Oracle.same_graph "dac:3 after the analyses" g
+    (Oracle.build_cmap ~machine ~specs ~inputs ())
 
 (* --- the sharded dedup table and out-of-core builds ---------------------- *)
 
@@ -986,7 +1073,7 @@ let test_sharded_equals_single () =
    grow alone — the 63 idle shards keep their initial capacity. *)
 let test_sharded_one_hot_shard () =
   let n = 600 in
-  let t = Ctbl.create ~shards:64 1 in
+  let t = ctbl_over ~shards:64 (Array.init n config_of_int) 1 in
   for i = 0 to n - 1 do
     let id =
       Ctbl.find_or_add t (config_of_int i) ~hash:0
@@ -1016,32 +1103,36 @@ let test_sharded_one_hot_shard () =
       end)
     ss
 
-(* Freezing keeps lookups exact: frozen slots answer through [resolve]
-   (counted as faults), resident ones never fault, and probe chains
-   running through frozen slots stay intact.  This doubles as the
-   regression guard for the sentinel-sharing defect: [frozen_key] and
-   the empty-slot marker were once compiled to the same static block,
-   so freezing silently emptied slots — resident entries behind them
-   went unfindable and re-encounters of frozen states got fresh ids. *)
-let test_sharded_freeze_resolves () =
+(* Slots hold (hash, id) only, and ids resolve through the caller's
+   store wherever it keeps them: here the ids below [limit] come from a
+   second ("cold") array of fresh, structurally equal copies, as a
+   spilled build's come from its segments.  Lookups stay exact, cold
+   hits resolve through the cold array, and re-adding a cold key dedups
+   instead of minting a fresh id. *)
+let test_sharded_ids_resolve () =
   let n = 100 and limit = 50 in
   let all = Array.init n config_of_int in
-  let resolve id = all.(id) in
+  let cold = Array.init limit config_of_int in
   List.iter
     (fun shards ->
+      let cold_resolves = ref 0 in
+      let resolve id =
+        if id < limit then begin
+          incr cold_resolves;
+          cold.(id)
+        end
+        else all.(id)
+      in
       let t = Ctbl.create ~shards ~resolve 16 in
       for i = 0 to n - 1 do
         ignore
           (Ctbl.find_or_add t all.(i) ~hash:(Config.hash all.(i))
              ~if_absent:(fun _ -> i))
       done;
-      let froze = Ctbl.freeze_below t ~id_limit:limit in
       Alcotest.(check int)
-        (Fmt.str "shards=%d: froze the cold prefix" shards)
-        limit froze;
-      Alcotest.(check int)
-        (Fmt.str "shards=%d: frozen count" shards)
-        limit (Ctbl.frozen t);
+        (Fmt.str "shards=%d: every key inserted once" shards)
+        n (Ctbl.length t);
+      cold_resolves := 0;
       for i = 0 to n - 1 do
         match
           Ctbl.find_opt t all.(i) ~hash:(Config.hash all.(i))
@@ -1049,16 +1140,16 @@ let test_sharded_freeze_resolves () =
         | Some id when id = i -> ()
         | Some id ->
           Alcotest.failf "shards=%d: key %d resolved to %d" shards i id
-        | None -> Alcotest.failf "shards=%d: key %d lost to freezing" shards i
+        | None -> Alcotest.failf "shards=%d: key %d lost" shards i
       done;
       Alcotest.(check bool)
-        (Fmt.str "shards=%d: frozen hits fault" shards)
+        (Fmt.str "shards=%d: cold hits resolve through the cold array" shards)
         true
-        (Ctbl.faults t >= limit);
-      (* re-adding a frozen key must dedup, not mint a fresh id *)
+        (!cold_resolves >= limit);
+      (* re-adding a cold key must dedup, not mint a fresh id *)
       let id =
         Ctbl.find_or_add t all.(0) ~hash:(Config.hash all.(0))
-          ~if_absent:(fun _ -> Alcotest.fail "frozen key re-added as new")
+          ~if_absent:(fun _ -> Alcotest.fail "cold key re-added as new")
       in
       Alcotest.(check int) (Fmt.str "shards=%d: dedup survives" shards) 0 id)
     [ 1; 4; 64 ]
@@ -1421,6 +1512,16 @@ let () =
           Alcotest.test_case "interrupt/resume is byte-identical" `Quick
             test_cli_interrupt_resume_byte_identical;
         ] );
+      ( "shared state",
+        [
+          Alcotest.test_case "one array per distinct object vector" `Quick
+            test_one_vector_per_value;
+          Alcotest.test_case "resumed prefix shares its vectors" `Quick
+            test_resumed_vectors_shared;
+          Alcotest.test_case "of:3:1 node words" `Quick test_node_words;
+          Alcotest.test_case "analyses leave the nodes alone" `Quick
+            test_analyses_leave_nodes_alone;
+        ] );
       ( "ctbl adversarial",
         [
           Alcotest.test_case "all-equal-hash collisions" `Quick
@@ -1434,8 +1535,8 @@ let () =
             test_sharded_equals_single;
           Alcotest.test_case "adversarial one-hot shard routing" `Quick
             test_sharded_one_hot_shard;
-          Alcotest.test_case "frozen slots resolve exactly" `Quick
-            test_sharded_freeze_resolves;
+          Alcotest.test_case "ids resolve through the store" `Quick
+            test_sharded_ids_resolve;
           Alcotest.test_case "spilled build = resident build" `Quick
             test_spill_build_equivalence;
           Alcotest.test_case "spill + checkpoint + resume" `Quick

@@ -167,10 +167,16 @@ let clean_spill_on_done spill ~done_ =
    exit 2.  [Segstore.Corrupt] is a segment that failed validation or
    kept failing to read; a [Unix_error] is a hard device error the
    resilient-I/O layer passed on (its third field names the site of an
-   injected one). *)
-let refuse_io_failures ~cmd f =
+   injected one).  A machine with more processes than a packed step's
+   pid holds is refused by the build before it explores: a usage
+   error, exit 3. *)
+let refuse_build_failures ~cmd f =
   match f () with
   | rc -> rc
+  | exception Cgraph.Too_many_processes n ->
+    Fmt.epr "lbsa %s: %d processes, but the explorer names at most %d@." cmd
+      n Cgraph.max_processes;
+    3
   | exception Lbsa_modelcheck.Segstore.Corrupt msg ->
     Fmt.epr "lbsa %s: refused at segstore.read: %s@." cmd msg;
     2
@@ -322,14 +328,24 @@ let arm_io_chaos = function
     at_exit (fun () ->
         Fmt.epr "io-chaos: %a@." Lbsa.Rio.pp_counters (Lbsa.Rio.counters ()))
 
+(* A NaN deadline never expires ([now >= start +. nan] is false): a
+   usage error, refused with one stderr line before anything runs. *)
+let check_deadline ~cmd deadline k =
+  match deadline with
+  | Some d when Float.is_nan d ->
+    Fmt.epr "lbsa %s: --deadline nan is not a number of seconds@." cmd;
+    3
+  | _ -> k ()
+
 (* Every supervised command: arm chaos if asked, route SIGINT to a
    cancellation token (first ^C = graceful stop + checkpoint, second =
    exit 130), fold the deadline in. *)
-let mk_budget ?deadline ~chaos () =
+let with_budget ~cmd ?deadline ~chaos k =
+  check_deadline ~cmd deadline @@ fun () ->
   arm_chaos chaos;
   let token = Supervisor.token () in
   Supervisor.install_sigint token;
-  Supervisor.Budget.make ?deadline_s:deadline ~token ()
+  k (Supervisor.Budget.make ?deadline_s:deadline ~token ())
 
 let checkpoint_arg =
   Arg.(
@@ -452,7 +468,7 @@ let check_cmd =
   in
   let run task n m k name max_states stats d rmode shards deadline chaos
       substrate live =
-    let budget = mk_budget ?deadline ~chaos () in
+    with_budget ~cmd:"check" ?deadline ~chaos @@ fun budget ->
     let task =
       match task with
       | `Dac -> Serve_api.Dac { n }
@@ -525,7 +541,7 @@ let check_cmd =
 let solve task n m k max_states stats rmode d shards spill_dir spill_threshold
     deadline chaos io_chaos ckpt_file resume_file inputs_csv =
   arm_io_chaos io_chaos;
-  let budget = mk_budget ?deadline ~chaos () in
+  with_budget ~cmd:"solve" ?deadline ~chaos @@ fun budget ->
   let domains = if d <= 0 then None else Some d in
   let task, name =
     match task with
@@ -598,7 +614,7 @@ let solve task n m k max_states stats rmode d shards spill_dir spill_threshold
         (Checkpoint.label c) label;
       2
     | resume ->
-      refuse_io_failures ~cmd:"solve" @@ fun () ->
+      refuse_build_failures ~cmd:"solve" @@ fun () ->
       let v =
         Serve_api.check inst ~max_states ?domains ~budget
           ~reduce:(Serve_api.reduction inst rmode)
@@ -683,7 +699,7 @@ let valence name n m max_states stats rmode shards spill_dir spill_threshold =
           Serve_api.instance task,
           Serve_api.input_vector task ))
     @@ fun (spill, inst, inputs) ->
-    refuse_io_failures ~cmd:"valence" @@ fun () ->
+    refuse_build_failures ~cmd:"valence" @@ fun () ->
     let machine = inst.machine and specs = inst.specs in
     let reduce = Serve_api.reduction inst rmode in
     let graph =
@@ -808,7 +824,7 @@ let graph_fingerprint ?(extra = []) graph =
 
 let explore task max_states rmode d shards spill_dir spill_threshold deadline
     chaos want_fp want_stats =
-  let budget = mk_budget ?deadline ~chaos () in
+  with_budget ~cmd:"explore" ?deadline ~chaos @@ fun budget ->
   let domains = if d <= 0 then None else Some d in
   resolve ~cmd:"explore" (fun () -> mk_spill ~shards spill_dir spill_threshold)
   @@ fun spill ->
@@ -840,7 +856,7 @@ let explore task max_states rmode d shards spill_dir spill_threshold deadline
             frozen = None;
           } )
   in
-  refuse_io_failures ~cmd:"explore" @@ fun () ->
+  refuse_build_failures ~cmd:"explore" @@ fun () ->
   let graph =
     Cgraph.build ~max_states ?domains ~budget ~reduce ~shards ?spill ~machine
       ~specs ~inputs ()
@@ -998,7 +1014,7 @@ let lin_check name n m max_k trials seed deadline =
       (String.concat ", " (List.map fst (impls ~n ~m ~max_k)));
     3
   | Some mk ->
-    let budget = mk_budget ?deadline ~chaos:None () in
+    with_budget ~cmd:"lin-check" ?deadline ~chaos:None @@ fun budget ->
     let impl = mk () in
     let workloads = default_workloads name ~n ~max_k in
     Fmt.pr "implementation %s over %d clients, %d random trials...@."
@@ -1041,7 +1057,7 @@ let lin_check_cmd =
 
 let fuzz impl_names spec_names trials procs ops faults seed no_shrink domains
     deadline chaos shrink_budget ckpt_file resume_file =
-  let budget = mk_budget ?deadline ~chaos () in
+  with_budget ~cmd:"fuzz" ?deadline ~chaos @@ fun budget ->
   let shrink = not no_shrink in
   let domains = if domains <= 0 then None else Some domains in
   let parse_targets ~what ~parse names =
@@ -1535,6 +1551,7 @@ let task_conv =
 
 let query task fuzz_target question substrate inputs_opt max_states mode trials
     procs ops seed socket wait_s deadline want_stats =
+  check_deadline ~cmd:"query" deadline @@ fun () ->
   let fail msg =
     Fmt.epr "lbsa query: %s@." msg;
     3

@@ -16,8 +16,9 @@
     - tasks and protocols: {!Dac}, {!Dac_from_pac}, {!Consensus_task},
       {!Consensus_protocols}, {!Kset_task}, {!Kset_protocols},
       {!Candidates};
-    - the model checker: {!Cgraph}, {!Canon}, {!Valence}, {!Bivalency},
-      {!Solvability}, {!Checkpoint}, {!Segstore}, {!Config_codec};
+    - the model checker: {!Cgraph}, {!Chunks}, {!Canon}, {!Valence},
+      {!Bivalency}, {!Solvability}, {!Checkpoint}, {!Segstore},
+      {!Config_codec};
     - the conformance fuzzer: {!Fuzz_case}, {!Fuzz_targets},
       {!Fuzz_engine}, {!Fuzz_mutant};
     - the hierarchy toolkit: {!Power}, {!Level}, {!Separation};
@@ -79,6 +80,7 @@ module View_change = Lbsa_protocols.View_change
 
 module Canon = Lbsa_modelcheck.Canon
 module Cgraph = Lbsa_modelcheck.Graph
+module Chunks = Lbsa_modelcheck.Chunks
 module Checkpoint = Lbsa_modelcheck.Checkpoint
 module Ctbl = Lbsa_modelcheck.Ctbl
 module Config_codec = Lbsa_modelcheck.Config_codec

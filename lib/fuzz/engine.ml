@@ -261,8 +261,11 @@ let load_checkpoint ~file : checkpoint =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
+      (* A path that opens but cannot be read (a directory) has no magic
+         line either. *)
       let header =
-        In_channel.really_input_string ic (String.length checkpoint_magic)
+        try In_channel.really_input_string ic (String.length checkpoint_magic)
+        with Sys_error _ -> None
       in
       if header <> Some checkpoint_magic then
         failwith

@@ -77,8 +77,12 @@ let load ~file =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
+      (* A path that opens but cannot be read (a directory) has no magic
+         line either. *)
       let header =
-        Option.value ~default:"" (In_channel.really_input_string ic (String.length magic))
+        match In_channel.really_input_string ic (String.length magic) with
+        | Some h -> h
+        | None | (exception Sys_error _) -> ""
       in
       if not (String.equal header magic) then
         if String.starts_with ~prefix:magic_family header then

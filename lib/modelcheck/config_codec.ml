@@ -4,10 +4,12 @@ open Lbsa_runtime
 
 (* The value-dictionary codec; see the .mli for the layout. *)
 
-(* Encoding state of one section.  Intern ids key the table (ids may
-   serve as internal memo keys), but indices are handed out in order of
-   first occurrence, so the bytes never depend on the ids. *)
-type dict = {
+(* Encoding state of one section, cleared for each: a writer that
+   encodes many keeps one and reuses its table and buffers.  Intern ids
+   key the table (ids may serve as internal memo keys), but indices are
+   handed out in order of first occurrence, so the bytes never depend
+   on the ids. *)
+type encoder = {
   index : (int, int) Hashtbl.t;  (* Value intern id -> table index *)
   table : Buffer.t;
   body : Buffer.t;
@@ -126,22 +128,30 @@ let get_config vals c : Config.t =
   let objects = get_array vals get_value c in
   { Config.locals; objects; status = get_array vals get_status c }
 
+let encoder () =
+  { index = Hashtbl.create 1024; table = Buffer.create 4096;
+    body = Buffer.create 4096 }
+
 (* A section is the table, then the configurations that refer into it.
    The configurations are encoded first, into their own buffer, so the
    table is complete when it is written.  Decoding is {!get_table},
    then one {!get_config} per configuration. *)
+let put_configs d b n get =
+  Hashtbl.clear d.index;
+  Buffer.clear d.table;
+  Buffer.clear d.body;
+  Codec.count.put d.body n;
+  for i = 0 to n - 1 do
+    put_config d (get i)
+  done;
+  Codec.count.put b (Hashtbl.length d.index);
+  Buffer.add_buffer b d.table;
+  Buffer.add_buffer b d.body
+
 let configs =
   {
     Codec.put =
-      (fun b a ->
-        let d =
-          { index = Hashtbl.create 1024; table = Buffer.create 4096;
-            body = Buffer.create 4096 }
-        in
-        put_array d put_config a;
-        Codec.count.put b (Hashtbl.length d.index);
-        Buffer.add_buffer b d.table;
-        Buffer.add_buffer b d.body);
+      (fun b a -> put_configs (encoder ()) b (Array.length a) (Array.get a));
     get =
       (fun c ->
         let vals, n = get_table c in

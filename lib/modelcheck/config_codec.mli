@@ -19,6 +19,17 @@ val configs : Config.t array Lbsa_util.Codec.t
 (** Its decoder is {!get_table}, then {!get_config} once per
     configuration, collected into an array. *)
 
+type encoder
+(** A value index and two buffers, cleared and reused by each
+    {!put_configs}: a writer that encodes many arrays keeps one.  Never
+    share one between domains. *)
+
+val encoder : unit -> encoder
+
+val put_configs : encoder -> Buffer.t -> int -> (int -> Config.t) -> unit
+(** [put_configs e b n get] appends to [b] the bytes {!configs} writes
+    for the array [get 0], ..., [get (n - 1)]. *)
+
 (** {1 One configuration at a time}
 
     For a reader that hands each configuration on as it is decoded

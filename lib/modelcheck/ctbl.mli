@@ -9,7 +9,7 @@
     When a probe's stored hash matches, the slot's id is turned back
     into its configuration through the [resolve] callback for the one
     [Config.equal] it needs.  The explorer resolves through its node
-    store: the resident node array, or the {!Segstore} for ids that
+    store: the resident node chunks, or the {!Segstore} for ids that
     have been spilled, so cold entries cost a disk touch only on
     genuine re-encounters and full-hash collisions.
 

@@ -24,12 +24,14 @@ open Lbsa_runtime
    machinery of its own.  (An earlier revision
    threaded parent-to-child element-hash arrays through the frontier to
    avoid rehashing whole value trees; interning made that redundant and
-   it was deleted.)  Out-edges live in one flat array in CSR form
+   it was deleted.)  Out-edges live in one store in CSR form
    (per-node slices via [offsets]), and only as packed (target, pid)
    steps: an edge's event is re-derived on demand from its source
    node by running the build's successor function again ({!out_edges}),
    so no second, boxed copy of the edges is ever kept, spilled or
-   checkpointed.
+   checkpointed.  Nodes, steps, offsets and the frontier buffers are
+   append-only {!Chunks} stores: they grow a chunk at a time without
+   copying what they hold, and the finished graph keeps them as built.
 
    The graph kernels the analyses share live here, one of each: the
    dedup table above, Tarjan's SCC pass ({!scc}, optionally restricted
@@ -143,24 +145,29 @@ type suspended = {
   s_ample_pruned : int;
 }
 
-(* The graph's one edge store: every edge packed into one flat,
-   always-resident int array as [(target lsl 8) lor pid].  Every
+(* The graph's one edge store: every edge packed into one
+   always-resident chunked int store ({!Chunks}) as
+   [(target lsl 8) lor pid].  Every
    pure-topology pass — SCC, the valence sweep, liveness cycle
-   searches, path-search parents — reads only this array, so an
+   searches, path-search parents — reads only this store, so an
    out-of-core graph answers them with zero segment faults; an edge's
    event is re-derived from its source node only when a caller asks
    for the full [edge] record. *)
 let pid_bits = 8
+let max_processes = 1 lsl pid_bits
 
-let pack_step ~pid ~target =
-  if pid lsr pid_bits <> 0 then invalid_arg "Graph: pid does not fit 8 bits";
-  (target lsl pid_bits) lor pid
+(* [build] refuses a machine with more processes than [pid_bits] name,
+   once, before it explores anything. *)
+exception Too_many_processes of int
+
+let pack_step ~pid ~target = (target lsl pid_bits) lor pid
 
 type t = {
-  nodes : Config.t array;  (* resident suffix: ids [n_base, n_base + length) *)
+  nodes : Config.t Chunks.t;  (* every id; those below [n_base] released *)
   n_base : int;  (* 0 unless the build spilled *)
-  targets : int array;  (* all edges, packed (target lsl 8) lor pid *)
-  offsets : int array;  (* length nodes+1; node id owns [offsets.(id), offsets.(id+1)) *)
+  targets : int Chunks.t;  (* all edges, packed (target lsl 8) lor pid *)
+  offsets : int Chunks.t;
+      (* length nodes+1; node id owns [offsets(id), offsets(id+1)) *)
   segs : Segstore.t option;  (* configurations of the cold prefix [0, n_base) *)
   succ : Config.t -> (int * (Config.t * Config.event) list) list;
       (* the successor function every node was expanded with *)
@@ -214,26 +221,6 @@ let pp_stats ppf s =
     (fun ppf r ->
       if r.rmode <> "none" then Fmt.pf ppf "@,%a" pp_reduction_stats r)
     s.reduction pp_sharding s pp_spill s.spill
-
-(* --- small growable arrays (flat storage while the size is unknown) --- *)
-
-module Dyn = struct
-  type 'a t = { mutable arr : 'a array; mutable len : int }
-
-  let create () = { arr = [||]; len = 0 }
-
-  let push d x =
-    if d.len = Array.length d.arr then begin
-      let cap = max 64 (2 * Array.length d.arr) in
-      let arr = Array.make cap x in
-      Array.blit d.arr 0 arr 0 d.len;
-      d.arr <- arr
-    end;
-    d.arr.(d.len) <- x;
-    d.len <- d.len + 1
-
-  let to_array d = Array.sub d.arr 0 d.len
-end
 
 (* --- parallel frontier expansion -------------------------------------- *)
 
@@ -307,7 +294,7 @@ let parallel_threshold = 256
    per-block [run_shard] cost nothing next to it. *)
 let block_size = 64
 
-(* Expand the first [n] entries of [frontier] and feed each node's
+(* Expand every entry of the [frontier] store and feed each node's
    successors to [merge], in frontier order; [Ok ()] once all are
    merged.
 
@@ -329,7 +316,8 @@ let block_size = 64
    below it had its claim made earlier and still completes, so the
    cursor stops at the lowest failing block, whose [Error (worker, exn,
    attempts)] is returned.  The caller then abandons the level whole. *)
-let expand ~domains ~substrate ~reduce ~machine ~specs ~merge frontier n =
+let expand ~domains ~substrate ~reduce ~machine ~specs ~merge frontier =
+  let n = Chunks.length frontier in
   let n_blocks = (n + block_size - 1) / block_size in
   let slots = Array.init n_blocks (fun _ -> Atomic.make None) in
   let next = Atomic.make 0 in
@@ -348,7 +336,8 @@ let expand ~domains ~substrate ~reduce ~machine ~specs ~merge frontier n =
   let expand_block b =
     let lo = b * block_size in
     Array.init (min block_size (n - lo)) (fun j ->
-        successors ~substrate ~reduce ~machine ~specs frontier.(lo + j))
+        successors ~substrate ~reduce ~machine ~specs
+          (Chunks.get frontier (lo + j)))
   in
   (* The flag is read before the claim, and a block, once taken,
      always runs: so every block below a failing one completes. *)
@@ -395,8 +384,8 @@ let expand ~domains ~substrate ~reduce ~machine ~specs ~merge frontier n =
 let default_max_states = 1_000_000
 let default_spill_threshold = 500_000
 
-(* Hole value for compacting the resident nodes after a spill: the
-   freed suffix slots must stop retaining the spilled configurations. *)
+(* What a store slot holds when it holds no node: one not yet
+   written, one cut off, or one released after a spill. *)
 let hole_config : Config.t = { locals = [||]; objects = [||]; status = [||] }
 
 (* One physical copy per distinct object vector.  A build's
@@ -419,20 +408,22 @@ end)
    [Some]: the spilled prefix streamed from its segments (each read
    once, decoded one configuration at a time, past the segment cache),
    then the resident suffix. *)
-let find_map_stored segs ~n_base nodes ~len f =
+let find_map_stored segs ~n_base nodes f =
   match Option.bind segs (fun st -> Segstore.find_map st f) with
   | Some _ as r -> r
   | None ->
-    let rec go i =
-      if i = len then None
-      else match f (n_base + i) nodes.(i) with None -> go (i + 1) | r -> r
+    let rec go id =
+      if id = Chunks.length nodes then None
+      else match f id (Chunks.get nodes id) with None -> go (id + 1) | r -> r
     in
-    go 0
+    go n_base
 
 let build ?(max_states = default_max_states) ?domains
     ?(budget = Supervisor.Budget.unlimited) ?(substrate = Substrate.shm)
     ?(reduce = no_reduction) ?resume ?(shards = 1) ?spill
     ~(machine : Machine.t) ~(specs : Lbsa_spec.Obj_spec.t array) ~inputs () =
+  if Array.length inputs > max_processes then
+    raise (Too_many_processes (Array.length inputs));
   let domains =
     match domains with
     | Some d when d >= 1 -> d
@@ -440,12 +431,11 @@ let build ?(max_states = default_max_states) ?domains
     | None -> Supervisor.default_domains ()
   in
   let t0 = Unix.gettimeofday () in
-  let nodes = Dyn.create () in
-  let targets = Dyn.create () in
-  let offsets = Dyn.create () in
-  let n_nodes = ref 0 in
-  (* Ids below [n_base] live in the segment store; [nodes] holds only
-     the resident suffix. *)
+  (* Every id has a slot in [nodes]; those below [n_base] live in the
+     segment store, and their chunks are released. *)
+  let nodes = Chunks.create hole_config in
+  let targets = Chunks.create 0 in
+  let offsets = Chunks.create 0 in
   let n_base = ref 0 in
   let store =
     match spill with
@@ -459,7 +449,7 @@ let build ?(max_states = default_max_states) ?domains
      resolve callback.  A spilled id is a key fault. *)
   let key_faults = ref 0 in
   let config_of id =
-    if id >= !n_base then nodes.Dyn.arr.(id - !n_base)
+    if id >= !n_base then Chunks.get nodes id
     else begin
       incr key_faults;
       Segstore.node (Option.get store) id
@@ -482,21 +472,20 @@ let build ?(max_states = default_max_states) ?domains
   let canonized = ref 0 in
   let ample_nodes = ref 0 in
   let ample_pruned = ref 0 in
-  let frontier_sizes = Dyn.create () in
-  (* Two frontier buffers, swapped each level; no per-level copying.
+  let frontier_sizes = Chunks.create 0 in
+  (* Two frontier buffers, swapped each level and refilled in place.
      Hashing a candidate successor is [Config.hash]: a fold over the
      elements' cached hash fields, so there is nothing to carry between
      parent and child any more. *)
-  let cur = ref (Dyn.create ()) in
-  let nxt = ref (Dyn.create ()) in
+  let cur = ref (Chunks.create hole_config) in
+  let nxt = ref (Chunks.create hole_config) in
   (* Nodes whose out-edges have been finalized; always a level boundary. *)
   let expanded = ref 0 in
   let register config =
     let config = share config in
-    let id = !n_nodes in
-    incr n_nodes;
-    Dyn.push nodes config;
-    Dyn.push !nxt config;
+    let id = Chunks.length nodes in
+    Chunks.push nodes config;
+    Chunks.push !nxt config;
     id
   in
   (match resume with
@@ -527,16 +516,15 @@ let build ?(max_states = default_max_states) ?domains
     Array.iteri
       (fun id config ->
         let config = share config in
-        Dyn.push nodes config;
+        Chunks.push nodes config;
         ignore
           (Ctbl.find_or_add tbl config ~hash:(Config.hash config)
              ~if_absent:(fun _ -> id));
-        if id >= s.s_expanded then Dyn.push !nxt config)
+        if id >= s.s_expanded then Chunks.push !nxt config)
       s.s_nodes;
-    n_nodes := Array.length s.s_nodes;
-    Array.iter (Dyn.push targets) s.s_targets;
-    Array.iter (Dyn.push offsets) s.s_offsets;
-    Array.iter (Dyn.push frontier_sizes) s.s_frontier_sizes;
+    Array.iter (Chunks.push targets) s.s_targets;
+    Array.iter (Chunks.push offsets) s.s_offsets;
+    Array.iter (Chunks.push frontier_sizes) s.s_frontier_sizes;
     dedup_hits := s.s_dedup_hits;
     n_succs := s.s_n_succs;
     canonized := s.s_canonized;
@@ -547,8 +535,9 @@ let build ?(max_states = default_max_states) ?domains
      nodes, in segment chunks; runs at a level boundary only (single
      threaded, frontier untouched — frontier ids are >= expanded and
      the cut stays strictly below it).  After the segments are written,
-     the resident nodes are compacted in place; from then on the dedup
-     table resolves the spilled ids through the segments. *)
+     the node store releases the spilled ids (whole chunks let go, the
+     rest cleared, nothing moved); from then on the dedup table resolves
+     them through the segments. *)
   let maybe_spill () =
     match (spill, store) with
     | Some sp, Some st when !expanded - !n_base > sp.spill_threshold ->
@@ -558,26 +547,22 @@ let build ?(max_states = default_max_states) ?domains
       let lo = ref !n_base in
       while !lo < cut_to do
         let hi = min cut_to (!lo + seg_len) in
-        let configs = Array.sub nodes.Dyn.arr (!lo - !n_base) (hi - !lo) in
-        Segstore.write_segment st ~lo:!lo ~hi ~configs;
+        Segstore.write_segment st ~lo:!lo ~hi (Chunks.get nodes);
         lo := hi
       done;
-      let nshift = cut_to - !n_base in
-      Array.blit nodes.Dyn.arr nshift nodes.Dyn.arr 0 (nodes.Dyn.len - nshift);
-      Array.fill nodes.Dyn.arr (nodes.Dyn.len - nshift) nshift hole_config;
-      nodes.Dyn.len <- nodes.Dyn.len - nshift;
+      Chunks.release_below nodes cut_to;
       n_base := cut_to
     | _ -> ()
   in
   (* One node's successors, registered in frontier order: nodes are
-     merged in id order, so this records offsets.(id). *)
+     merged in id order, so this records offsets(id). *)
   let merge (succ_list, n_canon, n_pruned) =
     canonized := !canonized + n_canon;
     if n_pruned > 0 then begin
       incr ample_nodes;
       ample_pruned := !ample_pruned + n_pruned
     end;
-    Dyn.push offsets targets.Dyn.len;
+    Chunks.push offsets (Chunks.length targets);
     List.iter
       (fun (pid, branches) ->
         List.iter
@@ -589,12 +574,12 @@ let build ?(max_states = default_max_states) ?domains
               Ctbl.find_or_add tbl config' ~hash ~if_absent:register
             in
             if Ctbl.length tbl = before then incr dedup_hits;
-            Dyn.push targets (pack_step ~pid ~target))
+            Chunks.push targets (pack_step ~pid ~target))
           branches)
       succ_list
   in
   let stop = ref Supervisor.Done in
-  while !stop = Supervisor.Done && (!nxt).Dyn.len > 0 do
+  while !stop = Supervisor.Done && Chunks.length !nxt > 0 do
     (* Budget and quota polls at the level boundary: the only place a
        partial graph can stop and stay identical for every domain count.
        The quota fires BEFORE a level is expanded, never inside one, so
@@ -602,23 +587,21 @@ let build ?(max_states = default_max_states) ?domains
        unexpanded frontier stays in [suspended] — that is what makes a
        quota-truncated build checkpointable and resumable.  (A level's
        successors are always registered in full, so the node count may
-       overshoot [max_states] by up to one frontier's growth.) *)
+       overshoot [max_states] by a whole level's growth.) *)
     match Supervisor.Budget.stop budget with
     | Some o -> stop := o
-    | None when !n_nodes >= max_states -> stop := Supervisor.Truncated
+    | None when Chunks.length nodes >= max_states ->
+      stop := Supervisor.Truncated
     | None -> (
       let f = !nxt in
       nxt := !cur;
       cur := f;
-      (!nxt).Dyn.len <- 0;
-      let n0 = !n_nodes and steps0 = targets.Dyn.len in
+      Chunks.truncate !nxt 0;
+      let n0 = Chunks.length nodes and steps0 = Chunks.length targets in
       let hits0 = !dedup_hits and succs0 = !n_succs in
       let canon0 = !canonized and ample0 = !ample_nodes in
       let pruned0 = !ample_pruned in
-      match
-        expand ~domains ~substrate ~reduce ~machine ~specs ~merge f.Dyn.arr
-          f.Dyn.len
-      with
+      match expand ~domains ~substrate ~reduce ~machine ~specs ~merge f with
       | Error (worker, exn, attempts) ->
         (* This level's expansion failed even after retries.  Every
            completed level is kept; this one is abandoned whole (its
@@ -627,10 +610,9 @@ let build ?(max_states = default_max_states) ?domains
            merged before the failing one are taken back; the dedup
            table keeps their entries, but the build stops here and
            drops it. *)
-        n_nodes := n0;
-        nodes.Dyn.len <- n0 - !n_base;
-        targets.Dyn.len <- steps0;
-        offsets.Dyn.len <- !expanded;
+        Chunks.truncate nodes n0;
+        Chunks.truncate targets steps0;
+        Chunks.truncate offsets !expanded;
         dedup_hits := hits0;
         n_succs := succs0;
         canonized := canon0;
@@ -638,32 +620,31 @@ let build ?(max_states = default_max_states) ?domains
         ample_pruned := pruned0;
         stop := Supervisor.Worker_failed { worker; exn; attempts }
       | Ok () ->
-        Dyn.push frontier_sizes f.Dyn.len;
-        expanded := !expanded + f.Dyn.len;
+        Chunks.push frontier_sizes (Chunks.length f);
+        expanded := !expanded + Chunks.length f;
         maybe_spill ())
   done;
   let stop = !stop in
-  let targets = Dyn.to_array targets in
+  let n_nodes = Chunks.length nodes in
   let suspended =
-    if !expanded < !n_nodes then
+    if !expanded < n_nodes then
       Some
         {
           (* Materialized over resident + spilled storage in one
              streamed walk. *)
           s_nodes =
-            (let all = Array.make !n_nodes hole_config in
+            (let all = Array.make n_nodes hole_config in
              ignore
-               (find_map_stored store ~n_base:!n_base nodes.Dyn.arr
-                  ~len:nodes.Dyn.len (fun id config ->
+               (find_map_stored store ~n_base:!n_base nodes (fun id config ->
                     all.(id) <- config;
                     None));
              all);
           s_expanded = !expanded;
-          s_targets = targets;
-          s_offsets = Dyn.to_array offsets;
+          s_targets = Chunks.to_array targets;
+          s_offsets = Chunks.to_array offsets;
           s_dedup_hits = !dedup_hits;
           s_n_succs = !n_succs;
-          s_frontier_sizes = Dyn.to_array frontier_sizes;
+          s_frontier_sizes = Chunks.to_array frontier_sizes;
           s_reduction = reduce.rname;
           s_substrate = substrate.Substrate.sname;
           s_canonized = !canonized;
@@ -672,16 +653,15 @@ let build ?(max_states = default_max_states) ?domains
         }
     else None
   in
-  let n_all_edges = Array.length targets in
+  let n_all_edges = Chunks.length targets in
   (* Unexpanded frontier nodes (partial stop) get empty out-edge slices
      so the CSR offsets invariant (length nodes+1) holds for readers. *)
-  for _ = !expanded to !n_nodes - 1 do
-    Dyn.push offsets n_all_edges
+  for _ = !expanded to n_nodes do
+    Chunks.push offsets n_all_edges
   done;
-  Dyn.push offsets n_all_edges;
   let truncated = stop <> Supervisor.Done in
   let wall_s = Unix.gettimeofday () -. t0 in
-  let frontier_sizes = Dyn.to_array frontier_sizes in
+  let frontier_sizes = Chunks.to_array frontier_sizes in
   let spill_stats =
     match store with
     | None -> no_spill_stats
@@ -696,7 +676,7 @@ let build ?(max_states = default_max_states) ?domains
   in
   let stats =
     {
-      states = !n_nodes;
+      states = n_nodes;
       edges = n_all_edges;
       levels = Array.length frontier_sizes;
       frontier_sizes;
@@ -710,7 +690,7 @@ let build ?(max_states = default_max_states) ?domains
       spill = spill_stats;
       wall_s;
       states_per_sec =
-        (if wall_s > 0. then float !n_nodes /. wall_s else float !n_nodes);
+        (if wall_s > 0. then float n_nodes /. wall_s else float n_nodes);
       domains;
       truncated;
       reduction =
@@ -724,10 +704,10 @@ let build ?(max_states = default_max_states) ?domains
     }
   in
   {
-    nodes = Dyn.to_array nodes;
+    nodes;
     n_base = !n_base;
     targets;
-    offsets = Dyn.to_array offsets;
+    offsets;
     segs = store;
     succ =
       (fun c ->
@@ -773,20 +753,21 @@ let suspended_of_parts ~nodes ~expanded ~targets ~offsets ~dedup_hits ~n_succs
 
 (* --- accessors ---------------------------------------------------------- *)
 
-let n_nodes t = t.n_base + Array.length t.nodes
-let n_edges t = Array.length t.targets
+let n_nodes t = Chunks.length t.nodes
+let n_edges t = Chunks.length t.targets
 let stats t = t.stats
 
 let node t id =
-  if id >= t.n_base then t.nodes.(id - t.n_base)
+  if id >= t.n_base then Chunks.get t.nodes id
   else Segstore.node (Option.get t.segs) id
 
-let out_degree t id = t.offsets.(id + 1) - t.offsets.(id)
+let offset t id = Chunks.get t.offsets id
+let out_degree t id = offset t (id + 1) - offset t id
 
 (* Packed-topology readers: pid and target straight out of the resident
-   [targets] array — no segment faults, no allocation. *)
-let step_pid t i = t.targets.(i) land ((1 lsl pid_bits) - 1)
-let step_target t i = t.targets.(i) lsr pid_bits
+   [targets] store — no segment faults, no allocation. *)
+let step_pid t i = Chunks.get t.targets i land (max_processes - 1)
+let step_target t i = Chunks.get t.targets i lsr pid_bits
 
 (* Full edge records, re-derived: node [u]'s successor list, flattened
    in order, is exactly its CSR slice, so re-running the build's
@@ -799,7 +780,7 @@ let step_target t i = t.targets.(i) lsr pid_bits
 let out_edges t u =
   if u >= t.expanded then []
   else
-    let lo = t.offsets.(u) in
+    let lo = offset t u in
     let steps =
       List.concat_map
         (fun (pid, bs) -> List.map (fun (c, event) -> (pid, c, event)) bs)
@@ -821,18 +802,16 @@ let out_edges t u =
       steps
 
 let iter_out_steps t id f =
-  for i = t.offsets.(id) to t.offsets.(id + 1) - 1 do
+  for i = offset t id to offset t (id + 1) - 1 do
     f (step_pid t i) (step_target t i)
   done
 
 let exists_out_step t id p =
-  let rec go i =
-    i < t.offsets.(id + 1) && (p (step_pid t i) (step_target t i) || go (i + 1))
-  in
-  go t.offsets.(id)
+  let hi = offset t (id + 1) in
+  let rec go i = i < hi && (p (step_pid t i) (step_target t i) || go (i + 1)) in
+  go (offset t id)
 
-let find_map_node t f =
-  find_map_stored t.segs ~n_base:t.n_base t.nodes ~len:(Array.length t.nodes) f
+let find_map_node t f = find_map_stored t.segs ~n_base:t.n_base t.nodes f
 
 let iter_nodes f t = ignore (find_map_node t (fun id config -> f id config; None))
 
@@ -866,7 +845,7 @@ let find_path ?mask t ~src ~accept =
   while !found < 0 && !head < !tail do
     let u = queue.(!head) in
     incr head;
-    let i = ref t.offsets.(u) and hi = t.offsets.(u + 1) in
+    let i = ref (offset t u) and hi = offset t (u + 1) in
     while !found < 0 && !i < hi do
       let v = step_target t !i in
       if accept (step_pid t !i) v then begin
@@ -885,7 +864,7 @@ let find_path ?mask t ~src ~accept =
   done;
   if !found < 0 then None
   else
-    let edge u i = List.nth (out_edges t u) (i - t.offsets.(u)) in
+    let edge u i = List.nth (out_edges t u) (i - offset t u) in
     let rec walk v acc =
       if v = src then acc else walk from.(v) (edge from.(v) parent.(v) :: acc)
     in
@@ -911,12 +890,10 @@ let schedule_of_path edges = List.map (fun e -> e.pid) edges
 let scc ?mask t =
   let n = n_nodes t in
   let inside v = match mask with None -> true | Some m -> m.(v) in
-  (* The packed targets array is the flattened form the DFS wants —
+  (* The packed targets store is the flattened form the DFS wants —
      resident even for out-of-core graphs, so the whole pass runs with
      zero segment faults (and RAM builds skip the flatten copy an
      earlier revision needed). *)
-  let targets = t.targets in
-  let target i = targets.(i) lsr pid_bits in
   let index = Array.make n (-1) in  (* discovery order; -1 = unvisited *)
   let lowlink = Array.make n 0 in
   (* A node is on Tarjan's component stack iff it has been discovered
@@ -940,12 +917,12 @@ let scc ?mask t =
     if index.(start) = -1 && inside start then begin
       let sp = ref 0 in
       stack_node.(0) <- start;
-      stack_edge.(0) <- t.offsets.(start);
+      stack_edge.(0) <- offset t start;
       push start;
       while !sp >= 0 do
         let u = stack_node.(!sp) in
         let ei = stack_edge.(!sp) in
-        if ei >= t.offsets.(u + 1) then begin
+        if ei >= offset t (u + 1) then begin
           (* u finished: emit its component if it is a root, then fold
              its lowlink into its DFS parent. *)
           if lowlink.(u) = index.(u) then begin
@@ -967,13 +944,13 @@ let scc ?mask t =
         end
         else begin
           stack_edge.(!sp) <- ei + 1;
-          let v = target ei in
+          let v = step_target t ei in
           if not (inside v) then ()
           else if index.(v) = -1 then begin
             push v;
             incr sp;
             stack_node.(!sp) <- v;
-            stack_edge.(!sp) <- t.offsets.(v)
+            stack_edge.(!sp) <- offset t v
           end
           else if comp.(v) = -1 && index.(v) < lowlink.(u) then
             lowlink.(u) <- index.(v)

@@ -14,7 +14,9 @@
     The graph stores its edges once, as packed (target, pid) steps in
     CSR order.  An edge's event is not stored: {!out_edges} re-derives
     it from the source node by running the successor function the
-    build used, and checks the result against the stored steps. *)
+    build used, and checks the result against the stored steps.  Nodes,
+    steps and offsets are append-only {!Chunks} stores, filled without
+    copying what they hold and kept by the finished graph as built. *)
 
 open Lbsa_runtime
 
@@ -148,21 +150,22 @@ type suspended = private {
 }
 
 type t = private {
-  nodes : Config.t array;
-      (** the resident suffix, ids [n_base, n_base + length); the whole
-          graph when the build did not spill ([n_base = 0]).  Nodes
-          with equal object vectors share one physical array (see
-          [Config.t]: never write into a node's arrays). *)
+  nodes : Config.t Chunks.t;
+      (** one slot per id; the ids below [n_base] spilled, and their
+          chunks are released ({!Chunks.release_below}).  Read through
+          {!node}.  Nodes with equal object vectors share one physical
+          array (see [Config.t]: never write into a node's arrays). *)
   n_base : int;
-  targets : int array;
+  targets : int Chunks.t;
       (** the graph's one edge store: every edge, packed
           [(target lsl 8) lor pid] — always resident, so pure-topology
           passes (SCC, valence sweep, cycle searches) run with zero
-          segment faults on an out-of-core graph *)
-  offsets : int array;
-      (** length [nodes + 1]; node [id]'s out-edges are the slice
-          [offsets.(id) .. offsets.(id+1) - 1] of [targets]; empty
-          slices for unexpanded frontier nodes of a partial build *)
+          segment faults on an out-of-core graph.  Read through
+          {!step_pid} and {!step_target}. *)
+  offsets : int Chunks.t;
+      (** length [nodes + 1]; node [id]'s out-edges are the steps
+          [offset id .. offset (id+1) - 1]; empty slices for unexpanded
+          frontier nodes of a partial build *)
   segs : Segstore.t option;
       (** the cold prefix's configurations, when the build spilled *)
   succ : Config.t -> (int * (Config.t * Config.event) list) list;
@@ -186,6 +189,13 @@ type t = private {
 }
 
 exception Truncated
+
+val max_processes : int
+(** 256: a packed step keeps 8 bits for its pid. *)
+
+exception Too_many_processes of int
+(** Raised by {!build}, before it explores anything, for a machine
+    with more than {!max_processes} processes (the count it carries). *)
 
 val default_max_states : int
 (** 1_000_000. *)
@@ -216,9 +226,12 @@ val build :
     graph does not depend on it.  [budget] and the
     [max_states] quota are polled at each level boundary; when either
     fires the build returns a partial graph with [stop] set and
-    [suspended] holding the frozen frontier (a level's successors are
-    registered in full, so a quota-stopped graph may hold slightly more
-    than [max_states] nodes — never a node with a partial edge list).
+    [suspended] holding the frozen frontier.  The quota is polled
+    before each level and a level's successors are registered in full,
+    so a quota-stopped graph holds every node of the level that crossed
+    [max_states]: it may overshoot by a whole level's growth ([solve
+    consensus -m 100 --max-states 20000] registers 306,751 states), but
+    never holds a node with a partial edge list.
     Worker exceptions are isolated and retried per 64-node block
     ({!Supervisor.run_shard}, no backoff); a block whose retries run
     out abandons its whole level — even the blocks of it already merged
@@ -288,6 +301,11 @@ val successors :
 val n_nodes : t -> int
 val n_edges : t -> int
 
+val offset : t -> int -> int
+(** [offset t id] is the flat CSR index of node [id]'s first out-step;
+    its steps end where node [id + 1]'s begin ([id = n_nodes t] is the
+    end of the last slice). *)
+
 val node : t -> int -> Config.t
 (** A point lookup: on an out-of-core graph a spilled id is served
     from {!Segstore}'s cache of decoded segments.  A walk over every
@@ -309,7 +327,7 @@ val out_degree : t -> int -> int
 
 val iter_out_steps : t -> int -> (int -> int -> unit) -> unit
 (** [iter_out_steps t id f] calls [f pid target] for each out-edge of
-    [id], straight from the packed targets array — no event
+    [id], straight from the packed targets store — no event
     materialization, no allocation, and no segment faults on an
     out-of-core graph.  Prefer this (and {!exists_out_step}) for
     topology-only passes. *)
@@ -319,7 +337,7 @@ val exists_out_step : t -> int -> (int -> int -> bool) -> bool
 val step_pid : t -> int -> int
 val step_target : t -> int -> int
 (** The pid and target of the edge at a flat CSR index, read from the
-    packed targets array (no segment faults). *)
+    packed targets store (no segment faults). *)
 
 val iter_nodes : (int -> Config.t -> unit) -> t -> unit
 (** Every node in id order.  On an out-of-core graph the spilled prefix

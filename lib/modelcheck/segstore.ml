@@ -7,7 +7,8 @@ open Lbsa_runtime
 let magic = "LBSA-SEG/3\n"
 
 (* The section holds the segment's first id and its configurations;
-   [lo, hi) is checked against the segment table on fault-in. *)
+   [lo, hi) is checked against the segment table on fault-in.
+   [write_segment] writes this layout a piece at a time. *)
 let nodes_codec = Codec.(pair int Config_codec.configs)
 
 exception Corrupt of string
@@ -35,6 +36,8 @@ type t = {
   mutable n_corrupt : int;
   cache : loaded option array;
   mutable clock : int; (* next cache slot to evict *)
+  enc : Config_codec.encoder; (* reused by every segment written *)
+  payload : Buffer.t; (* likewise *)
 }
 
 let dir t = t.sdir
@@ -78,18 +81,22 @@ let create ~dir =
     n_corrupt = 0;
     cache = Array.make cache_slots None;
     clock = 0;
+    enc = Config_codec.encoder ();
+    payload = Buffer.create 4096;
   }
 
-let write_segment t ~lo ~hi ~configs =
+let write_segment t ~lo ~hi config =
   if lo <> spilled_upto t then invalid_arg "Segstore.write_segment: gap";
-  if hi - lo <> Array.length configs then
-    invalid_arg "Segstore.write_segment: range/payload mismatch";
+  if hi < lo then invalid_arg "Segstore.write_segment: hi < lo";
   let file = Filename.concat t.sdir (Printf.sprintf "seg-%012d.seg" lo) in
+  (* [nodes_codec]'s layout, encoded into the store's own buffers *)
+  Buffer.clear t.payload;
+  Codec.int.put t.payload lo;
+  Config_codec.put_configs t.enc t.payload (hi - lo) (fun i -> config (lo + i));
   Rio.with_atomic_file ~site:"segstore.write" ~path:file (fun w ->
       let sink = Rio.write_string w in
       sink magic;
-      Codec.write_section sink ~tag:"SEGNODES"
-        (Codec.encode nodes_codec (lo, configs)));
+      Codec.write_section sink ~tag:"SEGNODES" (Buffer.contents t.payload));
   t.bytes <- t.bytes + (try (Unix.stat file).Unix.st_size with Unix.Unix_error _ -> 0);
   t.segs <- Array.append t.segs [| { lo; hi; file } |]
 

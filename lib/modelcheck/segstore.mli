@@ -43,9 +43,12 @@ val create : dir:string -> t
 
 val dir : t -> string
 
-val write_segment : t -> lo:int -> hi:int -> configs:Config.t array -> unit
-(** Spills ids [lo, hi) (configs, in id order).  Ranges must extend the
-    store: [lo] equals the previous segment's [hi] (or 0). *)
+val write_segment : t -> lo:int -> hi:int -> (int -> Config.t) -> unit
+(** [write_segment t ~lo ~hi config] spills ids [lo, hi), [config id]
+    for each.  Ranges must extend the store: [lo] equals the previous
+    segment's [hi] (or 0).  The payload is encoded into a value index
+    and buffers the store owns and clears per segment, so one store
+    must not be written from two domains at once. *)
 
 val node : t -> int -> Config.t
 (** [node t id] faults in the segment covering [id] (if not cached) and

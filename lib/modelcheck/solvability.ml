@@ -76,7 +76,7 @@ let partial ~(graph : Graph.t) ~stats ~inputs ~states () =
    condensation [comp] ([Graph.scc], computed once for every process):
    yes iff some SCC contains an edge of [pid] internal to it (including
    self-loops).  Both searches are pure topology, so they read the
-   packed targets array ([Graph.exists_out_step]) and never fault
+   packed targets store ([Graph.exists_out_step]) and never fault
    segments on an out-of-core graph. *)
 let cycle_with_step_of (graph : Graph.t) ~comp pid =
   Graph.find_id graph (fun u ->
@@ -180,13 +180,13 @@ let solo_halting_of (graph : Graph.t) ~status ~pid ~accept =
     colour.(u) <- grey;
     incr sp;
     stack.(!sp) <- u;
-    cursor.(!sp) <- graph.offsets.(u)
+    cursor.(!sp) <- Graph.offset graph u
   in
   for root = 0 to n - 1 do
     if colour.(root) = white then enter root;
     while !sp >= 0 do
       let u = stack.(!sp) and i = cursor.(!sp) in
-      if i = graph.offsets.(u + 1) then begin
+      if i = Graph.offset graph (u + 1) then begin
         colour.(u) <- halts;
         decr sp
       end

@@ -596,9 +596,24 @@ let test_refusal (args, reason) () =
 
 (* A bad --shards or --spill-threshold is a usage error too, refused
    with exactly one stderr line before anything is built; the threshold
-   is checked even without --spill-dir. *)
+   is checked even without --spill-dir.  So are a machine whose pids do
+   not fit a packed step's 8 bits (refused at the build's entry, not in
+   the middle of a merge), a NaN --deadline (it would never expire) and
+   a --resume path that is a directory (here the test's working
+   directory, "."). *)
 let flag_refusals =
   [
+    ("explore dac:257", "lbsa explore: 257 processes, but the explorer names at most 256");
+    ("solve dac -n 257", "lbsa solve: 257 processes, but the explorer names at most 256");
+    ( "valence --protocol dac -n 257",
+      "lbsa valence: 257 processes, but the explorer names at most 256" );
+    ( "solve dac -n 3 --deadline nan",
+      "lbsa solve: --deadline nan is not a number of seconds" );
+    ( "solve dac -n 3 --resume .",
+      "cannot resume: Checkpoint.load: . is not a version-6 checkpoint file" );
+    ( "fuzz --impl snapshot:3 --trials 10 --seed 1 --resume .",
+      "cannot resume: Engine.load_checkpoint: . is not a version-3 fuzz \
+       checkpoint" );
     ( "explore dac:3 --shards 3",
       "lbsa explore: --shards 3 is not a power of two in [1, 4096]" );
     ( "explore dac:3 --shards 0",
@@ -620,6 +635,26 @@ let test_flag_refusal (args, line) () =
   Alcotest.(check int) (args ^ ": exit code") 3 rc;
   Alcotest.(check string) (args ^ ": no verdict on stdout") "" out;
   Alcotest.(check string) (args ^ ": stderr") (line ^ "\n") err
+
+(* README's exit-code table: a clean pass and a definitive failure (the
+   seeded mutant), each with the first line it prints.  The partial and
+   usage-error rows have theirs in [golden] ("check consensus -m 2
+   --max-states 1"), [test_candidate_truncated] and [refusals]. *)
+let exit_codes =
+  [
+    ("check consensus -m 2", 0, "OK (inputs=1,1, 9 states)");
+    ( "fuzz --impl mutant-pac:2 --trials 300 --seed 42",
+      1,
+      "FAIL impl mutant-pac:2: linearizability violation" );
+  ]
+
+let test_exit_code (args, rc, first_line) () =
+  let out, err, code = run args in
+  Alcotest.(check int) (Fmt.str "%s: exit code (stderr: %s)" args err) rc code;
+  Alcotest.(check string)
+    (args ^ ": first stdout line")
+    first_line
+    (List.hd (String.split_on_char '\n' out))
 
 (* valence builds only the protocol it is asked for, so a size another
    protocol cannot take does not matter; pac-retry is the cand:pac-retry
@@ -941,6 +976,11 @@ let () =
               Alcotest.test_case "valence builds only its protocol" `Quick
                 test_valence_sizes;
             ] );
+        ( "exit codes",
+          List.map
+            (fun ((args, _, _) as r) ->
+              Alcotest.test_case args `Quick (test_exit_code r))
+            exit_codes );
         ( "candidate policy",
           [
             Alcotest.test_case "truncated sweep exits 2, no witness" `Quick

@@ -338,7 +338,7 @@ let test_segstore_flipped_byte () =
     ~finally:(fun () -> rm_rf dir0)
     (fun () ->
       let t0 = Segstore.create ~dir:dir0 in
-      Segstore.write_segment t0 ~lo:0 ~hi:n ~configs;
+      Segstore.write_segment t0 ~lo:0 ~hi:n (Array.get configs);
       Alcotest.(check bool)
         "pristine fault-in round-trips" true
         (Config.equal configs.(0) (Segstore.node t0 0)));
@@ -349,7 +349,7 @@ let test_segstore_flipped_byte () =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let t = Segstore.create ~dir in
-      Segstore.write_segment t ~lo:0 ~hi:n ~configs;
+      Segstore.write_segment t ~lo:0 ~hi:n (Array.get configs);
       let seg_file = seg_file_of dir in
       let bytes = Bytes.of_string (read_file seg_file) in
       let i = Bytes.length bytes - 7 in
@@ -837,7 +837,7 @@ let test_fault_plan_sweep () =
           (fun () ->
             match
               let t = Segstore.create ~dir:sdir in
-              Segstore.write_segment t ~lo:0 ~hi:nseg ~configs:seg_configs;
+              Segstore.write_segment t ~lo:0 ~hi:nseg (Array.get seg_configs);
               t
             with
             | exception Unix.Unix_error _ -> incr refused

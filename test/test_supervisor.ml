@@ -21,6 +21,19 @@ let dac_instance n =
     Dac_from_pac.specs ~n,
     Array.init n (fun pid -> Value.int (if pid = 0 then 1 else 0)) )
 
+(* Two graphs with the same nodes, offsets and packed steps, compared
+   element by element: how their stores are chunked is not content. *)
+let same_contents a b =
+  let all n p = Seq.for_all p (Seq.init n Fun.id) in
+  Cgraph.n_nodes a = Cgraph.n_nodes b
+  && Cgraph.n_edges a = Cgraph.n_edges b
+  && all (Cgraph.n_nodes a) (fun id ->
+         Config.equal (Cgraph.node a id) (Cgraph.node b id))
+  && all (Cgraph.n_nodes a + 1) (fun id -> Cgraph.offset a id = Cgraph.offset b id)
+  && all (Cgraph.n_edges a) (fun i ->
+         Cgraph.step_pid a i = Cgraph.step_pid b i
+         && Cgraph.step_target a i = Cgraph.step_target b i)
+
 (* --- structured outcomes (the old raise-through Truncated path) -------- *)
 
 let test_truncation_is_partial_verdict () =
@@ -192,9 +205,7 @@ let test_failing_level_abandoned_whole () =
       Alcotest.(check bool)
         (label ^ ": resumed graph = uninterrupted graph")
         true
-        (resumed.Cgraph.targets = full.Cgraph.targets
-        && resumed.Cgraph.offsets = full.Cgraph.offsets
-        && Array.for_all2 Config.equal resumed.Cgraph.nodes full.Cgraph.nodes))
+        (same_contents resumed full))
     [ 1; 2; 4 ]
 
 let test_sweep_survives_raising_checker () =
@@ -686,7 +697,7 @@ let segment dir =
   let g = Cgraph.build ~machine ~specs ~inputs:[| Value.int 0; Value.int 1 |] () in
   let n = min 4 (Cgraph.n_nodes g) in
   let t = Segstore.create ~dir in
-  Segstore.write_segment t ~lo:0 ~hi:n ~configs:(Array.init n (Cgraph.node g));
+  Segstore.write_segment t ~lo:0 ~hi:n (Cgraph.node g);
   let file =
     match Array.to_list (Sys.readdir dir) with
     | [ f ] -> Filename.concat dir f
@@ -993,15 +1004,82 @@ let test_resumed_vectors_shared () =
     (Cgraph.build ~domains:1 ~resume ~machine ~specs ~inputs ())
     ~states:4254 ~distinct:260
 
-(* What the of:3:1 node array keeps alive, configurations and values
-   together: 50,243 words once object vectors are shared (85,957 with
-   one copy per node). *)
+(* What the of:3:1 nodes keep alive, configurations and values
+   together, measured through an exact array of them so the node
+   store's spare slots and spine do not count: 50,243 words once object
+   vectors are shared (85,957 with one copy per node). *)
 let test_node_words () =
   let machine, specs, inputs = of_instance 3 1 in
   let g = Cgraph.build ~domains:1 ~machine ~specs ~inputs () in
-  let words = Obj.reachable_words (Obj.repr g.Cgraph.nodes) in
+  let nodes = Array.init (Cgraph.n_nodes g) (Cgraph.node g) in
+  let words = Obj.reachable_words (Obj.repr nodes) in
   if words > 50_243 then
     Alcotest.failf "of:3:1 nodes reach %d words, more than 50243" words
+
+(* --- store shape ------------------------------------------------------------ *)
+
+(* [f] on a spilled build in a fresh directory, removed afterwards. *)
+let with_spilled ~threshold ?shards (machine, specs, inputs) f =
+  let dir = Filename.temp_file "lbsa-spill" ".d" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () -> Segstore.clean_dir ~dir)
+    (fun () ->
+      let spill = { Cgraph.spill_dir = dir; spill_threshold = threshold } in
+      f (Cgraph.build ~domains:1 ?shards ~spill ~machine ~specs ~inputs ()))
+
+(* A finished store holds at most its length plus one chunk of slots,
+   plus its spine: the record, the spine array and a header per chunk.
+   For a store of ints the footprint is all the store reaches. *)
+let check_store label ~len ~ints store =
+  let chunks = (len / Chunks.chunk_len) + 1 in
+  let bound = len + Chunks.chunk_len + (2 * chunks) + 6 in
+  let words = Chunks.footprint store in
+  if words > bound then
+    Alcotest.failf "%s: %d words for %d elements, more than %d" label words len
+      bound;
+  if ints then
+    Alcotest.(check int)
+      (label ^ ": footprint = reachable words")
+      (Obj.reachable_words (Obj.repr store))
+      words
+
+let check_graph_stores label g =
+  let n = Cgraph.n_nodes g in
+  check_store (label ^ " nodes") ~len:n ~ints:false g.Cgraph.nodes;
+  check_store (label ^ " offsets") ~len:(n + 1) ~ints:true g.Cgraph.offsets;
+  check_store (label ^ " targets") ~len:(Cgraph.n_edges g) ~ints:true
+    g.Cgraph.targets
+
+let build_resident (machine, specs, inputs) =
+  Cgraph.build ~domains:1 ~machine ~specs ~inputs ()
+
+let test_store_bounds () =
+  let g = build_resident (of_instance 3 2) in
+  Alcotest.(check (pair int int)) "of:3:2 size" (104_871, 300_706)
+    (Cgraph.n_nodes g, Cgraph.n_edges g);
+  check_graph_stores "resident of:3:2" g;
+  with_spilled ~threshold:1000 (of_instance 3 1) @@ fun g ->
+  Alcotest.(check bool) "of:3:1 spilled" true (g.Cgraph.n_base > 0);
+  check_graph_stores "spilled of:3:1" g
+
+(* Spilling lets go of every node chunk that lies wholly below
+   [n_base]: of:3:2 spilled as [explore] does leaves the chunk holding
+   [n_base] as its lowest, and the spilled ids read back through the
+   segments. *)
+let test_spilled_chunks_released () =
+  with_spilled ~threshold:20_000 ~shards:4 (of_instance 3 2) @@ fun g ->
+  let n_base = g.Cgraph.n_base in
+  Alcotest.(check int) "spilled ids" 86_431 n_base;
+  Alcotest.(check int) "lowest node chunk held"
+    (n_base / Chunks.chunk_len * Chunks.chunk_len)
+    (Chunks.held_from g.Cgraph.nodes);
+  let resident = build_resident (of_instance 3 2) in
+  List.iter
+    (fun id ->
+      if not (Config.equal (Cgraph.node g id) (Cgraph.node resident id)) then
+        Alcotest.failf "node %d differs after the release" id)
+    [ 0; n_base - 1; n_base; Cgraph.n_nodes g - 1 ]
 
 (* Configurations share their arrays, so an analysis that wrote into
    one would change other nodes too: after the analyses have run, the
@@ -1521,6 +1599,13 @@ let () =
           Alcotest.test_case "of:3:1 node words" `Quick test_node_words;
           Alcotest.test_case "analyses leave the nodes alone" `Quick
             test_analyses_leave_nodes_alone;
+        ] );
+      ( "store shape",
+        [
+          Alcotest.test_case "at most one chunk beyond the length" `Quick
+            test_store_bounds;
+          Alcotest.test_case "spilled node chunks are released" `Quick
+            test_spilled_chunks_released;
         ] );
       ( "ctbl adversarial",
         [

@@ -19,10 +19,31 @@
    (state quota, deadline, cancellation, worker failure — rerun bigger,
    longer, or --resume from the checkpoint; also a --resume whose
    parameters mismatch the checkpoint's, which stays resumable under its
-   original parameters); 3 = usage error. *)
+   original parameters); 3 = usage error, Cmdliner's own parse errors
+   included; 125 = an uncaught exception (a bug). *)
 
 open Lbsa
 open Cmdliner
+
+let usage_error = 3
+
+(* Every command's man page lists these, in place of Cmdliner's
+   defaults (which give parse errors 124). *)
+let exits =
+  [
+    Cmd.Exit.info 0
+      ~doc:"on a clean pass (for $(b,check candidate): the expected failure).";
+    Cmd.Exit.info 1
+      ~doc:"on a definitive failure (for $(b,check candidate): a pass).";
+    Cmd.Exit.info 2
+      ~doc:"on a partial outcome, or a checkpoint or segment it refuses.";
+    Cmd.Exit.info usage_error
+      ~doc:
+        "on a usage error, command line parse errors included, or when no \
+         daemon answers.";
+    Cmd.Exit.info Cmd.Exit.internal_error
+      ~doc:"on unexpected internal errors (bugs).";
+  ]
 
 (* --- shared argument parsing ------------------------------------------ *)
 
@@ -174,8 +195,7 @@ let refuse_build_failures ~cmd f =
   match f () with
   | rc -> rc
   | exception Cgraph.Too_many_processes n ->
-    Fmt.epr "lbsa %s: %d processes, but the explorer names at most %d@." cmd
-      n Cgraph.max_processes;
+    Fmt.epr "lbsa %s: %s@." cmd (Serve_api.too_many_processes n);
     3
   | exception Lbsa_modelcheck.Segstore.Corrupt msg ->
     Fmt.epr "lbsa %s: refused at segstore.read: %s@." cmd msg;
@@ -397,7 +417,7 @@ let run_dac_cmd =
       & info [ "scheduler" ] ~docv:"SCHED" ~doc:"rr | random | solo:<pid>.")
   in
   Cmd.v
-    (Cmd.info "run-dac"
+    (Cmd.info ~exits "run-dac"
        ~doc:"Run Algorithm 2 (n-DAC from one n-PAC) under a schedule.")
     Term.(const run_dac $ n_arg $ seed_arg $ sched)
 
@@ -520,7 +540,7 @@ let check_cmd =
       | _ -> report ~stats ?family verdict
   in
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info ~exits "check"
        ~doc:
          "Exhaustively model-check a task (all schedules, all object \
           nondeterminism); with --live, check liveness (fair-cycle \
@@ -661,7 +681,7 @@ let solve_cmd =
              vector per task).")
   in
   Cmd.v
-    (Cmd.info "solve"
+    (Cmd.info ~exits "solve"
        ~doc:
          "Model-check a single input vector under a supervision budget: \
           --deadline and ^C stop at a safe point with a partial verdict \
@@ -742,7 +762,7 @@ let valence_cmd =
           ~doc:"cons | flp-write-read | flp-spin | pac-retry | dac.")
   in
   Cmd.v
-    (Cmd.info "valence"
+    (Cmd.info ~exits "valence"
        ~doc:"Compute the valence structure of a protocol's configuration graph.")
     Term.(
       const valence $ proto_name $ n_arg $ m_arg $ max_states_arg $ stats_arg
@@ -826,36 +846,37 @@ let explore task max_states rmode d shards spill_dir spill_threshold deadline
     chaos want_fp want_stats =
   with_budget ~cmd:"explore" ?deadline ~chaos @@ fun budget ->
   let domains = if d <= 0 then None else Some d in
-  resolve ~cmd:"explore" (fun () -> mk_spill ~shards spill_dir spill_threshold)
-  @@ fun spill ->
+  resolve ~cmd:"explore"
+    (fun () ->
+      ( mk_spill ~shards spill_dir spill_threshold,
+        match task with
+        | `Task t ->
+          let inst = Serve_api.instance t in
+          ( inst.machine,
+            inst.specs,
+            Serve_api.input_vector t,
+            Serve_api.reduction inst rmode )
+        | `Of (n, r) ->
+          (* Obstruction-free consensus stays off the task table: no
+             checker is certified for it.  Nor is a symmetry group, so
+             [sym] degrades to the identity quotient, like free-form
+             candidates.  [`Spin] makes spun-out states absorbing
+             livelock leaves, so the bounded graph is finite and the
+             exploration can actually complete. *)
+          ( Obstruction_free.machine_spin ~n ~max_rounds:r,
+            Obstruction_free.specs ~n ~max_rounds:r,
+            Array.init n (fun pid -> Value.int (pid mod 2)),
+            match rmode with
+            | `None -> Cgraph.no_reduction
+            | mode ->
+              {
+                Cgraph.rname = Serve_api.reduce_name mode;
+                canon = Canon.identity;
+                sleep = mode = `Sym_sleep;
+                frozen = None;
+              } ) ))
+  @@ fun (spill, (machine, specs, inputs, reduce)) ->
   let label = Fmt.str "%a" (Arg.conv_printer explore_task_conv) task in
-  let machine, specs, inputs, reduce =
-    match task with
-    | `Task t ->
-      let inst = Serve_api.instance t in
-      ( inst.machine,
-        inst.specs,
-        Serve_api.input_vector t,
-        Serve_api.reduction inst rmode )
-    | `Of (n, r) ->
-      (* Obstruction-free consensus stays off the task table: no checker
-         is certified for it.  Nor is a symmetry group, so [sym] degrades
-         to the identity quotient, like free-form candidates.  [`Spin]
-         makes spun-out states absorbing livelock leaves, so the bounded
-         graph is finite and the exploration can actually complete. *)
-      ( Obstruction_free.machine_spin ~n ~max_rounds:r,
-        Obstruction_free.specs ~n ~max_rounds:r,
-        Array.init n (fun pid -> Value.int (pid mod 2)),
-        match rmode with
-        | `None -> Cgraph.no_reduction
-        | mode ->
-          {
-            Cgraph.rname = Serve_api.reduce_name mode;
-            canon = Canon.identity;
-            sleep = mode = `Sym_sleep;
-            frozen = None;
-          } )
-  in
   refuse_build_failures ~cmd:"explore" @@ fun () ->
   let graph =
     Cgraph.build ~max_states ?domains ~budget ~reduce ~shards ?spill ~machine
@@ -925,7 +946,7 @@ let explore_cmd =
              on this.")
   in
   Cmd.v
-    (Cmd.info "explore"
+    (Cmd.info ~exits "explore"
        ~doc:
          "Build one configuration graph and print machine-readable \
           key=value telemetry (states, throughput, shard/spill \
@@ -964,7 +985,7 @@ let power n max_k max_states =
 
 let power_cmd =
   Cmd.v
-    (Cmd.info "power" ~doc:"Set agreement power: closed forms and probes.")
+    (Cmd.info ~exits "power" ~doc:"Set agreement power: closed forms and probes.")
     Term.(const power $ n_arg $ max_k_arg $ max_states_arg)
 
 let separation n max_k max_states =
@@ -974,7 +995,7 @@ let separation n max_k max_states =
 
 let separation_cmd =
   Cmd.v
-    (Cmd.info "separation"
+    (Cmd.info ~exits "separation"
        ~doc:"Assemble the Corollary 6.6 artifacts for a given n.")
     Term.(const separation $ n_arg $ max_k_arg $ max_states_arg)
 
@@ -1045,7 +1066,7 @@ let lin_check_cmd =
       value & opt int 200 & info [ "trials" ] ~docv:"T" ~doc:"Random trials.")
   in
   Cmd.v
-    (Cmd.info "lin-check"
+    (Cmd.info ~exits "lin-check"
        ~doc:
          "Drive an implementation with concurrent clients and check \
           linearizability.")
@@ -1213,7 +1234,7 @@ let fuzz_cmd =
              --deadline fires.")
   in
   Cmd.v
-    (Cmd.info "fuzz"
+    (Cmd.info ~exits "fuzz"
        ~doc:
          "Conformance-fuzz objects and implementations: random workloads, \
           schedules, and crash faults under the linearizability oracle, with \
@@ -1250,7 +1271,7 @@ let universal_cmd =
     Arg.(value & opt int 200 & info [ "trials" ] ~docv:"T" ~doc:"Random trials.")
   in
   Cmd.v
-    (Cmd.info "universal"
+    (Cmd.info ~exits "universal"
        ~doc:"Run Herlihy's universal construction (queue target) and check \
              linearizability.")
     Term.(const universal $ n_arg $ trials $ seed_arg)
@@ -1286,7 +1307,7 @@ let bg_cmd =
     Arg.(value & opt int 200 & info [ "trials" ] ~docv:"T" ~doc:"Random trials.")
   in
   Cmd.v
-    (Cmd.info "bg" ~doc:"Run the Borowsky-Gafni simulation and validate outcomes.")
+    (Cmd.info ~exits "bg" ~doc:"Run the Borowsky-Gafni simulation and validate outcomes.")
     Term.(const bg $ simulators $ trials $ seed_arg)
 
 let qadri m n max_states =
@@ -1296,7 +1317,7 @@ let qadri m n max_states =
 
 let qadri_cmd =
   Cmd.v
-    (Cmd.info "qadri"
+    (Cmd.info ~exits "qadri"
        ~doc:"Assemble the Theorem 7.1 artifacts for given m and n (needs \
              m >= 2, n >= m+1).")
     Term.(const qadri $ m_arg $ n_arg $ max_states_arg)
@@ -1310,7 +1331,7 @@ let objects () =
 
 let objects_cmd =
   Cmd.v
-    (Cmd.info "objects" ~doc:"List the object zoo.")
+    (Cmd.info ~exits "objects" ~doc:"List the object zoo.")
     Term.(const objects $ const ())
 
 (* --- fingerprint ----------------------------------------------------------- *)
@@ -1421,7 +1442,7 @@ let fingerprint_cmd =
              substrates must print distinct keys.")
   in
   Cmd.v
-    (Cmd.info "fingerprint"
+    (Cmd.info ~exits "fingerprint"
        ~doc:
          "Print a structural fingerprint of the dac configuration graph \
           (cross-process determinism probe: output must be independent of \
@@ -1516,7 +1537,7 @@ let serve_cmd =
     Arg.(value & flag & info [ "quiet" ] ~doc:"No chatter on stderr.")
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info ~exits "serve"
        ~doc:
          "Run the persistent verification daemon: a worker pool answering \
           solvability/valence/fuzz queries over a unix socket, memoizing \
@@ -1651,7 +1672,7 @@ let query_cmd =
       & info [ "stats" ] ~doc:"Print the daemon's counters instead of asking.")
   in
   Cmd.v
-    (Cmd.info "query"
+    (Cmd.info ~exits "query"
        ~doc:
          "Ask the verification daemon.  Cold answers are computed by the \
           worker pool and memoized; identical queries — across clients and \
@@ -1684,7 +1705,7 @@ let shutdown socket wait_s =
 
 let shutdown_cmd =
   Cmd.v
-    (Cmd.info "shutdown"
+    (Cmd.info ~exits "shutdown"
        ~doc:
          "Drain and stop the verification daemon: it finishes and answers \
           every queued and in-flight query, then exits; this command \
@@ -1695,16 +1716,22 @@ let shutdown_cmd =
 
 let () =
   let info =
-    Cmd.info "lbsa" ~version:"1.0.0"
+    Cmd.info "lbsa" ~exits ~version:"1.0.0"
       ~doc:
         "Executable reproduction of 'Life Beyond Set Agreement' (PODC 2017)."
   in
+  let cmd =
+    Cmd.group info
+      [
+        run_dac_cmd; check_cmd; solve_cmd; valence_cmd; explore_cmd;
+        power_cmd; separation_cmd; lin_check_cmd; fuzz_cmd; universal_cmd;
+        bg_cmd; qadri_cmd; objects_cmd; fingerprint_cmd; serve_cmd;
+        query_cmd; shutdown_cmd;
+      ]
+  in
   exit
-    (Cmd.eval'
-       (Cmd.group info
-          [
-            run_dac_cmd; check_cmd; solve_cmd; valence_cmd; explore_cmd;
-            power_cmd; separation_cmd; lin_check_cmd; fuzz_cmd; universal_cmd;
-            bg_cmd; qadri_cmd; objects_cmd; fingerprint_cmd; serve_cmd;
-            query_cmd; shutdown_cmd;
-          ]))
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok rc) -> rc
+    | Ok (`Help | `Version) -> Cmd.Exit.ok
+    | Error (`Parse | `Term) -> usage_error
+    | Error `Exn -> Cmd.Exit.internal_error)

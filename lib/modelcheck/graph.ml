@@ -16,7 +16,11 @@ open Lbsa_runtime
    single-threaded FIFO BFS (kept as the test suite's oracle), the
    resulting graph — ids, edge order, truncation point — is
    bit-identical regardless of the domain count, so every downstream
-   table and test is reproducible.  Dedup goes through {!Ctbl}, a
+   table and test is reproducible.  Each worker steps processes through
+   its own transition memo ([Config.stepper]): the protocol's [delta]
+   runs once per (pid, local state) the worker meets, and [resume] once
+   per response after it, while the objects' branches run on every
+   step.  Dedup goes through {!Ctbl}, a
    sharded open-addressing table of (hash, id) slots that resolves ids
    through the node store, keyed on [Config.hash] — with hash-consed
    values that is a fold over cached per-element hashes, O(#processes)
@@ -42,7 +46,9 @@ open Lbsa_runtime
    Determinism caveat: everything stored or ordered here — node ids,
    edge order, [Config.hash] — is structural.  Value intern ids are
    allocation-order-dependent and must never feed into this module's
-   hashes or orderings; see the invariant note in [Value]. *)
+   hashes or orderings; see the invariant note in [Value].  They key
+   the steppers' private tables only, whose answers are exactly the
+   plain step's. *)
 
 type edge = { pid : int; event : Config.event; target : int }
 
@@ -252,7 +258,8 @@ let reduce_config ~reduce ~machine config =
    plus this node's reduction counters: successors canonized, and
    steps short-circuited by commit pruning (suppressed sibling
    expansions plus flushed decide/aborts). *)
-let successors ?(substrate = Substrate.shm) ~reduce ~machine ~specs config =
+let successors ?(substrate = Substrate.shm) ?stepper ~reduce ~machine ~specs
+    config =
   let ample =
     if reduce.sleep then Canon.commit_pid ~machine ?frozen:reduce.frozen config
     else None
@@ -260,7 +267,11 @@ let successors ?(substrate = Substrate.shm) ~reduce ~machine ~specs config =
   let canonized = ref 0 in
   let flushed = ref 0 in
   let branches_of pid =
-    let bs = substrate.Substrate.step_branches ~machine ~specs config pid in
+    let bs =
+      match stepper with
+      | Some st -> Config.step_memo st config pid
+      | None -> substrate.Substrate.step_branches ~machine ~specs config pid
+    in
     if keeps_every_step reduce then bs
     else
       List.map
@@ -316,7 +327,7 @@ let block_size = 64
    below it had its claim made earlier and still completes, so the
    cursor stops at the lowest failing block, whose [Error (worker, exn,
    attempts)] is returned.  The caller then abandons the level whole. *)
-let expand ~domains ~substrate ~reduce ~machine ~specs ~merge frontier =
+let expand ~steppers ~substrate ~reduce ~machine ~specs ~merge frontier =
   let n = Chunks.length frontier in
   let n_blocks = (n + block_size - 1) / block_size in
   let slots = Array.init n_blocks (fun _ -> Atomic.make None) in
@@ -333,10 +344,10 @@ let expand ~domains ~substrate ~reduce ~machine ~specs ~merge frontier =
         drain ()
       | Some (Error _) | None -> ()
   in
-  let expand_block b =
+  let expand_block k b =
     let lo = b * block_size in
     Array.init (min block_size (n - lo)) (fun j ->
-        successors ~substrate ~reduce ~machine ~specs
+        successors ~substrate ~stepper:steppers.(k) ~reduce ~machine ~specs
           (Chunks.get frontier (lo + j)))
   in
   (* The flag is read before the claim, and a block, once taken,
@@ -348,7 +359,7 @@ let expand ~domains ~substrate ~reduce ~machine ~specs ~merge frontier =
         let r =
           match
             Supervisor.run_shard ~backoff_s:0. ~worker:k (fun () ->
-                expand_block b)
+                expand_block k b)
           with
           | Ok succs -> Ok succs
           | Error (exn, attempts) ->
@@ -370,7 +381,9 @@ let expand ~domains ~substrate ~reduce ~machine ~specs ~merge frontier =
       Atomic.set failed true;
       Some e
   in
-  let d = if n < parallel_threshold then 1 else min domains n_blocks in
+  let d =
+    if n < parallel_threshold then 1 else min (Array.length steppers) n_blocks
+  in
   List.iter (Option.iter raise) (Supervisor.spawn_join d work);
   drain ();
   if !cursor = n_blocks then Ok ()
@@ -397,11 +410,8 @@ let hole_config : Config.t = { locals = [||]; objects = [||]; status = [||] }
 module Vectors = Hashtbl.Make (struct
   type t = Lbsa_spec.Value.t array
 
-  let equal a b =
-    a == b
-    || Array.length a = Array.length b && Array.for_all2 Lbsa_spec.Value.equal a b
-
-  let hash = Array.fold_left Lbsa_spec.Value.hash_fold 0
+  let equal = Lbsa_spec.Value.equal_array
+  let hash = Lbsa_spec.Value.hash_array 0
 end)
 
 (* Every configuration in id order into [f], stopping at its first
@@ -431,6 +441,9 @@ let build ?(max_states = default_max_states) ?domains
     | None -> Supervisor.default_domains ()
   in
   let t0 = Unix.gettimeofday () in
+  (* One transition memo per worker index of [expand]; they die with the
+     build. *)
+  let steppers = Array.init domains (fun _ -> Config.stepper ~machine ~specs) in
   (* Every id has a slot in [nodes]; those below [n_base] live in the
      segment store, and their chunks are released. *)
   let nodes = Chunks.create hole_config in
@@ -601,7 +614,7 @@ let build ?(max_states = default_max_states) ?domains
       let hits0 = !dedup_hits and succs0 = !n_succs in
       let canon0 = !canonized and ample0 = !ample_nodes in
       let pruned0 = !ample_pruned in
-      match expand ~domains ~substrate ~reduce ~machine ~specs ~merge f with
+      match expand ~steppers ~substrate ~reduce ~machine ~specs ~merge f with
       | Error (worker, exn, attempts) ->
         (* This level's expansion failed even after retries.  Every
            completed level is kept; this one is abandoned whole (its

@@ -285,6 +285,7 @@ val reduce_config :
 
 val successors :
   ?substrate:Substrate.t ->
+  ?stepper:Config.stepper ->
   reduce:reduction ->
   machine:Machine.t ->
   specs:Lbsa_spec.Obj_spec.t array ->
@@ -296,7 +297,12 @@ val successors :
     in spec order), each one reduced by {!reduce_config}, after the
     ample rule has restricted expansion to the commit step when one
     exists.  Also returns the successors canonized and the steps
-    short-circuited by commit pruning. *)
+    short-circuited by commit pruning.  With [stepper] each step goes
+    through {!Config.step_memo} instead of [substrate]'s
+    [step_branches], which every substrate defines as
+    {!Config.step_branches} (the test suite checks they agree); {!build}
+    passes one per worker, while {!field-succ} and the oracle step
+    plainly. *)
 
 val n_nodes : t -> int
 val n_edges : t -> int

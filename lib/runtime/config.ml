@@ -57,40 +57,42 @@ let status_equal a b =
 (* Values are hash-consed, so [Value.equal] is pointer equality: the
    frequent equal-confirm of dedup tables is a per-element pointer scan,
    O(#processes), never a tree walk — even for configurations built by
-   different parents that share nothing physically at the array level. *)
+   different parents that share nothing physically at the array level.
+   Loops, not closures: see [Value.hash_array]. *)
 let equal a b =
   a == b
-  ||
-  let arr_eq eq x y =
-    x == y
-    || Array.length x = Array.length y
-       &&
-       let rec go i = i >= Array.length x || (eq x.(i) y.(i) && go (i + 1)) in
-       go 0
-  in
-  arr_eq Value.equal a.locals b.locals
-  && arr_eq Value.equal a.objects b.objects
-  && arr_eq status_equal a.status b.status
+  || Value.equal_array a.locals b.locals
+     && Value.equal_array a.objects b.objects
+     && (a.status == b.status
+        || Array.length a.status = Array.length b.status
+           &&
+           let n = Array.length a.status in
+           let rec go i =
+             i = n || (status_equal a.status.(i) b.status.(i) && go (i + 1))
+           in
+           go 0)
 
 (* Element-wise hash: every local, object state and status contributes in
-   full — but [Value.hash_fold] reads each element's cached structural
-   hash, so the whole fold is O(#processes), independent of value-tree
-   size.  The hashes mixed here are structural, never intern ids, so the
-   result is identical across processes and construction orders (the
-   explorer's determinism depends on this). *)
+   full — but each element contributes its cached structural hash, so
+   the whole hash is O(#processes), independent of value-tree size.  The
+   hashes mixed here are structural, never intern ids, so the result is
+   identical across processes and construction orders (the explorer's
+   determinism depends on this).  The bits are those of the original
+   [Array.fold_left Value.hash_fold] form, kept in test/oracle.ml. *)
 let hash t =
   let comb = Value.hash_combine in
-  let fold_status acc = function
-    | Running -> comb acc 29
-    | Decided v -> Value.hash_fold (comb acc 31) v
-    | Aborted -> comb acc 37
-    | Crashed -> comb acc 41
-  in
-  let acc = Array.fold_left Value.hash_fold 0x811c9dc5 t.locals in
-  let acc = comb acc 43 in
-  let acc = Array.fold_left Value.hash_fold acc t.objects in
-  let acc = comb acc 47 in
-  Array.fold_left fold_status acc t.status land max_int
+  let acc = Value.hash_array 0x811c9dc5 t.locals in
+  let acc = Value.hash_array (comb acc 43) t.objects in
+  let acc = ref (comb acc 47) in
+  for i = 0 to Array.length t.status - 1 do
+    acc :=
+      match t.status.(i) with
+      | Running -> comb !acc 29
+      | Decided v -> Value.hash_fold (comb !acc 31) v
+      | Aborted -> comb !acc 37
+      | Crashed -> comb !acc 41
+  done;
+  !acc land max_int
 
 let n_processes t = Array.length t.locals
 
@@ -102,7 +104,7 @@ let initial ~(machine : Machine.t) ~(specs : Obj_spec.t array) ~inputs =
     status = Array.make n Running;
   }
 
-let is_running t pid = t.status.(pid) = Running
+let is_running t pid = match t.status.(pid) with Running -> true | _ -> false
 
 let running t =
   List.filter (is_running t) (Lbsa_util.Listx.range 0 (n_processes t - 1))
@@ -132,42 +134,130 @@ type event =
   | Decide_event of { pid : int; value : Value.t }
   | Abort_event of { pid : int }
 
+(* --- the step rule ------------------------------------------------------ *)
+
+(* One copy of what a step makes of [t], for [step_branches] and the
+   stepper alike: a halt copies the status array and shares the rest;
+   an operation's branch copies [locals], and shares the parent's
+   object vector when it leaves the object as it was (a read, a no-op),
+   as every step but a halt shares its status array. *)
+
+let not_running pid =
+  invalid_arg (Fmt.str "Config.step_branches: process %d is not running" pid)
+
+let halted t pid s event =
+  let status = Array.copy t.status in
+  status.(pid) <- s;
+  [ ({ t with status }, event) ]
+
+(* The state of the object an operation addresses. *)
+let operand ~(specs : Obj_spec.t array) t obj =
+  if obj < 0 || obj >= Array.length specs then
+    invalid_arg (Fmt.str "Config.step_branches: no object %d" obj);
+  t.objects.(obj)
+
+let operated t pid obj state (b : Obj_spec.branch) local =
+  let locals = Array.copy t.locals in
+  locals.(pid) <- local;
+  let objects =
+    if Value.equal b.next state then t.objects
+    else begin
+      let objects = Array.copy t.objects in
+      objects.(obj) <- b.next;
+      objects
+    end
+  in
+  { t with locals; objects }
+
 (* All successor configurations of letting [pid] take its next step,
    one per nondeterministic object branch. *)
 let step_branches ~(machine : Machine.t) ~(specs : Obj_spec.t array) t pid :
     (t * event) list =
-  if not (is_running t pid) then
-    invalid_arg (Fmt.str "Config.step_branches: process %d is not running" pid);
+  if not (is_running t pid) then not_running pid;
   match machine.delta ~pid t.locals.(pid) with
-  | Machine.Decide v ->
-    let status = Array.copy t.status in
-    status.(pid) <- Decided v;
-    [ ({ t with status }, Decide_event { pid; value = v }) ]
-  | Machine.Abort ->
-    let status = Array.copy t.status in
-    status.(pid) <- Aborted;
-    [ ({ t with status }, Abort_event { pid }) ]
+  | Machine.Decide v -> halted t pid (Decided v) (Decide_event { pid; value = v })
+  | Machine.Abort -> halted t pid Aborted (Abort_event { pid })
   | Machine.Invoke { obj; op; resume } ->
-    if obj < 0 || obj >= Array.length specs then
-      invalid_arg (Fmt.str "Config.step_branches: no object %d" obj);
-    let state = t.objects.(obj) in
+    let state = operand ~specs t obj in
     Obj_spec.branches specs.(obj) state op
     |> List.map (fun (b : Obj_spec.branch) ->
-           let locals = Array.copy t.locals in
-           locals.(pid) <- resume b.response;
-           (* A branch that leaves the object as it was (a read, a
-              no-op) shares the parent's object vector, as every step
-              but a halt shares its status array. *)
-           let objects =
-             if Value.equal b.next state then t.objects
-             else begin
-               let objects = Array.copy t.objects in
-               objects.(obj) <- b.next;
-               objects
-             end
-           in
-           ( { t with locals; objects },
+           ( operated t pid obj state b (resume b.response),
              Op_event { pid; obj; op; response = b.response } ))
+
+(* --- the transition memo ------------------------------------------------ *)
+
+(* Int-keyed tables for intern ids.  The mix spreads dense ids, and a
+   move key's pid in its low byte, over every bucket. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k * 0x2545F4914F6CDD1D) lsr 20
+end)
+
+(* What a process does from one local state.  A halt keeps its status
+   and event; an operation keeps its object, op and [resume], and
+   [after] keeps, per response id, what [resume] made of that response
+   and the step's event. *)
+type move =
+  | Halt of status * event
+  | Operate of {
+      obj : int;
+      op : Op.t;
+      resume : Value.t -> Value.t;
+      after : (Value.t * event) Itbl.t;
+    }
+
+type stepper = {
+  machine : Machine.t;
+  specs : Obj_spec.t array;
+  moves : move Itbl.t;  (* (local id lsl 8) lor pid -> move *)
+}
+
+let stepper ~machine ~specs = { machine; specs; moves = Itbl.create 64 }
+
+(* A key packs the pid into 8 bits, so a larger pid is refused rather
+   than left to alias another key ([Graph.build] refuses such machines
+   at entry). *)
+let key_pid_bits = 8
+
+let step_memo st t pid =
+  if not (is_running t pid) then not_running pid;
+  if pid lsr key_pid_bits <> 0 then
+    invalid_arg
+      (Fmt.str "Config.step_memo: pid %d does not fit a stepper key" pid);
+  let local = t.locals.(pid) in
+  let key = (local.Value.id lsl key_pid_bits) lor pid in
+  let move =
+    match Itbl.find st.moves key with
+    | m -> m
+    | exception Not_found ->
+      let m =
+        match st.machine.delta ~pid local with
+        | Machine.Decide v -> Halt (Decided v, Decide_event { pid; value = v })
+        | Machine.Abort -> Halt (Aborted, Abort_event { pid })
+        | Machine.Invoke { obj; op; resume } ->
+          Operate { obj; op; resume; after = Itbl.create 1 }
+      in
+      Itbl.add st.moves key m;
+      m
+  in
+  match move with
+  | Halt (s, event) -> halted t pid s event
+  | Operate { obj; op; resume; after } ->
+    let state = operand ~specs:st.specs t obj in
+    Obj_spec.branches st.specs.(obj) state op
+    |> List.map (fun (b : Obj_spec.branch) ->
+           let response = b.response in
+           let local, event =
+             match Itbl.find after response.Value.id with
+             | r -> r
+             | exception Not_found ->
+               let r = (resume response, Op_event { pid; obj; op; response }) in
+               Itbl.add after response.Value.id r;
+               r
+           in
+           (operated t pid obj state b local, event))
 
 (* Take a step resolving object nondeterminism with [choice]. *)
 let step ~machine ~specs ~choice t pid =

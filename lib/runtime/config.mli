@@ -33,10 +33,15 @@ val compare : t -> t -> int
     length first). *)
 
 val equal : t -> t -> bool
+(** Element-wise: equal lengths, physically equal values (they are
+    hash-consed) and equal statuses. *)
 
 val hash : t -> int
 (** Element-wise hash of the full configuration (every local, object
-    state and status contributes) — safe to key large dedup tables on. *)
+    state and status contributes) — safe to key large dedup tables on.
+    Structural, never intern ids: the same bits in every process and
+    run, and the same bits as the original fold over
+    [Value.hash_fold] (test/oracle.ml keeps it). *)
 
 val n_processes : t -> int
 
@@ -63,6 +68,32 @@ val step_branches :
 (** All successors of letting process [pid] take its next atomic step —
     one per nondeterministic object branch (singleton for deterministic
     objects).  Raises if [pid] is not running. *)
+
+type stepper
+(** A transition memo for one machine and spec array: {!step_memo}
+    returns exactly {!step_branches}'s list, and runs the machine's
+    [delta] once per (pid, local state) and [resume] once per (pid,
+    local state, response) it meets.  Two tables, both keyed on intern
+    ids (never on an object's state, which an object's own
+    [Obj_spec.branches] still reads on every call):
+    - (pid, local state id) -> the move: a halt with its status and
+      event, or an operation with its object, op and [resume];
+    - inside each operation, response id -> (next local state, event).
+
+    Successors are built by the same code as {!step_branches}'s, so they
+    share exactly the arrays {!step_branches}'s share.  It raises what
+    {!step_branches} raises (process not running, no such object, an
+    empty branch list), and a [delta] or [resume] that raises leaves
+    nothing behind.  Keys pack the pid into 8 bits: pids from 256 up
+    raise [Invalid_argument].  Ids never leave the tables, so nothing
+    they key is ordered or hashed by them.  Not domain-safe: one stepper
+    per domain. *)
+
+val stepper : machine:Machine.t -> specs:Obj_spec.t array -> stepper
+
+val step_memo : stepper -> t -> int -> (t * event) list
+(** [step_memo st t pid] is [step_branches ~machine ~specs t pid] for
+    [st]'s machine and specs. *)
 
 val step :
   machine:Machine.t ->

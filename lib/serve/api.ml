@@ -307,30 +307,39 @@ let candidate name =
       (Fmt.str "unknown candidate %S; known: %s" name
          (String.concat ", " (List.map fst candidates)))
 
+let too_many_processes n =
+  Fmt.str "%d processes, but the explorer names at most %d" n
+    Graph.max_processes
+
 (* The process count; refuses the sizes a task's protocol is not
-   defined for before any constructor sees them. *)
+   defined for, and more processes than the explorer names, before any
+   constructor sees them. *)
 let procs task =
   let at_least what v lo =
     if v < lo then
       invalid_arg (Fmt.str "task %s needs %s >= %d" (task_label task) what lo)
   in
-  match task with
-  | Dac { n } | Vc { n } ->
-    at_least "n" n 2;
-    n
-  | Bcast { n } ->
-    at_least "n" n 1;
-    n
-  | Consensus { m } ->
-    at_least "m" m 1;
-    m
-  | Kset { m; k } ->
-    at_least "m" m 1;
-    at_least "k" k 1;
-    m * k
-  | Candidate { name } ->
-    let _, procs, _ = candidate name in
-    procs
+  let procs =
+    match task with
+    | Dac { n } | Vc { n } ->
+      at_least "n" n 2;
+      n
+    | Bcast { n } ->
+      at_least "n" n 1;
+      n
+    | Consensus { m } ->
+      at_least "m" m 1;
+      m
+    | Kset { m; k } ->
+      at_least "m" m 1;
+      at_least "k" k 1;
+      m * k
+    | Candidate { name } ->
+      let _, procs, _ = candidate name in
+      procs
+  in
+  if procs > Graph.max_processes then invalid_arg (too_many_processes procs);
+  procs
 
 let instance ?(byz = 0) task =
   let procs = procs task in
@@ -425,6 +434,14 @@ let substrate task name =
          (if mp_task task then "message-passing" else "shared-memory")
          (default_substrate task));
   (sub, byz)
+
+(* What [compute] refuses before it builds anything, in the order it
+   refuses it. *)
+let validate = function
+  | Verify v ->
+    ignore (substrate v.task v.substrate);
+    ignore (input_vector ~inputs:v.inputs v.task)
+  | Fuzz _ -> ()
 
 let check inst =
   Solvability.check ~task:inst.flavor ~machine:inst.machine ~specs:inst.specs

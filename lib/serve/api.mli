@@ -132,9 +132,9 @@ val default_substrate : task -> string
     and the CLI's [check], [solve], [valence], [explore] and
     [fingerprint] all resolve tasks here.  Every function below raises
     [Invalid_argument] with a one-line reason on a task it cannot
-    resolve: an out-of-range size ("task dac:1 needs n >= 2"), an
-    unknown candidate, a wrong-arity input vector or a substrate of the
-    other family. *)
+    resolve: an out-of-range size ("task dac:1 needs n >= 2", or
+    {!too_many_processes}), an unknown candidate, a wrong-arity input
+    vector or a substrate of the other family. *)
 
 type instance = {
   machine : Machine.t;
@@ -146,6 +146,11 @@ type instance = {
   frozen : (int -> Value.t -> bool) option;
       (** objects certified permanently inert, for [sym+sleep] *)
 }
+
+val too_many_processes : int -> string
+(** The refusal of a task with more processes than
+    {!Graph.max_processes}: ["257 processes, but the explorer names at
+    most 256"]. *)
 
 val instance : ?byz:int -> task -> instance
 (** The task's protocol.  [byz] is the Byzantine budget of an mp
@@ -169,6 +174,12 @@ val substrate : task -> string -> Substrate.t * int
 (** The named substrate ("shm", "mp", "mp+byz:<f>") and its Byzantine
     budget.  Refuses an unknown name, and a substrate of the other
     family: message-passing tasks run on mp, all others on shm. *)
+
+val validate : query -> unit
+(** The cheap refusals of {!compute} — a size out of range, an unknown
+    candidate, a wrong-arity input vector, a bad substrate name — in the
+    order {!compute} raises them, without building a protocol.  A fuzz
+    query passes. *)
 
 val check :
   instance ->

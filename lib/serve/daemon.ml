@@ -327,10 +327,14 @@ let handle_query st fd q deadline_s =
       let key = Api.key q in
       match lookup st ~canonical ~key with
       | `Hit r -> reply_result st fd ~cached:true ~t0 r
-      | `Resume n ->
-        schedule st ~canonical ~key ~q ~deadline_s ~start:n ~waiter:(fd, t0)
-      | `Miss ->
-        schedule st ~canonical ~key ~q ~deadline_s ~start:0 ~waiter:(fd, t0)
+      | (`Resume _ | `Miss) as m -> (
+        (* A query the task table refuses is answered here, once: never
+           counted as a miss, never handed to a worker to fail twice. *)
+        match Api.validate q with
+        | exception Invalid_argument msg -> reply st fd (Wire.Error msg)
+        | () ->
+          let start = match m with `Resume n -> n | `Miss -> 0 in
+          schedule st ~canonical ~key ~q ~deadline_s ~start ~waiter:(fd, t0))
     end
 
 let handle_completion st { c_job = job; c_result } =

@@ -182,6 +182,27 @@ let equal (a : t) (b : t) = a == b
 let hash (v : t) = v.h
 let hash_fold acc (v : t) = hash_combine acc v.h
 
+(* Direct loops, not [Array.fold_left hash_fold] / [Array.for_all2
+   equal]: the dev profile compiles with [-opaque], so a caller's fold
+   pays a closure call plus a cross-module call per element, while here
+   [hash_combine] and [(==)] inline. *)
+let hash_array acc (a : t array) =
+  let h = ref acc in
+  for i = 0 to Array.length a - 1 do
+    h := hash_combine !h (Array.unsafe_get a i).h
+  done;
+  !h
+
+let equal_array (a : t array) (b : t array) =
+  a == b
+  || Array.length a = Array.length b
+     &&
+     let n = Array.length a in
+     let rec go i =
+       i = n || (Array.unsafe_get a i == Array.unsafe_get b i && go (i + 1))
+     in
+     go 0
+
 (* Total structural order — IDENTICAL to the pre-hash-consing order
    (sorted [Assoc]/[Set_] encodings and golden traces depend on it).
    Identity short-circuits; ids never participate in the ordering. *)

@@ -62,6 +62,14 @@ val hash_combine : int -> int -> int
 (** The FNV-style mixing step used by [hash_fold], for callers that fold
     non-[Value] components (tags, statuses) into the same stream. *)
 
+val hash_array : int -> t array -> int
+(** [hash_array acc a] is [Array.fold_left hash_fold acc a], bit for
+    bit, as one loop. *)
+
+val equal_array : t array -> t array -> bool
+(** Equal lengths and [equal] elements; physically equal arrays
+    short-circuit. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

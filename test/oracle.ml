@@ -365,3 +365,21 @@ let kset_partition ~m ~k =
     |> List.filter (fun a -> not (is_id_array a.proc))
   in
   { canon = Canon.kset_partition ~m ~k; autos }
+
+(* --- the configuration hash as a fold ------------------------------------ *)
+
+(* [Config.hash] as it was first written, a fold of [Value.hash_fold]
+   over each array: its loops must keep these bits. *)
+let config_hash (t : Config.t) =
+  let comb = Value.hash_combine in
+  let fold_status acc = function
+    | Config.Running -> comb acc 29
+    | Config.Decided v -> Value.hash_fold (comb acc 31) v
+    | Config.Aborted -> comb acc 37
+    | Config.Crashed -> comb acc 41
+  in
+  let acc = Array.fold_left Value.hash_fold 0x811c9dc5 t.locals in
+  let acc = comb acc 43 in
+  let acc = Array.fold_left Value.hash_fold acc t.objects in
+  let acc = comb acc 47 in
+  Array.fold_left fold_status acc t.status land max_int

@@ -75,3 +75,10 @@ val kset_partition : m:int -> k:int -> group
 val dac_auto : int array -> auto
 (** The dac automorphism moving processes by [proc] (which must fix 0)
     and renaming PAC labels alongside. *)
+
+(** {2 The configuration hash} *)
+
+val config_hash : Config.t -> int
+(** [Config.hash] as a fold of [Value.hash_fold] over each array, the
+    form it was first written in: {!Config.hash} must return the same
+    bits. *)

@@ -523,6 +523,31 @@ fingerprint=c47ba12b
       0,
       {|states=190 edges=418 truncated=false reduce=none question=solve substrate=shm fingerprint=6b728d95 key=05069e4553440337
 |} );
+    (* Intern-order determinism: interning 1000 unrelated values first
+       shifts every intern id the build meets (and so every transition
+       memo key), never a byte of the answer.  Each of the four rows
+       after it moves one parameter of the cache key off -n 3's, and
+       with it the fingerprint. *)
+    ( "fingerprint -n 3 --intern-warmup 1000",
+      0,
+      {|states=190 edges=418 truncated=false reduce=none question=solve substrate=shm fingerprint=6b728d95 key=05069e4553440337
+|} );
+    ( "fingerprint -n 3 --reduce sym",
+      0,
+      {|states=110 edges=240 truncated=false reduce=sym question=solve substrate=shm fingerprint=2b32fbea key=0c7f417d040ada03
+|} );
+    ( "fingerprint -n 3 --inputs 0,0,0",
+      0,
+      {|states=158 edges=358 truncated=false reduce=none question=solve substrate=shm fingerprint=1cb708a1 key=29488c189676df30
+|} );
+    ( "fingerprint -n 3 --question live",
+      0,
+      {|states=190 edges=418 truncated=false reduce=none question=live substrate=shm fingerprint=1d6d26c6 key=24b0517c72f72b2b
+|} );
+    ( "fingerprint -n 3 --substrate mp",
+      0,
+      {|states=190 edges=418 truncated=false reduce=none question=solve substrate=mp fingerprint=348ee75c key=10036f04c5ca7969
+|} );
     ( "fingerprint -n 4 --reduce sym",
       0,
       {|states=244 edges=718 truncated=false reduce=sym question=solve substrate=shm fingerprint=8ad83bf5 key=297a0c4188fcd85a
@@ -605,6 +630,9 @@ let flag_refusals =
   [
     ("explore dac:257", "lbsa explore: 257 processes, but the explorer names at most 256");
     ("solve dac -n 257", "lbsa solve: 257 processes, but the explorer names at most 256");
+    (* Refused by the task table before the 2^257-vector family sweep
+       is built, not by the build. *)
+    ("check dac -n 257", "lbsa check: 257 processes, but the explorer names at most 256");
     ( "valence --protocol dac -n 257",
       "lbsa valence: 257 processes, but the explorer names at most 256" );
     ( "solve dac -n 3 --deadline nan",
@@ -636,6 +664,25 @@ let test_flag_refusal (args, line) () =
   Alcotest.(check string) (args ^ ": no verdict on stdout") "" out;
   Alcotest.(check string) (args ^ ": stderr") (line ^ "\n") err
 
+(* Cmdliner's own parse errors are usage errors too: exit 3 with its
+   error as the first stderr line (a usage hint follows), nothing on
+   stdout. *)
+let parse_refusals =
+  [
+    ("check dac -n 3 --inputs 1,0,0", "lbsa: unknown option '--inputs'.");
+    ("check dac --max-states -5", "lbsa: unknown option '-5'.");
+    ("explore of:0:0", {|lbsa: TASK argument: "of:0:0": expected an integer >= 2|});
+    ("query dac:0", {|lbsa: TASK argument: "dac:0": expected an integer >= 2|});
+    ("solve dac -n 3 --spill-threshold -1", "lbsa: unknown option '-1'.");
+  ]
+
+let test_parse_refusal (args, line) () =
+  let out, err, rc = run args in
+  Alcotest.(check int) (args ^ ": exit code") 3 rc;
+  Alcotest.(check string) (args ^ ": no verdict on stdout") "" out;
+  Alcotest.(check string) (args ^ ": first stderr line") line
+    (List.hd (String.split_on_char '\n' err))
+
 (* README's exit-code table: a clean pass and a definitive failure (the
    seeded mutant), each with the first line it prints.  The partial and
    usage-error rows have theirs in [golden] ("check consensus -m 2
@@ -646,6 +693,12 @@ let exit_codes =
     ( "fuzz --impl mutant-pac:2 --trials 300 --seed 42",
       1,
       "FAIL impl mutant-pac:2: linearizability violation" );
+    (* Help and version are not parse errors; an uncaught exception
+       (here [run-dac]'s own [Invalid_argument], not yet a typed
+       refusal) stays an internal error. *)
+    ("--version", 0, "1.0.0");
+    ("check --help=plain", 0, "NAME");
+    ("run-dac -n 0", 125, "");
   ]
 
 let test_exit_code (args, rc, first_line) () =
@@ -972,6 +1025,10 @@ let () =
               (fun ((args, _) as r) ->
                 Alcotest.test_case args `Quick (test_flag_refusal r))
               flag_refusals
+          @ List.map
+              (fun ((args, _) as r) ->
+                Alcotest.test_case args `Quick (test_parse_refusal r))
+              parse_refusals
           @ [
               Alcotest.test_case "valence builds only its protocol" `Quick
                 test_valence_sizes;

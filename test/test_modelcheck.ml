@@ -105,6 +105,48 @@ let test_build_matches_cmap_oracle () =
         [| Value.int 0; Value.int 1; Value.int 0 |] );
     ]
 
+(* The build steps every process through its worker's transition memo:
+   [delta] runs at most once per distinct (pid, local state) per worker,
+   and exactly once per key at one domain.  of:3:1's peak frontier (459)
+   passes the parallel threshold, so 2 and 4 domains run several
+   workers.  The graph is the plain-stepping oracle's. *)
+let test_build_steps_once_per_key () =
+  let n = 3 and max_rounds = 1 in
+  let plain = Obstruction_free.machine_spin ~n ~max_rounds in
+  let specs = Obstruction_free.specs ~n ~max_rounds in
+  let inputs = Array.init n (fun pid -> Value.int (pid mod 2)) in
+  let calls = Atomic.make 0 in
+  let machine =
+    {
+      plain with
+      Machine.delta =
+        (fun ~pid s ->
+          Atomic.incr calls;
+          plain.delta ~pid s);
+    }
+  in
+  let oracle = Oracle.build_cmap ~machine:plain ~specs ~inputs () in
+  List.iter
+    (fun domains ->
+      Atomic.set calls 0;
+      let g = Cgraph.build ~domains ~machine ~specs ~inputs () in
+      let delta_calls = Atomic.get calls in
+      let keys = Hashtbl.create 256 in
+      Cgraph.iter_nodes
+        (fun _ (c : Config.t) ->
+          List.iter
+            (fun pid -> Hashtbl.replace keys (pid, c.locals.(pid).Value.id) ())
+            (Config.running c))
+        g;
+      let keys = Hashtbl.length keys in
+      let label = Fmt.str "of:3:1, domains=%d" domains in
+      if domains = 1 then
+        Alcotest.(check int) (label ^ ": one delta per key") keys delta_calls
+      else if delta_calls > domains * keys then
+        Alcotest.failf "%s: %d delta calls for %d keys" label delta_calls keys;
+      Oracle.same_graph label g oracle)
+    [ 1; 2; 4 ]
+
 let test_build_domain_count_invariant () =
   (* Identical node ids and edges whatever the domain count.  dac5's
      peak frontier exceeds the parallel threshold, so the 4-domain build
@@ -1049,6 +1091,8 @@ let () =
             test_build_domains_1_2_4_with_oracle;
           Alcotest.test_case "identical graph for any domain count" `Quick
             test_build_domain_count_invariant;
+          Alcotest.test_case "delta once per (pid, local) per worker" `Quick
+            test_build_steps_once_per_key;
           Alcotest.test_case "identical truncation point for any domain count"
             `Quick test_truncation_point_domain_invariant;
           Alcotest.test_case "fingerprint independent of intern order" `Quick

@@ -343,6 +343,197 @@ let test_config_hash_deep_differences () =
     (Fmt.str "%d distinct hashes out of 1000" distinct)
     true (distinct >= 990)
 
+(* Random configurations over small value trees and every status, for
+   the hash-bits property. *)
+let value_gen =
+  QCheck.Gen.(
+    sized_size (int_bound 3)
+    @@ fix (fun self depth ->
+           let leaf =
+             oneof
+               [
+                 map Value.int (int_range (-3) 20);
+                 map Value.sym (oneofl [ "a"; "b"; "writing" ]);
+                 oneofl [ Value.bot; Value.nil; Value.unit_; Value.done_ ];
+               ]
+           in
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (3, leaf);
+                 (1, map Value.pair (pair (self (depth - 1)) (self (depth - 1))));
+                 (1, map Value.list (list_size (int_bound 3) (self (depth - 1))));
+               ]))
+
+let config_gen =
+  QCheck.Gen.(
+    int_range 1 5 >>= fun n ->
+    map3
+      (fun locals objects status ->
+        {
+          Config.locals = Array.of_list locals;
+          objects = Array.of_list objects;
+          status = Array.of_list status;
+        })
+      (list_repeat n value_gen)
+      (list_size (int_bound 4) value_gen)
+      (list_repeat n
+         (oneof
+            [
+              return Config.Running;
+              map (fun v -> Config.Decided v) value_gen;
+              return Config.Aborted;
+              return Config.Crashed;
+            ])))
+
+let prop_config_hash_bits =
+  QCheck.Test.make ~count:500 ~name:"Config.hash = the fold's bits"
+    (QCheck.make ~print:(Fmt.to_to_string Config.pp) config_gen)
+    (fun c -> Config.hash c = Oracle.config_hash c)
+
+(* --- the transition memo ------------------------------------------------- *)
+
+(* Tasks the stepper is checked on: shared-memory protocols, the mp
+   demos (whose receives carry the pid), and k-set agreement through one
+   (3,2)-SA object, whose proposes branch. *)
+let memo_tasks =
+  let api t =
+    let i = Serve_api.instance t in
+    (Serve_api.task_label t, i.machine, i.specs, Serve_api.input_vector t)
+  in
+  [
+    api (Serve_api.Dac { n = 4 });
+    ( "of:3:2",
+      Obstruction_free.machine_spin ~n:3 ~max_rounds:2,
+      Obstruction_free.specs ~n:3 ~max_rounds:2,
+      Array.init 3 (fun pid -> Value.int (pid mod 2)) );
+    api (Serve_api.Kset { m = 2; k = 2 });
+    api (Serve_api.Vc { n = 3 });
+    api (Serve_api.Bcast { n = 3 });
+    (let machine, specs = Kset_protocols.from_nk_sa ~n:3 ~k:2 in
+     ("(3,2)-SA", machine, specs, Array.init 3 Value.int));
+  ]
+
+(* The configurations of one random walk: a running pid and one of its
+   branches at each step, until all halt or [len] steps. *)
+let random_walk ~machine ~specs ~inputs ~seed ~len =
+  let rng = Prng.create seed in
+  let rec go c k acc =
+    match Config.running c with
+    | [] -> c :: acc
+    | _ when k = 0 -> c :: acc
+    | running ->
+      let pid = Prng.pick rng running in
+      let c', _ = Prng.pick rng (Config.step_branches ~machine ~specs c pid) in
+      go c' (k - 1) (c :: acc)
+  in
+  go (Config.initial ~machine ~specs ~inputs) len []
+
+let event_equal (a : Config.event) (b : Config.event) =
+  match (a, b) with
+  | Op_event a, Op_event b ->
+    a.pid = b.pid && a.obj = b.obj && Op.equal a.op b.op
+    && Value.equal a.response b.response
+  | Decide_event a, Decide_event b -> a.pid = b.pid && Value.equal a.value b.value
+  | Abort_event a, Abort_event b -> a.pid = b.pid
+  | (Op_event _ | Decide_event _ | Abort_event _), _ -> false
+
+(* Element by element: equal successors and events, and each array of
+   [c] shared by one list's successor exactly when by the other's. *)
+let same_steps (c : Config.t) memo plain =
+  List.length memo = List.length plain
+  && List.for_all2
+       (fun ((m : Config.t), me) ((p : Config.t), pe) ->
+         Config.equal m p && event_equal me pe
+         && (m.objects == c.objects) = (p.objects == c.objects)
+         && (m.status == c.status) = (p.status == c.status)
+         && (m.locals == c.locals) = (p.locals == c.locals))
+       memo plain
+
+(* One stepper per task for every case, so each sees the keys of many
+   walks and of every pid: a key that dropped the pid, or a substrate
+   with a step rule of its own, fails here. *)
+let prop_stepper_matches_step =
+  let tasks =
+    List.map
+      (fun (label, machine, specs, inputs) ->
+        (label, machine, specs, inputs, Config.stepper ~machine ~specs))
+      memo_tasks
+  in
+  let substrates = [ Substrate.shm; Substrate.mp (); Substrate.mp ~byz:1 () ] in
+  QCheck.Test.make ~count:300 ~name:"stepper = step_branches on random walks"
+    QCheck.(pair (int_bound (List.length tasks - 1)) (int_bound 1_000_000))
+    (fun (i, seed) ->
+      let label, machine, specs, inputs, st = List.nth tasks i in
+      List.for_all
+        (fun c ->
+          List.for_all
+            (fun pid ->
+              let memo = Config.step_memo st c pid in
+              let steps =
+                Config.step_branches ~machine ~specs c pid
+                :: List.map
+                     (fun (sub : Substrate.t) ->
+                       sub.step_branches ~machine ~specs c pid)
+                     substrates
+              in
+              List.for_all (same_steps c memo) steps
+              || QCheck.Test.fail_reportf "%s: pid %d at@ %a" label pid
+                   Config.pp c)
+            (Config.running c))
+        (random_walk ~machine ~specs ~inputs ~seed ~len:40))
+
+(* The stepper raises what the plain step raises, and a raising [delta]
+   or [resume] leaves nothing cached: once they stop raising, the
+   stepper answers. *)
+let test_stepper_raises () =
+  let machine, specs = two_phase in
+  let st = Config.stepper ~machine ~specs in
+  let c0 = Config.initial ~machine ~specs ~inputs:inputs01 in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no exception" what
+    | exception Invalid_argument _ -> ()
+  in
+  let halted = Config.crash c0 1 in
+  raises "not running" (fun () -> Config.step_memo st halted 1);
+  raises "not running, plain" (fun () ->
+      Config.step_branches ~machine ~specs halted 1);
+  let delta_ok = ref false and resume_ok = ref false in
+  let flaky =
+    Machine.make ~name:"flaky" ~init:machine.init ~delta:(fun ~pid s ->
+        if not !delta_ok then invalid_arg "flaky delta";
+        match machine.delta ~pid s with
+        | Machine.Invoke { obj; op; resume } ->
+          Machine.Invoke
+            {
+              obj;
+              op;
+              resume =
+                (fun r ->
+                  if not !resume_ok then invalid_arg "flaky resume";
+                  resume r);
+            }
+        | m -> m)
+  in
+  let st = Config.stepper ~machine:flaky ~specs in
+  raises "delta" (fun () -> Config.step_memo st c0 0);
+  delta_ok := true;
+  raises "resume" (fun () -> Config.step_memo st c0 0);
+  resume_ok := true;
+  Alcotest.(check bool) "answers once they stop raising" true
+    (same_steps c0 (Config.step_memo st c0 0)
+       (Config.step_branches ~machine ~specs c0 0));
+  let nowhere =
+    Machine.make ~name:"nowhere" ~init:machine.init ~delta:(fun ~pid:_ _ ->
+        Machine.invoke 7 Register.read Fun.id)
+  in
+  raises "no object" (fun () ->
+      Config.step_memo (Config.stepper ~machine:nowhere ~specs) c0 0);
+  raises "no object, plain" (fun () ->
+      Config.step_branches ~machine:nowhere ~specs c0 0)
+
 let test_fault_apply_reusable () =
   let machine, specs = two_phase in
   let scheduler =
@@ -553,6 +744,10 @@ let () =
             test_machine_bad_state_raises;
           Alcotest.test_case "hash separates deep differences" `Quick
             test_config_hash_deep_differences;
+          QCheck_alcotest.to_alcotest prop_config_hash_bits;
+          QCheck_alcotest.to_alcotest prop_stepper_matches_step;
+          Alcotest.test_case "stepper raises, caches no raise" `Quick
+            test_stepper_raises;
         ] );
       ( "prng",
         [

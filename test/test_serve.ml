@@ -1034,6 +1034,10 @@ let test_task_table_refusals () =
     (instance (Serve_api.Kset { m = 2; k = 0 }));
   refuses "task vc:1 needs n >= 2" (instance (Serve_api.Vc { n = 1 }));
   refuses "task bcast:0 needs n >= 1" (instance (Serve_api.Bcast { n = 0 }));
+  refuses "257 processes, but the explorer names at most 256"
+    (instance (Serve_api.Dac { n = 257 }));
+  refuses "400 processes, but the explorer names at most 256"
+    (instance (Serve_api.Kset { m = 20; k = 20 }));
   refuses "task dac:3 expects 3 inputs, got 2" (fun () ->
       ignore
         (Serve_api.input_vector ~inputs:[ 1; 0 ] (Serve_api.Dac { n = 3 })));
@@ -1117,6 +1121,42 @@ let test_ping_stats_and_bad_query () =
                     "bad queries counted but not computed" 0
                     s.Serve_wire.st_computed
                 | Error msg -> Alcotest.failf "stats: %s" msg))
+      in
+      ())
+
+(* A query with more processes than the explorer names is refused on
+   the miss path with the task table's one line: never scheduled, so
+   neither a miss nor a computation, and never retried. *)
+let test_oversized_query_refused () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let (), _ =
+        with_daemon ~dir (fun ~socket ->
+            let c = connect ~socket in
+            Fun.protect
+              ~finally:(fun () -> Serve_client.close c)
+              (fun () ->
+                (match
+                   Serve_client.query c
+                     (verify
+                        ~inputs:(List.init 257 (fun pid -> if pid = 0 then 1 else 0))
+                        (Serve_api.Dac { n = 257 }))
+                 with
+                | Error msg ->
+                  Alcotest.(check string) "refusal"
+                    "257 processes, but the explorer names at most 256" msg
+                | Ok _ -> Alcotest.fail "dac:257 accepted");
+                (match Serve_client.stats c with
+                | Ok s ->
+                  Alcotest.(check (pair int int)) "misses, computed" (0, 0)
+                    (s.Serve_wire.st_misses, s.Serve_wire.st_computed)
+                | Error msg -> Alcotest.failf "stats: %s" msg);
+                let r, cached = ask c (verify (Serve_api.Dac { n = 3 })) in
+                Alcotest.(check bool) "dac:3 computed" false cached;
+                Alcotest.(check string) "dac:3 answer" "OK (inputs=1,0,0, 190 states)"
+                  (Serve_api.render r)))
       in
       ())
 
@@ -1262,6 +1302,8 @@ let () =
       ( "task table",
         [
           Alcotest.test_case "refusals" `Quick test_task_table_refusals;
+          Alcotest.test_case "oversized query refused once" `Quick
+            test_oversized_query_refused;
           Alcotest.test_case "input families" `Quick test_task_table_families;
         ] );
       ( "store",

@@ -348,6 +348,15 @@ let arm_io_chaos = function
     at_exit (fun () ->
         Fmt.epr "io-chaos: %a@." Lbsa.Rio.pp_counters (Lbsa.Rio.counters ()))
 
+(* A size below what the library defines is a usage error, refused
+   with one stderr line before anything is printed. *)
+let check_at_least ~cmd ~flag ~lo v k =
+  if v < lo then begin
+    Fmt.epr "lbsa %s: %s %d is below %d@." cmd flag v lo;
+    usage_error
+  end
+  else k ()
+
 (* A NaN deadline never expires ([now >= start +. nan] is false): a
    usage error, refused with one stderr line before anything runs. *)
 let check_deadline ~cmd deadline k =
@@ -962,6 +971,7 @@ let explore_cmd =
 (* --- power / separation ------------------------------------------------- *)
 
 let power n max_k max_states =
+  check_at_least ~cmd:"power" ~flag:"-n" ~lo:2 n @@ fun () ->
   Fmt.pr "closed forms / lower bounds:@.";
   Fmt.pr "  %d-consensus: (%a)@." n
     Fmt.(list ~sep:(any ", ") Power.pp_bound)
@@ -1277,6 +1287,7 @@ let universal_cmd =
     Term.(const universal $ n_arg $ trials $ seed_arg)
 
 let bg simulators trials seed =
+  check_at_least ~cmd:"bg" ~flag:"--simulators" ~lo:1 simulators @@ fun () ->
   let p = Sim_protocol.min_seen ~n_sim:3 ~steps:1 in
   let sim_inputs = [| Value.int 10; Value.int 11; Value.int 12 |] in
   let outcomes = Sim_protocol.direct_outcomes p ~inputs:sim_inputs in

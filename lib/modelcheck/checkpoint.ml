@@ -18,8 +18,10 @@ let thaw t = t.suspended
    and the exploration it froze is cheaper to redo than a silent
    cross-version misread would be to debug.  Version 4 recorded the
    substrate; version 5 replaced [Marshal] payloads with the typed
-   codec; version 6 stores edges as packed steps, without events. *)
-let version = 6
+   codec; version 6 stores edges as packed steps, without events;
+   version 7 writes each distinct object vector of a node chunk once,
+   in a vector table that its configurations name by index. *)
+let version = 7
 let magic = Fmt.str "LBSA-CHECKPOINT/%d\n" version
 let magic_family = "LBSA-CHECKPOINT/"
 

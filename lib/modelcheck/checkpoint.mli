@@ -2,18 +2,18 @@
     {!Graph.build} (frontier, dedup contents, edge prefix) and a label,
     written to disk and read back for [Graph.build ~resume].
 
-    The file is the magic line [LBSA-CHECKPOINT/6], then
+    The file is the magic line [LBSA-CHECKPOINT/7], then
     {!Lbsa_util.Codec} sections: one CKMETA section (the label, the
     scalars of the exploration and the node and edge counts), then the
     nodes and the edges in CKNODES/CKEDGES chunks of at most 65,536
     elements.  An edge chunk is plain ints, the packed steps of
     {!Graph.suspended} (events are re-derived, never stored).  A node
     chunk is encoded by {!Config_codec}, so it carries its own value
-    dictionary, and loading re-interns every value through the [Value]
-    smart constructors: the loaded configurations are physically
-    canonical in the loading process, whatever that process interned
-    first, and two saves of one exploration are byte-identical in any
-    process. *)
+    and object-vector tables, and loading re-interns every value
+    through the [Value] smart constructors: the loaded configurations
+    are physically canonical in the loading process, whatever that
+    process interned first, and two saves of one exploration are
+    byte-identical in any process. *)
 
 type t
 

@@ -407,12 +407,7 @@ let hole_config : Config.t = { locals = [||]; objects = [||]; status = [||] }
    (an of:3:2 build holds 657 distinct vectors for 104,871 nodes).  The
    table belongs to one build and dies with it; dedup hits never reach
    it. *)
-module Vectors = Hashtbl.Make (struct
-  type t = Lbsa_spec.Value.t array
-
-  let equal = Lbsa_spec.Value.equal_array
-  let hash = Lbsa_spec.Value.hash_array 0
-end)
+module Vectors = Lbsa_spec.Value.Array_tbl
 
 (* Every configuration in id order into [f], stopping at its first
    [Some]: the spilled prefix streamed from its segments (each read

@@ -4,7 +4,7 @@ open Lbsa_runtime
 (* Disk-spilled node segments.  See the .mli for the format and the
    re-interning contract. *)
 
-let magic = "LBSA-SEG/3\n"
+let magic = "LBSA-SEG/4\n"
 
 (* The section holds the segment's first id and its configurations;
    [lo, hi) is checked against the segment table on fault-in.
@@ -50,10 +50,11 @@ let spilled_upto t =
   let n = Array.length t.segs in
   if n = 0 then 0 else t.segs.(n - 1).hi
 
+(* A segment, or the tmp file of an atomic commit that an older build
+   wrote segments with and a kill left behind. *)
 let is_seg_file name =
-  String.length name > 4
-  && String.sub name 0 4 = "seg-"
-  && Filename.check_suffix name ".seg"
+  String.starts_with ~prefix:"seg-" name
+  && (Filename.check_suffix name ".seg" || Filename.check_suffix name ".seg.tmp")
 
 let create ~dir =
   (if Sys.file_exists dir then begin
@@ -93,11 +94,9 @@ let write_segment t ~lo ~hi config =
   Buffer.clear t.payload;
   Codec.int.put t.payload lo;
   Config_codec.put_configs t.enc t.payload (hi - lo) (fun i -> config (lo + i));
-  Rio.with_atomic_file ~site:"segstore.write" ~path:file (fun w ->
-      let sink = Rio.write_string w in
-      sink magic;
-      Codec.write_section sink ~tag:"SEGNODES" (Buffer.contents t.payload));
-  t.bytes <- t.bytes + (try (Unix.stat file).Unix.st_size with Unix.Unix_error _ -> 0);
+  let data = Codec.section_file ~prefix:magic ~tag:"SEGNODES" t.payload in
+  Rio.write_scratch_file ~site:"segstore.write" ~path:file data;
+  t.bytes <- t.bytes + Bytes.length data;
   t.segs <- Array.append t.segs [| { lo; hi; file } |]
 
 (* One read attempt: the magic line, then the SEGNODES section whose

@@ -6,11 +6,15 @@
     A segment covers a half-open id range [lo, hi) of the expanded
     prefix; segments are written in increasing id order and never
     overlap, so lookup is a binary search.  A segment file is the magic
-    line [LBSA-SEG/3], then one {!Lbsa_util.Codec} section, SEGNODES,
-    holding [lo] and the configurations encoded by {!Config_codec}.
-    Fault-in re-interns every value through the [Value] smart
-    constructors, so the id-never-orders invariant survives a round
-    trip through disk exactly as it does for checkpoints.
+    line [LBSA-SEG/4], then one {!Lbsa_util.Codec} section, SEGNODES,
+    holding [lo] and the configurations encoded by {!Config_codec}: a
+    value table, a vector table holding each distinct object vector
+    once, then each configuration as its locals, one vector index and
+    its statuses.  Fault-in re-interns every value through the [Value]
+    smart constructors, so the id-never-orders invariant survives a
+    round trip through disk exactly as it does for checkpoints, and the
+    configurations of one decoded segment that name one vector share
+    one array.
 
     A segment is read back two ways, through one checked read (magic,
     section checksum, id range, trailing bytes, the [segstore.read]
@@ -21,10 +25,14 @@
     each segment once, in id order, and decodes it one configuration at
     a time into the caller, so the walk keeps nothing the caller drops.
 
-    Spilled segments are scratch, not durable state: {!create} clears
-    any stale [seg-*.seg] files in the directory (a resumed run
-    re-spills deterministically from its checkpoint), and callers
-    remove the directory with {!remove_all} once a run completes. *)
+    Spilled segments are scratch, not durable state.  Each is written
+    by one {!Lbsa_util.Rio.write_scratch_file} (site [segstore.write]):
+    the whole file in one resilient write, with no tmp file, no rename
+    and no fsync.  That is sound because no run reads a segment another
+    process wrote: {!create} clears any stale segment files in the
+    directory (a resumed run re-spills deterministically from its
+    checkpoint), and callers remove the directory with {!remove_all}
+    once a run completes. *)
 
 open Lbsa_runtime
 
@@ -38,8 +46,9 @@ exception Corrupt of string
 type t
 
 val create : dir:string -> t
-(** Creates [dir] if needed and deletes any stale [seg-*.seg] files in
-    it.  Raises [Failure] if [dir] exists and is not a directory. *)
+(** Creates [dir] if needed and deletes any stale [seg-*.seg] and
+    [seg-*.seg.tmp] files in it.  Raises [Failure] if [dir] exists and
+    is not a directory. *)
 
 val dir : t -> string
 
@@ -48,7 +57,9 @@ val write_segment : t -> lo:int -> hi:int -> (int -> Config.t) -> unit
     for each.  Ranges must extend the store: [lo] equals the previous
     segment's [hi] (or 0).  The payload is encoded into a value index
     and buffers the store owns and clears per segment, so one store
-    must not be written from two domains at once. *)
+    must not be written from two domains at once.  An I/O error (a real
+    one or one the [segstore.write] fault plan injects) propagates as
+    [Unix.Unix_error], and the partial file is removed. *)
 
 val node : t -> int -> Config.t
 (** [node t id] faults in the segment covering [id] (if not cached) and
@@ -85,6 +96,7 @@ val remove_all : t -> unit
 
 val clean_dir : dir:string -> unit
 (** Path-based cleanup for callers that no longer hold the store:
-    deletes the [seg-*.seg] files in [dir] (nothing else) and removes
+    deletes the [seg-*.seg] and [seg-*.seg.tmp] files in [dir] (nothing
+    else) and removes
     the directory if that leaves it empty.  A no-op on a missing
     [dir]. *)

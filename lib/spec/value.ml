@@ -203,6 +203,13 @@ let equal_array (a : t array) (b : t array) =
      in
      go 0
 
+module Array_tbl = Hashtbl.Make (struct
+  type nonrec t = t array
+
+  let equal = equal_array
+  let hash = hash_array 0
+end)
+
 (* Total structural order — IDENTICAL to the pre-hash-consing order
    (sorted [Assoc]/[Set_] encodings and golden traces depend on it).
    Identity short-circuits; ids never participate in the ordering. *)

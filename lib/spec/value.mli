@@ -70,6 +70,11 @@ val equal_array : t array -> t array -> bool
 (** Equal lengths and [equal] elements; physically equal arrays
     short-circuit. *)
 
+module Array_tbl : Hashtbl.S with type key = t array
+(** Hash tables keyed on value arrays by their elements ({!equal_array},
+    [hash_array 0]): equal arrays are one key, however many copies of
+    it there are. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

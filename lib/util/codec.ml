@@ -11,14 +11,32 @@ let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
 let tag_len = 8
 let header_len = 24
 
+(* The header of a [len]-byte payload with checksum [sum], written at
+   [off] in [b]. *)
+let set_header b off ~tag ~len ~sum =
+  if String.length tag > tag_len then invalid_arg "Codec: section tag";
+  Bytes.fill b off tag_len ' ';
+  Bytes.blit_string tag 0 b off (String.length tag);
+  Bytes.set_int64_be b (off + 8) (Int64.of_int len);
+  Bytes.set_int64_be b (off + 16) (Int64.of_int sum)
+
 let write_section sink ~tag payload =
-  if String.length tag > tag_len then invalid_arg "Codec.write_section: tag";
-  let h = Bytes.make header_len ' ' in
-  Bytes.blit_string tag 0 h 0 (String.length tag);
-  Bytes.set_int64_be h 8 (Int64.of_int (String.length payload));
-  Bytes.set_int64_be h 16 (Int64.of_int (Fnv.string payload));
+  let h = Bytes.create header_len in
+  set_header h 0 ~tag ~len:(String.length payload) ~sum:(Fnv.string payload);
   sink (Bytes.unsafe_to_string h);
   sink payload
+
+(* The payload is copied once, into the file's bytes, and checksummed
+   there before its header is filled in. *)
+let section_file ~prefix ~tag payload =
+  let off = String.length prefix + header_len in
+  let len = Buffer.length payload in
+  let f = Bytes.create (off + len) in
+  Bytes.blit_string prefix 0 f 0 (String.length prefix);
+  Buffer.blit payload 0 f off len;
+  let sum = Fnv.sub (Bytes.unsafe_to_string f) off len in
+  set_header f (String.length prefix) ~tag ~len ~sum;
+  f
 
 (* Eight bytes hold one more bit than an OCaml int: a field above
    [max_int] would wrap negative in [Int64.to_int] and pass every later

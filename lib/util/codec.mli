@@ -24,6 +24,11 @@ val write_section : (string -> unit) -> tag:string -> string -> unit
     (a {!Rio} atomic-commit writer, a buffer).  [tag] is at most 8
     bytes. *)
 
+val section_file : prefix:string -> tag:string -> Buffer.t -> bytes
+(** [section_file ~prefix ~tag payload] is a whole file: [prefix] (a
+    magic line), then the section {!write_section} emits for the
+    buffer's contents.  The payload is copied once, into the result. *)
+
 val read_section :
   read:(bytes -> int -> int -> unit) -> limit:int -> string * string
 (** Reads one section from a byte source ([read buf off len] fills

@@ -7,15 +7,25 @@
 
 let prime = 0x100000001b3
 
-let fold_string acc s =
+(* A [for] loop over a local ref keeps the state in a register; a
+   closure passed to [String.iter] would keep it in a heap cell. *)
+let fold_sub acc s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Fnv.fold_sub";
   let h = ref acc in
-  String.iter (fun c -> h := (!h lxor Char.code c) * prime) s;
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * prime
+  done;
   (* Mix the length in so "a" + "bc" and "ab" + "c" folded in sequence
      cannot collide trivially; keep the result non-negative. *)
-  ((!h lxor String.length s) * prime) land max_int
+  ((!h lxor len) * prime) land max_int
+
+let fold_string acc s = fold_sub acc s 0 (String.length s)
 
 let seed = 0xbf29ce484222325 (* FNV-1a offset basis, truncated to fit OCaml's int *)
 
 let string s = fold_string seed s
+
+let sub s off len = fold_sub seed s off len
 
 let to_hex h = Printf.sprintf "%016x" h

@@ -14,5 +14,9 @@ val fold_string : int -> string -> int
 val string : string -> int
 (** [fold_string seed s]. *)
 
+val sub : string -> int -> int -> int
+(** [sub s off len] is [string (String.sub s off len)], without the
+    copy.  Raises [Invalid_argument] if the range is not within [s]. *)
+
 val to_hex : int -> string
 (** 16 lowercase hex digits, fixed width — usable as a filename. *)

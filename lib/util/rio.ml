@@ -356,13 +356,17 @@ type writer = {
 
 let flush_threshold = 1 lsl 16
 
-let create_writer ~site ~path =
-  let tmp = path ^ ".tmp" in
-  (match decide ~write:true ~site with
+(* An open draws from the plan once; only ENOSPC fires there. *)
+let inject_open_fault ~site =
+  match decide ~write:true ~site with
   | Some Enospc ->
     bump (fun c -> { c with c_enospc = c.c_enospc + 1 });
     raise (Unix.Unix_error (Unix.ENOSPC, "open", site))
-  | _ -> ());
+  | _ -> ()
+
+let create_writer ~site ~path =
+  let tmp = path ^ ".tmp" in
+  inject_open_fault ~site;
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   { w_site = site; w_path = path; w_tmp = tmp; w_fd = fd;
     w_buf = Buffer.create 4096; w_open = true }
@@ -444,3 +448,33 @@ let with_atomic_file ~site ~path f =
 
 let commit_file ~site ~path data =
   with_atomic_file ~site ~path (fun w -> write_string w data)
+
+(* --- scratch files ------------------------------------------------------- *)
+
+(* The atomic writer's open-time draw and resilient write loop, without
+   its tmp file, fsyncs and rename: the whole file goes down in one
+   [really_write], so an armed plan draws exactly as it does for an
+   atomic commit whose data is written in one piece. *)
+let write_scratch_file ~site ~path data =
+  inject_open_fault ~site;
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let discard e =
+    (try Sys.remove path with Sys_error _ -> ());
+    raise e
+  in
+  let len = Bytes.length data in
+  (match
+     (* point 1: half the bytes written *)
+     if crash_hit ~site then begin
+       (try really_write ~site fd data 0 (len / 2) with Unix.Unix_error _ -> ());
+       kill_self ()
+     end;
+     really_write ~site fd data 0 len;
+     (* point 2: all of them written *)
+     if crash_hit ~site then kill_self ()
+   with
+  | () -> ()
+  | exception e ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    discard e);
+  try Unix.close fd with e -> discard e

@@ -10,7 +10,9 @@
     write to [path ^ ".tmp"], fsync the file, rename over [path], fsync
     the parent directory.  Without the directory fsync a power loss
     after rename can leave a directory entry pointing at a zero-length
-    inode — the classic "committed but empty" torn state.
+    inode — the classic "committed but empty" torn state.  A scratch
+    file that no other process ever reads (a spilled segment) skips
+    that discipline: {!write_scratch_file} is one open and one write.
 
     {b Deterministic fault injection.}  When {!arm}ed, every operation
     consults a fault plan that is a pure function of
@@ -24,9 +26,10 @@
 
     {b Crash points.}  With [LBSA_IO_CRASH=<site>:<n>] in the
     environment, the process SIGKILLs {e itself} at the [n]-th crash
-    point reached within [site]'s atomic commits (see {!commit} for the
-    numbering; point 1 additionally leaves a torn, fsynced prefix of
-    the final chunk on disk first).  Because no cleanup code runs after
+    point reached within [site]'s atomic commits or scratch writes (see
+    {!commit} and {!write_scratch_file} for the numbering; an atomic
+    commit's point 1 additionally leaves a torn, fsynced prefix of the
+    final chunk on disk first).  Because no cleanup code runs after
     SIGKILL, this gives real power-loss semantics to the crash-recovery
     harness in [test/test_crash_recovery.ml]. *)
 
@@ -125,3 +128,15 @@ val with_atomic_file : site:string -> path:string -> (writer -> unit) -> unit
 
 val commit_file : site:string -> path:string -> string -> unit
 (** One-shot [with_atomic_file] writing a single string. *)
+
+(** {1 Scratch files} *)
+
+val write_scratch_file : site:string -> path:string -> bytes -> unit
+(** Creates or truncates [path] and writes [data] to it in one
+    resilient write, for a file no other process ever reads (a spilled
+    segment): no tmp file, no fsync, no rename.  The plan is consulted
+    once at open (ENOSPC only) and then by the write loop, as for an
+    atomic commit whose data goes down in one piece.  Crash points (per
+    [site], cumulative): 1 = half the bytes written, 2 = all written.
+    On an error, including one from [close], [path] is removed and the
+    error re-raised. *)

@@ -623,9 +623,10 @@ let test_refusal (args, reason) () =
    with exactly one stderr line before anything is built; the threshold
    is checked even without --spill-dir.  So are a machine whose pids do
    not fit a packed step's 8 bits (refused at the build's entry, not in
-   the middle of a merge), a NaN --deadline (it would never expire) and
-   a --resume path that is a directory (here the test's working
-   directory, "."). *)
+   the middle of a merge), a NaN --deadline (it would never expire), a
+   --resume path that is a directory (here the test's working
+   directory, ".") and a [power] or [bg] size the library does not
+   define (checked before the first line of the answer). *)
 let flag_refusals =
   [
     ("explore dac:257", "lbsa explore: 257 processes, but the explorer names at most 256");
@@ -638,7 +639,7 @@ let flag_refusals =
     ( "solve dac -n 3 --deadline nan",
       "lbsa solve: --deadline nan is not a number of seconds" );
     ( "solve dac -n 3 --resume .",
-      "cannot resume: Checkpoint.load: . is not a version-6 checkpoint file" );
+      "cannot resume: Checkpoint.load: . is not a version-7 checkpoint file" );
     ( "fuzz --impl snapshot:3 --trials 10 --seed 1 --resume .",
       "cannot resume: Engine.load_checkpoint: . is not a version-3 fuzz \
        checkpoint" );
@@ -656,6 +657,8 @@ let flag_refusals =
       "lbsa solve: --spill-threshold 0 is below 1" );
     ( "check dac -n 3 --shards 3",
       "lbsa check: --shards 3 is not a power of two in [1, 4096]" );
+    ("power -n 0", "lbsa power: -n 0 is below 2");
+    ("bg --simulators 0", "lbsa bg: --simulators 0 is below 1");
   ]
 
 let test_flag_refusal (args, line) () =
@@ -803,7 +806,7 @@ domains=%d
 shards=4
 dedup_rate=0.6513
 spill_segments=21
-spill_bytes=1983285
+spill_bytes=1034411
 seg_faults=0
 frozen_keys=86431
 key_faults=0

@@ -124,6 +124,68 @@ let test_kill_mid_checkpoint () =
           full.Crashdrive.out recovered.Crashdrive.out)
   done
 
+(* --- kill mid-spill -------------------------------------------------------- *)
+
+(* A spilled of:3:2 explore (21 segments at this threshold) SIGKILLed
+   at each crash point of its eleventh segment's scratch write: half
+   the bytes written (point 21), all of them written (point 22).  The
+   directory then holds the segments written so far; a tmp file like
+   the ones an atomic segment commit used to leave is added to it.  A
+   complete rerun in the same directory at another threshold must
+   print the uninterrupted run's stdout (wall-clock and peak lines
+   dropped) and leave no directory behind. *)
+let test_kill_mid_spill () =
+  require_exe ();
+  let args ~dir threshold =
+    [ "explore"; "of:3:2"; "--domains"; "1"; "--shards"; "4"; "--spill-dir"; dir;
+      "--spill-threshold"; string_of_int threshold ]
+  in
+  let stable out =
+    String.split_on_char '\n' out
+    |> List.filter (fun l ->
+           not
+             (List.exists
+                (fun prefix -> String.starts_with ~prefix l)
+                [ "wall_s="; "states_per_sec="; "peak_rss_kb=" ]))
+  in
+  let full_dir = fresh_path ".spill" in
+  let full = Crashdrive.run ~exe ~args:(args ~dir:full_dir 30_000) () in
+  Alcotest.(check (option int)) "uninterrupted run exits 0" (Some 0)
+    (Crashdrive.exited full);
+  Alcotest.(check bool) "uninterrupted run removes its directory" false
+    (Sys.file_exists full_dir);
+  List.iter
+    (fun point ->
+      let dir = fresh_path ".spill" in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let crashed =
+            Crashdrive.run
+              ~env:[ ("LBSA_IO_CRASH", Fmt.str "segstore.write:%d" point) ]
+              ~exe ~args:(args ~dir 20_000) ()
+          in
+          if not (Crashdrive.killed_by crashed Sys.sigkill) then
+            Alcotest.failf "point %d: child was not SIGKILLed (err=%S)" point
+              crashed.Crashdrive.err;
+          let left = Array.to_list (Sys.readdir dir) in
+          Alcotest.(check (pair int bool))
+            (Fmt.str "point %d: eleven segment files left, nothing else" point)
+            (11, true)
+            (List.length left, List.for_all (fun f -> Filename.check_suffix f ".seg") left);
+          write_file (Filename.concat dir "seg-000000005000.seg.tmp") "torn";
+          let rerun = Crashdrive.run ~exe ~args:(args ~dir 30_000) () in
+          Alcotest.(check (option int))
+            (Fmt.str "point %d: rerun exits 0" point)
+            (Some 0) (Crashdrive.exited rerun);
+          Alcotest.(check (list string))
+            (Fmt.str "point %d: rerun prints the uninterrupted stdout" point)
+            (stable full.Crashdrive.out) (stable rerun.Crashdrive.out);
+          Alcotest.(check bool)
+            (Fmt.str "point %d: rerun removes the directory" point)
+            false (Sys.file_exists dir)))
+    [ 21; 22 ]
+
 (* A checkpoint with a damaged body (valid magic, flipped byte past it)
    must be refused with exit 2 — the partial-outcome code — naming the
    corruption, never resumed and never crashed on. *)
@@ -371,6 +433,39 @@ let test_segstore_flipped_byte () =
           (contains_sub ~sub:"Segstore" msg));
       Alcotest.(check int) "streamed refusal counted" 2
         (Segstore.corrupt_count t))
+
+(* A scratch write under a 50% fault plan, forty seeds: each either
+   returns with the whole file on disk or raises a [Unix_error] and
+   leaves no file.  Both outcomes occur, and short writes are absorbed
+   on the way. *)
+let test_scratch_write_whole_or_none () =
+  let data = Bytes.init 100_000 (fun i -> Char.chr (i land 0xff)) in
+  let wrote = ref 0 and failed = ref 0 in
+  Rio.reset_counters ();
+  Fun.protect
+    ~finally:(fun () -> Rio.disarm ())
+    (fun () ->
+      for seed = 1 to 40 do
+        let path = fresh_path ".seg" in
+        Fun.protect
+          ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+          (fun () ->
+            Rio.arm ~seed ~rate_percent:50 ();
+            match Rio.write_scratch_file ~site:"segstore.write" ~path data with
+            | () ->
+              incr wrote;
+              if read_file path <> Bytes.to_string data then
+                Alcotest.failf "seed %d: the file differs from what was written"
+                  seed
+            | exception Unix.Unix_error _ ->
+              incr failed;
+              if Sys.file_exists path then
+                Alcotest.failf "seed %d: a failed write left its file" seed)
+      done);
+  Alcotest.(check bool) "some writes completed" true (!wrote > 0);
+  Alcotest.(check bool) "some writes failed" true (!failed > 0);
+  Alcotest.(check bool) "short writes were absorbed" true
+    ((Rio.counters ()).Rio.c_short_write > 0)
 
 (* --- daemon graceful degradation ----------------------------------------- *)
 
@@ -935,7 +1030,13 @@ let () =
           tc "forced EINTR absorbed by retry loops" test_wire_eintr_absorbed;
         ] );
       ( "segstore",
-        [ tc "flipped byte refused as Corrupt" test_segstore_flipped_byte ] );
+        [
+          tc "flipped byte refused as Corrupt" test_segstore_flipped_byte;
+          tc "SIGKILL mid-spill, a rerun leaves nothing behind"
+            test_kill_mid_spill;
+          tc "a scratch write leaves the whole file or none"
+            test_scratch_write_whole_or_none;
+        ] );
       ( "sweep",
         [ tc "20 seeds x all sites: no wrong answers" test_fault_plan_sweep ]
       );

@@ -621,8 +621,11 @@ let prop_store_roundtrip =
           Serve_store.get s ~key:"0123456789abcdef" ~canonical = Some data))
 
 (* The configurations of dac:3's graph, in random windows: decoded
-   configurations are [Config.equal] to the originals, and every decoded
-   value is the original interned value. *)
+   configurations are [Config.equal] to the originals, every decoded
+   value is the original interned value, and two decoded configurations
+   hold one array exactly when their object vectors are equal.  The
+   bytes do not depend on which originals shared an array: a copy of
+   every vector encodes the same. *)
 let prop_config_codec =
   let g =
     lazy
@@ -644,8 +647,14 @@ let prop_config_codec =
       let n = Cgraph.n_nodes g in
       let lo = min (a mod n) (b mod n) and hi = max (a mod n) (b mod n) + 1 in
       let cs = Array.init (hi - lo) (fun i -> Cgraph.node g (lo + i)) in
-      let cs' =
-        Codec.decode Config_codec.configs (Codec.encode Config_codec.configs cs)
+      let bytes = Codec.encode Config_codec.configs cs in
+      let cs' = Codec.decode Config_codec.configs bytes in
+      let copied =
+        Array.map (fun (c : Config.t) -> { c with objects = Array.copy c.objects }) cs
+      in
+      let shared_iff_equal i j =
+        Value.equal_array cs.(i).Config.objects cs.(j).Config.objects
+        = (cs'.(i).Config.objects == cs'.(j).Config.objects)
       in
       Array.for_all2
         (fun (c : Config.t) (c' : Config.t) ->
@@ -653,7 +662,43 @@ let prop_config_codec =
           && same_values (Array.to_list c.locals) (Array.to_list c'.locals)
           && same_values (Array.to_list c.objects) (Array.to_list c'.objects)
           && Array.for_all2 same_status c.status c'.status)
-        cs cs')
+        cs cs'
+      && List.for_all
+           (fun i -> List.for_all (shared_iff_equal i) (List.init i Fun.id))
+           (List.init (Array.length cs) Fun.id)
+      && String.equal bytes (Codec.encode Config_codec.configs copied))
+
+(* Hand-made sections, each one value ([Int 0], tag 2) and one vector:
+   a well-formed one decodes, and a vector index or a vector entry's
+   value index out of range is refused. *)
+let test_config_codec_crafted () =
+  let section ~vector_entry ~vector_ref =
+    let b = Buffer.create 16 in
+    let count = Codec.count.put b and int = Codec.int.put b in
+    count 1; int 2; int 0;  (* the value table *)
+    count 1; count 1; int vector_entry;  (* the vector table *)
+    count 1;  (* one configuration: *)
+    count 1; int 0;  (* its locals, *)
+    int vector_ref;  (* its vector *)
+    count 1; int 0;  (* and its statuses *)
+    Buffer.contents b
+  in
+  let decode s = Codec.decode Config_codec.configs s in
+  (match decode (section ~vector_entry:0 ~vector_ref:0) with
+  | [| { Config.locals = [| l |]; objects = [| o |]; status = [| Config.Running |] } |]
+    when l == Value.int 0 && o == Value.int 0 -> ()
+  | _ -> Alcotest.fail "the well-formed section decoded wrong");
+  List.iter
+    (fun (what, s) ->
+      match decode s with
+      | _ -> Alcotest.failf "%s decoded" what
+      | exception Codec.Malformed _ -> ())
+    [
+      ("vector index 1 of 1", section ~vector_entry:0 ~vector_ref:1);
+      ("vector index -1", section ~vector_entry:0 ~vector_ref:(-1));
+      ("vector entry naming value 1 of 1", section ~vector_entry:1 ~vector_ref:0);
+      ("vector entry naming value -1", section ~vector_entry:(-1) ~vector_ref:0);
+    ]
 
 let codec_tests =
   let both name codec gen = [ prop_roundtrip name codec gen; prop_garbage name codec ] in
@@ -1327,7 +1372,12 @@ let () =
           Alcotest.test_case "LBSA-STORE/1 entries upgrade as plain misses"
             `Quick test_store_v1_upgrade;
         ] );
-      ("codecs", List.map QCheck_alcotest.to_alcotest codec_tests);
+      ( "codecs",
+        List.map QCheck_alcotest.to_alcotest codec_tests
+        @ [
+            Alcotest.test_case "crafted configuration sections" `Quick
+              test_config_codec_crafted;
+          ] );
       ( "cache identity",
         [
           Alcotest.test_case "registry x reduce x question matrix" `Slow

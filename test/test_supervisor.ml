@@ -1468,7 +1468,8 @@ let test_tampered_steps_refused () =
    version raises [Version_mismatch], never [Failure] and never a
    misread, and the CLI refuses it with exit 2.  Version 4 is the last
    format whose payloads were marshalled, version 5 the last that
-   stored every edge's event. *)
+   stored every edge's event, version 6 the last that wrote every
+   configuration's object vector in full. *)
 let test_checkpoint_old_versions_refused () =
   let file = Filename.temp_file "lbsa-ckpt" ".bin" in
   Fun.protect
@@ -1485,17 +1486,53 @@ let test_checkpoint_old_versions_refused () =
           | exception Failure msg ->
             Alcotest.failf "old version reported as plain failure: %s" msg
           | _ -> Alcotest.failf "version-%d checkpoint accepted" v)
-        [ 2; 4; 5 ];
+        [ 2; 4; 5; 6 ];
       let exe =
         Filename.concat
           (Filename.dirname Sys.executable_name)
           (Filename.concat ".." (Filename.concat "bin" "lbsa_cli.exe"))
       in
       Alcotest.(check int)
-        "the CLI refuses a version-5 checkpoint with exit 2" 2
+        "the CLI refuses a version-6 checkpoint with exit 2" 2
         (Sys.command
            (Fmt.str "%s solve dac -n 3 --resume %s > /dev/null 2>&1"
               (Filename.quote exe) (Filename.quote file))))
+
+(* A well-formed LBSA-SEG/3 segment (one configuration, its object
+   vector written in full) in place of a spilled one: both read-backs
+   refuse it by its magic line, as [Corrupt], and count the refusals. *)
+let test_old_segment_refused () =
+  with_temp_dir (fun dir ->
+      let machine, specs = Consensus_protocols.from_consensus_obj ~m:2 in
+      let g = Cgraph.build ~machine ~specs ~inputs:[| Value.int 0; Value.int 1 |] () in
+      let t = Segstore.create ~dir in
+      Segstore.write_segment t ~lo:0 ~hi:1 (Cgraph.node g);
+      let p = Buffer.create 16 in
+      let count = Codec.count.put p and int = Codec.int.put p in
+      int 0;  (* lo *)
+      count 1; int 2; int 0;  (* the value table: Int 0 *)
+      count 1;  (* one configuration: *)
+      count 1; int 0;  (* its locals, *)
+      count 1; int 0;  (* its objects *)
+      count 1; int 0;  (* and its statuses *)
+      let b = Buffer.create 64 in
+      Buffer.add_string b "LBSA-SEG/3\n";
+      Codec.write_section (Buffer.add_string b) ~tag:"SEGNODES" (Buffer.contents p);
+      (match Array.to_list (Sys.readdir dir) with
+      | [ f ] -> write_file (Filename.concat dir f) (Buffer.contents b)
+      | l -> Alcotest.failf "expected one segment file, got %d" (List.length l));
+      let refused f =
+        match f () with
+        | () -> Alcotest.fail "an LBSA-SEG/3 segment was read"
+        | exception Segstore.Corrupt msg ->
+          Alcotest.(check bool)
+            (Fmt.str "%S names the magic" msg)
+            true
+            (contains_sub ~sub:"is not a segment file" msg)
+      in
+      refused (fun () -> ignore (Segstore.node t 0));
+      refused (fun () -> ignore (Segstore.find_map t (fun _ _ -> None)));
+      Alcotest.(check int) "both refusals counted" 2 (Segstore.corrupt_count t))
 
 (* Checkpoint bytes depend only on the exploration: two saves agree
    byte for byte even when 1,000 unrelated values were interned in
@@ -1630,8 +1667,10 @@ let () =
             `Quick test_partial_graph_edges;
           Alcotest.test_case "tampered steps refused, never re-derived"
             `Quick test_tampered_steps_refused;
-          Alcotest.test_case "version-2, -4 and -5 checkpoints refused"
+          Alcotest.test_case "older checkpoint versions refused"
             `Quick test_checkpoint_old_versions_refused;
           QCheck_alcotest.to_alcotest prop_checkpoint_bytes_stable;
+          Alcotest.test_case "an LBSA-SEG/3 segment refused" `Quick
+            test_old_segment_refused;
         ] );
     ]

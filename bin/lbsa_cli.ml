@@ -7,12 +7,20 @@
      lbsa check candidate --name flp-write-read
      lbsa solve dac -n 3 --deadline 60 --checkpoint dac3.ckpt
      lbsa solve dac -n 3 --resume dac3.ckpt
-     lbsa valence --protocol cons:2
+     lbsa valence --protocol cons -m 2
+     lbsa explore of:3:2 --fingerprint
+     lbsa query cand:flp-spin
      lbsa power -n 2 --max-k 3
      lbsa separation -n 2 --max-k 3
-     lbsa lin-check --impl snapshot:3 --trials 200
+     lbsa lin-check --impl snapshot -n 3 --trials 200
      lbsa fuzz --impl snapshot:3 --trials 1000 --faults 2 --seed 42
      lbsa objects
+
+   A task has two spellings.  check, solve, valence and fingerprint
+   take a name and size flags ([named_task]: dac -n 3, kset -m 2 -k 2,
+   candidate --name N, valence's --protocol cons); query and explore
+   take the colon form ([parse_task]: dac:3, kset:2:2, cand:N, and
+   explore's of:<n>:<rounds>).
 
    Exit codes, uniformly: 0 = clean pass; 1 = definitive failure
    (unsolvable task, counterexample, violation); 2 = partial outcome
@@ -45,6 +53,40 @@ let exits =
       ~doc:"on unexpected internal errors (bugs).";
   ]
 
+(* Every usage refusal: one [lbsa <cmd>: <reason>] line on stderr,
+   nothing on stdout, exit 3. *)
+let refuse ~cmd fmt =
+  Fmt.kstr
+    (fun reason ->
+      Fmt.epr "lbsa %s: %s@." cmd reason;
+      usage_error)
+    fmt
+
+(* A refused --resume: one "cannot resume: <reason>" line on stderr,
+   the file left as it is. *)
+let cannot_resume rc fmt =
+  Fmt.kstr
+    (fun reason ->
+      Fmt.epr "cannot resume: %s@." reason;
+      rc)
+    fmt
+
+(* What the task table and the library constructors refuse (a size out
+   of range, an input vector of the wrong arity, an unknown candidate
+   or implementation, a substrate of the other family) is raised as
+   [Invalid_argument]: a usage error.  Only the resolution [f] runs
+   under the handler; the verification [k] does not, so an exception
+   raised while verifying stays an internal error (exit 125). *)
+let resolve ~cmd f k =
+  match f () with
+  | x -> k x
+  | exception Invalid_argument msg -> refuse ~cmd "%s" msg
+
+(* A size below what the library defines is a usage error, refused
+   with one stderr line before anything is printed. *)
+let check_at_least ~cmd ~flag ~lo v k =
+  if v < lo then refuse ~cmd "%s %d is below %d" flag v lo else k ()
+
 (* --- shared argument parsing ------------------------------------------ *)
 
 let scheduler_conv =
@@ -65,16 +107,13 @@ let scheduler_conv =
   in
   Arg.conv (parse, print)
 
-(* A size field of a task argument, as a cmdliner parse result. *)
-let int_ge arg lo v k =
-  match int_of_string_opt v with
-  | Some v when v >= lo -> Ok (k v)
-  | _ -> Error (`Msg (Fmt.str "%S: expected an integer >= %d" arg lo))
-
 let mk_scheduler ~n ~seed = function
   | `Rr -> Scheduler.round_robin ~n
   | `Random -> Scheduler.random ~seed
   | `Solo pid -> Scheduler.solo pid
+
+(* Each flag that several commands take is defined once below; where
+   the commands differ, the doc (or the default) is a parameter. *)
 
 let n_arg =
   Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Instance size n.")
@@ -101,112 +140,84 @@ let max_states_arg =
     & info [ "max-states" ] ~docv:"S"
         ~doc:"State bound for exhaustive exploration.")
 
+let stats_flag doc = Arg.(value & flag & info [ "stats" ] ~doc)
+
 let stats_arg =
+  stats_flag
+    "Print exploration statistics (states/sec, frontier profile, dedup \
+     rate, domains) after the verdict."
+
+(* --domains D; 0, the default, leaves the count to the callee: [None]. *)
+let domains_arg doc =
+  Term.(
+    const (fun d -> if d <= 0 then None else Some d)
+    $ Arg.(value & opt int 0 & info [ "domains" ] ~docv:"D" ~doc))
+
+let explorer_domains_arg =
+  domains_arg
+    "Explorer worker domains (0 = auto).  Neither the graph nor the \
+     verdict depends on this."
+
+let trials_arg ?(default = 200) doc =
+  Arg.(value & opt int default & info [ "trials" ] ~docv:"T" ~doc)
+
+let procs_arg =
+  Arg.(
+    value & opt int 3
+    & info [ "procs" ] ~docv:"P"
+        ~doc:
+          "Client count for spec-level fuzzing (implementations fix their \
+           own).")
+
+let ops_arg =
+  Arg.(
+    value & opt int 4
+    & info [ "ops" ] ~docv:"K" ~doc:"Max operations per process.")
+
+(* "1,0,0"; blanks around an entry are allowed ("1, 0,0"), and the
+   empty string is the empty vector (which the task table refuses). *)
+let inputs_arg =
+  let parse s =
+    if s = "" then Ok []
+    else
+      match
+        List.map
+          (fun x -> int_of_string (String.trim x))
+          (String.split_on_char ',' s)
+      with
+      | l -> Ok l
+      | exception Failure _ ->
+        Error (`Msg (Fmt.str "%S is not a comma-separated integer list" s))
+  in
   Arg.(
     value
-    & flag
-    & info [ "stats" ]
+    & opt (some (conv (parse, Fmt.(list ~sep:(any ",") int)))) None
+    & info [ "inputs" ] ~docv:"I1,I2,..."
         ~doc:
-          "Print exploration statistics (states/sec, frontier profile, dedup \
-           rate, domains) after the verdict.")
+          "Full input vector, one integer per process.  Defaults to the \
+           task's canonical vector.")
 
-let check_domains_arg =
+let question_arg doc =
   Arg.(
     value
-    & opt int 0
-    & info [ "domains" ] ~docv:"D"
-        ~doc:
-          "Parallelism for input-family sweeps: fan the input vectors across \
-           D domains, exploring each vector's graph on a single domain.  0 \
-           (default) keeps the sequential sweep with an auto-parallel \
-           explorer; 1 is fully sequential.  The verdict — including which \
-           failing vector is reported, and which unchecked vector a \
-           deadline-stopped sweep names — never depends on this.")
+    & opt
+        (enum
+           [ ("solve", Serve_api.Solve); ("valence", Serve_api.Valence);
+             ("live", Serve_api.Live) ])
+        Serve_api.Solve
+    & info [ "question" ] ~docv:"Q" ~doc)
 
-(* --- out-of-core exploration ------------------------------------------ *)
+let substrate_arg doc =
+  Arg.(value & opt (some string) None & info [ "substrate" ] ~docv:"SUB" ~doc)
 
-let shards_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "shards" ] ~docv:"P"
-        ~doc:
-          "Dedup-table shards (a power of two up to 4096), routed by the \
-           high bits of the configuration hash so each shard grows \
-           independently.  The explored graph — node ids, edges, verdict — \
-           is identical for every value.")
-
-let spill_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "spill-dir" ] ~docv:"DIR"
-        ~doc:
-          "Bound resident memory: once more than --spill-threshold expanded \
-           states are resident, the oldest ones move to checksummed segment \
-           files under DIR and fault back in on demand.  The explored graph \
-           is identical with or without spilling.  Segments are scratch: \
-           stale ones are wiped on start and DIR is cleaned when the run \
-           completes.")
-
-let spill_threshold_arg =
-  Arg.(
-    value
-    & opt int Lbsa_modelcheck.Graph.default_spill_threshold
-    & info [ "spill-threshold" ] ~docv:"S"
-        ~doc:
-          "Resident expanded states beyond which the oldest spill to \
-           --spill-dir; at least 1, and checked even without --spill-dir.")
-
-(* A bad --shards or --spill-threshold is a usage error: both raise
-   [Invalid_argument], which [resolve] turns into one stderr line and
-   exit 3, before anything is built. *)
-let check_shards shards =
-  if shards < 1 || shards > 4096 || shards land (shards - 1) <> 0 then
-    invalid_arg
-      (Fmt.str "--shards %d is not a power of two in [1, 4096]" shards)
-
-let mk_spill ~shards dir threshold =
-  check_shards shards;
-  if threshold < 1 then
-    invalid_arg (Fmt.str "--spill-threshold %d is below 1" threshold);
-  Option.map
-    (fun spill_dir -> { Cgraph.spill_dir; spill_threshold = threshold })
-    dir
-
-(* Spilled segments are scratch (Segstore wipes stale ones on start);
-   once a run completes cleanly nothing will ever read them again, so
-   the CLI removes them — a partial run's are left for inspection and
-   are re-spilled from scratch on resume anyway. *)
-let clean_spill_on_done spill ~done_ =
-  match spill with
-  | Some s when done_ -> Lbsa_modelcheck.Segstore.clean_dir ~dir:s.Cgraph.spill_dir
-  | _ -> ()
-
-(* A spill that cannot be written or read back ends the run like a
-   damaged checkpoint: one stderr line naming the site and the error,
-   exit 2.  [Segstore.Corrupt] is a segment that failed validation or
-   kept failing to read; a [Unix_error] is a hard device error the
-   resilient-I/O layer passed on (its third field names the site of an
-   injected one).  A machine with more processes than a packed step's
-   pid holds is refused by the build before it explores: a usage
-   error, exit 3. *)
-let refuse_build_failures ~cmd f =
-  match f () with
-  | rc -> rc
-  | exception Cgraph.Too_many_processes n ->
-    Fmt.epr "lbsa %s: %s@." cmd (Serve_api.too_many_processes n);
-    3
-  | exception Lbsa_modelcheck.Segstore.Corrupt msg ->
-    Fmt.epr "lbsa %s: refused at segstore.read: %s@." cmd msg;
-    2
-  | exception Unix.Unix_error (e, fn, site) ->
-    Fmt.epr "lbsa %s: I/O failed at %s: %s@." cmd
-      (if site = "" then fn else site)
-      (Unix.error_message e);
-    2
-
-(* --- state-space reduction -------------------------------------------- *)
+let substrate_doc =
+  "Execution substrate: shm (crash-fault shared memory), mp (message \
+   passing: adversary-controlled delivery with timeouts), or mp+byz:<f> (mp \
+   plus up to <f> Byzantine message injections).  Message-passing tasks \
+   (vc, bcast) default to mp, all others to shm, and a task cannot run \
+   under the other family's substrate.  The substrate changes the explored \
+   graph and the fairness constraints, so it is part of every cache key \
+   and checkpoint."
 
 let reduce_arg =
   Arg.(
@@ -222,83 +233,44 @@ let reduce_arg =
            state counts, node ids and failure details are not.  See \
            DESIGN.md, 'State-space reduction'.")
 
-(* --- the task table ------------------------------------------------------ *)
-
-(* check, solve, valence, explore and fingerprint resolve their task
-   through Serve_api, the daemon's own table, so a CLI answer and a
-   daemon answer cannot drift apart.  What the table refuses (a size out
-   of range, an input vector of the wrong arity, an unknown candidate, a
-   substrate of the other family) is a usage error: exit 3.  Only the
-   resolution [f] runs under the handler; the verification [k] does
-   not. *)
-let resolve ~cmd f k =
-  match f () with
-  | x -> k x
-  | exception Invalid_argument msg ->
-    Fmt.epr "lbsa %s: %s@." cmd msg;
-    3
-
-(* --- execution substrate ----------------------------------------------- *)
-
-let substrate_arg =
+let shards_arg =
   Arg.(
     value
-    & opt (some string) None
-    & info [ "substrate" ] ~docv:"SUB"
+    & opt int 1
+    & info [ "shards" ] ~docv:"P"
         ~doc:
-          "Execution substrate: shm (crash-fault shared memory), mp \
-           (message passing: adversary-controlled delivery with timeouts), \
-           or mp+byz:<f> (mp plus up to <f> Byzantine message injections).  \
-           Message-passing tasks (vc, bcast) default to mp, all others to \
-           shm, and a task cannot run under the other family's substrate.  \
-           The substrate changes the explored graph and the fairness \
-           constraints, so it is part of every cache key and checkpoint.")
+          "Dedup-table shards (a power of two up to 4096), routed by the \
+           high bits of the configuration hash so each shard grows \
+           independently.  The explored graph — node ids, edges, verdict — \
+           is identical for every value.")
 
-let live_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "live" ]
-        ~doc:
-          "Ask the liveness question instead of solvability: search the \
-           configuration graph for a fair cycle — an admissible livelock \
-           under the substrate's fairness constraints — and print a shrunk \
-           lasso witness (prefix + cycle, as execution traces) when one \
-           exists.  Exit 0 = live, 1 = livelock, 2 = partial (truncated \
-           graph, so a Live answer is not definitive).")
-
-(* Liveness questions and message-passing tasks are answered locally
-   through the serve compute path: one code path for `check --live`, the
-   vc/bcast tasks and the daemon, so CLI answers and cached daemon
-   answers can never diverge. *)
-let local_verify ~budget ~task ~question ~max_states ~rmode ~substrate =
-  let substrate =
-    Option.value substrate ~default:(Serve_api.default_substrate task)
+(* --shards, --spill-dir and --spill-threshold, as solve, valence and
+   explore take them. *)
+let spill_args =
+  let dir =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "spill-dir" ] ~docv:"DIR"
+          ~doc:
+            "Bound resident memory: once more than --spill-threshold \
+             expanded states are resident, the oldest ones move to \
+             checksummed segment files under DIR and fault back in on \
+             demand.  The explored graph is identical with or without \
+             spilling.  Segments are scratch: stale ones are wiped on start \
+             and DIR is cleaned when the run completes.")
   in
-  match
-    Serve_api.compute ~budget
-      (Serve_api.Verify
-         {
-           task;
-           question;
-           inputs = Serve_api.default_inputs task;
-           max_states;
-           reduce = rmode;
-           substrate;
-         })
-  with
-  | { Serve_api.res; _ } ->
-    Fmt.pr "%s@." (Serve_api.render res);
-    (match res with
-    | Serve_api.Liveness_report { Serve_api.lv_witness = Some w; _ } ->
-      Fmt.pr "%s@." w
-    | _ -> ());
-    Serve_api.exit_code res
-  | exception Invalid_argument msg ->
-    Fmt.epr "lbsa check: %s@." msg;
-    3
-
-(* --- supervision plumbing --------------------------------------------- *)
+  let threshold =
+    Arg.(
+      value
+      & opt int Lbsa_modelcheck.Graph.default_spill_threshold
+      & info [ "spill-threshold" ] ~docv:"S"
+          ~doc:
+            "Resident expanded states beyond which the oldest spill to \
+             --spill-dir; at least 1, and checked even without --spill-dir.")
+  in
+  Term.(const (fun shards dir threshold -> (shards, dir, threshold))
+        $ shards_arg $ dir $ threshold)
 
 let deadline_arg =
   Arg.(
@@ -323,10 +295,6 @@ let chaos_arg =
            input vector, or the index of a fuzz trial.  Verdicts must be \
            identical with or without this flag.")
 
-let arm_chaos = function
-  | None -> ()
-  | Some seed -> Supervisor.Chaos.arm ~seed ()
-
 let io_chaos_arg =
   Arg.(
     value
@@ -340,41 +308,6 @@ let io_chaos_arg =
            faults surface as the same clean refusals a real device error \
            would.  Answers must never change.  Injection counters are \
            reported on stderr at exit.")
-
-let arm_io_chaos = function
-  | None -> ()
-  | Some seed ->
-    Lbsa.Rio.arm ~seed ();
-    at_exit (fun () ->
-        Fmt.epr "io-chaos: %a@." Lbsa.Rio.pp_counters (Lbsa.Rio.counters ()))
-
-(* A size below what the library defines is a usage error, refused
-   with one stderr line before anything is printed. *)
-let check_at_least ~cmd ~flag ~lo v k =
-  if v < lo then begin
-    Fmt.epr "lbsa %s: %s %d is below %d@." cmd flag v lo;
-    usage_error
-  end
-  else k ()
-
-(* A NaN deadline never expires ([now >= start +. nan] is false): a
-   usage error, refused with one stderr line before anything runs. *)
-let check_deadline ~cmd deadline k =
-  match deadline with
-  | Some d when Float.is_nan d ->
-    Fmt.epr "lbsa %s: --deadline nan is not a number of seconds@." cmd;
-    3
-  | _ -> k ()
-
-(* Every supervised command: arm chaos if asked, route SIGINT to a
-   cancellation token (first ^C = graceful stop + checkpoint, second =
-   exit 130), fold the deadline in. *)
-let with_budget ~cmd ?deadline ~chaos k =
-  check_deadline ~cmd deadline @@ fun () ->
-  arm_chaos chaos;
-  let token = Supervisor.token () in
-  Supervisor.install_sigint token;
-  k (Supervisor.Budget.make ?deadline_s:deadline ~token ())
 
 let checkpoint_arg =
   Arg.(
@@ -395,6 +328,169 @@ let resume_arg =
           "Resume from a checkpoint written by --checkpoint.  The run \
            parameters must match the ones recorded in the checkpoint; the \
            combined verdict is identical to an uninterrupted run's.")
+
+(* --- the two task spellings --------------------------------------------- *)
+
+(* A size field of the colon spelling, as a cmdliner parse result. *)
+let int_ge arg lo v k =
+  match int_of_string_opt v with
+  | Some v when v >= lo -> Ok (k v)
+  | _ -> Error (`Msg (Fmt.str "%S: expected an integer >= %d" arg lo))
+
+let task_syntax =
+  "dac:<n> | cons:<m> | kset:<m>:<k> | cand:<name> | vc:<n> | bcast:<n>"
+
+(* The colon spelling, as query and explore take it: a size below the
+   task's least is a parse error here; the task table refuses the rest
+   (an unknown candidate, more processes than the explorer names). *)
+let parse_task ~syntax s =
+  match String.split_on_char ':' s with
+  | [ "dac"; n ] -> int_ge s 2 n (fun n -> Serve_api.Dac { n })
+  | [ ("cons" | "consensus"); m ] ->
+    int_ge s 1 m (fun m -> Serve_api.Consensus { m })
+  | [ "kset"; m; k ] ->
+    Result.bind (int_ge s 1 m Fun.id) (fun m ->
+        int_ge s 1 k (fun k -> Serve_api.Kset { m; k }))
+  | ("cand" | "candidate") :: (_ :: _ as rest) ->
+    Ok (Serve_api.Candidate { name = String.concat ":" rest })
+  | [ "vc"; n ] -> int_ge s 2 n (fun n -> Serve_api.Vc { n })
+  | [ "bcast"; n ] -> int_ge s 1 n (fun n -> Serve_api.Bcast { n })
+  | _ -> Error (`Msg ("task is " ^ syntax))
+
+(* The positional spelling, as check, solve, valence and fingerprint
+   take it: a name and the size flags that name reads.  Any other name
+   is a failing candidate's own (valence's --protocol flp-spin). *)
+let named_task ?(n = 0) ?(m = 0) ?(k = 0) ?(name = "") = function
+  | "dac" -> Serve_api.Dac { n }
+  | "consensus" | "cons" -> Serve_api.Consensus { m }
+  | "kset" -> Serve_api.Kset { m; k }
+  | "vc" -> Serve_api.Vc { n }
+  | "bcast" -> Serve_api.Bcast { n }
+  | "candidate" -> Serve_api.Candidate { name }
+  | cand -> Serve_api.Candidate { name = cand }
+
+(* A task back in the positional spelling, for the tasks solve takes:
+   its checkpoint label reads "dac n=3". *)
+let spelling = function
+  | Serve_api.Dac { n } -> Fmt.str "dac n=%d" n
+  | Serve_api.Consensus { m } -> Fmt.str "consensus m=%d" m
+  | Serve_api.Kset { m; k } -> Fmt.str "kset m=%d k=%d" m k
+  | t -> Serve_api.task_label t
+
+(* The TASK positional of check and solve: one of [names]. *)
+let task_name_arg names doc =
+  Arg.(
+    required
+    & pos 0 (some (enum (List.map (fun s -> (s, s)) names))) None
+    & info [] ~docv:"TASK" ~doc:(String.concat " | " names ^ "." ^ doc))
+
+(* A task's protocol, input vector and substrate (by default its own
+   family's); every refusal is [Invalid_argument], for [resolve]. *)
+let instance ?inputs ?substrate task =
+  let sub, byz =
+    Serve_api.substrate task
+      (Option.value substrate ~default:(Serve_api.default_substrate task))
+  in
+  (Serve_api.instance ~byz task, Serve_api.input_vector ?inputs task, sub)
+
+(* The daemon's question about [task], as check --live, fingerprint and
+   query ask it: the task's canonical inputs and its own family's
+   substrate unless given.  The inputs refuse a size the task does not
+   define, so it is built under [resolve]. *)
+let verify ?inputs ?substrate ~question ~max_states ~reduce task =
+  Serve_api.Verify
+    {
+      task;
+      question;
+      inputs =
+        (match inputs with Some l -> l | None -> Serve_api.default_inputs task);
+      max_states;
+      reduce;
+      substrate =
+        Option.value substrate ~default:(Serve_api.default_substrate task);
+    }
+
+(* --- supervision and build plumbing -------------------------------------- *)
+
+let arm_chaos = function
+  | None -> ()
+  | Some seed -> Supervisor.Chaos.arm ~seed ()
+
+let arm_io_chaos = function
+  | None -> ()
+  | Some seed ->
+    Lbsa.Rio.arm ~seed ();
+    at_exit (fun () ->
+        Fmt.epr "io-chaos: %a@." Lbsa.Rio.pp_counters (Lbsa.Rio.counters ()))
+
+(* A NaN deadline never expires ([now >= start +. nan] is false): a
+   usage error, refused with one stderr line before anything runs. *)
+let check_deadline ~cmd deadline k =
+  match deadline with
+  | Some d when Float.is_nan d ->
+    refuse ~cmd "--deadline nan is not a number of seconds"
+  | _ -> k ()
+
+(* Every supervised command: arm chaos if asked, route SIGINT to a
+   cancellation token (first ^C = graceful stop + checkpoint, second =
+   exit 130), fold the deadline in. *)
+let with_budget ~cmd ?deadline ~chaos k =
+  check_deadline ~cmd deadline @@ fun () ->
+  arm_chaos chaos;
+  let token = Supervisor.token () in
+  Supervisor.install_sigint token;
+  k (Supervisor.Budget.make ?deadline_s:deadline ~token ())
+
+(* A bad --shards or --spill-threshold raises [Invalid_argument]: a
+   usage error, refused before anything is built. *)
+let check_shards shards =
+  if shards < 1 || shards > 4096 || shards land (shards - 1) <> 0 then
+    invalid_arg
+      (Fmt.str "--shards %d is not a power of two in [1, 4096]" shards)
+
+let mk_spill ~shards dir threshold =
+  check_shards shards;
+  if threshold < 1 then
+    invalid_arg (Fmt.str "--spill-threshold %d is below 1" threshold);
+  Option.map
+    (fun spill_dir -> { Cgraph.spill_dir; spill_threshold = threshold })
+    dir
+
+(* solve, valence and explore: the spill flags and [resolve_task] are
+   resolved as usage errors; [k] builds with them and returns its exit
+   code and whether its graph is complete.  A complete run's spill
+   directory is removed: segments are scratch, and a partial run's are
+   left for inspection (a resume re-spills from scratch anyway).
+
+   A spill that cannot be written or read back ends the run like a
+   damaged checkpoint: one stderr line naming the site and the error,
+   exit 2.  [Segstore.Corrupt] is a segment that failed validation or
+   kept failing to read; a [Unix_error] is a hard device error the
+   resilient-I/O layer passed on (its third field names the site of an
+   injected one).  A machine with more processes than a packed step's
+   pid holds is refused by the build before it explores: exit 3. *)
+let with_build ~cmd (shards, spill_dir, spill_threshold) resolve_task k =
+  resolve ~cmd
+    (fun () ->
+      let x = resolve_task () in
+      (mk_spill ~shards spill_dir spill_threshold, x))
+  @@ fun (spill, x) ->
+  match k ~shards ~spill x with
+  | rc, complete ->
+    (match spill with
+    | Some s when complete -> Segstore.clean_dir ~dir:s.Cgraph.spill_dir
+    | _ -> ());
+    rc
+  | exception Cgraph.Too_many_processes n ->
+    refuse ~cmd "%s" (Serve_api.too_many_processes n)
+  | exception Segstore.Corrupt msg ->
+    Fmt.epr "lbsa %s: refused at segstore.read: %s@." cmd msg;
+    2
+  | exception Unix.Unix_error (e, fn, site) ->
+    Fmt.epr "lbsa %s: I/O failed at %s: %s@." cmd
+      (if site = "" then fn else site)
+      (Unix.error_message e);
+    2
 
 (* --- run-dac ----------------------------------------------------------- *)
 
@@ -474,79 +570,86 @@ let report_candidate inst ~name ~max_states (v : Solvability.verdict) =
     0
   end
 
+let check name n m k cand max_states stats domains rmode shards deadline
+    chaos substrate live =
+  with_budget ~cmd:"check" ?deadline ~chaos @@ fun budget ->
+  let task = named_task ~n ~m ~k ~name:cand name in
+  if live || Serve_api.mp_task task then
+    (* mp tasks without --live get the solvability question on the mp
+       substrate (agreement/validity/wait-freedom); --live asks for a
+       fair cycle instead, on any task.  Both are answered through the
+       daemon's compute path, so a CLI answer and a cached daemon answer
+       cannot diverge. *)
+    resolve ~cmd:"check"
+      (fun () ->
+        check_shards shards;
+        let q =
+          verify ?substrate ~max_states ~reduce:rmode task
+            ~question:(if live then Serve_api.Live else Serve_api.Solve)
+        in
+        Serve_api.validate q;
+        q)
+    @@ fun q ->
+    let res = (Serve_api.compute ~budget q).Serve_api.res in
+    Fmt.pr "%s@." (Serve_api.render res);
+    (match res with
+    | Serve_api.Liveness_report { Serve_api.lv_witness = Some w; _ } ->
+      Fmt.pr "%s@." w
+    | _ -> ());
+    Serve_api.exit_code res
+  else
+    resolve ~cmd:"check"
+      (fun () ->
+        check_shards shards;
+        instance ?substrate task)
+    @@ fun (inst, _, substrate) ->
+    let reduce = Serve_api.reduction inst rmode in
+    let check ?domains inputs =
+      Serve_api.check inst ~max_states ?domains ~budget ~substrate ~reduce
+        ~shards ~inputs ()
+    in
+    let verdict, family =
+      match Serve_api.family inst with
+      | [ inputs ] ->
+        (* One input vector: [--domains] drives its explorer. *)
+        (check ?domains inputs, None)
+      | vectors ->
+        (* A fanned sweep (D > 1) pins each vector's exploration to one
+           domain to avoid oversubscription; with D unset the explorer
+           keeps its auto parallelism. *)
+        let sweep, inner =
+          match domains with None -> (1, None) | Some d -> (d, Some 1)
+        in
+        let v, fs =
+          Solvability.for_all_inputs_timed ~domains:sweep ~budget
+            (check ?domains:inner) vectors
+        in
+        (v, Some fs)
+    in
+    match task with
+    | Serve_api.Candidate { name } ->
+      report_candidate inst ~name ~max_states verdict
+    | _ -> report ~stats ?family verdict
+
 let check_cmd =
-  let task =
-    Arg.(
-      required
-      & pos 0 (some (enum
-                       [ ("dac", `Dac); ("consensus", `Consensus);
-                         ("kset", `Kset); ("candidate", `Candidate);
-                         ("vc", `Vc); ("bcast", `Bcast) ])) None
-      & info [] ~docv:"TASK"
-          ~doc:
-            "dac | consensus | kset | candidate | vc | bcast.  vc and \
-             bcast are message-passing protocols (substrate mp): vc is a \
-             view change with a split-vote livelock, bcast its live \
-             control.")
-  in
   let cand_name =
     Arg.(
       value
       & opt string "flp-write-read"
       & info [ "name" ] ~docv:"NAME" ~doc:"Candidate name (for candidate).")
   in
-  let run task n m k name max_states stats d rmode shards deadline chaos
-      substrate live =
-    with_budget ~cmd:"check" ?deadline ~chaos @@ fun budget ->
-    let task =
-      match task with
-      | `Dac -> Serve_api.Dac { n }
-      | `Consensus -> Serve_api.Consensus { m }
-      | `Kset -> Serve_api.Kset { m; k }
-      | `Candidate -> Serve_api.Candidate { name }
-      | `Vc -> Serve_api.Vc { n }
-      | `Bcast -> Serve_api.Bcast { n }
-    in
-    resolve ~cmd:"check" (fun () -> check_shards shards) @@ fun () ->
-    if live || Serve_api.mp_task task then
-      (* mp tasks without --live get the solvability question on the mp
-         substrate (agreement/validity/wait-freedom); --live asks for a
-         fair cycle instead, on any task. *)
-      local_verify ~budget ~task
-        ~question:(if live then Serve_api.Live else Serve_api.Solve)
-        ~max_states ~rmode ~substrate
-    else
-      resolve ~cmd:"check"
-        (fun () ->
-          let substrate, _ =
-            Serve_api.substrate task (Option.value substrate ~default:"shm")
-          in
-          (Serve_api.instance task, substrate))
-      @@ fun (inst, substrate) ->
-      let reduce = Serve_api.reduction inst rmode in
-      let check ?domains inputs =
-        Serve_api.check inst ~max_states ?domains ~budget ~substrate ~reduce
-          ~shards ~inputs ()
-      in
-      let verdict, family =
-        match Serve_api.family inst with
-        | [ inputs ] ->
-          (* One input vector: [--domains] drives its explorer. *)
-          (check ?domains:(if d <= 0 then None else Some d) inputs, None)
-        | vectors ->
-          (* A fanned sweep (D > 1) pins each vector's exploration to one
-             domain to avoid oversubscription; with D unset the explorer
-             keeps its auto parallelism. *)
-          let sweep, inner = if d <= 0 then (1, None) else (d, Some 1) in
-          let v, fs =
-            Solvability.for_all_inputs_timed ~domains:sweep ~budget
-              (check ?domains:inner) vectors
-          in
-          (v, Some fs)
-      in
-      match task with
-      | Serve_api.Candidate _ -> report_candidate inst ~name ~max_states verdict
-      | _ -> report ~stats ?family verdict
+  let live =
+    Arg.(
+      value
+      & flag
+      & info [ "live" ]
+          ~doc:
+            "Ask the liveness question instead of solvability: search the \
+             configuration graph for a fair cycle — an admissible livelock \
+             under the substrate's fairness constraints — and print a shrunk \
+             lasso witness (prefix + cycle, as execution traces) when one \
+             exists.  Exit 0 = live, 1 = livelock, 2 = partial (truncated \
+             graph, so a Live answer is not definitive).")
   in
   Cmd.v
     (Cmd.info ~exits "check"
@@ -555,9 +658,23 @@ let check_cmd =
           nondeterminism); with --live, check liveness (fair-cycle \
           search) instead.")
     Term.(
-      const run $ task $ n_arg $ m_arg $ k_arg $ cand_name $ max_states_arg
-      $ stats_arg $ check_domains_arg $ reduce_arg $ shards_arg $ deadline_arg
-      $ chaos_arg $ substrate_arg $ live_arg)
+      const check
+      $ task_name_arg
+          [ "dac"; "consensus"; "kset"; "candidate"; "vc"; "bcast" ]
+          "  vc and bcast are message-passing protocols (substrate mp): vc \
+           is a view change with a split-vote livelock, bcast its live \
+           control."
+      $ n_arg $ m_arg $ k_arg $ cand_name $ max_states_arg $ stats_arg
+      $ domains_arg
+          "Parallelism for input-family sweeps: fan the input vectors \
+           across D domains, exploring each vector's graph on a single \
+           domain.  0 (default) keeps the sequential sweep with an \
+           auto-parallel explorer; 1 is fully sequential.  The verdict — \
+           including which failing vector is reported, and which \
+           unchecked vector a deadline-stopped sweep names — never \
+           depends on this."
+      $ reduce_arg $ shards_arg $ deadline_arg $ chaos_arg
+      $ substrate_arg substrate_doc $ live)
 
 (* --- solve -------------------------------------------------------------- *)
 
@@ -567,128 +684,69 @@ let check_cmd =
    stdout carries only the verdict (checkpoint notes go to stderr), so
    an interrupted-then-resumed run prints byte-for-byte what the
    uninterrupted run prints. *)
-let solve task n m k max_states stats rmode d shards spill_dir spill_threshold
-    deadline chaos io_chaos ckpt_file resume_file inputs_csv =
+let solve name n m k max_states stats rmode domains spill deadline chaos
+    io_chaos ckpt_file resume_file inputs =
   arm_io_chaos io_chaos;
   with_budget ~cmd:"solve" ?deadline ~chaos @@ fun budget ->
-  let domains = if d <= 0 then None else Some d in
-  let task, name =
-    match task with
-    | `Consensus -> (Serve_api.Consensus { m }, Fmt.str "consensus m=%d" m)
-    | `Kset -> (Serve_api.Kset { m; k }, Fmt.str "kset m=%d k=%d" m k)
-    | `Dac -> (Serve_api.Dac { n }, Fmt.str "dac n=%d" n)
+  let task = named_task ~n ~m ~k name in
+  with_build ~cmd:"solve" spill (fun () -> instance ?inputs task)
+  @@ fun ~shards ~spill (inst, inputs, substrate) ->
+  (* The label pins exactly what defines the graph — task, sizes,
+     inputs, reduction mode.  Budget-side knobs (max_states, deadline,
+     domains) stay out: a frozen prefix is valid under any of them, and
+     resuming a quota-hit run with a larger quota is the point.  A
+     mismatch is a graph-shape divergence, not a usage typo, so it
+     rejects with the partial-outcome exit code 2: the checkpointed
+     work is intact and resumable under the original parameters. *)
+  let label =
+    Fmt.str "solve %s inputs=%a reduce=%s" (spelling task)
+      Fmt.(array ~sep:(any ",") Value.pp)
+      inputs
+      (Serve_api.reduce_name rmode)
   in
-  match
-    Option.map
-      (fun s ->
-        List.map
-          (fun x -> int_of_string (String.trim x))
-          (String.split_on_char ',' s))
-      inputs_csv
-  with
-  | exception Failure _ ->
-    Fmt.epr "--inputs %S is not a comma-separated integer list@."
-      (Option.get inputs_csv);
-    3
-  | inputs ->
-    resolve ~cmd:"solve"
-      (fun () ->
-        ( mk_spill ~shards spill_dir spill_threshold,
-          Serve_api.instance task,
-          Serve_api.input_vector ?inputs task ))
-    @@ fun (spill, inst, inputs) ->
-    (* The label pins exactly what defines the graph — task, sizes,
-       inputs, reduction mode.  Budget-side knobs (max_states, deadline,
-       domains) stay out: a frozen prefix is valid under any of them, and
-       resuming a quota-hit run with a larger quota is the point.  A
-       mismatch is a graph-shape divergence, not a usage typo, so it
-       rejects with the partial-outcome exit code 2: the checkpointed
-       work is intact and resumable under the original parameters. *)
-    let label =
-      Fmt.str "solve %s inputs=%a reduce=%s" name
-        Fmt.(array ~sep:(any ",") Value.pp)
-        inputs
-        (Serve_api.reduce_name rmode)
+  match Option.map (fun file -> Checkpoint.load ~file) resume_file with
+  | exception Checkpoint.Version_mismatch msg ->
+    (* Old-version checkpoints exit like a parameter mismatch (2): the
+       file is coherent, this build just refuses to read it. *)
+    (cannot_resume 2 "%s" msg, false)
+  | exception Checkpoint.Corrupt msg ->
+    (* The file is a current-version checkpoint with a damaged body (a
+       torn write this format is designed to make impossible, bit rot,
+       or an injected fault).  Refuse like a partial outcome: the
+       exploration is resumable only by re-running it. *)
+    (cannot_resume 2 "corrupt checkpoint: %s" msg, false)
+  | exception Failure msg -> (cannot_resume 3 "%s" msg, false)
+  | Some c when Checkpoint.substrate c <> Substrate.name substrate ->
+    (* A checkpoint frozen under another substrate is a different graph:
+       refused like any other graph-shape divergence. *)
+    ( cannot_resume 2
+        "checkpoint was explored under substrate %S, this command explores \
+         under %S"
+        (Checkpoint.substrate c) (Substrate.name substrate),
+      false )
+  | Some c when Checkpoint.label c <> label ->
+    ( cannot_resume 2
+        "checkpoint is for %S, this invocation is %S; rerun with the \
+         original parameters (or drop --resume)"
+        (Checkpoint.label c) label,
+      false )
+  | resume ->
+    let v =
+      Serve_api.check inst ~max_states
+        ?domains
+        ~budget ~substrate
+        ~reduce:(Serve_api.reduction inst rmode)
+        ?resume:(Option.map Checkpoint.thaw resume)
+        ~shards ?spill ~inputs ()
     in
-    (match Option.map (fun file -> Checkpoint.load ~file) resume_file with
-    | exception Checkpoint.Version_mismatch msg ->
-      (* Old-version checkpoints exit like a parameter mismatch (2): the
-         file is coherent, this build just refuses to read it. *)
-      Fmt.epr "cannot resume: %s@." msg;
-      2
-    | exception Checkpoint.Corrupt msg ->
-      (* The file is a current-version checkpoint with a damaged body (a
-         torn write this format is designed to make impossible, bit rot,
-         or an injected fault).  Refuse like a partial outcome: the
-         exploration is resumable only by re-running it. *)
-      Fmt.epr "cannot resume: corrupt checkpoint: %s@." msg;
-      2
-    | exception Failure msg ->
-      Fmt.epr "cannot resume: %s@." msg;
-      3
-    | Some c when Checkpoint.substrate c <> "shm" ->
-      (* solve runs shared-memory tasks only; a checkpoint frozen under
-         another substrate is a different graph.  Refused like any other
-         graph-shape divergence: exit 2, the file stays resumable under
-         its original parameters. *)
-      Fmt.epr
-        "cannot resume: checkpoint was explored under substrate %S, this \
-         command explores under \"shm\"@."
-        (Checkpoint.substrate c);
-      2
-    | Some c when Checkpoint.label c <> label ->
-      Fmt.epr
-        "cannot resume: checkpoint is for %S, this invocation is %S; rerun \
-         with the original parameters (or drop --resume)@."
-        (Checkpoint.label c) label;
-      2
-    | resume ->
-      refuse_build_failures ~cmd:"solve" @@ fun () ->
-      let v =
-        Serve_api.check inst ~max_states ?domains ~budget
-          ~reduce:(Serve_api.reduction inst rmode)
-          ?resume:(Option.map Checkpoint.thaw resume)
-          ~shards ?spill ~inputs ()
-      in
-      (match (ckpt_file, v.Solvability.suspended) with
-      | Some file, Some s when Supervisor.is_partial v.Solvability.outcome ->
-        Checkpoint.save ~file (Checkpoint.freeze ~label s);
-        Fmt.epr "checkpoint written to %s (resume with --resume %s)@." file
-          file
-      | _ -> ());
-      clean_spill_on_done spill
-        ~done_:(v.Solvability.outcome = Supervisor.Done);
-      report ~stats v)
+    (match (ckpt_file, v.Solvability.suspended) with
+    | Some file, Some s when Supervisor.is_partial v.Solvability.outcome ->
+      Checkpoint.save ~file (Checkpoint.freeze ~label s);
+      Fmt.epr "checkpoint written to %s (resume with --resume %s)@." file file
+    | _ -> ());
+    (report ~stats v, v.Solvability.outcome = Supervisor.Done)
 
 let solve_cmd =
-  let task =
-    Arg.(
-      required
-      & pos 0
-          (some
-             (enum
-                [ ("dac", `Dac); ("consensus", `Consensus); ("kset", `Kset) ]))
-          None
-      & info [] ~docv:"TASK" ~doc:"dac | consensus | kset.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "domains" ] ~docv:"D"
-          ~doc:
-            "Explorer worker domains (0 = auto).  The verdict never depends \
-             on this.")
-  in
-  let inputs =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inputs" ] ~docv:"CSV"
-          ~doc:
-            "Comma-separated integer input vector (default: a canonical \
-             vector per task).")
-  in
   Cmd.v
     (Cmd.info ~exits "solve"
        ~doc:
@@ -697,70 +755,59 @@ let solve_cmd =
           (exit 2), --checkpoint persists the frozen exploration, --resume \
           continues it to the same verdict an uninterrupted run prints.")
     Term.(
-      const solve $ task $ n_arg $ m_arg $ k_arg $ max_states_arg $ stats_arg
-      $ reduce_arg $ domains $ shards_arg $ spill_dir_arg
-      $ spill_threshold_arg $ deadline_arg $ chaos_arg $ io_chaos_arg
-      $ checkpoint_arg $ resume_arg $ inputs)
+      const solve
+      $ task_name_arg [ "dac"; "consensus"; "kset" ] ""
+      $ n_arg $ m_arg $ k_arg $ max_states_arg $ stats_arg $ reduce_arg
+      $ explorer_domains_arg $ spill_args $ deadline_arg $ chaos_arg
+      $ io_chaos_arg $ checkpoint_arg $ resume_arg $ inputs_arg)
 
 (* --- valence ------------------------------------------------------------ *)
 
 (* cons and dac are sized by -m and -n; the others are candidate rows of
    the task table (pac-retry's graph is the same for every -n). *)
-let valence_task ~n ~m = function
-  | "cons" -> Some (Serve_api.Consensus { m })
-  | "dac" -> Some (Serve_api.Dac { n })
-  | ("flp-write-read" | "flp-spin" | "pac-retry") as name ->
-    Some (Serve_api.Candidate { name })
-  | _ -> None
+let valence_protocols =
+  [ "cons"; "flp-write-read"; "flp-spin"; "pac-retry"; "dac" ]
 
-let valence name n m max_states stats rmode shards spill_dir spill_threshold =
-  match valence_task ~n ~m name with
-  | None ->
-    Fmt.epr
-      "unknown protocol %S; known: cons, flp-write-read, flp-spin, \
-       pac-retry, dac@."
-      name;
-    3
-  | Some task ->
-    resolve ~cmd:"valence"
-      (fun () ->
-        ( mk_spill ~shards spill_dir spill_threshold,
-          Serve_api.instance task,
-          Serve_api.input_vector task ))
-    @@ fun (spill, inst, inputs) ->
-    refuse_build_failures ~cmd:"valence" @@ fun () ->
-    let machine = inst.machine and specs = inst.specs in
-    let reduce = Serve_api.reduction inst rmode in
-    let graph =
-      Cgraph.build ~max_states ~reduce ~shards ?spill ~machine ~specs ~inputs
-        ()
-    in
-    if stats then Fmt.pr "%a@." Cgraph.pp_stats (Cgraph.stats graph);
-    let a = Valence.analyze graph in
-    let s = Valence.summarize a in
-    Fmt.pr "protocol %s, inputs %a: %d configurations (%d edges)%s@." name
-      Fmt.(array ~sep:(any " ") Value.pp)
-      inputs (Cgraph.n_nodes graph) (Cgraph.n_edges graph)
-      (if graph.Cgraph.truncated then " [TRUNCATED]" else "");
-    Fmt.pr "valence: %d bivalent, %d univalent, %d undecided@."
-      s.Valence.n_bivalent s.Valence.n_univalent s.Valence.n_undecided;
-    Fmt.pr "initial: %a@." Valence.pp_classification
-      (Valence.classify a graph.Cgraph.initial);
-    let criticals = Bivalency.report_critical ~machine ~specs graph a in
-    Fmt.pr "critical configurations: %d@." (List.length criticals);
-    List.iteri
-      (fun i (r : Bivalency.critical_report) ->
-        if i < 3 then
-          Fmt.pr "  node %d: common poised object = %s@." r.Bivalency.node
-            (Option.value r.Bivalency.object_name ~default:"(none)"))
-      criticals;
-    (match Bivalency.bivalence_maintainable a graph with
-    | Ok () when s.Valence.n_bivalent > 0 ->
-      Fmt.pr "bivalence maintainable: adversary avoids decisions forever@."
-    | Ok () -> Fmt.pr "no bivalent configurations@."
-    | Error id -> Fmt.pr "bivalent dead-end at node %d@." id);
-    clean_spill_on_done spill ~done_:(not graph.Cgraph.truncated);
-    0
+let valence name n m max_states stats rmode spill =
+  with_build ~cmd:"valence" spill
+    (fun () ->
+      if not (List.mem name valence_protocols) then
+        invalid_arg
+          (Fmt.str "unknown protocol %S; known: %s" name
+             (String.concat ", " valence_protocols));
+      instance (named_task ~n ~m name))
+  @@ fun ~shards ~spill (inst, inputs, substrate) ->
+  let machine = inst.machine and specs = inst.specs in
+  let graph =
+    Cgraph.build ~max_states ~substrate
+      ~reduce:(Serve_api.reduction inst rmode)
+      ~shards ?spill ~machine ~specs ~inputs ()
+  in
+  if stats then Fmt.pr "%a@." Cgraph.pp_stats (Cgraph.stats graph);
+  let a = Valence.analyze graph in
+  let s = Valence.summarize a in
+  Fmt.pr "protocol %s, inputs %a: %d configurations (%d edges)%s@." name
+    Fmt.(array ~sep:(any " ") Value.pp)
+    inputs (Cgraph.n_nodes graph) (Cgraph.n_edges graph)
+    (if graph.Cgraph.truncated then " [TRUNCATED]" else "");
+  Fmt.pr "valence: %d bivalent, %d univalent, %d undecided@."
+    s.Valence.n_bivalent s.Valence.n_univalent s.Valence.n_undecided;
+  Fmt.pr "initial: %a@." Valence.pp_classification
+    (Valence.classify a graph.Cgraph.initial);
+  let criticals = Bivalency.report_critical ~machine ~specs graph a in
+  Fmt.pr "critical configurations: %d@." (List.length criticals);
+  List.iteri
+    (fun i (r : Bivalency.critical_report) ->
+      if i < 3 then
+        Fmt.pr "  node %d: common poised object = %s@." r.Bivalency.node
+          (Option.value r.Bivalency.object_name ~default:"(none)"))
+    criticals;
+  (match Bivalency.bivalence_maintainable a graph with
+  | Ok () when s.Valence.n_bivalent > 0 ->
+    Fmt.pr "bivalence maintainable: adversary avoids decisions forever@."
+  | Ok () -> Fmt.pr "no bivalent configurations@."
+  | Error id -> Fmt.pr "bivalent dead-end at node %d@." id);
+  (0, not graph.Cgraph.truncated)
 
 let valence_cmd =
   let proto_name =
@@ -768,14 +815,14 @@ let valence_cmd =
       value
       & opt string "cons"
       & info [ "protocol" ] ~docv:"NAME"
-          ~doc:"cons | flp-write-read | flp-spin | pac-retry | dac.")
+          ~doc:(String.concat " | " valence_protocols ^ "."))
   in
   Cmd.v
     (Cmd.info ~exits "valence"
        ~doc:"Compute the valence structure of a protocol's configuration graph.")
     Term.(
       const valence $ proto_name $ n_arg $ m_arg $ max_states_arg $ stats_arg
-      $ reduce_arg $ shards_arg $ spill_dir_arg $ spill_threshold_arg)
+      $ reduce_arg $ spill_args)
 
 (* --- explore ------------------------------------------------------------ *)
 
@@ -789,22 +836,17 @@ let valence_cmd =
    each spilled segment once, one configuration at a time, so it costs
    a spilled run time but next to no memory. *)
 
-let explore_task_conv =
+(* The colon spelling plus of:<n>:<rounds>, obstruction-free consensus
+   with <rounds> commit-adopt rounds. *)
+let explore_syntax = task_syntax ^ " | of:<n>:<rounds>"
+
+let explore_task =
   let parse s =
     match String.split_on_char ':' s with
-    | [ "dac"; n ] -> int_ge s 2 n (fun n -> `Task (Serve_api.Dac { n }))
-    | [ "cons"; m ] -> int_ge s 1 m (fun m -> `Task (Serve_api.Consensus { m }))
-    | [ "kset"; m; k ] ->
-      Result.bind (int_ge s 1 m Fun.id) (fun m ->
-          int_ge s 1 k (fun k -> `Task (Serve_api.Kset { m; k })))
     | [ "of"; n; r ] ->
       Result.bind (int_ge s 2 n Fun.id) (fun n ->
           int_ge s 1 r (fun r -> `Of (n, r)))
-    | _ ->
-      Error
-        (`Msg
-           "task is dac:<n> | cons:<m> | kset:<m>:<k> | of:<n>:<rounds> \
-            (obstruction-free consensus, <rounds> commit-adopt rounds)")
+    | _ -> Result.map (fun t -> `Task t) (parse_task ~syntax:explore_syntax s)
   in
   let print ppf = function
     | `Task t -> Fmt.string ppf (Serve_api.task_label t)
@@ -851,45 +893,38 @@ let graph_fingerprint ?(extra = []) graph =
   List.iter comb extra;
   !h land 0xffffffff
 
-let explore task max_states rmode d shards spill_dir spill_threshold deadline
-    chaos want_fp want_stats =
+let explore task max_states rmode domains spill deadline chaos want_fp
+    want_stats =
   with_budget ~cmd:"explore" ?deadline ~chaos @@ fun budget ->
-  let domains = if d <= 0 then None else Some d in
-  resolve ~cmd:"explore"
+  with_build ~cmd:"explore" spill
     (fun () ->
-      ( mk_spill ~shards spill_dir spill_threshold,
-        match task with
-        | `Task t ->
-          let inst = Serve_api.instance t in
-          ( inst.machine,
-            inst.specs,
-            Serve_api.input_vector t,
-            Serve_api.reduction inst rmode )
-        | `Of (n, r) ->
-          (* Obstruction-free consensus stays off the task table: no
-             checker is certified for it.  Nor is a symmetry group, so
-             [sym] degrades to the identity quotient, like free-form
-             candidates.  [`Spin] makes spun-out states absorbing
-             livelock leaves, so the bounded graph is finite and the
-             exploration can actually complete. *)
-          ( Obstruction_free.machine_spin ~n ~max_rounds:r,
-            Obstruction_free.specs ~n ~max_rounds:r,
-            Array.init n (fun pid -> Value.int (pid mod 2)),
-            match rmode with
-            | `None -> Cgraph.no_reduction
-            | mode ->
-              {
-                Cgraph.rname = Serve_api.reduce_name mode;
-                canon = Canon.identity;
-                sleep = mode = `Sym_sleep;
-                frozen = None;
-              } ) ))
-  @@ fun (spill, (machine, specs, inputs, reduce)) ->
-  let label = Fmt.str "%a" (Arg.conv_printer explore_task_conv) task in
-  refuse_build_failures ~cmd:"explore" @@ fun () ->
+      match task with
+      | `Task t -> instance t
+      | `Of (n, r) ->
+        (* Obstruction-free consensus stays off the task table: no
+           checker is certified for it (explore only builds, so
+           [flavor] is never read), nor a symmetry group, so [sym]
+           degrades to the identity quotient, like free-form candidates.
+           [`Spin] makes spun-out states absorbing livelock leaves, so
+           the bounded graph is finite and the exploration can actually
+           complete. *)
+        ( {
+            Serve_api.machine = Obstruction_free.machine_spin ~n ~max_rounds:r;
+            specs = Obstruction_free.specs ~n ~max_rounds:r;
+            procs = n;
+            flavor = Solvability.Consensus;
+            canon = Canon.identity;
+            frozen = None;
+          },
+          Array.init n (fun pid -> Value.int (pid mod 2)),
+          Substrate.shm ))
+  @@ fun ~shards ~spill (inst, inputs, substrate) ->
   let graph =
-    Cgraph.build ~max_states ?domains ~budget ~reduce ~shards ?spill ~machine
-      ~specs ~inputs ()
+    Cgraph.build ~max_states
+      ?domains
+      ~budget ~substrate
+      ~reduce:(Serve_api.reduction inst rmode)
+      ~shards ?spill ~machine:inst.machine ~specs:inst.specs ~inputs ()
   in
   let s = Cgraph.stats graph in
   let outcome =
@@ -902,7 +937,7 @@ let explore task max_states rmode d shards spill_dir spill_threshold deadline
   in
   let fp = if want_fp then Some (graph_fingerprint graph) else None in
   if want_stats then Fmt.epr "%a@." Cgraph.pp_stats s;
-  Fmt.pr "task=%s@." label;
+  Fmt.pr "task=%a@." (Arg.conv_printer explore_task) task;
   Fmt.pr "reduce=%s@." (Serve_api.reduce_name rmode);
   Fmt.pr "states=%d@." s.Cgraph.states;
   Fmt.pr "edges=%d@." s.Cgraph.edges;
@@ -923,16 +958,18 @@ let explore task max_states rmode d shards spill_dir spill_threshold deadline
   (match fp with
   | Some fp -> Fmt.pr "fingerprint=%08x@." fp
   | None -> ());
-  clean_spill_on_done spill ~done_:(graph.Cgraph.stop = Supervisor.Done);
-  Supervisor.exit_code ~ok:true graph.Cgraph.stop
+  ( Supervisor.exit_code ~ok:true graph.Cgraph.stop,
+    graph.Cgraph.stop = Supervisor.Done )
 
 let explore_cmd =
   let task =
     Arg.(
       required
-      & pos 0 (some explore_task_conv) None
+      & pos 0 (some explore_task) None
       & info [] ~docv:"TASK"
-          ~doc:"dac:<n> | cons:<m> | kset:<m>:<k> | of:<n>:<rounds>.")
+          ~doc:
+            (explore_syntax
+           ^ ".  vc and bcast explore under mp, the others under shm."))
   in
   let fp =
     Arg.(
@@ -945,15 +982,6 @@ let explore_cmd =
              segment once), so on a spilled graph it also checks that \
              every segment still decodes.")
   in
-  let domains =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "domains" ] ~docv:"D"
-          ~doc:
-            "Explorer worker domains (0 = auto).  The graph never depends \
-             on this.")
-  in
   Cmd.v
     (Cmd.info ~exits "explore"
        ~doc:
@@ -964,9 +992,8 @@ let explore_cmd =
           numbers are honest.  Exit 0 on a complete graph, 2 on a \
           partial one.")
     Term.(
-      const explore $ task $ max_states_arg $ reduce_arg $ domains
-      $ shards_arg $ spill_dir_arg $ spill_threshold_arg $ deadline_arg
-      $ chaos_arg $ fp $ stats_arg)
+      const explore $ task $ max_states_arg $ reduce_arg $ explorer_domains_arg
+      $ spill_args $ deadline_arg $ chaos_arg $ fp $ stats_arg)
 
 (* --- power / separation ------------------------------------------------- *)
 
@@ -998,7 +1025,11 @@ let power_cmd =
     (Cmd.info ~exits "power" ~doc:"Set agreement power: closed forms and probes.")
     Term.(const power $ n_arg $ max_k_arg $ max_states_arg)
 
+(* The artifacts start from O'_n's k = 1 level, so the power prefix
+   holds at least one level. *)
 let separation n max_k max_states =
+  check_at_least ~cmd:"separation" ~flag:"-n" ~lo:2 n @@ fun () ->
+  check_at_least ~cmd:"separation" ~flag:"--max-k" ~lo:1 max_k @@ fun () ->
   let report = Separation.analyze ~max_k ~max_states ~n () in
   Fmt.pr "%a@." Separation.pp_report report;
   if Separation.all_ok report then 0 else 1
@@ -1038,30 +1069,34 @@ let default_workloads name ~n ~max_k =
           (Listx.range 1 max_k))
   | _ -> [||]
 
+(* An unknown name, and a size its constructor refuses, are usage
+   errors. *)
 let lin_check name n m max_k trials seed deadline =
-  match List.assoc_opt name (impls ~n ~m ~max_k) with
-  | None ->
-    Fmt.epr "unknown implementation %S; known: %s@." name
-      (String.concat ", " (List.map fst (impls ~n ~m ~max_k)));
-    3
-  | Some mk ->
-    with_budget ~cmd:"lin-check" ?deadline ~chaos:None @@ fun budget ->
-    let impl = mk () in
-    let workloads = default_workloads name ~n ~max_k in
-    Fmt.pr "implementation %s over %d clients, %d random trials...@."
-      impl.Implementation.name (Array.length workloads) trials;
-    (match Harness.campaign_supervised ~budget ~seed ~trials ~impl ~workloads () with
-    | Harness.All_pass t ->
-      Fmt.pr "all %d trials linearizable@." t;
-      0
-    | Harness.Failed (i, run) ->
-      Fmt.pr "trial %d NOT linearizable; history:@.%a@." i Chistory.pp
-        run.Harness.history;
-      1
-    | Harness.Stopped { completed; outcome } ->
-      Fmt.pr "stopped (%a) after %d/%d trials, all linearizable@."
-        Supervisor.pp_outcome outcome completed trials;
-      2)
+  resolve ~cmd:"lin-check"
+    (fun () ->
+      match List.assoc_opt name (impls ~n ~m ~max_k) with
+      | Some mk -> mk ()
+      | None ->
+        invalid_arg
+          (Fmt.str "unknown implementation %S; known: %s" name
+             (String.concat ", " (List.map fst (impls ~n ~m ~max_k)))))
+  @@ fun impl ->
+  with_budget ~cmd:"lin-check" ?deadline ~chaos:None @@ fun budget ->
+  let workloads = default_workloads name ~n ~max_k in
+  Fmt.pr "implementation %s over %d clients, %d random trials...@."
+    impl.Implementation.name (Array.length workloads) trials;
+  match Harness.campaign_supervised ~budget ~seed ~trials ~impl ~workloads () with
+  | Harness.All_pass t ->
+    Fmt.pr "all %d trials linearizable@." t;
+    0
+  | Harness.Failed (i, run) ->
+    Fmt.pr "trial %d NOT linearizable; history:@.%a@." i Chistory.pp
+      run.Harness.history;
+    1
+  | Harness.Stopped { completed; outcome } ->
+    Fmt.pr "stopped (%a) after %d/%d trials, all linearizable@."
+      Supervisor.pp_outcome outcome completed trials;
+    2
 
 let lin_check_cmd =
   let impl_name =
@@ -1071,114 +1106,98 @@ let lin_check_cmd =
       & info [ "impl" ] ~docv:"NAME"
           ~doc:"snapshot | naive-snapshot | pacnm | oprime.")
   in
-  let trials =
-    Arg.(
-      value & opt int 200 & info [ "trials" ] ~docv:"T" ~doc:"Random trials.")
-  in
   Cmd.v
     (Cmd.info ~exits "lin-check"
        ~doc:
          "Drive an implementation with concurrent clients and check \
           linearizability.")
     Term.(
-      const lin_check $ impl_name $ n_arg $ m_arg $ max_k_arg $ trials
-      $ seed_arg $ deadline_arg)
+      const lin_check $ impl_name $ n_arg $ m_arg $ max_k_arg
+      $ trials_arg "Random trials." $ seed_arg $ deadline_arg)
 
 (* --- fuzz ----------------------------------------------------------------- *)
 
+(* A target either flag names but the registry cannot build is a usage
+   error: the whole run is refused, not just that campaign. *)
 let fuzz impl_names spec_names trials procs ops faults seed no_shrink domains
     deadline chaos shrink_budget ckpt_file resume_file =
+  resolve ~cmd:"fuzz"
+    (fun () ->
+      let targets what parse =
+        List.map (fun name ->
+            try parse name
+            with Invalid_argument msg ->
+              invalid_arg (Fmt.str "unknown %s target %S: %s" what name msg))
+      in
+      let impls = targets "impl" Fuzz_targets.impl_target impl_names in
+      (impls, targets "spec" Fuzz_targets.spec_target spec_names))
+  @@ fun (impls, specs) ->
   with_budget ~cmd:"fuzz" ?deadline ~chaos @@ fun budget ->
   let shrink = not no_shrink in
-  let domains = if domains <= 0 then None else Some domains in
-  let parse_targets ~what ~parse names =
-    List.filter_map
-      (fun name ->
-        match parse name with
-        | t -> Some t
-        | exception Invalid_argument msg ->
-          Fmt.epr "unknown %s target %S: %s@." what name msg;
-          None)
-      names
-  in
-  let impls = parse_targets ~what:"impl" ~parse:Fuzz_targets.impl_target impl_names in
-  let specs = parse_targets ~what:"spec" ~parse:Fuzz_targets.spec_target spec_names in
-  if (impls = [] && impl_names <> []) || (specs = [] && spec_names <> []) then 3
-  else begin
-    match
-      Option.map (fun file -> Fuzz_engine.load_checkpoint ~file) resume_file
-    with
-    | exception Fuzz_engine.Corrupt msg ->
-      Fmt.epr "cannot resume: corrupt checkpoint: %s@." msg;
-      2
-    | exception Failure msg ->
-      Fmt.epr "cannot resume: %s@." msg;
-      3
-    | Some c when c.Fuzz_engine.ckpt_seed <> seed ->
-      Fmt.epr "cannot resume: checkpoint records --seed %d, this run uses %d@."
-        c.Fuzz_engine.ckpt_seed seed;
-      3
-    | resume ->
-      let start_of ~cap name =
-        match resume with
-        | None -> 0
-        | Some c -> min cap (Fuzz_engine.resume_start c ~name)
-      in
-      (* Default campaign: every registry spec at full budget, every honest
-         construction at a fifth of it (harness trials are ~5x dearer). *)
-      let specs, impls, impl_trials =
-        if impls = [] && specs = [] then
-          (Fuzz_targets.all_specs (), Fuzz_targets.all_impls (),
-           max 1 (trials / 5))
-        else (specs, impls, trials)
-      in
-      let reports =
-        List.map
+  match
+    Option.map (fun file -> Fuzz_engine.load_checkpoint ~file) resume_file
+  with
+  | exception Fuzz_engine.Corrupt msg ->
+    cannot_resume 2 "corrupt checkpoint: %s" msg
+  | exception Failure msg -> cannot_resume 3 "%s" msg
+  | Some c when c.Fuzz_engine.ckpt_seed <> seed ->
+    cannot_resume 3 "checkpoint records --seed %d, this run uses %d"
+      c.Fuzz_engine.ckpt_seed seed
+  | resume ->
+    let start_of ~cap name =
+      match resume with
+      | None -> 0
+      | Some c -> min cap (Fuzz_engine.resume_start c ~name)
+    in
+    (* Default campaign: every registry spec at full budget, every honest
+       construction at a fifth of it (harness trials are ~5x dearer). *)
+    let specs, impls, impl_trials =
+      if impls = [] && specs = [] then
+        (Fuzz_targets.all_specs (), Fuzz_targets.all_impls (),
+         max 1 (trials / 5))
+      else (specs, impls, trials)
+    in
+    let reports =
+      List.map
+        (fun t ->
+          Fuzz_engine.fuzz_spec ?domains ~shrink ~shrink_budget ~budget
+            ~start:(start_of ~cap:trials ("spec " ^ t.Fuzz_targets.desc))
+            ~procs ~ops_per_proc:ops ~trials ~seed t)
+        specs
+      @ List.map
           (fun t ->
-            Fuzz_engine.fuzz_spec ?domains ~shrink ~shrink_budget ~budget
-              ~start:(start_of ~cap:trials ("spec " ^ t.Fuzz_targets.desc))
-              ~procs ~ops_per_proc:ops ~trials ~seed t)
-          specs
-        @ List.map
-            (fun t ->
-              Fuzz_engine.fuzz_impl ?domains ~shrink ~shrink_budget ~budget
-                ~start:
-                  (start_of ~cap:impl_trials ("impl " ^ t.Fuzz_targets.idesc))
-                ~faults ~ops_per_proc:ops ~trials:impl_trials ~seed t)
-            impls
-      in
-      List.iter (fun r -> Fmt.pr "%a@." Fuzz_engine.pp_report r) reports;
-      let failed =
-        Lbsa_util.Listx.count
-          (fun r -> r.Fuzz_engine.failure <> None)
-          reports
-      in
-      let partial =
-        List.exists
-          (fun r -> Supervisor.is_partial r.Fuzz_engine.outcome)
-          reports
-      in
-      (match ckpt_file with
-      | Some file when partial ->
-        Fuzz_engine.save_checkpoint ~file
-          (Fuzz_engine.checkpoint_of_reports ~seed reports);
-        Fmt.epr "checkpoint written to %s (resume with --resume %s)@." file
-          file
-      | _ -> ());
-      if failed > 0 then begin
-        Fmt.pr "fuzz: %d/%d campaigns FAILED@." failed (List.length reports);
-        1
-      end
-      else if partial then begin
-        Fmt.pr "fuzz: %d campaigns stopped early, no failures@."
-          (List.length reports);
-        2
-      end
-      else begin
-        Fmt.pr "fuzz: %d campaigns clean@." (List.length reports);
-        0
-      end
-  end
+            Fuzz_engine.fuzz_impl ?domains ~shrink ~shrink_budget ~budget
+              ~start:
+                (start_of ~cap:impl_trials ("impl " ^ t.Fuzz_targets.idesc))
+              ~faults ~ops_per_proc:ops ~trials:impl_trials ~seed t)
+          impls
+    in
+    List.iter (fun r -> Fmt.pr "%a@." Fuzz_engine.pp_report r) reports;
+    let failed =
+      Listx.count (fun r -> r.Fuzz_engine.failure <> None) reports
+    in
+    let partial =
+      List.exists (fun r -> Supervisor.is_partial r.Fuzz_engine.outcome) reports
+    in
+    (match ckpt_file with
+    | Some file when partial ->
+      Fuzz_engine.save_checkpoint ~file
+        (Fuzz_engine.checkpoint_of_reports ~seed reports);
+      Fmt.epr "checkpoint written to %s (resume with --resume %s)@." file file
+    | _ -> ());
+    if failed > 0 then begin
+      Fmt.pr "fuzz: %d/%d campaigns FAILED@." failed (List.length reports);
+      1
+    end
+    else if partial then begin
+      Fmt.pr "fuzz: %d campaigns stopped early, no failures@."
+        (List.length reports);
+      2
+    end
+    else begin
+      Fmt.pr "fuzz: %d campaigns clean@." (List.length reports);
+      0
+    end
 
 let fuzz_cmd =
   let impl_names =
@@ -1200,24 +1219,6 @@ let fuzz_cmd =
       & info [ "spec" ] ~docv:"NAME"
           ~doc:"Spec target in registry syntax (repeatable), e.g. pac:2.")
   in
-  let trials =
-    Arg.(
-      value & opt int 1000
-      & info [ "trials" ] ~docv:"T" ~doc:"Trials per campaign.")
-  in
-  let procs =
-    Arg.(
-      value & opt int 3
-      & info [ "procs" ] ~docv:"P"
-          ~doc:
-            "Client count for spec-level fuzzing (implementations fix their \
-             own).")
-  in
-  let ops =
-    Arg.(
-      value & opt int 4
-      & info [ "ops" ] ~docv:"K" ~doc:"Max operations per process.")
-  in
   let faults =
     Arg.(
       value & opt int 0
@@ -1226,12 +1227,6 @@ let fuzz_cmd =
   in
   let no_shrink =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Skip counterexample shrinking.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 0
-      & info [ "domains" ] ~docv:"D"
-          ~doc:"Worker domains (0 = auto).  Results never depend on this.")
   in
   let shrink_budget =
     Arg.(
@@ -1250,15 +1245,18 @@ let fuzz_cmd =
           schedules, and crash faults under the linearizability oracle, with \
           seed-reproducible shrunk counterexamples.")
     Term.(
-      const fuzz $ impl_names $ spec_names $ trials $ procs $ ops $ faults
-      $ seed_arg $ no_shrink $ domains $ deadline_arg $ chaos_arg
-      $ shrink_budget $ checkpoint_arg $ resume_arg)
+      const fuzz $ impl_names $ spec_names
+      $ trials_arg ~default:1000 "Trials per campaign."
+      $ procs_arg $ ops_arg $ faults $ seed_arg $ no_shrink
+      $ domains_arg "Worker domains (0 = auto).  Results never depend on this."
+      $ deadline_arg $ chaos_arg $ shrink_budget $ checkpoint_arg $ resume_arg)
 
 (* --- universal / bg / qadri ------------------------------------------------ *)
 
 let universal n trials seed =
   let target = Classic.Queue_obj.spec () in
-  let impl = Universal.implementation ~n ~target () in
+  resolve ~cmd:"universal" (fun () -> Universal.implementation ~n ~target ())
+  @@ fun impl ->
   let workloads =
     Array.init n (fun pid ->
         [ Classic.Queue_obj.enqueue (Value.int (100 + pid));
@@ -1277,14 +1275,11 @@ let universal n trials seed =
     1
 
 let universal_cmd =
-  let trials =
-    Arg.(value & opt int 200 & info [ "trials" ] ~docv:"T" ~doc:"Random trials.")
-  in
   Cmd.v
     (Cmd.info ~exits "universal"
        ~doc:"Run Herlihy's universal construction (queue target) and check \
              linearizability.")
-    Term.(const universal $ n_arg $ trials $ seed_arg)
+    Term.(const universal $ n_arg $ trials_arg "Random trials." $ seed_arg)
 
 let bg simulators trials seed =
   check_at_least ~cmd:"bg" ~flag:"--simulators" ~lo:1 simulators @@ fun () ->
@@ -1314,14 +1309,13 @@ let bg_cmd =
   let simulators =
     Arg.(value & opt int 2 & info [ "simulators" ] ~docv:"S" ~doc:"Simulator count.")
   in
-  let trials =
-    Arg.(value & opt int 200 & info [ "trials" ] ~docv:"T" ~doc:"Random trials.")
-  in
   Cmd.v
     (Cmd.info ~exits "bg" ~doc:"Run the Borowsky-Gafni simulation and validate outcomes.")
-    Term.(const bg $ simulators $ trials $ seed_arg)
+    Term.(const bg $ simulators $ trials_arg "Random trials." $ seed_arg)
 
 let qadri m n max_states =
+  check_at_least ~cmd:"qadri" ~flag:"-m" ~lo:2 m @@ fun () ->
+  check_at_least ~cmd:"qadri" ~flag:"-n" ~lo:(m + 1) n @@ fun () ->
   let report = Qadri.analyze ~max_states ~m ~n () in
   Fmt.pr "%a@." Qadri.pp_report report;
   if Qadri.all_ok report then 0 else 1
@@ -1347,15 +1341,6 @@ let objects_cmd =
 
 (* --- fingerprint ----------------------------------------------------------- *)
 
-let inputs_arg =
-  Arg.(
-    value
-    & opt (some (list ~sep:',' int)) None
-    & info [ "inputs" ] ~docv:"I1,I2,..."
-        ~doc:
-          "Full input vector, one integer per process.  Defaults to the \
-           task's canonical vector.")
-
 (* Structural fingerprint of a fixed configuration graph, for the
    cross-process determinism regression: two runs of this command must
    print identical lines no matter how many unrelated values were
@@ -1378,18 +1363,17 @@ let fingerprint warmup n max_states mode question substrate inputs =
   for i = 1 to warmup do
     ignore (Value.list [ Value.int (1_000_000 + i); Value.sym "warmup" ])
   done;
-  let task = Serve_api.Dac { n } in
+  let task = named_task ~n "dac" in
+  let substrate =
+    Option.value substrate ~default:(Serve_api.default_substrate task)
+  in
   (* The query comes first and the graph is built from the same task,
      inputs, quota and mode, so [key=] addresses the explored graph. *)
   resolve ~cmd:"fingerprint"
     (fun () ->
-      let inputs =
-        Option.value inputs ~default:(Serve_api.default_inputs task)
-      in
-      ( Serve_api.Verify
-          { task; question; inputs; max_states; reduce = mode; substrate },
+      ( verify ?inputs ~substrate ~question ~max_states ~reduce:mode task,
         Serve_api.instance task,
-        Serve_api.input_vector ~inputs task ))
+        Serve_api.input_vector ?inputs task ))
   @@ fun (q, inst, inputs) ->
   let graph =
     Cgraph.build ~max_states ~reduce:(Serve_api.reduction inst mode)
@@ -1430,28 +1414,6 @@ let fingerprint_cmd =
              shifting every subsequent intern id.  The printed fingerprint \
              must not change.")
   in
-  let question =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("solve", Serve_api.Solve); ("valence", Serve_api.Valence);
-               ("live", Serve_api.Live) ])
-          Serve_api.Solve
-      & info [ "question" ] ~docv:"Q"
-          ~doc:
-            "Which question the printed key addresses (solve | valence | \
-             live); distinct questions must print distinct keys.")
-  in
-  let substrate =
-    Arg.(
-      value
-      & opt string "shm"
-      & info [ "substrate" ] ~docv:"SUB"
-          ~doc:
-            "Which substrate the printed key addresses; distinct \
-             substrates must print distinct keys.")
-  in
   Cmd.v
     (Cmd.info ~exits "fingerprint"
        ~doc:
@@ -1461,7 +1423,13 @@ let fingerprint_cmd =
           vector, state quota, question and substrate).")
     Term.(
       const fingerprint $ warmup $ n_arg $ max_states_arg $ reduce_arg
-      $ question $ substrate $ inputs_arg)
+      $ question_arg
+          "Which question the printed key addresses (solve | valence | \
+           live); distinct questions must print distinct keys."
+      $ substrate_arg
+          "Which substrate the printed key addresses (default shm); \
+           distinct substrates must print distinct keys."
+      $ inputs_arg)
 
 (* --- serve / query / shutdown ---------------------------------------------- *)
 
@@ -1559,35 +1527,10 @@ let serve_cmd =
     Term.(const serve $ socket_arg $ store_arg $ workers $ default_deadline
           $ store_probe $ io_chaos_arg $ quiet)
 
-let task_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ "dac"; n ] -> int_ge s 2 n (fun n -> Serve_api.Dac { n })
-    | [ "cons"; m ] | [ "consensus"; m ] ->
-      int_ge s 1 m (fun m -> Serve_api.Consensus { m })
-    | [ "kset"; m; k ] ->
-      Result.bind (int_ge s 1 m Fun.id) (fun m ->
-          int_ge s 1 k (fun k -> Serve_api.Kset { m; k }))
-    | "cand" :: (_ :: _ as rest) | "candidate" :: (_ :: _ as rest) ->
-      Ok (Serve_api.Candidate { name = String.concat ":" rest })
-    | [ "vc"; n ] -> int_ge s 2 n (fun n -> Serve_api.Vc { n })
-    | [ "bcast"; n ] -> int_ge s 1 n (fun n -> Serve_api.Bcast { n })
-    | _ ->
-      Error
-        (`Msg
-           "task is dac:<n> | cons:<m> | kset:<m>:<k> | cand:<name> | \
-            vc:<n> | bcast:<n> (see `lbsa check candidate` for names)")
-  in
-  let print ppf t = Fmt.string ppf (Serve_api.task_label t) in
-  Arg.conv (parse, print)
-
-let query task fuzz_target question substrate inputs_opt max_states mode trials
+let query task fuzz_target question substrate inputs max_states mode trials
     procs ops seed socket wait_s deadline want_stats =
   check_deadline ~cmd:"query" deadline @@ fun () ->
-  let fail msg =
-    Fmt.epr "lbsa query: %s@." msg;
-    3
-  in
+  let fail msg = refuse ~cmd:"query" "%s" msg in
   let with_client f =
     match Serve_client.connect ~wait_s ~socket () with
     | Error msg -> fail msg
@@ -1619,16 +1562,8 @@ let query task fuzz_target question substrate inputs_opt max_states mode trials
     | Some task, None ->
       resolve ~cmd:"query"
         (fun () ->
-          match inputs_opt with
-          | Some l -> l
-          | None -> Serve_api.default_inputs task)
-      @@ fun inputs ->
-      let substrate =
-        Option.value substrate ~default:(Serve_api.default_substrate task)
-      in
-      ask
-        (Serve_api.Verify
-           { task; question; inputs; max_states; reduce = mode; substrate })
+          verify ?inputs ?substrate ~question ~max_states ~reduce:mode task)
+        ask
     | None, Some target ->
       ask (Serve_api.Fuzz { target; trials; procs; ops; seed })
 
@@ -1636,11 +1571,13 @@ let query_cmd =
   let task =
     Arg.(
       value
-      & pos 0 (some task_conv) None
-      & info [] ~docv:"TASK"
-          ~doc:
-            "dac:<n> | cons:<m> | kset:<m>:<k> | cand:<name> | vc:<n> | \
-             bcast:<n>.")
+      & pos 0
+          (some
+             (conv
+                ( parse_task ~syntax:task_syntax,
+                  fun ppf t -> Fmt.string ppf (Serve_api.task_label t) )))
+          None
+      & info [] ~docv:"TASK" ~doc:(task_syntax ^ "."))
   in
   let fuzz_target =
     Arg.(
@@ -1652,36 +1589,6 @@ let query_cmd =
              conformance-fuzz campaign against this registry \
              implementation.")
   in
-  let question =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("solve", Serve_api.Solve); ("valence", Serve_api.Valence);
-               ("live", Serve_api.Live) ])
-          Serve_api.Solve
-      & info [ "question" ] ~docv:"Q"
-          ~doc:
-            "solve (solvability verdict), valence (graph summary), or live \
-             (fair-cycle liveness verdict with a shrunk lasso witness).")
-  in
-  let trials =
-    Arg.(value & opt int 200 & info [ "trials" ] ~docv:"T" ~doc:"Fuzz trials.")
-  in
-  let procs =
-    Arg.(value & opt int 3 & info [ "procs" ] ~docv:"P" ~doc:"Fuzz processes.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 4
-      & info [ "ops" ] ~docv:"O" ~doc:"Fuzz ops per process.")
-  in
-  let want_stats =
-    Arg.(
-      value
-      & flag
-      & info [ "stats" ] ~doc:"Print the daemon's counters instead of asking.")
-  in
   Cmd.v
     (Cmd.info ~exits "query"
        ~doc:
@@ -1692,15 +1599,20 @@ let query_cmd =
           itself; 3 means the daemon could not be reached or the query was \
           malformed.")
     Term.(
-      const query $ task $ fuzz_target $ question $ substrate_arg $ inputs_arg
-      $ max_states_arg $ reduce_arg $ trials $ procs $ ops $ seed_arg
-      $ socket_arg $ wait_arg $ deadline_arg $ want_stats)
+      const query $ task $ fuzz_target
+      $ question_arg
+          "solve (solvability verdict), valence (graph summary), or live \
+           (fair-cycle liveness verdict with a shrunk lasso witness)."
+      $ substrate_arg substrate_doc $ inputs_arg $ max_states_arg $ reduce_arg
+      $ trials_arg "Fuzz trials." $ procs_arg $ ops_arg $ seed_arg
+      $ socket_arg $ wait_arg $ deadline_arg
+      $ stats_flag "Print the daemon's counters instead of asking.")
 
+(* No daemon to reach is a usage error, as for query; a drain that
+   fails once connected is a failure. *)
 let shutdown socket wait_s =
   match Serve_client.connect ~wait_s ~socket () with
-  | Error msg ->
-    Fmt.epr "lbsa shutdown: %s@." msg;
-    1
+  | Error msg -> refuse ~cmd:"shutdown" "%s" msg
   | Ok c ->
     Fun.protect
       ~finally:(fun () -> Serve_client.close c)

@@ -500,7 +500,7 @@ let build ?(max_states = default_max_states) ?domains
   | None ->
     let init, _, _ =
       reduce_config ~reduce ~machine
-        (substrate.Substrate.initial ~machine ~specs ~inputs)
+        (Config.initial ~machine ~specs ~inputs)
     in
     ignore
       (Ctbl.find_or_add tbl init ~hash:(Config.hash init)

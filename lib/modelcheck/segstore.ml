@@ -238,14 +238,6 @@ let find_map t f =
   in
   go 0
 
-let remove_all t =
-  Array.iter
-    (fun s -> try Sys.remove s.file with Sys_error _ -> ())
-    t.segs;
-  t.segs <- [||];
-  Array.fill t.cache 0 cache_slots None;
-  (try Unix.rmdir t.sdir with Unix.Unix_error _ -> ())
-
 let clean_dir ~dir =
   if Sys.file_exists dir && Sys.is_directory dir then begin
     Array.iter

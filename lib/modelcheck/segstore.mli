@@ -31,7 +31,7 @@
     and no fsync.  That is sound because no run reads a segment another
     process wrote: {!create} clears any stale segment files in the
     directory (a resumed run re-spills deterministically from its
-    checkpoint), and callers remove the directory with {!remove_all}
+    checkpoint), and callers remove the directory with {!clean_dir}
     once a run completes. *)
 
 open Lbsa_runtime
@@ -89,10 +89,6 @@ val faults : t -> int
 
 val corrupt_count : t -> int
 (** Fault-ins refused as {!Corrupt}, cumulative. *)
-
-val remove_all : t -> unit
-(** Deletes every segment file this store wrote and removes the
-    directory if that leaves it empty.  The store is unusable after. *)
 
 val clean_dir : dir:string -> unit
 (** Path-based cleanup for callers that no longer hold the store:

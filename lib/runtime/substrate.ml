@@ -35,8 +35,9 @@ open Lbsa_spec
      each type may be delivered to each receiver beyond what was sent
      — the standard +f guard slack of the threshold-automata models.
 
-   Crash faults are substrate-independent scheduler surgery
-   ([Config.crash] / [Fault]); both instances share it.
+   The initial configuration ([Config.initial]) and crash faults
+   (scheduler surgery: [Config.crash] / [Fault]) are the same under
+   every substrate, so neither is a field of [t].
 
    Fairness.  Each substrate declares which enabled actions an
    admissible infinite schedule must eventually take (strong fairness
@@ -54,18 +55,12 @@ open Lbsa_spec
 type t = {
   sname : string;
       (* user-facing name; recorded in checkpoints and cache keys *)
-  initial :
-    machine:Machine.t ->
-    specs:Obj_spec.t array ->
-    inputs:Value.t array ->
-    Config.t;
   step_branches :
     machine:Machine.t ->
     specs:Obj_spec.t array ->
     Config.t ->
     int ->
     (Config.t * Config.event) list;
-  crash : Config.t -> int -> Config.t;
   mandatory_exit :
     machine:Machine.t -> specs:Obj_spec.t array -> Config.t -> int -> bool;
 }
@@ -86,9 +81,7 @@ let commit_mandatory ~machine config pid =
 let shm =
   {
     sname = "shm";
-    initial = Config.initial;
     step_branches = (fun ~machine ~specs c pid -> Config.step_branches ~machine ~specs c pid);
-    crash = Config.crash;
     mandatory_exit =
       (fun ~machine ~specs:_ config pid -> commit_mandatory ~machine config pid);
   }
@@ -229,8 +222,6 @@ let mp ?(byz = 0) () =
   in
   {
     sname = (if byz = 0 then "mp" else Fmt.str "mp+byz:%d" byz);
-    initial = Config.initial;
     step_branches = (fun ~machine ~specs c pid -> Config.step_branches ~machine ~specs c pid);
-    crash = Config.crash;
     mandatory_exit;
   }

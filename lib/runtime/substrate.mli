@@ -21,11 +21,6 @@ type t = {
       (** User-facing name ("shm", "mp", "mp+byz:f"); recorded in
           checkpoints and cache keys — a resume under a different
           substrate is refused. *)
-  initial :
-    machine:Machine.t ->
-    specs:Obj_spec.t array ->
-    inputs:Value.t array ->
-    Config.t;
   step_branches :
     machine:Machine.t ->
     specs:Obj_spec.t array ->
@@ -34,7 +29,6 @@ type t = {
     (Config.t * Config.event) list;
       (** All successors of one atomic step of the given pid — the step
           relation the explorer quantifies over. *)
-  crash : Config.t -> int -> Config.t;
   mandatory_exit :
     machine:Machine.t -> specs:Obj_spec.t array -> Config.t -> int -> bool;
       (** The substrate's fairness constraint: [mandatory_exit config

@@ -43,8 +43,6 @@ let pid_of_event = function
   | Config.Abort_event { pid } ->
     pid
 
-let steps_of t pid = List.filter (fun e -> pid_of_event e.event = pid) t
-
 let pp_event ppf = function
   | Config.Op_event { pid; obj; op; response } ->
     Fmt.pf ppf "p%d: obj%d.%a -> %a" pid obj Op.pp op Value.pp response

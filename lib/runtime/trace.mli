@@ -24,7 +24,6 @@ val build : builder -> t
 val events : t -> Config.event list
 val length : t -> int
 val pid_of_event : Config.event -> int
-val steps_of : t -> int -> t
 
 val pp_event : Format.formatter -> Config.event -> unit
 val pp_entry : Format.formatter -> entry -> unit

@@ -446,9 +446,6 @@ let with_atomic_file ~site ~path f =
     abort w;
     raise e
 
-let commit_file ~site ~path data =
-  with_atomic_file ~site ~path (fun w -> write_string w data)
-
 (* --- scratch files ------------------------------------------------------- *)
 
 (* The atomic writer's open-time draw and resilient write loop, without

@@ -126,9 +126,6 @@ val abort : writer -> unit
 val with_atomic_file : site:string -> path:string -> (writer -> unit) -> unit
 (** [commit] on normal return, [abort] + re-raise on exception. *)
 
-val commit_file : site:string -> path:string -> string -> unit
-(** One-shot [with_atomic_file] writing a single string. *)
-
 (** {1 Scratch files} *)
 
 val write_scratch_file : site:string -> path:string -> bytes -> unit

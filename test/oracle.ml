@@ -110,7 +110,7 @@ let build_cmap ?(substrate = Substrate.shm) ?(reduce = Cgraph.no_reduction)
     ~(machine : Machine.t) ~(specs : Obj_spec.t array) ~inputs () =
   let init, _, _ =
     Cgraph.reduce_config ~reduce ~machine
-      (substrate.Substrate.initial ~machine ~specs ~inputs)
+      (Config.initial ~machine ~specs ~inputs)
   in
   let ids = ref (CMap.singleton init 0) in
   let nodes = ref [ init ] in

@@ -142,6 +142,66 @@ obj0: [0; 1]
 obj1: (1, 2)
 
 |} );
+    (* A known-bad candidate keeps failing under every reduction mode;
+       only its state count and failing node move. *)
+    ( "check candidate --name 3dac-sa2-then-cons2 --reduce sym",
+      0,
+      {|candidate 3dac-sa2-then-cons2 (3-DAC) — expected to FAIL:
+FAIL (inputs=1,0,0, 226 states): node 196: disagreement: 1 vs 0
+witness:
+violation: disagreement: 1 vs 0
+schedule: 0 0 0 1 1 2 2 2
+configuration:
+p0: (halt, 1) [decided 1]
+p1: (halt, 1) [running]
+p2: (halt, 0) [decided 0]
+obj0: [0; 1]
+obj1: (1, 2)
+
+|} );
+    ( "check candidate --name 3dac-sa2-then-cons2 --reduce sym+sleep",
+      0,
+      {|candidate 3dac-sa2-then-cons2 (3-DAC) — expected to FAIL:
+FAIL (inputs=1,0,0, 81 states): node 73: disagreement: 1 vs 0
+witness:
+violation: disagreement: 1 vs 0
+schedule: 0 0 0 1 1 2 2 2
+configuration:
+p0: (halt, 1) [decided 1]
+p1: (halt, 1) [running]
+p2: (halt, 0) [decided 0]
+obj0: [0; 1]
+obj1: (1, 2)
+
+|} );
+    ( "check candidate --name flp-write-read --reduce sym",
+      0,
+      {|candidate flp-write-read (consensus among 2) — expected to FAIL:
+FAIL (inputs=1,0, 22 states): disagreement: 1 vs 0
+witness:
+violation: disagreement: 1 vs 0
+schedule: 0 0 0 1 1 1
+configuration:
+p0: (halt, 1) [decided 1]
+p1: (halt, 0) [decided 0]
+obj0: 1
+obj1: 0
+
+|} );
+    ( "check candidate --name flp-write-read --reduce sym+sleep",
+      0,
+      {|candidate flp-write-read (consensus among 2) — expected to FAIL:
+FAIL (inputs=1,0, 11 states): disagreement: 1 vs 0
+witness:
+violation: disagreement: 1 vs 0
+schedule: 0 0 0 1 1 1
+configuration:
+p0: (halt, 1) [decided 1]
+p1: (halt, 0) [decided 0]
+obj0: 1
+obj1: 0
+
+|} );
     ( "check candidate --name 3dac-cons2-announce",
       0,
       {|candidate 3dac-cons2-announce (3-DAC) — expected to FAIL:
@@ -519,6 +579,47 @@ frozen_keys=0
 key_faults=0
 fingerprint=c47ba12b
 |} );
+    (* explore takes query's task syntax: a candidate's graph is
+       valence's (12 configurations, 18 edges), and vc:2 explores under
+       mp, the graph of check vc -n 2 (26 states). *)
+    ( "explore cand:flp-spin --fingerprint --domains 1",
+      0,
+      {|task=cand:flp-spin
+reduce=none
+states=12
+edges=18
+levels=7
+truncated=false
+outcome=done
+domains=1
+shards=1
+dedup_rate=0.3889
+spill_segments=0
+spill_bytes=0
+seg_faults=0
+frozen_keys=0
+key_faults=0
+fingerprint=fc8d72a9
+|} );
+    ( "explore vc:2 --fingerprint --domains 1",
+      0,
+      {|task=vc:2
+reduce=none
+states=26
+edges=68
+levels=9
+truncated=false
+outcome=done
+domains=1
+shards=1
+dedup_rate=0.6324
+spill_segments=0
+spill_bytes=0
+seg_faults=0
+frozen_keys=0
+key_faults=0
+fingerprint=4132111a
+|} );
     ( "fingerprint -n 3",
       0,
       {|states=190 edges=418 truncated=false reduce=none question=solve substrate=shm fingerprint=6b728d95 key=05069e4553440337
@@ -659,6 +760,34 @@ let flag_refusals =
       "lbsa check: --shards 3 is not a power of two in [1, 4096]" );
     ("power -n 0", "lbsa power: -n 0 is below 2");
     ("bg --simulators 0", "lbsa bg: --simulators 0 is below 1");
+    (* Sizes separation and qadri do not define are checked against
+       their bounds before the report starts; lin-check and universal
+       build their implementation as part of resolving the command. *)
+    ("separation -n 0", "lbsa separation: -n 0 is below 2");
+    ("separation -n 1", "lbsa separation: -n 1 is below 2");
+    ("separation -n 2 --max-k 0", "lbsa separation: --max-k 0 is below 1");
+    ("qadri -m 2 -n 2", "lbsa qadri: -n 2 is below 3");
+    ("qadri -m 0 -n 3", "lbsa qadri: -m 0 is below 2");
+    ("lin-check --impl snapshot -n 0", "lbsa lin-check: Snapshot.spec: m must be >= 1");
+    ( "lin-check --impl pacnm -n 2 -m 0",
+      "lbsa lin-check: Pac_nm.spec: n and m must be >= 1" );
+    ( "lin-check --impl oprime -n 2 --max-k 0",
+      "lbsa lin-check: O_prime.spec: empty power sequence" );
+    ("universal -n 0", "lbsa universal: Universal.implementation: n >= 1");
+    (* Unknown names carry the command's prefix like every other
+       refusal. *)
+    ( "valence --protocol nope",
+      "lbsa valence: unknown protocol \"nope\"; known: cons, flp-write-read, \
+       flp-spin, pac-retry, dac" );
+    ( "lin-check --impl nope",
+      "lbsa lin-check: unknown implementation \"nope\"; known: snapshot, \
+       naive-snapshot, pacnm, oprime" );
+    ( "fuzz --impl snapshot:0",
+      "lbsa fuzz: unknown impl target \"snapshot:0\": Snapshot.spec: m must \
+       be >= 1" );
+    (* No daemon to reach exits 3 for shutdown as for query. *)
+    ( "shutdown --socket no-such.sock",
+      "lbsa shutdown: no daemon listening on no-such.sock" );
   ]
 
 let test_flag_refusal (args, line) () =
@@ -677,6 +806,8 @@ let parse_refusals =
     ("explore of:0:0", {|lbsa: TASK argument: "of:0:0": expected an integer >= 2|});
     ("query dac:0", {|lbsa: TASK argument: "dac:0": expected an integer >= 2|});
     ("solve dac -n 3 --spill-threshold -1", "lbsa: unknown option '-1'.");
+    ( "solve dac -n 3 --inputs 1,x,0",
+      {|lbsa: option '--inputs': "1,x,0" is not a comma-separated integer list|} );
   ]
 
 let test_parse_refusal (args, line) () =
@@ -711,6 +842,26 @@ let test_exit_code (args, rc, first_line) () =
     (args ^ ": first stdout line")
     first_line
     (List.hd (String.split_on_char '\n' out))
+
+(* Fixed-seed fuzz campaigns that must stay clean: a register-built
+   construction, a PAC-family one under crash faults, and the
+   message-passing network object under the linearizability oracle.
+   The PASS line carries the domain count and wall time, so the last
+   line is compared. *)
+let clean_fuzz =
+  [
+    "fuzz --impl snapshot:3 --trials 200 --seed 42";
+    "fuzz --impl pacnm:2:2 --trials 200 --faults 2 --seed 42";
+    "fuzz --impl identity:mpnet:2:2 --trials 200 --seed 42";
+  ]
+
+let test_clean_fuzz args () =
+  let out, err, rc = run args in
+  Alcotest.(check int) (Fmt.str "%s: exit code (stderr: %s)" args err) 0 rc;
+  Alcotest.(check string)
+    (args ^ ": last stdout line")
+    "fuzz: 1 campaigns clean"
+    (List.hd (List.rev (List.filter (( <> ) "") (String.split_on_char '\n' out))))
 
 (* valence builds only the protocol it is asked for, so a size another
    protocol cannot take does not matter; pac-retry is the cand:pac-retry
@@ -863,6 +1014,30 @@ let test_solve_quota_resume () =
         ~rc:0 ~stdout:full;
       check_removed "resumed spilled run" spill)
 
+(* A checkpoint's label names its task in the positional spelling, with
+   its inputs and reduction mode; a resume compares it byte for byte, so
+   checkpoints written by an earlier build stay resumable. *)
+let test_checkpoint_labels () =
+  List.iter
+    (fun (task, label) ->
+      with_temp_dir ".ckpt" (fun tmp ->
+          let ckpt = Filename.concat tmp "l.ckpt" in
+          let args =
+            Fmt.str "solve %s --max-states 5 --checkpoint %s" task ckpt
+          in
+          let _, err, rc = run args in
+          Alcotest.(check int) (Fmt.str "%s: exit code (stderr: %s)" args err) 2
+            rc;
+          Alcotest.(check string) (task ^ ": label") label
+            (Lbsa.Checkpoint.label (Lbsa.Checkpoint.load ~file:ckpt))))
+    [
+      ("dac -n 4", "solve dac n=4 inputs=1,0,0,0 reduce=none");
+      ( "consensus -m 3 --reduce sym",
+        "solve consensus m=3 inputs=0,1,0 reduce=sym" );
+      ( "kset -m 2 -k 2 --reduce sym+sleep --inputs 3,2,1,0",
+        "solve kset m=2 k=2 inputs=3,2,1,0 reduce=sym+sleep" );
+    ]
+
 (* Under --io-chaos-seed 1 the first spilled segment's write fails hard
    (ENOSPC): the run is refused with exit 2 and one stderr line naming
    the site, never an uncaught exception.  Seed 6's injected faults are
@@ -958,6 +1133,89 @@ let test_stats_family_lines () =
   Alcotest.(check bool) "consensus vectors explore on 1 domain" true
     (has_line ~prefix:"wall:" ~suffix:"1 domain)" out)
 
+(* The option names each command lists under --help=plain (--help and
+   --version aside), sorted: a flag defined once for several commands
+   must not add an option to a command or drop one from it. *)
+let options =
+  [
+    ("run-dac", "--scheduler --seed -n");
+    ( "check",
+      "--chaos-seed --deadline --domains --live --max-states --name --reduce \
+       --shards --stats --substrate -k -m -n" );
+    ( "solve",
+      "--chaos-seed --checkpoint --deadline --domains --inputs \
+       --io-chaos-seed --max-states --reduce --resume --shards --spill-dir \
+       --spill-threshold --stats -k -m -n" );
+    ( "valence",
+      "--max-states --protocol --reduce --shards --spill-dir \
+       --spill-threshold --stats -m -n" );
+    ( "explore",
+      "--chaos-seed --deadline --domains --fingerprint --max-states --reduce \
+       --shards --spill-dir --spill-threshold --stats" );
+    ("power", "--max-k --max-states -n");
+    ("separation", "--max-k --max-states -n");
+    ("lin-check", "--deadline --impl --max-k --seed --trials -m -n");
+    ( "fuzz",
+      "--chaos-seed --checkpoint --deadline --domains --faults --impl \
+       --no-shrink --ops --procs --resume --seed --shrink-budget --spec \
+       --trials" );
+    ("universal", "--seed --trials -n");
+    ("bg", "--seed --simulators --trials");
+    ("qadri", "--max-states -m -n");
+    ("objects", "");
+    ( "fingerprint",
+      "--inputs --intern-warmup --max-states --question --reduce --substrate \
+       -n" );
+    ( "serve",
+      "--default-deadline --io-chaos-seed --quiet --socket --store \
+       --store-probe --workers" );
+    ( "query",
+      "--deadline --fuzz --inputs --max-states --ops --procs --question \
+       --reduce --seed --socket --stats --substrate --trials --wait" );
+    ("shutdown", "--socket --wait");
+  ]
+
+let test_options (cmd, names) () =
+  let out, err, rc = run (cmd ^ " --help=plain") in
+  Alcotest.(check int) (Fmt.str "%s: exit code (stderr: %s)" cmd err) 0 rc;
+  let listed =
+    List.filter_map
+      (fun l ->
+        if String.starts_with ~prefix:"       -" l then
+          let l = String.trim l in
+          let stop =
+            String.fold_left
+              (fun (i, stop) c ->
+                (i + 1, if stop < 0 && String.contains "= [" c then i else stop))
+              (0, -1) l
+            |> snd
+          in
+          Some (if stop < 0 then l else String.sub l 0 stop)
+        else None)
+      (lines out)
+  in
+  Alcotest.(check string) (cmd ^ ": options") names
+    (String.concat " "
+       (List.sort compare
+          (List.filter (fun o -> o <> "--help" && o <> "--version") listed)))
+
+(* solve reads --inputs with the converter fingerprint and query use,
+   which allows blanks around an entry. *)
+let test_inputs_blanks () =
+  let out = Filename.temp_file "lbsa-golden" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let rc =
+        Sys.command
+          (Fmt.str "%s solve dac -n 3 --inputs %s > %s" (Filename.quote exe)
+             (Filename.quote "1, 0,0") (Filename.quote out))
+      in
+      Alcotest.(check int) "exit code" 0 rc;
+      Alcotest.(check string) "stdout"
+        (golden_stdout "solve dac -n 3 --reduce none")
+        (In_channel.with_open_bin out In_channel.input_all))
+
 (* One codec: no byte that leaves the process is marshalled, so no
    source under lib/ or bin/ mentions [Marshal.] at all (the walk reads
    the copies dune keeps beside the built executables). *)
@@ -1018,6 +1276,8 @@ let () =
               `Quick test_solve_quota_resume;
             Alcotest.test_case "a failed spill write exits 2" `Quick
               test_spill_io_failure;
+            Alcotest.test_case "checkpoint labels" `Quick
+              test_checkpoint_labels;
           ] );
         ( "refusals",
           List.map
@@ -1035,12 +1295,21 @@ let () =
           @ [
               Alcotest.test_case "valence builds only its protocol" `Quick
                 test_valence_sizes;
+              Alcotest.test_case "solve --inputs allows blanks" `Quick
+                test_inputs_blanks;
             ] );
         ( "exit codes",
           List.map
             (fun ((args, _, _) as r) ->
               Alcotest.test_case args `Quick (test_exit_code r))
-            exit_codes );
+            exit_codes
+          @ List.map
+              (fun args -> Alcotest.test_case args `Quick (test_clean_fuzz args))
+              clean_fuzz );
+        ( "options",
+          List.map
+            (fun ((cmd, _) as r) -> Alcotest.test_case cmd `Quick (test_options r))
+            options );
         ( "candidate policy",
           [
             Alcotest.test_case "truncated sweep exits 2, no witness" `Quick

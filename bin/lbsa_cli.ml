@@ -155,8 +155,9 @@ let domains_arg doc =
 
 let explorer_domains_arg =
   domains_arg
-    "Explorer worker domains (0 = auto).  Neither the graph nor the \
-     verdict depends on this."
+    "Explorer worker domains (0, the default, explores on one: a second \
+     domain made every measured build larger and none faster).  Neither \
+     the graph nor the verdict depends on this."
 
 let trials_arg ?(default = 200) doc =
   Arg.(value & opt int default & info [ "trials" ] ~docv:"T" ~doc)
@@ -614,15 +615,17 @@ let check name n m k cand max_states stats domains rmode shards deadline
         (* One input vector: [--domains] drives its explorer. *)
         (check ?domains inputs, None)
       | vectors ->
-        (* A fanned sweep (D > 1) pins each vector's exploration to one
-           domain to avoid oversubscription; with D unset the explorer
-           keeps its auto parallelism. *)
-        let sweep, inner =
-          match domains with None -> (1, None) | Some d -> (d, Some 1)
+        (* Domains pay across vectors, not inside one small graph: the
+           sweep fans over D (default: the machine's recommended count)
+           and each vector explores on one domain. *)
+        let sweep =
+          match domains with
+          | Some d -> d
+          | None -> Supervisor.default_domains ()
         in
         let v, fs =
           Solvability.for_all_inputs_timed ~domains:sweep ~budget
-            (check ?domains:inner) vectors
+            (check ~domains:1) vectors
         in
         (v, Some fs)
     in
@@ -668,8 +671,10 @@ let check_cmd =
       $ domains_arg
           "Parallelism for input-family sweeps: fan the input vectors \
            across D domains, exploring each vector's graph on a single \
-           domain.  0 (default) keeps the sequential sweep with an \
-           auto-parallel explorer; 1 is fully sequential.  The verdict — \
+           domain.  0 (default) fans them over the machine's recommended \
+           domain count; 1 is fully sequential.  A one-vector family \
+           (kset) explores its graph on D domains, one by default.  The \
+           verdict — \
            including which failing vector is reported, and which \
            unchecked vector a deadline-stopped sweep names — never \
            depends on this."
@@ -1042,6 +1047,17 @@ let separation_cmd =
 
 (* --- lin-check ----------------------------------------------------------- *)
 
+(* The linearizability checker takes histories of at most
+   [Lin_checker.max_calls] calls; a workload that would make a longer one
+   is refused before the header line, not by the checker mid-run. *)
+let check_history ~cmd workloads k =
+  let calls = Array.fold_left (fun n w -> n + List.length w) 0 workloads in
+  if calls > Lin_checker.max_calls then
+    refuse ~cmd "%d clients make %d calls; the linearizability checker takes \
+                 at most %d"
+      (Array.length workloads) calls Lin_checker.max_calls
+  else k ()
+
 let impls ~n ~m ~max_k =
   [
     ("snapshot", fun () -> Snapshot_impl.implementation ~n);
@@ -1081,8 +1097,9 @@ let lin_check name n m max_k trials seed deadline =
           (Fmt.str "unknown implementation %S; known: %s" name
              (String.concat ", " (List.map fst (impls ~n ~m ~max_k)))))
   @@ fun impl ->
-  with_budget ~cmd:"lin-check" ?deadline ~chaos:None @@ fun budget ->
   let workloads = default_workloads name ~n ~max_k in
+  check_history ~cmd:"lin-check" workloads @@ fun () ->
+  with_budget ~cmd:"lin-check" ?deadline ~chaos:None @@ fun budget ->
   Fmt.pr "implementation %s over %d clients, %d random trials...@."
     impl.Implementation.name (Array.length workloads) trials;
   match Harness.campaign_supervised ~budget ~seed ~trials ~impl ~workloads () with
@@ -1262,6 +1279,7 @@ let universal n trials seed =
         [ Classic.Queue_obj.enqueue (Value.int (100 + pid));
           Classic.Queue_obj.dequeue ])
   in
+  check_history ~cmd:"universal" workloads @@ fun () ->
   Fmt.pr
     "universal construction: FIFO queue among %d clients from %d-consensus + \
      registers; %d random schedules...@."
@@ -1371,6 +1389,10 @@ let fingerprint warmup n max_states mode question substrate inputs =
      inputs, quota and mode, so [key=] addresses the explored graph. *)
   resolve ~cmd:"fingerprint"
     (fun () ->
+      (* The key may address either family's substrate (the graph is
+         dac's under shm regardless), but never a name the daemon
+         refuses. *)
+      ignore (Serve_api.substrate_of_name substrate);
       ( verify ?inputs ~substrate ~question ~max_states ~reduce:mode task,
         Serve_api.instance task,
         Serve_api.input_vector ?inputs task ))
@@ -1465,6 +1487,7 @@ let wait_arg =
            daemon's socket is absent (start-then-query races in scripts).")
 
 let serve socket store workers default_deadline store_probe io_chaos quiet =
+  check_at_least ~cmd:"serve" ~flag:"--workers" ~lo:1 workers @@ fun () ->
   arm_io_chaos io_chaos;
   let cfg =
     {
@@ -1489,7 +1512,12 @@ let serve_cmd =
     Arg.(
       value
       & opt int 2
-      & info [ "workers" ] ~docv:"W" ~doc:"Worker domains in the pool.")
+      & info [ "workers" ] ~docv:"W"
+          ~doc:
+            "The most cold queries computed at once.  Each cold query gets \
+             a domain of its own, spawned when it is admitted and joined \
+             when it is answered; an idle daemon, or one serving only cache \
+             hits, runs none.")
   in
   let default_deadline =
     Arg.(
@@ -1518,8 +1546,9 @@ let serve_cmd =
   Cmd.v
     (Cmd.info ~exits "serve"
        ~doc:
-         "Run the persistent verification daemon: a worker pool answering \
-          solvability/valence/fuzz queries over a unix socket, memoizing \
+         "Run the persistent verification daemon: answer \
+          solvability/valence/fuzz queries over a unix socket, each cold one \
+          on a domain of its own, memoizing \
           every key-determined answer in a content-addressed store.  A \
           failing store degrades the daemon to compute-only answers (with \
           periodic re-probing), never to failed queries.  Blocks until \
@@ -1592,8 +1621,8 @@ let query_cmd =
   Cmd.v
     (Cmd.info ~exits "query"
        ~doc:
-         "Ask the verification daemon.  Cold answers are computed by the \
-          worker pool and memoized; identical queries — across clients and \
+         "Ask the verification daemon.  Cold answers are computed on job \
+          domains and memoized; identical queries — across clients and \
           daemon restarts — come back from the cache, byte-identical.  \
           Exit codes follow the CLI-wide 0/1/2 policy for the answer \
           itself; 3 means the daemon could not be reached or the query was \

@@ -433,7 +433,7 @@ let build ?(max_states = default_max_states) ?domains
     match domains with
     | Some d when d >= 1 -> d
     | Some d -> invalid_arg (Fmt.str "Graph.build: domains %d < 1" d)
-    | None -> Supervisor.default_domains ()
+    | None -> 1
   in
   let t0 = Unix.gettimeofday () in
   (* One transition memo per worker index of [expand]; they die with the

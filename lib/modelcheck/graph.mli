@@ -222,8 +222,9 @@ val build :
     the exploration quantifies over; its name is recorded in suspended
     explorations, and [build ~resume] refuses a substrate mismatch just
     like a reduction-mode mismatch.
-    [domains] defaults to {!Supervisor.default_domains}; the produced
-    graph does not depend on it.  [budget] and the
+    [domains] defaults to 1: on every graph measured, a second domain
+    made the build larger and none faster (DESIGN.md, "Default
+    domains"); the produced graph does not depend on it.  [budget] and the
     [max_states] quota are polled at each level boundary; when either
     fires the build returns a partial graph with [stop] set and
     [suspended] holding the frozen frontier.  The quota is polled

@@ -96,12 +96,12 @@ let reduce_name = function
   | `Sym_sleep -> "sym+sleep"
 
 let task_label = function
-  | Dac { n } -> Fmt.str "dac:%d" n
-  | Consensus { m } -> Fmt.str "cons:%d" m
-  | Kset { m; k } -> Fmt.str "kset:%d:%d" m k
+  | Dac { n } -> "dac:" ^ string_of_int n
+  | Consensus { m } -> "cons:" ^ string_of_int m
+  | Kset { m; k } -> "kset:" ^ string_of_int m ^ ":" ^ string_of_int k
   | Candidate { name } -> "cand:" ^ name
-  | Vc { n } -> Fmt.str "vc:%d" n
-  | Bcast { n } -> Fmt.str "bcast:%d" n
+  | Vc { n } -> "vc:" ^ string_of_int n
+  | Bcast { n } -> "bcast:" ^ string_of_int n
 
 let question_label = function
   | Solve -> "solve"
@@ -122,20 +122,30 @@ let default_substrate task = if mp_task task then "mp" else "shm"
    answer on the same task must never share a key, nor may the same
    task under shm and mp fairness.  Budget-side knobs (deadline,
    domains, worker count) stay out — they can change how long an answer
-   takes, never what it is. *)
+   takes, never what it is.
+
+   The string is concatenated, not formatted: every cache hit builds it
+   once, and test/oracle.ml keeps the [Format] spelling it must equal
+   byte for byte. *)
 let canonical = function
   | Verify v ->
-    Fmt.str "lbsa-query/2 verify task=%s question=%s inputs=%s max_states=%d \
-             reduce=%s substrate=%s"
-      (task_label v.task)
-      (question_label v.question)
-      (String.concat "," (List.map string_of_int v.inputs))
-      v.max_states (reduce_name v.reduce) v.substrate
+    String.concat ""
+      [ "lbsa-query/2 verify task="; task_label v.task;
+        " question="; question_label v.question;
+        " inputs="; String.concat "," (List.map string_of_int v.inputs);
+        " max_states="; string_of_int v.max_states;
+        " reduce="; reduce_name v.reduce;
+        " substrate="; v.substrate ]
   | Fuzz f ->
-    Fmt.str "lbsa-query/2 fuzz target=%s trials=%d procs=%d ops=%d seed=%d"
-      f.target f.trials f.procs f.ops f.seed
+    String.concat ""
+      [ "lbsa-query/2 fuzz target="; f.target;
+        " trials="; string_of_int f.trials;
+        " procs="; string_of_int f.procs;
+        " ops="; string_of_int f.ops;
+        " seed="; string_of_int f.seed ]
 
-let key q = Fnv.to_hex (Fnv.string (canonical q))
+let key_of_canonical c = Fnv.to_hex (Fnv.string c)
+let key q = key_of_canonical (canonical q)
 
 (* --- encoders ----------------------------------------------------------- *)
 
@@ -413,21 +423,22 @@ let reduction inst (mode : reduce_mode) : Graph.reduction =
    reduction mode.  The substrate is not a free knob: message-passing
    tasks need the network-fairness constraints, shared-memory tasks mean
    nothing under them. *)
-let substrate task name =
+let substrate_of_name name =
   let unknown () =
     invalid_arg
       (Fmt.str "unknown substrate %S (try shm, mp, mp+byz:<f>)" name)
   in
-  let sub, byz =
-    match String.split_on_char ':' name with
-    | [ "shm" ] -> (Substrate.shm, 0)
-    | [ "mp" ] -> (Substrate.mp (), 0)
-    | [ "mp+byz"; f ] -> (
-      match int_of_string_opt f with
-      | Some f when f >= 0 -> (Substrate.mp ~byz:f (), f)
-      | _ -> unknown ())
-    | _ -> unknown ()
-  in
+  match String.split_on_char ':' name with
+  | [ "shm" ] -> (Substrate.shm, 0)
+  | [ "mp" ] -> (Substrate.mp (), 0)
+  | [ "mp+byz"; f ] -> (
+    match int_of_string_opt f with
+    | Some f when f >= 0 -> (Substrate.mp ~byz:f (), f)
+    | _ -> unknown ())
+  | _ -> unknown ()
+
+let substrate task name =
+  let sub, byz = substrate_of_name name in
   if mp_task task <> (sub.Substrate.sname <> "shm") then
     invalid_arg
       (Fmt.str "task %s is %s; use --substrate %s" (task_label task)

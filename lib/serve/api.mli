@@ -110,6 +110,10 @@ val key : query -> string
     Consumers must verify the stored preimage against [canonical q] on
     every read; the digest routes, the preimage decides. *)
 
+val key_of_canonical : string -> string
+(** [key q] from [canonical q], for a caller that already holds the
+    preimage: the daemon derives a key only on a memo miss. *)
+
 (** {2 Encoders}: the payloads of {!Wire} frames and store entries. *)
 
 val query_codec : query Lbsa_util.Codec.t
@@ -170,9 +174,12 @@ val family : instance -> Value.t array list
 val reduction : instance -> reduce_mode -> Graph.reduction
 (** The explorer reduction a mode implies for this protocol. *)
 
-val substrate : task -> string -> Substrate.t * int
+val substrate_of_name : string -> Substrate.t * int
 (** The named substrate ("shm", "mp", "mp+byz:<f>") and its Byzantine
-    budget.  Refuses an unknown name, and a substrate of the other
+    budget.  Refuses an unknown name. *)
+
+val substrate : task -> string -> Substrate.t * int
+(** {!substrate_of_name}, refusing also a substrate of the other
     family: message-passing tasks run on mp, all others on shm. *)
 
 val validate : query -> unit
@@ -221,7 +228,7 @@ val compute : ?budget:Supervisor.Budget.t -> ?start:int -> query -> computed
 (** Run the query.  [budget] bounds wall clock and carries the
     cancellation token ({!Supervisor.Budget}); [start] (fuzz only)
     resumes from a completed-trial prefix.  The explorer and fuzz
-    fan-out are pinned to one domain — the service's worker pool is the
+    fan-out are pinned to one domain — the daemon's job domains are the
     parallelism layer.  Raises [Invalid_argument] on any task the task
     table refuses, or an unknown fuzz target. *)
 

@@ -3,12 +3,16 @@ open Lbsa_runtime
 (* The verification daemon.
 
    One main domain owns every socket and every piece of mutable service
-   state; worker domains own nothing but the job they are computing.
-   The two meet at a pair of mutex-guarded queues plus a self-pipe: the
-   main loop pushes jobs in, workers push completions out and poke the
-   pipe so [Unix.select] wakes up.  That split keeps the concurrency
-   story auditable — cache tables, in-flight bookkeeping and client fds
-   are single-threaded by construction, and the only data crossing the
+   state.  A cold job runs on a domain of its own: the main loop spawns
+   one for an admitted miss while fewer than [workers] job domains are
+   alive, queues the job otherwise, and joins the domain when it drains
+   its completion.  An idle daemon, or one serving only cache hits, is
+   the main domain alone — in OCaml 5 every minor collection stops
+   every domain, so an idle worker domain would tax each hit.  A job
+   domain owns nothing but its job: it pushes its completion on a
+   mutex-guarded queue and pokes a self-pipe so [Unix.select] wakes up.
+   Cache tables, in-flight bookkeeping and client fds are
+   single-threaded by construction, and the only data crossing the
    domain boundary is the plain-data job/result pair (never a client fd,
    never an interned value).
 
@@ -52,6 +56,7 @@ type job = {
 }
 
 type completion = {
+  c_slot : int;  (* the job domain's slot, 1..workers *)
   c_job : job;
   c_result : (Api.computed, string) Stdlib.result;
 }
@@ -61,12 +66,12 @@ type state = {
   store : Store.t;
   memo : (string, Api.result) Hashtbl.t;  (* canonical -> answer *)
   inflight : (string, job) Hashtbl.t;  (* canonical -> job *)
-  (* worker-facing queues *)
-  mu : Mutex.t;
-  cond : Condition.t;
-  jobs : job option Queue.t;  (* [None] = worker shutdown sentinel *)
+  waiting : job Queue.t;  (* admitted jobs no job domain has taken yet *)
+  slots : unit Domain.t option array;  (* slot i + 1's live job domain *)
+  (* shared with the job domains *)
+  mu : Mutex.t;  (* guards [done_q] *)
   done_q : completion Queue.t;
-  wake_w : Unix.file_descr;  (* worker end of the self-pipe *)
+  wake_w : Unix.file_descr;  (* job-domain end of the self-pipe *)
   wake_r : Unix.file_descr;
   token : Supervisor.token;
   mutable stats : Wire.stats;
@@ -83,47 +88,31 @@ let logf st fmt =
   if st.cfg.log then Fmt.epr ("lbsa-serve: " ^^ fmt ^^ "@.")
   else Format.ifprintf Format.err_formatter ("lbsa-serve: " ^^ fmt ^^ "@.")
 
-(* -- worker side ---------------------------------------------------- *)
+(* -- job-domain side ------------------------------------------------ *)
 
-let worker_loop st wid =
-  let rec next () =
-    Mutex.lock st.mu;
-    let rec wait () =
-      match Queue.take_opt st.jobs with
-      | Some j -> j
-      | None ->
-        Condition.wait st.cond st.mu;
-        wait ()
-    in
-    let j = wait () in
-    Mutex.unlock st.mu;
-    match j with
-    | None -> ()  (* sentinel: exit *)
-    | Some job ->
-      let budget =
-        Supervisor.Budget.make ?deadline_s:job.j_deadline_s ~token:st.token ()
-      in
-      let outcome =
-        Supervisor.run_shard ~attempts:2 ~worker:wid (fun () ->
-            Api.compute ~budget ~start:job.j_start job.j_q)
-      in
-      let c_result =
-        match outcome with
-        | Ok computed -> Ok computed
-        | Error (msg, attempts) ->
-          Error (Fmt.str "computation failed after %d attempt(s): %s"
-                   attempts msg)
-      in
-      Mutex.lock st.mu;
-      Queue.add { c_job = job; c_result } st.done_q;
-      Mutex.unlock st.mu;
-      (* poke the main loop; the pipe may be full under a burst, which
-         is fine — one pending byte is enough to wake it *)
-      (try ignore (Unix.write st.wake_w (Bytes.make 1 '!') 0 1)
-       with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-      next ()
+(* The whole life of a job domain: compute under fault isolation (the
+   slot is the worker id, so chaos keys stay in 1..workers), push the
+   completion, poke the main loop. *)
+let run_job st ~slot job =
+  let budget =
+    Supervisor.Budget.make ?deadline_s:job.j_deadline_s ~token:st.token ()
   in
-  next ()
+  let c_result =
+    match
+      Supervisor.run_shard ~attempts:2 ~worker:slot (fun () ->
+          Api.compute ~budget ~start:job.j_start job.j_q)
+    with
+    | Ok computed -> Ok computed
+    | Error (msg, attempts) ->
+      Error (Fmt.str "computation failed after %d attempt(s): %s" attempts msg)
+  in
+  Mutex.lock st.mu;
+  Queue.add { c_slot = slot; c_job = job; c_result } st.done_q;
+  Mutex.unlock st.mu;
+  (* the pipe may be full under a burst, which is fine — one pending
+     byte is enough to wake the main loop *)
+  try ignore (Unix.write st.wake_w (Bytes.make 1 '!') 0 1)
+  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
 
 (* -- main-loop helpers ---------------------------------------------- *)
 
@@ -185,7 +174,7 @@ let reply_result st fd ~cached ~t0 res =
 (* When the store turns hostile — ENOSPC/EROFS/EIO on a put or get, or
    a storm of consecutive corrupt entries (a directory that keeps
    handing back garbage) — the daemon flips to compute-only mode: the
-   memo table and the worker pool still answer every query, the store
+   memo table and the job domains still answer every query, the store
    is simply skipped.  [st_degraded] counts every store operation
    failed or skipped this way.  A periodic probe (a real commit through
    the put path) re-arms the store once the device recovers. *)
@@ -247,50 +236,69 @@ let store_get st ~key ~canonical =
     found
   end
 
-(* Look the query up in the two cache layers.  [`Hit r] answers now;
-   [`Resume n] means a persisted fuzz prefix lets the computation start
-   at trial [n]; [`Miss] is a cold start. *)
-let lookup st ~canonical ~key =
-  match Hashtbl.find_opt st.memo canonical with
-  | Some r ->
-    st.stats <- { st.stats with Wire.st_hits_mem = st.stats.Wire.st_hits_mem + 1 };
-    `Hit r
-  | None ->
-    let before = Store.corrupt_count st.store in
-    let found = store_get st ~key ~canonical in
-    let corrupted = Store.corrupt_count st.store - before in
-    if corrupted > 0 then begin
+(* Look a memo miss up in the store.  [`Hit r] answers now; [`Resume n]
+   means a persisted fuzz prefix lets the computation start at trial
+   [n]; [`Miss] is a cold start. *)
+let lookup_store st ~canonical ~key =
+  let before = Store.corrupt_count st.store in
+  let found = store_get st ~key ~canonical in
+  let corrupted = Store.corrupt_count st.store - before in
+  if corrupted > 0 then begin
+    st.stats <-
+      { st.stats with Wire.st_corrupt = st.stats.Wire.st_corrupt + corrupted };
+    st.consec_corrupt <- st.consec_corrupt + corrupted;
+    if st.consec_corrupt >= corrupt_storm_threshold then
+      enter_degraded st ~reason:"corruption storm";
+    logf st "store entry %s corrupt; discarded, recomputing" key
+  end
+  else if found <> None then st.consec_corrupt <- 0;
+  match found with
+  | Some data -> (
+    match Lbsa_util.Codec.decode entry_codec data with
+    | Final r ->
+      Hashtbl.replace st.memo canonical r;
       st.stats <-
-        { st.stats with Wire.st_corrupt = st.stats.Wire.st_corrupt + corrupted };
-      st.consec_corrupt <- st.consec_corrupt + corrupted;
-      if st.consec_corrupt >= corrupt_storm_threshold then
-        enter_degraded st ~reason:"corruption storm";
-      logf st "store entry %s corrupt; discarded, recomputing" key
-    end
-    else if found <> None then st.consec_corrupt <- 0;
-    (match found with
-    | Some data ->
-      (match Lbsa_util.Codec.decode entry_codec data with
-      | Final r ->
-        Hashtbl.replace st.memo canonical r;
-        st.stats <-
-          { st.stats with
-            Wire.st_hits_store = st.stats.Wire.st_hits_store + 1 };
-        `Hit r
-      | Prefix n when n > 0 ->
-        st.stats <-
-          { st.stats with
-            Wire.st_prefix_resumed = st.stats.Wire.st_prefix_resumed + 1 };
-        `Resume n
-      | Prefix _ -> `Miss
-      | exception Lbsa_util.Codec.Malformed _ ->
-        (* checksummed bytes of the current store version that still
-           fail to decode: treat exactly like corruption *)
-        st.stats <-
-          { st.stats with Wire.st_corrupt = st.stats.Wire.st_corrupt + 1 };
-        (try Sys.remove (Store.path st.store ~key) with Sys_error _ -> ());
-        `Miss)
-    | None -> `Miss)
+        { st.stats with Wire.st_hits_store = st.stats.Wire.st_hits_store + 1 };
+      `Hit r
+    | Prefix n when n > 0 ->
+      st.stats <-
+        { st.stats with
+          Wire.st_prefix_resumed = st.stats.Wire.st_prefix_resumed + 1 };
+      `Resume n
+    | Prefix _ -> `Miss
+    | exception Lbsa_util.Codec.Malformed _ ->
+      (* checksummed bytes of the current store version that still
+         fail to decode: treat exactly like corruption *)
+      st.stats <-
+        { st.stats with Wire.st_corrupt = st.stats.Wire.st_corrupt + 1 };
+      (try Sys.remove (Store.path st.store ~key) with Sys_error _ -> ());
+      `Miss)
+  | None -> `Miss
+
+(* Hand waiting jobs to job domains while a slot is free.  A spawn that
+   fails answers its job's waiters with the error; the loop serves on. *)
+let rec start_waiting st =
+  if not (Queue.is_empty st.waiting) then
+    match Array.find_index Option.is_none st.slots with
+    | None -> ()
+    | Some i ->
+      let job = Queue.pop st.waiting in
+      (match Domain.spawn (fun () -> run_job st ~slot:(i + 1) job) with
+      | d ->
+        st.slots.(i) <- Some d;
+        let alive =
+          Array.fold_left
+            (fun n slot -> if Option.is_some slot then n + 1 else n)
+            0 st.slots
+        in
+        if alive > st.stats.Wire.st_running_peak then
+          st.stats <- { st.stats with Wire.st_running_peak = alive }
+      | exception e ->
+        Hashtbl.remove st.inflight job.j_canonical;
+        let msg = "cannot start a job domain: " ^ Printexc.to_string e in
+        logf st "job %s: %s" job.j_key msg;
+        List.iter (fun (fd, _) -> reply st fd (Wire.Error msg)) job.j_waiters);
+      start_waiting st
 
 let schedule st ~canonical ~key ~q ~deadline_s ~start ~waiter =
   match Hashtbl.find_opt st.inflight canonical with
@@ -310,34 +318,37 @@ let schedule st ~canonical ~key ~q ~deadline_s ~start ~waiter =
     let depth = Hashtbl.length st.inflight in
     if depth > st.stats.Wire.st_queue_peak then
       st.stats <- { st.stats with Wire.st_queue_peak = depth };
-    Mutex.lock st.mu;
-    Queue.add (Some job) st.jobs;
-    Condition.signal st.cond;
-    Mutex.unlock st.mu
+    Queue.add job st.waiting;
+    start_waiting st
 
+(* A memo hit builds the canonical string and nothing else: the store
+   key is derived from it only on a miss. *)
 let handle_query st fd q deadline_s =
   let t0 = now () in
   st.stats <- { st.stats with Wire.st_queries = st.stats.Wire.st_queries + 1 };
-  match Api.canonical q with
-  | exception Invalid_argument msg ->
-    reply st fd (Wire.Error msg)
-  | canonical ->
-    if st.draining then reply st fd (Wire.Error "daemon is shutting down")
-    else begin
-      let key = Api.key q in
-      match lookup st ~canonical ~key with
+  if st.draining then reply st fd (Wire.Error "daemon is shutting down")
+  else
+    let canonical = Api.canonical q in
+    match Hashtbl.find_opt st.memo canonical with
+    | Some r ->
+      st.stats <-
+        { st.stats with Wire.st_hits_mem = st.stats.Wire.st_hits_mem + 1 };
+      reply_result st fd ~cached:true ~t0 r
+    | None -> (
+      let key = Api.key_of_canonical canonical in
+      match lookup_store st ~canonical ~key with
       | `Hit r -> reply_result st fd ~cached:true ~t0 r
       | (`Resume _ | `Miss) as m -> (
         (* A query the task table refuses is answered here, once: never
-           counted as a miss, never handed to a worker to fail twice. *)
+           counted as a miss, never handed to a job domain to fail
+           twice. *)
         match Api.validate q with
         | exception Invalid_argument msg -> reply st fd (Wire.Error msg)
         | () ->
           let start = match m with `Resume n -> n | `Miss -> 0 in
-          schedule st ~canonical ~key ~q ~deadline_s ~start ~waiter:(fd, t0))
-    end
+          schedule st ~canonical ~key ~q ~deadline_s ~start ~waiter:(fd, t0)))
 
-let handle_completion st { c_job = job; c_result } =
+let handle_completion st { c_job = job; c_result; _ } =
   Hashtbl.remove st.inflight job.j_canonical;
   match c_result with
   | Error msg ->
@@ -405,45 +416,49 @@ let bind_socket path =
 
 (* -- the main loop -------------------------------------------------- *)
 
+(* Each completion's job domain has finished its job, so the join is
+   immediate; its slot then takes the next waiting job.  A domain that
+   raised after queueing its completion (a failed poke) has nothing
+   more to report. *)
 let drain_done st =
   let rec pop () =
     Mutex.lock st.mu;
     let c = Queue.take_opt st.done_q in
     Mutex.unlock st.mu;
     match c with
-    | Some c -> handle_completion st c; pop ()
-    | None -> ()
+    | Some c ->
+      Option.iter
+        (fun d -> try Domain.join d with _ -> ())
+        st.slots.(c.c_slot - 1);
+      st.slots.(c.c_slot - 1) <- None;
+      handle_completion st c;
+      pop ()
+    | None -> start_waiting st
   in
   pop ()
 
 let run cfg =
+  if cfg.workers < 1 then invalid_arg "Daemon.run: workers must be >= 1";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let store = Store.open_ ~dir:cfg.store_dir in
   let listen_fd = bind_socket cfg.socket in
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_w;
-  let workers = max 1 cfg.workers in
   let st =
     { cfg; store; memo = Hashtbl.create 64; inflight = Hashtbl.create 16;
-      mu = Mutex.create (); cond = Condition.create ();
-      jobs = Queue.create (); done_q = Queue.create (); wake_w; wake_r;
-      token = Supervisor.token (); stats = Wire.zero_stats ~workers;
+      waiting = Queue.create (); slots = Array.make cfg.workers None;
+      mu = Mutex.create (); done_q = Queue.create (); wake_w; wake_r;
+      token = Supervisor.token ();
+      stats = Wire.zero_stats ~workers:cfg.workers;
       degraded = false; next_probe = 0.; consec_corrupt = 0;
       draining = false; shutdown_fds = []; clients = []; started = now () }
   in
-  let pool =
-    List.init workers (fun i -> Domain.spawn (fun () -> worker_loop st (i + 1)))
-  in
-  logf st "listening on %s (store %s, %d worker%s)" cfg.socket cfg.store_dir
-    workers (if workers = 1 then "" else "s");
+  logf st "listening on %s (store %s, at most %d job domain%s)" cfg.socket
+    cfg.store_dir cfg.workers (if cfg.workers = 1 then "" else "s");
   let listening = ref true in
-  let finished st =
-    st.draining && Hashtbl.length st.inflight = 0
-    && (Mutex.lock st.mu;
-        let empty = Queue.is_empty st.jobs && Queue.is_empty st.done_q in
-        Mutex.unlock st.mu;
-        empty)
-  in
+  (* Every job is in [inflight] until its completion is handled, and its
+     domain is joined before that: nothing is left to join. *)
+  let finished st = st.draining && Hashtbl.length st.inflight = 0 in
   let rec loop () =
     if st.draining && !listening then begin
       listening := false;
@@ -496,12 +511,7 @@ let run cfg =
     end
   in
   loop ();
-  (* drained: stop the pool, answer the shutdown requester(s), tidy up *)
-  Mutex.lock st.mu;
-  List.iter (fun _ -> Queue.add None st.jobs) pool;
-  Condition.broadcast st.cond;
-  Mutex.unlock st.mu;
-  List.iter Domain.join pool;
+  (* drained: answer the shutdown requester(s), tidy up *)
   let final = current_stats st in
   List.iter
     (fun fd -> ignore (safe_send_response fd (Wire.Stats_r final)))

@@ -13,6 +13,7 @@ type stats = {
   st_joined : int;
   st_queue_peak : int;
   st_workers : int;
+  st_running_peak : int;
   st_corrupt : int;
   st_degraded : int;
   st_prefix_stored : int;
@@ -45,20 +46,21 @@ let stats_codec =
       ints.put b
         [| s.st_queries; s.st_hits_mem; s.st_hits_store; s.st_misses;
            s.st_computed; s.st_joined; s.st_queue_peak; s.st_workers;
-           s.st_corrupt; s.st_degraded; s.st_prefix_stored;
+           s.st_running_peak; s.st_corrupt; s.st_degraded; s.st_prefix_stored;
            s.st_prefix_resumed; s.st_hot_count; s.st_cold_count |];
       floats.put b [| s.st_hot_us_total; s.st_cold_us_total; s.st_uptime_s |]);
     get = (fun c ->
       let i = ints.get c in
       match (i, floats.get c) with
       | ( [| st_queries; st_hits_mem; st_hits_store; st_misses; st_computed;
-             st_joined; st_queue_peak; st_workers; st_corrupt; st_degraded;
-             st_prefix_stored; st_prefix_resumed; st_hot_count; st_cold_count |],
+             st_joined; st_queue_peak; st_workers; st_running_peak; st_corrupt;
+             st_degraded; st_prefix_stored; st_prefix_resumed; st_hot_count;
+             st_cold_count |],
           [| st_hot_us_total; st_cold_us_total; st_uptime_s |] ) ->
         { st_queries; st_hits_mem; st_hits_store; st_misses; st_computed;
-          st_joined; st_queue_peak; st_workers; st_corrupt; st_degraded;
-          st_prefix_stored; st_prefix_resumed; st_hot_us_total; st_hot_count;
-          st_cold_us_total; st_cold_count; st_uptime_s }
+          st_joined; st_queue_peak; st_workers; st_running_peak; st_corrupt;
+          st_degraded; st_prefix_stored; st_prefix_resumed; st_hot_us_total;
+          st_hot_count; st_cold_us_total; st_cold_count; st_uptime_s }
       | _ -> malformed "stats: wrong field count") }
 
 let request_codec =
@@ -198,6 +200,7 @@ let zero_stats ~workers =
     st_joined = 0;
     st_queue_peak = 0;
     st_workers = workers;
+    st_running_peak = 0;
     st_corrupt = 0;
     st_degraded = 0;
     st_prefix_stored = 0;
@@ -212,12 +215,14 @@ let zero_stats ~workers =
 let pp_stats ppf s =
   Fmt.pf ppf
     "queries=%d hits=%d (mem %d, store %d) misses=%d computed=%d joined=%d \
-     queue_peak=%d workers=%d corrupt=%d degraded=%d prefix_stored=%d \
-     prefix_resumed=%d hot_us_mean=%.1f cold_us_mean=%.1f uptime_s=%.1f"
+     queue_peak=%d workers=%d running_peak=%d corrupt=%d degraded=%d \
+     prefix_stored=%d prefix_resumed=%d hot_us_mean=%.1f cold_us_mean=%.1f \
+     uptime_s=%.1f"
     s.st_queries
     (s.st_hits_mem + s.st_hits_store)
     s.st_hits_mem s.st_hits_store s.st_misses s.st_computed s.st_joined
-    s.st_queue_peak s.st_workers s.st_corrupt s.st_degraded s.st_prefix_stored
+    s.st_queue_peak s.st_workers s.st_running_peak s.st_corrupt s.st_degraded
+    s.st_prefix_stored
     s.st_prefix_resumed
     (if s.st_hot_count = 0 then 0.
      else s.st_hot_us_total /. float s.st_hot_count)

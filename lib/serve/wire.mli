@@ -21,7 +21,8 @@ type stats = {
   st_computed : int;  (** computations actually run (≤ misses) *)
   st_joined : int;  (** queries that joined an in-flight computation *)
   st_queue_peak : int;  (** max simultaneous distinct in-flight keys *)
-  st_workers : int;
+  st_workers : int;  (** the cap on job domains alive at once *)
+  st_running_peak : int;  (** the most job domains alive at once *)
   st_corrupt : int;  (** corrupt / truncated store entries discarded *)
   st_degraded : int;
       (** store operations skipped or failed while the daemon is in

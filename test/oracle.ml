@@ -383,3 +383,32 @@ let config_hash (t : Config.t) =
   let acc = Array.fold_left Value.hash_fold acc t.objects in
   let acc = comb acc 47 in
   Array.fold_left fold_status acc t.status land max_int
+
+(* --- the canonical query preimage, formatted ------------------------------ *)
+
+(* [Serve_api.canonical] as it was first written, through [Format]: the
+   concatenation must keep these bytes, or every store entry would be
+   re-addressed. *)
+let canonical =
+  let task_label = function
+    | Serve_api.Dac { n } -> Fmt.str "dac:%d" n
+    | Serve_api.Consensus { m } -> Fmt.str "cons:%d" m
+    | Serve_api.Kset { m; k } -> Fmt.str "kset:%d:%d" m k
+    | Serve_api.Candidate { name } -> "cand:" ^ name
+    | Serve_api.Vc { n } -> Fmt.str "vc:%d" n
+    | Serve_api.Bcast { n } -> Fmt.str "bcast:%d" n
+  in
+  function
+  | Serve_api.Verify v ->
+    Fmt.str
+      "lbsa-query/2 verify task=%s question=%s inputs=%s max_states=%d \
+       reduce=%s substrate=%s"
+      (task_label v.task)
+      (Serve_api.question_label v.question)
+      (String.concat "," (List.map string_of_int v.inputs))
+      v.max_states
+      (Serve_api.reduce_name v.reduce)
+      v.substrate
+  | Serve_api.Fuzz f ->
+    Fmt.str "lbsa-query/2 fuzz target=%s trials=%d procs=%d ops=%d seed=%d"
+      f.target f.trials f.procs f.ops f.seed

@@ -82,3 +82,10 @@ val config_hash : Config.t -> int
 (** [Config.hash] as a fold of [Value.hash_fold] over each array, the
     form it was first written in: {!Config.hash} must return the same
     bits. *)
+
+(** {2 The canonical query preimage} *)
+
+val canonical : Serve_api.query -> string
+(** {!Serve_api.canonical} as first written, through [Format]: the
+    concatenation it became must return the same bytes for every
+    query. *)

@@ -774,6 +774,30 @@ let flag_refusals =
     ( "lin-check --impl oprime -n 2 --max-k 0",
       "lbsa lin-check: O_prime.spec: empty power sequence" );
     ("universal -n 0", "lbsa universal: Universal.implementation: n >= 1");
+    (* Two calls per client: past 31 clients the history outgrows the
+       linearizability checker's 62 calls, refused before the header
+       line instead of by the checker mid-run (or, at 33, by the
+       construction running out of slots). *)
+    ( "universal -n 32 --trials 1",
+      "lbsa universal: 32 clients make 64 calls; the linearizability \
+       checker takes at most 62" );
+    ( "universal -n 33 --trials 1",
+      "lbsa universal: 33 clients make 66 calls; the linearizability \
+       checker takes at most 62" );
+    ( "lin-check --impl snapshot -n 32 --trials 1",
+      "lbsa lin-check: 32 clients make 64 calls; the linearizability \
+       checker takes at most 62" );
+    (* The key fingerprint prints must address a query the daemon would
+       take: an unknown substrate name is refused as check and query
+       refuse it. *)
+    ( "fingerprint -n 3 --substrate bogus",
+      "lbsa fingerprint: unknown substrate \"bogus\" (try shm, mp, \
+       mp+byz:<f>)" );
+    (* A daemon needs a job domain to compute anything.  The socket is
+       a directory, so a regression that started serving would fail to
+       bind at once instead of blocking the suite. *)
+    ("serve --workers 0 --socket .", "lbsa serve: --workers 0 is below 1");
+    ("serve --workers=-1 --socket .", "lbsa serve: --workers -1 is below 1");
     (* Unknown names carry the command's prefix like every other
        refusal. *)
     ( "valence --protocol nope",
@@ -1074,6 +1098,71 @@ let has_line ~prefix ?(suffix = "") s =
       String.starts_with ~prefix l && String.ends_with ~suffix l)
     (lines s)
 
+(* [line] without a trailing "  <d> domain(s)  <t>s": the part of a
+   fuzz PASS line that varies with the domain count and the clock. *)
+let strip_domains_wall line =
+  let digit c = c >= '0' && c <= '9' in
+  let rec back p i = if i > 0 && p line.[i - 1] then back p (i - 1) else i in
+  let ends_at suffix i =
+    let k = String.length suffix in
+    i >= k && String.sub line (i - k) k = suffix
+  in
+  let n = String.length line in
+  let cut =
+    if n = 0 || line.[n - 1] <> 's' then None
+    else
+      let t = back (fun c -> digit c || c = '.') (n - 1) in
+      if t = n - 1 || not (ends_at "  " t) then None
+      else
+        let w =
+          if ends_at " domains" (t - 2) then Some (t - 10)
+          else if ends_at " domain" (t - 2) then Some (t - 9)
+          else None
+        in
+        Option.bind w (fun w ->
+            let d = back digit w in
+            if d < w && ends_at "  " d then Some (d - 2) else None)
+  in
+  match cut with Some i -> String.sub line 0 i | None -> line
+
+(* The fuzz fan-out and the input-family sweep share the hash-consed
+   value core across domains (the lock-striped intern table under real
+   contention): each prints the same lines, and exits the same, on one
+   domain as on several.  The fuzz PASS line's domain count and wall
+   time are stripped first.  A failing campaign names the same trial.
+   (A deadline-stopped sweep names the same vector: "partial sweep".) *)
+let test_domain_counts () =
+  let same ~args ~rc ~domains ?(strip = Fun.id) () =
+    let outs =
+      List.map
+        (fun d ->
+          let args = Fmt.str "%s --domains %d" args d in
+          let out, err, code = run args in
+          Alcotest.(check int) (Fmt.str "%s: exit code (stderr: %s)" args err)
+            rc code;
+          String.concat "\n" (List.map strip (lines out)))
+        domains
+    in
+    List.iter
+      (fun o -> Alcotest.(check string) (args ^ ": same lines") (List.hd outs) o)
+      outs;
+    List.hd outs
+  in
+  let fuzz =
+    same ~args:"fuzz --impl snapshot:3 --trials 200 --seed 42" ~rc:0
+      ~domains:[ 1; 2 ] ~strip:strip_domains_wall ()
+  in
+  Alcotest.(check string) "snapshot:3 PASS line, stripped"
+    "PASS impl snapshot:3             200 trials"
+    (List.hd (lines fuzz));
+  ignore (same ~args:"check dac -n 3" ~rc:0 ~domains:[ 1; 2 ] ());
+  let mutant =
+    same ~args:"fuzz --impl mutant-pac:2 --trials 300 --seed 42 --no-shrink"
+      ~rc:1 ~domains:[ 1; 4 ] ()
+  in
+  Alcotest.(check bool) "mutant-pac:2 names trial 10" true
+    (contains ~sub:"reproduce with --seed 42 (trial 10)" mutant)
+
 (* The explorer's output does not depend on the domain count: of:3:2's
    levels are big enough to spread over every domain, and it prints the
    1-domain row but for its domains= line. *)
@@ -1329,6 +1418,11 @@ let () =
           [
             Alcotest.test_case "same vector for any --domains" `Quick
               test_partial_sweep_domains;
+          ] );
+        ( "domains",
+          [
+            Alcotest.test_case "fuzz and check print the same on 1, 2, 4"
+              `Quick test_domain_counts;
           ] );
         ( "sources",
           [ Alcotest.test_case "no Marshal in lib or bin" `Quick test_no_marshal ]

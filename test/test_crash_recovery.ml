@@ -559,6 +559,87 @@ let test_daemon_degrades_and_recovers () =
       ignore stats;
       ignore (Domain.join d))
 
+(* The CLI over a store directory it cannot write (mode 555): a real
+   `lbsa serve` child still answers `lbsa query` (exit 0, the verdict
+   on stdout), `lbsa query --stats` prints a nonzero degraded= counter,
+   and a shutdown drains the daemon to exit 0.  A process allowed to
+   write anyway (root) would find the directory writable, so for it the
+   entry's tmp path is made a directory: that commit fails too, as it
+   does on a read-only disk. *)
+let test_daemon_read_only_store () =
+  require_exe ();
+  let dir = fresh_dir () in
+  let socket = fresh_path ".sock" in
+  (* the query `lbsa query dac:3` sends *)
+  let q =
+    Serve_api.Verify
+      { task = Serve_api.Dac { n = 3 }; question = Serve_api.Solve;
+        inputs = [ 1; 0; 0 ]; max_states = Cgraph.default_max_states;
+        reduce = `None; substrate = "shm" }
+  in
+  let cli ~what args =
+    let c = Crashdrive.spawn ~exe ~args:(args @ [ "--socket"; socket ]) () in
+    match Crashdrive.wait_within c 30. with
+    | Some o ->
+      Alcotest.(check (option int))
+        (Fmt.str "%s exits 0 (err=%S)" what o.Crashdrive.err)
+        (Some 0) (Crashdrive.exited o);
+      o.Crashdrive.out
+    | None ->
+      (try Unix.kill (Crashdrive.pid c) Sys.sigkill
+       with Unix.Unix_error _ -> ());
+      ignore (Crashdrive.wait c);
+      Alcotest.failf "%s: no answer within 30 s" what
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.chmod dir 0o755;
+      rm_rf dir;
+      rm_rf socket)
+    (fun () ->
+      Unix.chmod dir 0o555;
+      if (try Unix.access dir [ Unix.W_OK ]; true
+          with Unix.Unix_error _ -> false)
+      then begin
+        Unix.chmod dir 0o755;
+        let entry = Serve_store.path (Serve_store.open_ ~dir) ~key:(Serve_api.key q) in
+        Unix.mkdir (entry ^ ".tmp") 0o755;
+        Unix.chmod dir 0o555
+      end;
+      let daemon =
+        Crashdrive.spawn ~exe
+          ~args:[ "serve"; "--socket"; socket; "--store"; dir; "--quiet" ]
+          ()
+      in
+      let exited = ref false in
+      Fun.protect ~finally:(fun () ->
+          if not !exited then begin
+            (try Unix.kill (Crashdrive.pid daemon) Sys.sigkill
+             with Unix.Unix_error _ -> ());
+            ignore (Crashdrive.wait daemon)
+          end)
+      @@ fun () ->
+      Alcotest.(check string) "query answered" "OK (inputs=1,0,0, 190 states)\n"
+        (cli ~what:"query" [ "query"; "dac:3"; "--wait"; "30" ]);
+      let stats = cli ~what:"query --stats" [ "query"; "--stats" ] in
+      let degraded =
+        List.find_map
+          (fun field ->
+            match String.split_on_char '=' field with
+            | [ "degraded"; n ] -> int_of_string_opt n
+            | _ -> None)
+          (String.split_on_char ' ' (String.trim stats))
+      in
+      (match degraded with
+      | Some n when n > 0 -> ()
+      | _ -> Alcotest.failf "no nonzero degraded= in %S" stats);
+      ignore (cli ~what:"shutdown" [ "shutdown" ]);
+      let o = Crashdrive.wait daemon in
+      exited := true;
+      Alcotest.(check (option int))
+        (Fmt.str "daemon exits 0 (err=%S)" o.Crashdrive.err)
+        (Some 0) (Crashdrive.exited o))
+
 (* --- daemon: hostile frames ---------------------------------------------- *)
 
 let of_hex h =
@@ -592,10 +673,11 @@ let send_raw ~socket bytes =
       drain ())
 
 (* A real `lbsa serve` child gets one hostile frame per connection, and
-   after each one still answers a fresh client correctly.  Frame (a) is
-   the old wire format carrying a well-formed marshalled value of the
-   wrong shape: at the commit before the typed codec it killed the
-   daemon with SIGSEGV. *)
+   after each one still answers a fresh client correctly, from its
+   cache once the first answer is in: a hostile peer costs only its
+   own connection.  Frame (a) is the old wire format carrying a
+   well-formed marshalled value of the wrong shape: at the commit
+   before the typed codec it killed the daemon with SIGSEGV. *)
 let test_daemon_survives_hostile_frames () =
   require_exe ();
   let dir = fresh_dir () in
@@ -660,18 +742,19 @@ let test_daemon_survives_hostile_frames () =
         "frame (a) carries the same marshalled pair" marshalled
         (String.sub (snd (List.hd frames)) 8 23);
       let q = verify_q (Serve_api.Dac { n = 3 }) in
-      List.iter
-        (fun (what, frame) ->
+      List.iteri
+        (fun i (what, frame) ->
           send_raw ~socket frame;
           let c = client () in
           Fun.protect
             ~finally:(fun () -> Serve_client.close c)
             (fun () ->
               match Serve_client.query c q with
-              | Ok (r, _, _) ->
+              | Ok (r, cached, _) ->
                 Alcotest.(check string)
                   (what ^ ": daemon still answers") "OK (inputs=1,0,0, 190 states)"
-                  (Serve_api.render r)
+                  (Serve_api.render r);
+                Alcotest.(check bool) (what ^ ": cache kept") (i > 0) cached
               | Error msg -> Alcotest.failf "%s: query failed: %s" what msg))
         frames;
       let c = client () in
@@ -799,12 +882,13 @@ let test_daemon_stalled_peers () =
    connection, so the `lbsa query` child comes back within 5 s and
    exits 3 naming the closed connection, instead of waiting forever for
    an answer that never comes.  The daemon keeps serving: the next
-   query gets the (now memoised) answer. *)
+   query gets the (now memoised) answer, and a shutdown drains it to
+   exit 0. *)
 let test_daemon_failed_reply_closes () =
   require_exe ();
   let dir = fresh_dir () in
   let socket = fresh_path ".sock" in
-  (* The daemon is SIGKILLed, so it never unlinks its own socket. *)
+  (* A daemon SIGKILLed on failure never unlinks its own socket. *)
   Fun.protect
     ~finally:(fun () ->
       rm_rf dir;
@@ -817,16 +901,17 @@ let test_daemon_failed_reply_closes () =
               "--io-chaos-seed"; "2" ]
           ()
       in
+      let exited = ref false in
       Fun.protect ~finally:(fun () ->
-          (try Unix.kill (Crashdrive.pid daemon) Sys.sigkill
-           with Unix.Unix_error _ -> ());
-          ignore (Crashdrive.wait daemon))
+          if not !exited then begin
+            (try Unix.kill (Crashdrive.pid daemon) Sys.sigkill
+             with Unix.Unix_error _ -> ());
+            ignore (Crashdrive.wait daemon)
+          end)
       @@ fun () ->
-      let query what =
+      let cli what args =
         let q =
-          Crashdrive.spawn ~exe
-            ~args:[ "query"; "dac:2"; "--socket"; socket; "--wait"; "10" ]
-            ()
+          Crashdrive.spawn ~exe ~args:(args @ [ "--socket"; socket ]) ()
         in
         match Crashdrive.wait_within q 5. with
         | Some o -> o
@@ -836,6 +921,7 @@ let test_daemon_failed_reply_closes () =
           ignore (Crashdrive.wait q);
           Alcotest.failf "%s: no answer and no hang-up within 5 s" what
       in
+      let query what = cli what [ "query"; "dac:2"; "--wait"; "10" ] in
       let first = query "first query" in
       Alcotest.(check (option int))
         (Fmt.str "first query exits 3 (err=%S)" first.Crashdrive.err)
@@ -849,7 +935,16 @@ let test_daemon_failed_reply_closes () =
         (Some 0) (Crashdrive.exited second);
       Alcotest.(check string)
         "second query answered" "OK (inputs=1,0, 36 states)\n"
-        second.Crashdrive.out);
+        second.Crashdrive.out;
+      let stop = cli "shutdown" [ "shutdown" ] in
+      Alcotest.(check (option int))
+        (Fmt.str "shutdown exits 0 (err=%S)" stop.Crashdrive.err)
+        (Some 0) (Crashdrive.exited stop);
+      let o = Crashdrive.wait daemon in
+      exited := true;
+      Alcotest.(check (option int))
+        (Fmt.str "daemon exits 0 (err=%S)" o.Crashdrive.err)
+        (Some 0) (Crashdrive.exited o));
   Alcotest.(check bool) "socket path removed" false (Sys.file_exists socket)
 
 (* --- seeded fault-plan sweep --------------------------------------------- *)
@@ -1017,6 +1112,8 @@ let () =
             test_daemon_killed_mid_put;
           tc "store failure degrades to compute-only, then recovers"
             test_daemon_degrades_and_recovers;
+          tc "a read-only store: the CLI daemon answers, counts, drains"
+            test_daemon_read_only_store;
           tc "hostile frames never kill the daemon"
             test_daemon_survives_hostile_frames;
           tc "stalled peers never block another client"

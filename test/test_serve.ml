@@ -82,6 +82,44 @@ let ask ?deadline_s c q =
   | Ok (r, cached, _wall) -> (r, cached)
   | Error msg -> Alcotest.failf "query %s: %s" (Serve_api.canonical q) msg
 
+(* --- generators --------------------------------------------------------- *)
+
+let gen_str = QCheck.Gen.(string_size (int_bound 10))
+let gen_ints = QCheck.Gen.(list_size (int_bound 5) int)
+
+(* Queries whose int fields come from [gen_int]. *)
+let gen_query_of gen_int =
+  let open QCheck.Gen in
+  let gen_task =
+    oneof
+      [
+        map (fun n -> Serve_api.Dac { n }) gen_int;
+        map (fun m -> Serve_api.Consensus { m }) gen_int;
+        map2 (fun m k -> Serve_api.Kset { m; k }) gen_int gen_int;
+        map (fun name -> Serve_api.Candidate { name }) gen_str;
+        map (fun n -> Serve_api.Vc { n }) gen_int;
+        map (fun n -> Serve_api.Bcast { n }) gen_int;
+      ]
+  in
+  oneof
+    [
+      (let* task = gen_task in
+       let* question = oneofl Serve_api.[ Solve; Valence; Live ] in
+       let* inputs = list_size (int_bound 5) gen_int in
+       let* max_states = gen_int in
+       let* reduce = oneofl [ `None; `Sym; `Sym_sleep ] in
+       let+ substrate = gen_str in
+       Serve_api.Verify { task; question; inputs; max_states; reduce; substrate });
+      (let* target = gen_str in
+       let* trials = gen_int in
+       let* procs = gen_int in
+       let* ops = gen_int in
+       let+ seed = gen_int in
+       Serve_api.Fuzz { target; trials; procs; ops; seed });
+    ]
+
+let gen_query = gen_query_of QCheck.Gen.int
+
 (* --- canonical keys ----------------------------------------------------- *)
 
 let max_states = 200_000
@@ -110,6 +148,18 @@ let test_canonical_golden () =
      max_states=200000 reduce=sym substrate=shm"
     (Serve_api.canonical q);
   Alcotest.(check string) "digest" "1aee6902e752d54b" (Serve_api.key q)
+
+(* [canonical] is concatenated, not formatted; the [Format] spelling it
+   replaced is the reference, byte for byte, over every task, question,
+   reduce mode, substrate and fuzz field, extreme ints included. *)
+let prop_canonical_reference =
+  let gen_int = QCheck.Gen.(oneof [ int; oneofl [ min_int; max_int; -1; 0 ] ]) in
+  QCheck.Test.make ~count:2_000 ~name:"canonical = Format reference"
+    (QCheck.make ~print:Oracle.canonical (gen_query_of gen_int))
+    (fun q ->
+      String.equal (Serve_api.canonical q) (Oracle.canonical q)
+      && String.equal (Serve_api.key q)
+           (Serve_api.key_of_canonical (Oracle.canonical q)))
 
 (* Regression for the fingerprint defect this PR fixes: every
    key-determining parameter must separate the canonical preimage.  The
@@ -458,39 +508,6 @@ let test_store_v1_upgrade () =
    an encoder and its decoder (a field written as a list and read as
    two ints) fails the first property directly. *)
 
-let gen_str = QCheck.Gen.(string_size (int_bound 10))
-let gen_ints = QCheck.Gen.(list_size (int_bound 5) int)
-
-let gen_query =
-  let open QCheck.Gen in
-  let gen_task =
-    oneof
-      [
-        map (fun n -> Serve_api.Dac { n }) int;
-        map (fun m -> Serve_api.Consensus { m }) int;
-        map2 (fun m k -> Serve_api.Kset { m; k }) int int;
-        map (fun name -> Serve_api.Candidate { name }) gen_str;
-        map (fun n -> Serve_api.Vc { n }) int;
-        map (fun n -> Serve_api.Bcast { n }) int;
-      ]
-  in
-  oneof
-    [
-      (let* task = gen_task in
-       let* question = oneofl Serve_api.[ Solve; Valence; Live ] in
-       let* inputs = gen_ints in
-       let* max_states = int in
-       let* reduce = oneofl [ `None; `Sym; `Sym_sleep ] in
-       let+ substrate = gen_str in
-       Serve_api.Verify { task; question; inputs; max_states; reduce; substrate });
-      (let* target = gen_str in
-       let* trials = int in
-       let* procs = int in
-       let* ops = int in
-       let+ seed = int in
-       Serve_api.Fuzz { target; trials; procs; ops; seed });
-    ]
-
 let gen_result =
   let open QCheck.Gen in
   let ostr = opt gen_str in
@@ -540,15 +557,15 @@ let gen_result =
 
 let gen_stats =
   let open QCheck.Gen in
-  let* i = array_size (return 14) int in
+  let* i = array_size (return 15) int in
   let+ f = array_size (return 3) float in
   {
     Serve_wire.st_queries = i.(0); st_hits_mem = i.(1); st_hits_store = i.(2);
     st_misses = i.(3); st_computed = i.(4); st_joined = i.(5);
-    st_queue_peak = i.(6); st_workers = i.(7); st_corrupt = i.(8);
-    st_degraded = i.(9); st_prefix_stored = i.(10); st_prefix_resumed = i.(11);
-    st_hot_us_total = f.(0); st_hot_count = i.(12); st_cold_us_total = f.(1);
-    st_cold_count = i.(13); st_uptime_s = f.(2);
+    st_queue_peak = i.(6); st_workers = i.(7); st_running_peak = i.(14);
+    st_corrupt = i.(8); st_degraded = i.(9); st_prefix_stored = i.(10);
+    st_prefix_resumed = i.(11); st_hot_us_total = f.(0); st_hot_count = i.(12);
+    st_cold_us_total = f.(1); st_cold_count = i.(13); st_uptime_s = f.(2);
   }
 
 let gen_request =
@@ -780,6 +797,11 @@ let test_cache_identity_matrix () =
       let n = List.length reference in
       Alcotest.(check int) "one computation per key" n stats1.Serve_wire.st_computed;
       Alcotest.(check int) "one memo hit per key" n stats1.Serve_wire.st_hits_mem;
+      (* one query at a time: each job domain is joined before the next
+         cold query arrives *)
+      Alcotest.(check int)
+        "sequential cold queries: one job domain at a time" 1
+        stats1.Serve_wire.st_running_peak;
       (* restart on the same store: every answer must come back from
          disk, byte-identical, with zero computations *)
       let (), stats2 =
@@ -804,7 +826,10 @@ let test_cache_identity_matrix () =
       Alcotest.(check int)
         "restart: all answers from the store" n stats2.Serve_wire.st_hits_store;
       Alcotest.(check int)
-        "restart: store pristine" 0 stats2.Serve_wire.st_corrupt)
+        "restart: store pristine" 0 stats2.Serve_wire.st_corrupt;
+      Alcotest.(check int)
+        "restart: store hits start no job domain" 0
+        stats2.Serve_wire.st_running_peak)
 
 (* Liveness answers cache like safety answers: cold, warm and
    cross-restart renders byte-identical — including the livelock case,
@@ -930,8 +955,8 @@ let test_daemon_recovers_from_corrupt_store () =
    client sees the same answer for the same query; each distinct key is
    computed exactly once (a duplicate either joins the in-flight job or
    hits a cache — never re-runs); and shutdown drains cleanly with all
-   clients answered. *)
-let test_concurrent_single_flight () =
+   clients answered.  At most [workers] job domains are ever alive. *)
+let test_concurrent_single_flight ~workers () =
   let distinct =
     [
       verify (Serve_api.Dac { n = 3 });
@@ -940,17 +965,27 @@ let test_concurrent_single_flight () =
       verify ~question:Serve_api.Valence (Serve_api.Kset { m = 2; k = 2 });
     ]
   in
-  (* every client asks the first query 3 extra times, interleaved *)
-  let per_client = (List.hd distinct :: distinct) @ [ List.hd distinct; List.hd distinct ] in
+  (* client [i] starts its round of the distinct queries at the [i]th,
+     so distinct cold keys are in flight at once, and asks the first
+     query 3 extra times, interleaved *)
+  let d = List.length distinct and first = List.hd distinct in
+  let per_client i =
+    match
+      List.filteri (fun j _ -> j >= i mod d) distinct
+      @ List.filteri (fun j _ -> j < i mod d) distinct
+    with
+    | q :: rest -> (q :: first :: rest) @ [ first; first ]
+    | [] -> []
+  in
   let n_clients = 6 in
   let dir = fresh_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let answers, stats =
-        with_daemon ~dir (fun ~socket ->
+        with_daemon ~workers ~dir (fun ~socket ->
             let clients =
-              List.init n_clients (fun _ ->
+              List.init n_clients (fun i ->
                   Domain.spawn (fun () ->
                       let c = connect ~socket in
                       Fun.protect
@@ -960,7 +995,7 @@ let test_concurrent_single_flight () =
                             (fun q ->
                               (Serve_api.canonical q,
                                Serve_api.render (fst (ask c q))))
-                            per_client)))
+                            (per_client i))))
             in
             List.concat_map Domain.join clients)
       in
@@ -978,8 +1013,7 @@ let test_concurrent_single_flight () =
       Alcotest.(check int)
         "every distinct key answered"
         (List.length distinct) (Hashtbl.length tbl);
-      let total = n_clients * List.length per_client in
-      let d = List.length distinct in
+      let total = n_clients * (d + 3) in
       Alcotest.(check int) "all queries answered" total
         (List.length answers);
       Alcotest.(check int) "queries counted" total stats.Serve_wire.st_queries;
@@ -991,7 +1025,41 @@ let test_concurrent_single_flight () =
       Alcotest.(check int)
         "every duplicate joined or hit a cache" (total - d)
         (stats.Serve_wire.st_joined + stats.Serve_wire.st_hits_mem
-        + stats.Serve_wire.st_hits_store))
+        + stats.Serve_wire.st_hits_store);
+      let peak = stats.Serve_wire.st_running_peak in
+      if peak < 1 || peak > workers then
+        Alcotest.failf "running_peak %d outside 1..%d" peak workers)
+
+(* A hundred distinct cold campaigns, asked one after another: each gets
+   a job domain of its own, joined before the next one starts, and the
+   daemon then drains. *)
+let test_sequential_cold_jobs () =
+  let qs =
+    List.init 100 (fun seed ->
+        Serve_api.Fuzz { target = "queue"; trials = 2; procs = 2; ops = 2; seed })
+  in
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let cold, stats =
+        with_daemon ~dir (fun ~socket ->
+            let c = connect ~socket in
+            Fun.protect
+              ~finally:(fun () -> Serve_client.close c)
+              (fun () ->
+                List.length
+                  (List.filter
+                     (fun q ->
+                       match ask c q with
+                       | Serve_api.Fuzz_report _, false -> true
+                       | _ -> false)
+                     qs)))
+      in
+      Alcotest.(check int) "every campaign answered cold" 100 cold;
+      Alcotest.(check int) "computed" 100 stats.Serve_wire.st_computed;
+      Alcotest.(check int) "one job domain at a time" 1
+        stats.Serve_wire.st_running_peak)
 
 (* --- fuzz campaigns: caching and prefix resumption ----------------------- *)
 
@@ -1244,6 +1312,14 @@ let exe =
 
 let run fmt = Fmt.kstr Sys.command fmt
 
+(* The ms figure of [lbsa query]'s stderr line ("lbsa query: cache hit
+   in 0.0 ms"). *)
+let query_ms err =
+  match List.rev (String.split_on_char ' ' (String.trim err)) with
+  | "ms" :: ms :: _ when Option.is_some (float_of_string_opt ms) ->
+    float_of_string ms
+  | _ -> Alcotest.failf "no \"<t> ms\" at the end of %S" err
+
 let test_cli_round_trip () =
   if not (Sys.file_exists exe) then
     Alcotest.fail (Fmt.str "CLI executable not found at %s" exe);
@@ -1251,6 +1327,7 @@ let test_cli_round_trip () =
   let socket = fresh_path ".sock" in
   let dir = fresh_dir () in
   let out1 = fresh_path ".out" and out2 = fresh_path ".out" in
+  let err1 = fresh_path ".err" and err2 = fresh_path ".err" in
   let started = ref false in
   Fun.protect
     ~finally:(fun () ->
@@ -1258,7 +1335,9 @@ let test_cli_round_trip () =
         ignore
           (run "%s shutdown --socket %s --wait 2 >/dev/null 2>&1" (q exe)
              (q socket));
-      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ out1; out2 ];
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ out1; out2; err1; err2 ];
       rm_rf dir)
     (fun () ->
       Alcotest.(check int) "daemon starts in the background" 0
@@ -1266,13 +1345,20 @@ let test_cli_round_trip () =
            (q exe) (q socket) (q dir));
       started := true;
       Alcotest.(check int) "cold query succeeds" 0
-        (run "%s query dac:3 --socket %s --wait 10 > %s 2>/dev/null" (q exe)
-           (q socket) (q out1));
+        (run "%s query dac:3 --socket %s --wait 10 > %s 2> %s" (q exe)
+           (q socket) (q out1) (q err1));
       Alcotest.(check int) "hot query succeeds" 0
-        (run "%s query dac:3 --socket %s > %s 2>/dev/null" (q exe) (q socket)
-           (q out2));
+        (run "%s query dac:3 --socket %s > %s 2> %s" (q exe) (q socket)
+           (q out2) (q err2));
       Alcotest.(check int) "cold and hot stdout byte-identical" 0
         (run "cmp -s %s %s" (q out1) (q out2));
+      let cold = read_file err1 and hot = read_file err2 in
+      Alcotest.(check bool)
+        (Fmt.str "hot query reports a cache hit (%S)" hot)
+        true
+        (contains_sub ~sub:"cache hit" hot);
+      if not (query_ms hot < query_ms cold) then
+        Alcotest.failf "hot answer (%S) not faster than cold (%S)" hot cold;
       (* a failing candidate propagates the CLI-wide exit-code policy *)
       Alcotest.(check int) "failing candidate exits 1" 1
         (Sys.command
@@ -1341,6 +1427,7 @@ let () =
       ( "keys",
         [
           Alcotest.test_case "canonical golden pin" `Quick test_canonical_golden;
+          QCheck_alcotest.to_alcotest prop_canonical_reference;
           Alcotest.test_case "parameters separate keys" `Quick
             test_key_separation;
         ] );
@@ -1390,7 +1477,11 @@ let () =
       ( "concurrency",
         [
           Alcotest.test_case "single-flight under concurrent clients" `Slow
-            test_concurrent_single_flight;
+            (test_concurrent_single_flight ~workers:2);
+          Alcotest.test_case "single-flight with one job domain" `Slow
+            (test_concurrent_single_flight ~workers:1);
+          Alcotest.test_case "100 sequential cold jobs" `Slow
+            test_sequential_cold_jobs;
         ] );
       ( "fuzz",
         [
